@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload loop-300s --seed 42 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload loop-300s --seed 42 --seconds 28 --trace 0
 
 The last line of standard output is one JSON object with the keys `correct`,
 `attempted`, `failed` and `metrics`. With `--trace 0` the metrics are the
@@ -26,6 +26,7 @@ import sys
 import time
 from pathlib import Path
 
+import speed
 from checks import (
     CheckFailed,
     Expectations,
@@ -44,11 +45,11 @@ STATE = ROOT / ".perfbench"  # results and span dumps
 WORK = STATE / "work"  # trials and run outputs, emptied on every run
 REFERENCE = BENCH_DIR / "reference.json"
 
-SETUP_PROBES = 5  # fresh interpreters timed for setup_s
-# On a shared machine this process runs at one of two speeds, switching every
-# few seconds; the slow one takes up to 1.7x as long. A slowdown only ever adds
-# time, so the end-to-end times are the fastest of the repeats in a run, which
-# varies far less from run to run than their median. Medians are printed too.
+SETUP_PROBES = 3  # fresh interpreters timed for setup_s
+# On a shared machine a step's wall time depends on how fast the machine ran
+# during it, by up to 2x. The end-to-end times are therefore medians of wall
+# times scaled by a probe of the machine's speed taken just before and after
+# each step (see speed.py). Wall-time medians are printed too.
 IMPORT_PROBES = 3  # `python -X importtime` runs for the import breakdown
 CHILD_TIMEOUT_S = 120.0
 NOISE = "0.05"
@@ -175,6 +176,7 @@ class Loop:
 
     name = "loop-300s"
     in_process = True
+    probe = staticmethod(speed.in_process)
     ticks = 30_000
 
     def setup_code(self, seed: int) -> str:
@@ -255,6 +257,7 @@ class Archive:
 
     name = "archive-300s"
     in_process = True
+    probe = staticmethod(speed.in_process)
     ticks = 30_000
     trials = (("trial", ()), ("trial_light", ("--emg-level", "0.35")))
 
@@ -315,6 +318,10 @@ class Quickstart:
 
     name = "quickstart-cli"
     in_process = False  # each command is a child; traced ones trace themselves
+
+    @staticmethod
+    def probe() -> float:
+        return speed.fresh_process(WORK)
 
     def setup_code(self, seed: int) -> str:
         return "import gaitassist.cli"
@@ -379,27 +386,34 @@ class Quickstart:
 WORKLOADS = {w.name: w for w in (Loop(), Archive(), Quickstart())}
 
 
-def sample(workload, run: Run, seconds: float, tracers: tuple, whole: bool):
-    """Seconds taken by each step, in passes that take turns over `tracers`.
+Sample = tuple[float, float]  # (wall time in s, slowdown of the machine during it)
 
-    Returns the samples per entry of `tracers` and the number of whole
-    rounds. Sampling ends once every entry has had one whole pass and
-    `seconds` have passed: after the step that crosses the deadline, or
-    with `whole`, after the round that does.
+
+def sample(workload, run: Run, seconds: float, tracers: tuple, whole: bool):
+    """Wall time and slowdown of each step, in passes that take turns over `tracers`.
+
+    The slowdown is the mean of the workload's speed probes just before and
+    just after the step. Returns the samples per entry of `tracers` and the
+    number of whole rounds. Sampling ends once every entry has had one whole
+    pass and `seconds` have passed: after the step that crosses the
+    deadline, or with `whole`, after the round that does.
     """
     from spans import installed
 
-    samples: list[dict[str, list[float]]] = [{} for _ in tracers]
+    samples: list[dict[str, list[Sample]]] = [{} for _ in tracers]
     deadline = time.perf_counter() + seconds
     rounds = 0
+    before = workload.probe()
     while True:
         for out, tracer in zip(samples, tracers):
             traced = tracer is not None
             with installed(tracer) if traced and workload.in_process else contextlib.nullcontext():
                 for key, step in workload.steps(run, traced):
                     elapsed = run.op(key, step)
+                    after = workload.probe()
                     if elapsed is not None:
-                        out.setdefault(key, []).append(elapsed)
+                        out.setdefault(key, []).append((elapsed, (before + after) / 2))
+                    before = after
                     if rounds and not whole and time.perf_counter() >= deadline:
                         return samples, rounds
         rounds += 1
@@ -407,35 +421,49 @@ def sample(workload, run: Run, seconds: float, tracers: tuple, whole: bool):
             return samples, rounds
 
 
-def _per_step(samples: dict[str, list[float]], steps: int, of) -> dict[str, float]:
+def scaled_median(values: list[Sample]) -> float:
+    """Median wall time at the probes' reference speed."""
+    return statistics.median(elapsed / slowdown for elapsed, slowdown in values)
+
+
+def wall_median(values: list[Sample]) -> float:
+    return statistics.median(elapsed for elapsed, _ in values)
+
+
+def _per_step(samples: dict[str, list[Sample]], steps: int, of) -> dict[str, float]:
     require(len(samples) == steps, "a step never completed")
     return {key: of(values) for key, values in samples.items()}
 
 
 def measure(workload, run: Run, seconds: float) -> tuple[dict, list, dict]:
     """End-to-end metrics, traced off."""
-    setup = [
-        run.op("setup", lambda: spawn(["-c", workload.setup_code(run.seed)]))
-        for _ in range(SETUP_PROBES)
-    ]
-    setup = [s for s in setup if s is not None]
+    setup: list[Sample] = []
+    before = speed.fresh_process(WORK)
+    for _ in range(SETUP_PROBES):
+        elapsed = run.op("setup", lambda: spawn(["-c", workload.setup_code(run.seed)]))
+        after = speed.fresh_process(WORK)
+        if elapsed is not None:
+            setup.append((elapsed, (before + after) / 2))
+        before = after
     require(bool(setup), "no set-up completed")
     workload.prepare(run)
     (samples,), _ = sample(workload, run, seconds, (None,), whole=False)
     n_steps = len(workload.steps(run, False))
-    fastest = _per_step(samples, n_steps, min)
-    median = _per_step(samples, n_steps, statistics.median)
+    scaled = _per_step(samples, n_steps, scaled_median)
+    wall = _per_step(samples, n_steps, wall_median)
     # the workload's process, or its largest child when every step is a child
     usage = resource.getrusage(resource.RUSAGE_SELF if workload.in_process else resource.RUSAGE_CHILDREN)
     metrics = {
-        "setup_s": min(setup),
+        "setup_s": scaled_median(setup),
         "peak_rss_mb": usage.ru_maxrss / 1024.0,
-        "scenario_s": sum(fastest.values()),
+        "scenario_s": sum(scaled.values()),
     }
+    slowdowns = [f for values in samples.values() for _, f in values]
     details = [
-        *workload.details(median),
-        ("scenario_median_s", sum(median.values()), "s"),
-        ("setup_median_s", statistics.median(setup), "s"),
+        *workload.details(scaled),
+        ("scenario_wall_s", sum(wall.values()), "s"),
+        ("setup_wall_s", wall_median(setup), "s"),
+        ("slowdown", statistics.median(slowdowns), "x"),
     ]
     return metrics, details, {"setup_samples": setup, "samples": samples}
 
@@ -470,9 +498,10 @@ def trace(workload, run: Run, seconds: float) -> tuple[dict, list, dict]:
     metrics = layer_metrics(tables)
     metrics.update({k: statistics.median(i[k] for i in imports) for k in imports[0]})
     metrics["signals.design_filter_calls"] = design_filter / rounds
-    # fastest repeats, as for the end-to-end times
+    # scaled medians, as for the end-to-end times
     metrics["trace.overhead_ms"] = 1e3 * (
-        sum(_per_step(traced, steps, min).values()) - sum(_per_step(plain, steps, min).values())
+        sum(_per_step(traced, steps, scaled_median).values())
+        - sum(_per_step(plain, steps, scaled_median).values())
     )
     details = [("traced_passes", rounds, "count")]
     return metrics, details, {"samples": plain, "traced_samples": traced}
