@@ -26,7 +26,7 @@ import numpy as np
 from .controller import UNLIMITED, ControllerConfig
 from .errors import DataFormatError, GaitAssistError, InvalidSpecError
 from .gait import Foot
-from .gait_fsr import FsrDetectorConfig
+from .gait_fsr import FsrDetectorConfig, detect_fsr
 from .gait_vel import VelDetectorConfig
 from .metrics import (
     METRIC_COLUMNS,
@@ -323,20 +323,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 def compute_trial_metrics(log: TrialLog) -> TrialMetrics:
     """Trial-level outcome metrics from one log; uses truth events when present."""
     env = emg_envelope(log.emg, zero_phase=True)
+    times = log.times()
     if log.truth is not None:
         events = log.truth.events
     else:
-        from .gait_fsr import LegPhaseState, fsr_step  # fallback event source
-        from .simgait import replay
-
-        states = {Foot.LEFT: LegPhaseState(Foot.LEFT), Foot.RIGHT: LegPhaseState(Foot.RIGHT)}
-        events = []
-        for tick in replay(log):
-            for foot, frame in ((Foot.LEFT, tick.insole_left), (Foot.RIGHT, tick.insole_right)):
-                states[foot], ev = fsr_step(states[foot], FsrDetectorConfig(), frame)
-                if ev is not None:
-                    events.append(ev)
-    times = log.times()
+        # The insole detector starts in swing, so a foot already loaded on
+        # the first tick reads as a heel strike there. That is the trial's
+        # start, not a stride boundary: truth events likewise begin after it.
+        events = [
+            ev for ev in detect_fsr(log.insole, times, FsrDetectorConfig())[0] if ev.t > times[0]
+        ]
     stride = stride_length(log.foot_xy, times, events)
     hip = float(
         np.mean([rom(log.hip_deg[f].samples, times, events, f) for f in Foot])
@@ -418,6 +414,12 @@ def _read_metrics_csv(path: str) -> tuple[list[str], np.ndarray]:
 def cmd_compare(args: argparse.Namespace) -> int:
     base_cols, base = _read_metrics_csv(args.baseline)
     base_mean = base.mean(axis=0)
+    for col, mean in zip(base_cols, base_mean):
+        if mean == 0.0 or not math.isfinite(mean):
+            raise DataFormatError(
+                f"{args.baseline}: baseline mean of {col!r} is {mean:g}, "
+                "so its percent change is undefined"
+            )
     names: list[str] = []
     changes: list[np.ndarray] = []
     for path in args.others:

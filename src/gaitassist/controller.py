@@ -37,8 +37,8 @@ class ControllerConfig:
     rate_hz: float = 100.0
 
     def __post_init__(self) -> None:
-        if not self.k_myo_nm >= 0:
-            raise InvalidSpecError("k_myo_nm must be non-negative")
+        if not 0 <= self.k_myo_nm < math.inf:
+            raise InvalidSpecError("k_myo_nm must be finite and non-negative")
         if not 0 <= self.k_swing <= self.k_stance:
             raise InvalidSpecError("require 0 <= k_swing <= k_stance")
         if not self.ramp_rate_nm_s > 0:

@@ -1,8 +1,17 @@
-"""Shared gait vocabulary: feet, leg phases, gait events, and the combined two-leg state."""
+"""Shared gait vocabulary: feet, leg phases, gait events, and the combined two-leg state.
+
+Also the whole-trial fold both detectors share: `scan_leg` steps one leg's
+plain-float transition over a trial, and `merge_legs` turns the two legs'
+events into the event stream and the per-tick phases.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import count
+from typing import Any, Callable
+
+import numpy as np
 
 
 class Foot(Enum):
@@ -89,3 +98,63 @@ def check_event_stream(events: list[GaitEvent]) -> None:
                     f"duplicated {ev.kind.value} for {ev.foot.value} at t={ev.t}"
                 )
         last[ev.foot] = ev
+
+
+# Ticks converted from numpy to Python floats at a time by the array-native
+# loops: enough to amortise each conversion, few enough that no loop ever
+# holds a whole trial as Python lists.
+BLOCK_TICKS = 4096
+
+
+def scan_leg(
+    transition: Callable[..., tuple[Any, tuple[EventKind, float] | None]],
+    state: Any,
+    cfg: Any,
+    t: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+) -> list[tuple[int, EventKind, float]]:
+    """Fold one leg's transition over a whole trial, one tick per sample.
+
+    Args:
+        transition: the detector's plain-float transition, called as
+            `transition(state, t, a, b, cfg) -> (state, fired)`; `fired` is
+            None or the (kind, event time) of the event emitted at t.
+        state: the leg's state before the first tick.
+        cfg: detector configuration, passed through to `transition`.
+        t, a, b: tick times and the leg's two input channels, equal length.
+
+    Returns:
+        (emission tick, kind, event time) of every event, in tick order.
+    """
+    fired_at: list[tuple[int, EventKind, float]] = []
+    for start in range(0, len(t), BLOCK_TICKS):
+        stop = start + BLOCK_TICKS
+        for k, tk, ak, bk in zip(
+            count(start), t[start:stop].tolist(), a[start:stop].tolist(), b[start:stop].tolist()
+        ):
+            state, fired = transition(state, tk, ak, bk, cfg)
+            if fired is not None:
+                fired_at.append((k, *fired))
+    return fired_at
+
+
+def merge_legs(
+    n: int, initial: Phase, fired: dict[Foot, list[tuple[int, EventKind, float]]]
+) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
+    """Event stream and causal per-tick phases of two legs scanned separately.
+
+    Every event flips its leg's phase from its emission tick on. Phases are
+    coded 0 for stance and 1 for swing. Events are ordered by emission tick,
+    left before right within a tick, as a tick-by-tick loop emits them.
+    """
+    tagged: list[tuple[int, GaitEvent]] = []
+    phases: dict[Foot, np.ndarray] = {}
+    for foot in (Foot.LEFT, Foot.RIGHT):
+        ticks = np.array([k for k, _, _ in fired[foot]], dtype=np.intp)
+        flips = np.zeros(n, dtype=np.int8)
+        flips[ticks] = 1
+        phases[foot] = ((int(initial is Phase.SWING) + np.cumsum(flips)) & 1).astype(np.int8)
+        tagged += [(k, GaitEvent(t, foot, kind)) for k, kind, t in fired[foot]]
+    tagged.sort(key=lambda item: item[0])  # stable, so left stays before right
+    return [event for _, event in tagged], phases

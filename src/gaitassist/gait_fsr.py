@@ -14,7 +14,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidSpecError
-from .gait import EventKind, Foot, GaitEvent, GaitState, Phase, gait_state_from_phases
+from .gait import (
+    EventKind,
+    Foot,
+    GaitEvent,
+    GaitState,
+    Phase,
+    gait_state_from_phases,
+    merge_legs,
+    scan_leg,
+)
 
 FRONT_SENSORS = slice(0, 4)
 BACK_SENSORS = slice(4, 8)
@@ -30,17 +39,28 @@ class InsoleFrame:
 
     def __post_init__(self) -> None:
         forces = tuple(float(f) for f in self.forces_n)
-        if len(forces) != 8:
-            raise InvalidSpecError(f"insole frame needs 8 forces, got {len(forces)}")
-        if any(f < 0 or not math.isfinite(f) for f in forces):
-            raise InvalidSpecError("insole forces must be finite and non-negative")
+        check_forces(np.array(forces))
         object.__setattr__(self, "forces_n", forces)
+
+
+def check_forces(forces: np.ndarray) -> None:
+    """Raise InvalidSpecError unless `forces` holds rows of 8 finite, non-negative forces."""
+    width = forces.shape[-1] if forces.ndim else 0
+    if width != 8:
+        raise InvalidSpecError(f"insole frame needs 8 forces, got {width}")
+    if not ((forces >= 0.0) & (forces < math.inf)).all():
+        raise InvalidSpecError("insole forces must be finite and non-negative")
+
+
+def force_sums(forces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(front, back) cluster force sums of one frame or of one row per frame."""
+    return forces[..., FRONT_SENSORS].sum(axis=-1), forces[..., BACK_SENSORS].sum(axis=-1)
 
 
 def cluster_sums(frame: InsoleFrame) -> tuple[float, float]:
     """(front, back) cluster force sums in newtons."""
-    forces = frame.forces_n
-    return (float(np.sum(forces[FRONT_SENSORS])), float(np.sum(forces[BACK_SENSORS])))
+    front, back = force_sums(np.asarray(frame.forces_n))
+    return (float(front), float(back))
 
 
 @dataclass(frozen=True)
@@ -84,6 +104,32 @@ class LegPhaseState:
         return self.last_event.t if self.last_event is not None else -math.inf
 
 
+def fsr_transition(
+    state: tuple[Phase, float], t: float, front: float, back: float, cfg: FsrDetectorConfig
+) -> tuple[tuple[Phase, float], tuple[EventKind, float] | None]:
+    """One leg's phase machine on plain floats: the single copy of its logic.
+
+    Args:
+        state: (phase, time of the last event) before this frame.
+        t: frame time in seconds.
+        front, back: the frame's cluster force sums in newtons.
+        cfg: thresholds and debounce.
+
+    Returns:
+        The state after the frame and, if the leg changed phase, the
+        (kind, time) of the event it emitted.
+    """
+    phase, last_event_t = state
+    if t - last_event_t < cfg.min_phase_s:
+        return state, None
+    if phase is Phase.SWING:
+        if front + back > cfg.contact_threshold_n:
+            return (Phase.STANCE, t), (EventKind.HEEL_STRIKE, t)
+    elif front < cfg.release_threshold_n and back < cfg.release_threshold_n:
+        return (Phase.SWING, t), (EventKind.TOE_OFF, t)
+    return state, None
+
+
 def fsr_step(
     state: LegPhaseState, cfg: FsrDetectorConfig, frame: InsoleFrame
 ) -> tuple[LegPhaseState, GaitEvent | None]:
@@ -101,32 +147,51 @@ def fsr_step(
             f"out-of-order insole frame: t={frame.t} after t={state.last_t}"
         )
     front, back = cluster_sums(frame)
-    total = front + back
-
-    event: GaitEvent | None = None
-    debounced = frame.t - state.last_event_t < cfg.min_phase_s
-    if not debounced:
-        if state.phase is Phase.SWING and total > cfg.contact_threshold_n:
-            event = GaitEvent(frame.t, state.foot, EventKind.HEEL_STRIKE)
-        elif (
-            state.phase is Phase.STANCE
-            and front < cfg.release_threshold_n
-            and back < cfg.release_threshold_n
-        ):
-            event = GaitEvent(frame.t, state.foot, EventKind.TOE_OFF)
-
-    if event is None:
+    (phase, _), fired = fsr_transition(
+        (state.phase, state.last_event_t), frame.t, front, back, cfg
+    )
+    if fired is None:
         return replace(state, last_t=frame.t), None
+    event = GaitEvent(frame.t, state.foot, fired[0])
     return (
         LegPhaseState(
-            foot=state.foot,
-            phase=state.phase.other(),
-            since=frame.t,
-            last_event=event,
-            last_t=frame.t,
+            foot=state.foot, phase=phase, since=frame.t, last_event=event, last_t=frame.t
         ),
         event,
     )
+
+
+def detect_fsr(
+    insole: dict[Foot, np.ndarray], t: np.ndarray, cfg: FsrDetectorConfig
+) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
+    """Run both legs' detectors over whole insole channels.
+
+    Equivalent to stepping :func:`fsr_step` per leg over every frame, from
+    the default :class:`LegPhaseState`, but builds no object per frame.
+
+    Args:
+        insole: per-foot (n, 8) forces in newtons, one row per tick.
+        t: the n tick times in seconds.
+        cfg: thresholds and debounce.
+
+    Returns:
+        The events in emission order and each leg's per-tick phase after
+        the tick (0 stance, 1 swing). Raises InvalidSpecError for a force
+        that is negative or not finite.
+    """
+    initial = LegPhaseState(Foot.LEFT)  # both legs start from the defaults
+    fired = {}
+    for foot in Foot:
+        forces = np.asarray(insole[foot], dtype=float)
+        if forces.ndim != 2 or len(forces) != len(t):
+            raise InvalidSpecError(
+                f"{foot.value} insole needs {len(t)} rows of 8 forces, got shape {forces.shape}"
+            )
+        check_forces(forces)
+        fired[foot] = scan_leg(
+            fsr_transition, (initial.phase, initial.last_event_t), cfg, t, *force_sums(forces)
+        )
+    return merge_legs(len(t), initial.phase, fired)
 
 
 def both_feet_phases(left: LegPhaseState, right: LegPhaseState) -> GaitState:

@@ -1,8 +1,11 @@
-"""Offline control loop: replay a trial, detect gait, command torque.
+"""Offline control loop: detect gait over a trial, then command torque.
 
-The loop advances a simulated clock tick by tick at the control rate, so a
-full trial processes as fast as the host allows while producing exactly the
-samples a real-time run would. Either detection framework can drive the
+Each detector runs over whole channels: one plain-float transition per leg
+per tick, fed from numpy a bounded block at a time, with no object built
+per tick. The torque of the whole trial then follows from the per-tick gait
+states with numpy. The outputs equal, bit for bit, a tick-by-tick fold of
+the per-tick API (`replay`, `fsr_step`, `vel_step`, `controller_tick`),
+which is kept as the reference. Either detection framework can drive the
 controller: insole force sensors or hip angular velocities.
 """
 from __future__ import annotations
@@ -12,23 +15,33 @@ from enum import Enum
 
 import numpy as np
 
-from .controller import AssistState, ControllerConfig, TorqueCommand, controller_tick
+from .controller import (
+    UNLIMITED,
+    AssistState,
+    ControllerConfig,
+    TorqueCommand,
+    _toward,
+    distribute,
+)
 from .errors import InvalidSpecError
-from .gait import Foot, GaitEvent, Phase
-from .gait_fsr import FsrDetectorConfig, LegPhaseState, both_feet_phases, fsr_step
-from .gait_vel import VelDetectorConfig, VelDetectorState, vel_phases, vel_step
+from .gait import BLOCK_TICKS, Foot, GaitEvent, Phase
+from .gait_fsr import FsrDetectorConfig, check_forces, detect_fsr
+from .gait_vel import VelDetectorConfig, detect_vel
 from .metrics import DetectionScore, phases_from_events, score_detection
 from .signals import TimeSeries, decimate_to, emg_envelope
-from .simgait import STATE_BY_CODE, TrialLog, replay
+from .simgait import STATE_BY_CODE, TrialLog, check_channels
+
+# The per-tick reference API stays importable from this module, where
+# perfbench/spans.py looks it up to trace it.
+from .controller import controller_tick  # noqa: F401
+from .gait_fsr import fsr_step  # noqa: F401
+from .gait_vel import vel_step  # noqa: F401
+from .simgait import replay  # noqa: F401
 
 
 class DetectionMode(Enum):
     FOOT_SENSORS = "foot-sensors"
     ACTUATORS_VELOCITY = "actuators-velocity"
-
-
-_PHASE_CODE = {Phase.STANCE: 0, Phase.SWING: 1}
-_STATE_CODE = {state: code for code, state in enumerate(STATE_BY_CODE)}
 
 
 @dataclass(eq=False)
@@ -93,51 +106,22 @@ def run_trial(
     env = control_envelope(log)
     if len(env) < log.n_ticks:
         raise InvalidSpecError("EMG channel shorter than the trial")
-    env_samples = env.samples
-
     n = log.n_ticks
-    tau_left = np.zeros(n)
-    tau_right = np.zeros(n)
-    tau_exo = np.zeros(n)
-    state_codes = np.zeros(n, dtype=np.int8)
-    causal = {foot: np.zeros(n, dtype=np.int8) for foot in Foot}
-    events: list[GaitEvent] = []
+    emg_norm = env.samples[:n]
 
-    fsr_left = LegPhaseState(Foot.LEFT)
-    fsr_right = LegPhaseState(Foot.RIGHT)
-    vel_state = VelDetectorState.initial()
-    assist = AssistState.initial()
-    initial_phase = {
-        DetectionMode.FOOT_SENSORS: Phase.SWING,
-        DetectionMode.ACTUATORS_VELOCITY: Phase.STANCE,
-    }[mode]
-
-    for tick in replay(log):
-        if mode is DetectionMode.FOOT_SENSORS:
-            fsr_left, ev_l = fsr_step(fsr_left, fsr_cfg, tick.insole_left)
-            fsr_right, ev_r = fsr_step(fsr_right, fsr_cfg, tick.insole_right)
-            events.extend(ev for ev in (ev_l, ev_r) if ev is not None)
-            gait = both_feet_phases(fsr_left, fsr_right)
-            phases = (fsr_left.phase, fsr_right.phase)
-        else:
-            vel_state, ticked = vel_step(
-                vel_state, vel_cfg, tick.t, tick.omega_left, tick.omega_right
-            )
-            events.extend(ticked)
-            gait = vel_phases(vel_state)
-            phases = (vel_state.left.phase, vel_state.right.phase)
-
-        k = tick.index
-        state_codes[k] = _STATE_CODE[gait]
-        causal[Foot.LEFT][k] = _PHASE_CODE[phases[0]]
-        causal[Foot.RIGHT][k] = _PHASE_CODE[phases[1]]
-
-        assist, command = controller_tick(
-            tick.t, gait, float(env_samples[k]), assist, controller_cfg
-        )
-        tau_left[k] = command.tau_left_nm
-        tau_right[k] = command.tau_right_nm
-        tau_exo[k] = assist.tau_exo_nm
+    check_channels(log)
+    t = log.times()
+    if mode is DetectionMode.FOOT_SENSORS:
+        events, causal = detect_fsr(log.insole, t, fsr_cfg)
+        initial_phase = Phase.SWING
+    else:
+        for foot in Foot:
+            check_forces(np.asarray(log.insole[foot], dtype=float))
+        events, causal = detect_vel(log.omega_left.samples, log.omega_right.samples, t, vel_cfg)
+        initial_phase = Phase.STANCE
+    # index into STATE_BY_CODE: 0 stance and 1 swing per leg, left leg high
+    state_codes = (2 * causal[Foot.LEFT] + causal[Foot.RIGHT]).astype(np.int8)
+    tau_left, tau_right, tau_exo = command_torque(state_codes, emg_norm, controller_cfg)
 
     event_phases = phases_from_events(
         events,
@@ -158,14 +142,52 @@ def run_trial(
 
     return RunResult(
         mode=mode,
-        t=log.times(),
+        t=t,
         tau_left=tau_left,
         tau_right=tau_right,
         tau_exo=tau_exo,
-        emg_norm=TimeSeries(env_samples[:n].copy(), log.rates.control_hz),
+        emg_norm=TimeSeries(emg_norm.copy(), log.rates.control_hz),
         events=events,
         state_codes=state_codes,
         causal_phases=causal,
         event_phases=event_phases,
         score=score,
     )
+
+
+def command_torque(
+    state_codes: np.ndarray, emg_norm: np.ndarray, cfg: ControllerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-tick (left, right, total) torque for a whole trial.
+
+    Equal, bit for bit, to folding :func:`controller_tick` over the ticks
+    from :meth:`AssistState.initial`: each gait state's split comes from
+    :func:`distribute`, and only a finite ramp rate needs a sequential pass.
+
+    Args:
+        state_codes: per-tick gait state, as an index into STATE_BY_CODE.
+        emg_norm: per-tick normalized activation; ValueError outside [0, 1].
+        cfg: controller gains, ramp limit and rate.
+    """
+    outside = ~((emg_norm >= 0.0) & (emg_norm <= 1.0))
+    if outside.any():
+        raise ValueError(f"emg_norm must lie in [0, 1], got {emg_norm[outside.argmax()]}")
+    tau_exo = cfg.k_myo_nm * emg_norm
+    gains = np.array([distribute(state, 1.0, cfg) for state in STATE_BY_CODE])
+    tau_left = gains[state_codes, 0] * tau_exo
+    tau_right = gains[state_codes, 1] * tau_exo
+    if cfg.ramp_rate_nm_s != UNLIMITED:
+        max_step = cfg.ramp_rate_nm_s / cfg.rate_hz
+        first = AssistState.initial().last_command
+        _ramp(tau_left, first.tau_left_nm, max_step)
+        _ramp(tau_right, first.tau_right_nm, max_step)
+    return tau_left, tau_right, tau_exo
+
+
+def _ramp(tau: np.ndarray, previous: float, max_step: float) -> None:
+    """Slew-limit one leg's commands in place, starting from `previous`."""
+    for start in range(0, len(tau), BLOCK_TICKS):
+        block = tau[start : start + BLOCK_TICKS].tolist()
+        for i, target in enumerate(block):
+            previous = block[i] = _toward(previous, target, max_step)
+        tau[start : start + BLOCK_TICKS] = block

@@ -378,6 +378,15 @@ def _knee_angle(phi: np.ndarray, sf: float) -> np.ndarray:
     )
 
 
+def check_channels(log: TrialLog) -> None:
+    """Raise DataFormatError unless `log` has both omega and both insole channels."""
+    for name in ("omega_left", "omega_right"):
+        if getattr(log, name, None) is None:
+            raise DataFormatError(f"trial log is missing channel {name!r}")
+    if log.insole is None or any(foot not in log.insole for foot in Foot):
+        raise DataFormatError("trial log is missing insole channels")
+
+
 def replay(
     log: TrialLog, sink: Callable[[TickSample], None] | None = None
 ) -> Iterator[TickSample] | None:
@@ -386,11 +395,7 @@ def replay(
     With a `sink` the whole log is pushed through it; otherwise an iterator
     is returned. Raises DataFormatError if a required channel is missing.
     """
-    for name in ("omega_left", "omega_right"):
-        if getattr(log, name, None) is None:
-            raise DataFormatError(f"trial log is missing channel {name!r}")
-    if log.insole is None or any(foot not in log.insole for foot in Foot):
-        raise DataFormatError("trial log is missing insole channels")
+    check_channels(log)
 
     def _iter() -> Iterator[TickSample]:
         times = log.times()

@@ -83,6 +83,12 @@ def _read_table(path: Path, expected_columns: list[str]) -> np.ndarray:
         raise DataFormatError(
             f"{path.name}: expected {len(expected_columns)} columns, got {data.shape[1]}"
         )
+    finite = np.isfinite(data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise DataFormatError(
+            f"{path.name}: non-finite {expected_columns[col]} in data row {row + 1}"
+        )
     return data
 
 
@@ -232,7 +238,13 @@ def _read_truth(trial_dir: Path, n: int) -> TrialTruth:
 
 
 def load_trial(trial_dir: Path | str) -> TrialLog:
-    """Read a trial directory written by :func:`save_trial`."""
+    """Read a trial directory written by :func:`save_trial`.
+
+    Raises DataFormatError, naming the file, for anything malformed: a
+    missing file or key, a manifest value that does not parse or is out of
+    range, a bad header or row count, a cell that is not a finite number,
+    or a negative insole force.
+    """
     trial_dir = Path(trial_dir)
     manifest = read_manifest(trial_dir / "manifest.txt")
     if manifest.get("format") != FORMAT_TAG:
@@ -247,8 +259,16 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
         n = int(manifest["n_ticks"])
         mvc = float(manifest["mvc_mv"])
         has_truth = manifest.get("has_truth", "false") == "true"
+        params = None
+        if all(key in manifest for key in _PARAM_KEYS) and "seed" in manifest:
+            params = GaitParams(
+                **{key: float(manifest[key]) for key in _PARAM_KEYS},
+                seed=int(manifest["seed"]),
+            )
     except KeyError as exc:
         raise DataFormatError(f"manifest is missing key {exc}") from exc
+    except ValueError as exc:  # unparsable or out-of-range value
+        raise DataFormatError(f"manifest.txt: {exc}") from exc
 
     def expect_rows(table: np.ndarray, rows: int, name: str) -> np.ndarray:
         if table.shape[0] != rows:
@@ -259,19 +279,18 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
     insole = {}
     for foot, name in ((Foot.LEFT, "insole_left"), (Foot.RIGHT, "insole_right")):
         table = _read_table(trial_dir / f"{name}.csv", _INSOLE_COLS)
-        insole[foot] = expect_rows(table, n, f"{name}.csv")[:, 1:]
+        forces = expect_rows(table, n, f"{name}.csv")[:, 1:]
+        if (forces < 0.0).any():
+            row, col = np.argwhere(forces < 0.0)[0]
+            raise DataFormatError(
+                f"{name}.csv: negative force {_INSOLE_COLS[col + 1]} in data row {row + 1}"
+            )
+        insole[foot] = forces
     n_emg = int(round(n * rates.emg_hz / rates.control_hz))
     emg = expect_rows(_read_table(trial_dir / "emg.csv", _EMG_COLS), n_emg, "emg.csv")
     kin = expect_rows(
         _read_table(trial_dir / "kinematics.csv", _KINEMATICS_COLS), n, "kinematics.csv"
     )
-
-    params = None
-    if all(key in manifest for key in _PARAM_KEYS) and "seed" in manifest:
-        params = GaitParams(
-            **{key: float(manifest[key]) for key in _PARAM_KEYS},
-            seed=int(manifest["seed"]),
-        )
 
     truth = _read_truth(trial_dir, n) if has_truth else None
 

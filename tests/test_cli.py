@@ -129,6 +129,52 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "name, cell, mode",
+        [
+            ("omega.csv", "nan", "actuators-velocity"),
+            ("omega.csv", "nan", "foot-sensors"),
+            ("insole_left.csv", "nan", "foot-sensors"),
+            ("insole_right.csv", "inf", "actuators-velocity"),
+            ("insole_right.csv", "-1.000000", "foot-sensors"),
+            ("insole_left.csv", "-1.000000", "actuators-velocity"),
+            ("emg.csv", "nan", "foot-sensors"),
+        ],
+    )
+    def test_bad_cell_is_one_line_data_error(
+        self, trial_dir, tmp_path, capsys, name, cell, mode
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(trial_dir, broken)
+        lines = (broken / name).read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[1] = cell
+        lines[5] = ",".join(cells)
+        (broken / name).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli("run", "--trial", str(broken), "--mode", mode, "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and name in err[0]
+
+    @pytest.mark.parametrize(
+        "key, value", [("n_ticks", "abc"), ("control_rate_hz", "0"), ("seed", "1.5")]
+    )
+    def test_bad_manifest_value_is_one_line_data_error(
+        self, trial_dir, tmp_path, capsys, key, value
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(trial_dir, broken)
+        manifest = broken / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
+        manifest.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and "manifest.txt" in err[0]
+
     def test_print_torque_streams_rows(self, trial_dir, tmp_path, capsys):
         out = tmp_path / "run-stdout"
         run_cli("run", "--trial", str(trial_dir), "--out", str(out), "--print-torque")
@@ -189,6 +235,23 @@ class TestAnalyze:
         assert code == 2
         assert "broken" in capsys.readouterr().err
 
+    def test_trial_without_truth_detects_its_own_events(self, trial_dir, tmp_path):
+        truthless = tmp_path / "truthless"
+        shutil.copytree(trial_dir, truthless)
+        manifest = truthless / "manifest.txt"
+        text = manifest.read_text()
+        assert "has_truth = true\n" in text
+        manifest.write_text(text.replace("has_truth = true\n", "has_truth = false\n"))
+        out = tmp_path / "metrics.csv"
+        assert run_cli("analyze", str(trial_dir), str(truthless), "--out", str(out)) == 0
+        header, with_truth, without = out.read_text().splitlines()
+        columns = header.split(",")[1:]
+        truth_row = dict(zip(columns, map(float, with_truth.split(",")[1:])))
+        row = dict(zip(columns, map(float, without.split(",")[1:])))
+        assert all(np.isfinite(v) for v in row.values())
+        for column in ("s. length [m]", "speed [m/s]"):
+            assert row[column] == pytest.approx(truth_row[column], rel=0.02)
+
 
 class TestCompare:
     @pytest.fixture()
@@ -227,6 +290,19 @@ class TestCompare:
         bad = tmp_path / "bad.csv"
         bad.write_text("trial,apples [kg]\nx,1.0\n")
         assert run_cli("compare", "--baseline", str(base), str(bad)) == 2
+
+    @pytest.mark.parametrize("cells", [("0.0", "0.0"), ("1.0", "-1.0"), ("nan", "1.0")])
+    def test_zero_baseline_is_one_line_data_error(self, tmp_path, capsys, cells):
+        base = tmp_path / "zero.csv"
+        base.write_text(f"trial,a,b\nx,{cells[0]},1.0\ny,{cells[1]},2.0\n")
+        other = tmp_path / "other.csv"
+        other.write_text("trial,a,b\nz,1.0,3.0\n")
+        capsys.readouterr()
+        assert run_cli("compare", "--baseline", str(base), str(other)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and "'a'" in err[0]
 
     def test_missing_baseline_is_data_error(self, tmp_path):
         assert run_cli("compare", "--baseline", str(tmp_path / "none.csv"), "x.csv") == 2

@@ -178,6 +178,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidSpecError):
             ControllerConfig(k_myo_nm=-1.0)
 
+    def test_infinite_gain_rejected(self):
+        with pytest.raises(InvalidSpecError):
+            ControllerConfig(k_myo_nm=math.inf)
+
     def test_swing_share_above_stance_rejected(self):
         with pytest.raises(InvalidSpecError):
             ControllerConfig(k_stance=0.3, k_swing=0.4)
