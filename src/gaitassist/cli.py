@@ -17,7 +17,6 @@ import argparse
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -28,29 +27,25 @@ from .errors import DataFormatError, GaitAssistError, InvalidSpecError
 from .gait import Foot
 from .gait_fsr import FsrDetectorConfig, detect_fsr
 from .gait_vel import VelDetectorConfig
-from .metrics import (
-    METRIC_COLUMNS,
-    TrialMetrics,
-    cadence,
-    percentile,
-    rms,
-    rom,
-    stride_length,
-)
+from .metrics import TrialMetrics, cadence, percentile, rms, rom, stride_length
 from .runner import DetectionMode, RunResult, run_trial
 from .signals import emg_envelope
-from .simgait import STATE_BY_CODE, ChannelRates, GaitParams, TrialLog, generate
+from .simgait import ChannelRates, GaitParams, TrialLog, generate
 from .trial_io import (
+    TORQUE_COLS,
+    format_metrics_csv,
     load_trial,
     parse_manifest,
+    read_metrics_csv,
     save_trial,
     write_events_csv,
+    write_labels_csv,
     write_manifest,
+    write_table,
 )
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
-_PHASE_NAMES = ("stance", "swing")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,26 +85,33 @@ def _merge(defaults: dict, config: dict[str, str], overrides: dict) -> dict:
     merged = dict(defaults)
     for key, raw in config.items():
         if key in merged:
-            merged[key] = _parse_like(merged[key], raw)
+            kind = type(merged[key])
+            try:
+                merged[key] = _parse_float(raw) if kind is float else kind(raw)
+            except ValueError:
+                raise InvalidSpecError(
+                    f"config key {key!r}: {raw!r} is not a valid {kind.__name__}"
+                ) from None
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
     return merged
 
-def _parse_like(template, raw: str):
-    if isinstance(template, bool):
-        return raw.lower() == "true"
-    if isinstance(template, int) and not isinstance(template, bool):
-        return int(raw)
-    if isinstance(template, float):
-        return UNLIMITED if raw.lower() in ("unlimited", "inf") else float(raw)
-    return raw
+
+def _parse_float(raw: str) -> float:
+    """A float, where 'unlimited' or 'inf' (any case) mean UNLIMITED."""
+    return UNLIMITED if raw.lower() in ("unlimited", "inf") else float(raw)
+
+
+def _build_config(cls, settings: dict, **fixed):
+    """An instance of the dataclass `cls` from its fields in `settings`."""
+    return cls(**{f.name: settings[f.name] for f in fields(cls) if f.name not in fixed}, **fixed)
 
 
 _SIM_DEFAULTS = {
     "duration_s": 60.0,
-    "control_rate_hz": 100.0,
-    "emg_rate_hz": 1000.0,
+    "control_rate_hz": ChannelRates.control_hz,
+    "emg_rate_hz": ChannelRates.emg_hz,
     **{f.name: f.default for f in fields(GaitParams)},
 }
 
@@ -133,47 +135,32 @@ def _sim_settings(args: argparse.Namespace, config: dict[str, str]) -> dict:
     return _merge(_SIM_DEFAULTS, config, overrides)
 
 
-def _build_trial(settings: dict) -> tuple[TrialLog, GaitParams, ChannelRates]:
-    params = GaitParams(
-        **{f.name: settings[f.name] for f in fields(GaitParams) if f.name != "seed"},
-        seed=int(settings["seed"]),
-    )
+def _build_trial(settings: dict) -> TrialLog:
+    params = _build_config(GaitParams, settings)
     rates = ChannelRates(
         control_hz=settings["control_rate_hz"], emg_hz=settings["emg_rate_hz"]
     )
-    return generate(params, settings["duration_s"], rates), params, rates
-
-
-def _sim_manifest_entries(settings: dict, prefix: str = "") -> list[tuple[str, str]]:
-    return [(f"{prefix}{key}", _fmt(settings[key])) for key in _SIM_DEFAULTS]
+    return generate(params, settings["duration_s"], rates)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config_file(args.config)
     _check_config_keys(config, _SIM_DEFAULTS)
     settings = _sim_settings(args, config)
-    log, params, _ = _build_trial(settings)
+    log = _build_trial(settings)
     out = save_trial(log, args.out)
     print(
         f"wrote trial to {out}: {log.n_ticks} ticks at "
-        f"{log.rates.control_hz:g} Hz, seed {params.seed}"
+        f"{log.rates.control_hz:g} Hz, seed {log.params.seed}"
     )
     return 0
 
 
+_RUN_CONFIGS = (ControllerConfig, FsrDetectorConfig, VelDetectorConfig)
 _RUN_DEFAULTS = {
     "mode": DetectionMode.FOOT_SENSORS.value,
-    "k_myo_nm": ControllerConfig.k_myo_nm,
-    "k_stance": ControllerConfig.k_stance,
-    "k_swing": ControllerConfig.k_swing,
-    "ramp_rate_nm_s": ControllerConfig.ramp_rate_nm_s,
-    "contact_threshold_n": FsrDetectorConfig.contact_threshold_n,
-    "release_threshold_n": FsrDetectorConfig.release_threshold_n,
-    "min_phase_s": FsrDetectorConfig.min_phase_s,
-    "zero_hysteresis_rad_s": VelDetectorConfig.zero_hysteresis_rad_s,
-    "peak_min_rad_s": VelDetectorConfig.peak_min_rad_s,
-    "peak_confirm_samples": VelDetectorConfig.peak_confirm_samples,
-    "min_event_gap_s": VelDetectorConfig.min_event_gap_s,
+    # rate_hz is the trial's control rate, not a setting
+    **{f.name: f.default for cls in _RUN_CONFIGS for f in fields(cls) if f.name != "rate_hz"},
 }
 
 
@@ -187,7 +174,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ramp-rate",
         dest="ramp_rate_nm_s",
-        type=lambda s: UNLIMITED if s.lower() in ("unlimited", "inf") else float(s),
+        type=_parse_float,
         help="N*m per second, or 'unlimited'",
     )
     parser.add_argument("--contact-threshold", dest="contact_threshold_n", type=float)
@@ -197,30 +184,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--peak-min", dest="peak_min_rad_s", type=float)
     parser.add_argument("--peak-confirm", dest="peak_confirm_samples", type=int)
     parser.add_argument("--min-event-gap", dest="min_event_gap_s", type=float)
-
-
-def _write_labels_csv(path: Path, result: RunResult) -> None:
-    left = result.causal_phases[Foot.LEFT]
-    right = result.causal_phases[Foot.RIGHT]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t_s,gait_state,phase_left,phase_right\n")
-        for k, t in enumerate(result.t):
-            fh.write(
-                f"{t:.6f},{STATE_BY_CODE[result.state_codes[k]].value},"
-                f"{_PHASE_NAMES[left[k]]},{_PHASE_NAMES[right[k]]}\n"
-            )
-
-
-def _write_torque_csv(path: Path, result: RunResult) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("t_s,tau_left_nm,tau_right_nm\n")
-        np.savetxt(
-            fh,
-            np.column_stack([result.t, result.tau_left, result.tau_right]),
-            fmt="%.6f",
-            delimiter=",",
-            newline="\n",
-        )
 
 
 def _write_score(path: Path, result: RunResult) -> None:
@@ -249,37 +212,26 @@ def cmd_run(args: argparse.Namespace) -> int:
         config,
         {key: getattr(args, key, None) for key in _RUN_DEFAULTS},
     )
+    try:
+        mode = DetectionMode(run_settings["mode"])
+    except ValueError:
+        modes = ", ".join(m.value for m in DetectionMode)
+        raise InvalidSpecError(f"config key 'mode' must be one of {modes}") from None
     if (args.trial is None) == (not args.simulate):
         raise InvalidSpecError("choose exactly one input: --trial DIR or --simulate")
 
     if args.simulate:
         sim_settings = _sim_settings(args, config)
-        log, _, _ = _build_trial(sim_settings)
+        log = _build_trial(sim_settings)
         input_desc = "simulate"
     else:
         log = load_trial(args.trial)
         sim_settings = None
         input_desc = str(args.trial)
 
-    mode = DetectionMode(run_settings["mode"])
-    controller_cfg = ControllerConfig(
-        k_myo_nm=run_settings["k_myo_nm"],
-        k_stance=run_settings["k_stance"],
-        k_swing=run_settings["k_swing"],
-        ramp_rate_nm_s=run_settings["ramp_rate_nm_s"],
-        rate_hz=log.rates.control_hz,
-    )
-    fsr_cfg = FsrDetectorConfig(
-        contact_threshold_n=run_settings["contact_threshold_n"],
-        release_threshold_n=run_settings["release_threshold_n"],
-        min_phase_s=run_settings["min_phase_s"],
-    )
-    vel_cfg = VelDetectorConfig(
-        zero_hysteresis_rad_s=run_settings["zero_hysteresis_rad_s"],
-        peak_min_rad_s=run_settings["peak_min_rad_s"],
-        peak_confirm_samples=run_settings["peak_confirm_samples"],
-        min_event_gap_s=run_settings["min_event_gap_s"],
-    )
+    controller_cfg = _build_config(ControllerConfig, run_settings, rate_hz=log.rates.control_hz)
+    fsr_cfg = _build_config(FsrDetectorConfig, run_settings)
+    vel_cfg = _build_config(VelDetectorConfig, run_settings)
 
     start = time.monotonic()
     result = run_trial(log, mode, controller_cfg, fsr_cfg, vel_cfg)
@@ -300,12 +252,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     ]
     entries += [(key, _fmt(run_settings[key])) for key in _RUN_DEFAULTS]
     if sim_settings is not None:
-        entries += _sim_manifest_entries(sim_settings, prefix="sim.")
+        entries += [(f"sim.{key}", _fmt(sim_settings[key])) for key in _SIM_DEFAULTS]
     write_manifest(out / "run_manifest.txt", entries)
 
-    _write_torque_csv(out / "torque.csv", result)
+    write_table(
+        out / "torque.csv",
+        TORQUE_COLS,
+        np.column_stack([result.t, result.tau_left, result.tau_right]),
+    )
     write_events_csv(out / "events.csv", result.events)
-    _write_labels_csv(out / "labels.csv", result)
+    write_labels_csv(out / "labels.csv", result.t, result.causal_phases)
     if result.score is not None:
         _write_score(out / "score.txt", result)
 
@@ -350,35 +306,21 @@ def compute_trial_metrics(log: TrialLog) -> TrialMetrics:
     )
 
 
-def _metrics_table(rows: list[tuple[str, TrialMetrics]]) -> str:
-    lines = ["trial," + ",".join(METRIC_COLUMNS)]
-    for name, m in rows:
-        lines.append(name + "," + ",".join(f"{v:.6f}" for v in m.as_row()))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
-    def one(path: str) -> TrialMetrics:
-        return compute_trial_metrics(load_trial(path))
-
     failures: list[str] = []
     rows: list[tuple[str, TrialMetrics]] = []
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(args.trials)))) as pool:
-        results = []
-        for path in args.trials:
-            results.append(pool.submit(one, path))
-        for path, fut in zip(args.trials, results):
-            try:
-                rows.append((Path(path).name, fut.result()))
-            except (GaitAssistError, OSError, ValueError) as exc:
-                failures.append(f"{path}: {exc}")
+    for path in args.trials:
+        try:
+            rows.append((Path(path).name, compute_trial_metrics(load_trial(path))))
+        except (GaitAssistError, OSError, ValueError) as exc:
+            failures.append(f"{path}: {exc}")
 
     if failures:
         for line in failures:
             print(f"analyze: {line}", file=sys.stderr)
         return _DATA_EXIT
 
-    table = _metrics_table(rows)
+    table = format_metrics_csv(rows)
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")
         print(f"wrote metrics for {len(rows)} trial(s) to {args.out}")
@@ -387,32 +329,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_metrics_csv(path: str) -> tuple[list[str], np.ndarray]:
-    p = Path(path)
-    if not p.is_file():
-        raise DataFormatError(f"metrics file not found: {p}")
-    lines = [ln for ln in p.read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if not lines:
-        raise DataFormatError(f"{p}: empty metrics file")
-    header = lines[0].split(",")
-    if header[0] != "trial" or len(header) < 2:
-        raise DataFormatError(f"{p}: unexpected metrics header {lines[0]!r}")
-    values = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise DataFormatError(f"{p}: row width mismatch in {ln!r}")
-        try:
-            values.append([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise DataFormatError(f"{p}: {exc}") from exc
-    if not values:
-        raise DataFormatError(f"{p}: no metric rows")
-    return header[1:], np.asarray(values)
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
-    base_cols, base = _read_metrics_csv(args.baseline)
+    base_cols, base = read_metrics_csv(args.baseline)
     base_mean = base.mean(axis=0)
     for col, mean in zip(base_cols, base_mean):
         if mean == 0.0 or not math.isfinite(mean):
@@ -423,7 +341,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     names: list[str] = []
     changes: list[np.ndarray] = []
     for path in args.others:
-        cols, vals = _read_metrics_csv(path)
+        cols, vals = read_metrics_csv(path)
         if cols != base_cols:
             raise DataFormatError(
                 f"{path}: metric columns {cols} do not match baseline {base_cols}"

@@ -29,7 +29,7 @@ from .gait_fsr import FsrDetectorConfig, check_forces, detect_fsr
 from .gait_vel import VelDetectorConfig, detect_vel
 from .metrics import DetectionScore, phases_from_events, score_detection
 from .signals import TimeSeries, decimate_to, emg_envelope
-from .simgait import STATE_BY_CODE, TrialLog, check_channels
+from .simgait import STATE_BY_CODE, TrialLog, check_channels, gait_state_codes
 
 # The per-tick reference API stays importable from this module, where
 # perfbench/spans.py looks it up to trace it.
@@ -119,8 +119,7 @@ def run_trial(
             check_forces(np.asarray(log.insole[foot], dtype=float))
         events, causal = detect_vel(log.omega_left.samples, log.omega_right.samples, t, vel_cfg)
         initial_phase = Phase.STANCE
-    # index into STATE_BY_CODE: 0 stance and 1 swing per leg, left leg high
-    state_codes = (2 * causal[Foot.LEFT] + causal[Foot.RIGHT]).astype(np.int8)
+    state_codes = gait_state_codes(causal)
     tau_left, tau_right, tau_exo = command_torque(state_codes, emg_norm, controller_cfg)
 
     event_phases = phases_from_events(

@@ -21,8 +21,8 @@ for equal (params, duration, rates).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import dataclass, fields
+from typing import Iterator
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -48,6 +48,12 @@ STATE_BY_CODE = (
 )
 
 
+def gait_state_codes(phases: dict[Foot, np.ndarray]) -> np.ndarray:
+    """Index into STATE_BY_CODE per tick from per-leg phase codes (0 stance,
+    1 swing); the left leg is the high bit."""
+    return (2 * phases[Foot.LEFT] + phases[Foot.RIGHT]).astype(np.int8)
+
+
 @dataclass(frozen=True)
 class GaitParams:
     """Trial parameters; defaults follow typical loaded treadmill walking."""
@@ -62,6 +68,10 @@ class GaitParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidSpecError(f"{f.name} must be finite, got {value}")
         if not self.cadence_hz > 0:
             raise InvalidSpecError("cadence_hz must be positive")
         if not 0.5 < self.stance_fraction < 0.8:
@@ -88,8 +98,8 @@ class ChannelRates:
     emg_hz: float = 1000.0
 
     def __post_init__(self) -> None:
-        if not self.control_hz > 0 or not self.emg_hz > 0:
-            raise InvalidSpecError("rates must be positive")
+        if not 0 < self.control_hz < math.inf or not 0 < self.emg_hz < math.inf:
+            raise InvalidSpecError("rates must be positive and finite")
 
 
 def _pchip_slopes_periodic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -101,9 +111,6 @@ def _pchip_slopes_periodic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for i in range(n):
         i0 = (n - 2) if i == 0 else i - 1
         i1 = 0 if i == n - 1 else i
-        if i == n - 1:
-            i0 = n - 2
-            i1 = 0
         s0, s1 = s[i0], s[i1]
         h0, h1 = h[i0], h[i1]
         if s0 * s1 <= 0:
@@ -163,7 +170,7 @@ class TrialTruth:
     @property
     def state_codes(self) -> np.ndarray:
         """Two-leg state per sample, coded by index into STATE_BY_CODE."""
-        return (2 * self.phases[Foot.LEFT] + self.phases[Foot.RIGHT]).astype(np.int8)
+        return gait_state_codes(self.phases)
 
 
 @dataclass(eq=False)
@@ -276,6 +283,8 @@ def generate(
         A TrialLog whose truth labels, truth events, and analytic channel
         landmarks agree with each other by construction.
     """
+    if not math.isfinite(duration_s):
+        raise InvalidSpecError(f"duration {duration_s} s must be finite")
     if duration_s * params.cadence_hz < 5.0:
         raise InvalidSpecError(
             f"duration {duration_s} s is shorter than five strides at "
@@ -387,13 +396,11 @@ def check_channels(log: TrialLog) -> None:
         raise DataFormatError("trial log is missing insole channels")
 
 
-def replay(
-    log: TrialLog, sink: Callable[[TickSample], None] | None = None
-) -> Iterator[TickSample] | None:
+def replay(log: TrialLog) -> Iterator[TickSample]:
     """Deliver the trial tick by tick at the control rate, in time order.
 
-    With a `sink` the whole log is pushed through it; otherwise an iterator
-    is returned. Raises DataFormatError if a required channel is missing.
+    Raises DataFormatError at once, before the first tick is requested, if a
+    required channel is missing.
     """
     check_channels(log)
 
@@ -413,8 +420,4 @@ def replay(
                 insole_right=InsoleFrame(float(times[k]), Foot.RIGHT, tuple(ir[k])),
             )
 
-    if sink is None:
-        return _iter()
-    for tick in _iter():
-        sink(tick)
-    return None
+    return _iter()

@@ -1,24 +1,28 @@
-"""Trial logs on disk: a directory of CSV channels plus a text manifest.
+"""On-disk formats: trial directories, run tables and metrics tables.
 
-Every table is comma separated with a mandatory header row, decimal points,
-and a first column `t_s` in seconds printed with six decimals. The manifest
-is UTF-8 `key = value` lines. Formatting is fixed so identical inputs always
-produce byte-identical directories.
+Every table is comma separated with a mandatory header row and decimal
+points; time-indexed tables start with a column `t_s` in seconds printed with
+six decimals. Manifests are UTF-8 `key = value` lines. Formatting is fixed so
+identical inputs always produce byte-identical files.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError
 from .gait import EventKind, Foot, GaitEvent
+from .metrics import METRIC_COLUMNS, TrialMetrics
 from .signals import EmgChannel, TimeSeries
-from .simgait import STATE_BY_CODE, ChannelRates, GaitParams, TrialLog, TrialTruth
+from .simgait import (
+    STATE_BY_CODE, ChannelRates, GaitParams, TrialLog, TrialTruth, gait_state_codes
+)
 
 FORMAT_TAG = "gaitassist-trial/1"
 
-_PHASE_NAMES = ("stance", "swing")
+_PHASE_NAMES = ("stance", "swing")  # indexed by phase code
 _PARAM_KEYS = (
     "cadence_hz",
     "stance_fraction",
@@ -57,7 +61,8 @@ def read_manifest(path: Path) -> dict[str, str]:
     return parse_manifest(path.read_text(encoding="utf-8"))
 
 
-def _write_table(path: Path, columns: list[str], rows: np.ndarray) -> None:
+def write_table(path: Path, columns: list[str], rows: np.ndarray) -> None:
+    """Write `rows` under a header of `columns`, every cell as `%.6f`."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
@@ -108,6 +113,7 @@ _KINEMATICS_COLS = [
 ]
 _LABEL_COLS = ["t_s", "gait_state", "phase_left", "phase_right"]
 _EVENT_COLS = ["t_s", "foot", "kind"]
+TORQUE_COLS = ["t_s", "tau_left_nm", "tau_right_nm"]
 
 
 def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
@@ -136,18 +142,18 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
         entries.append(("seed", str(log.params.seed)))
     write_manifest(out / "manifest.txt", entries)
 
-    _write_table(
+    write_table(
         out / "omega.csv",
         _OMEGA_COLS,
         np.column_stack([t, log.omega_left.samples, log.omega_right.samples]),
     )
     for foot, name in ((Foot.LEFT, "insole_left"), (Foot.RIGHT, "insole_right")):
-        _write_table(
+        write_table(
             out / f"{name}.csv", _INSOLE_COLS, np.column_stack([t, log.insole[foot]])
         )
     t_emg = log.emg.raw.times()
-    _write_table(out / "emg.csv", _EMG_COLS, np.column_stack([t_emg, log.emg.raw.samples]))
-    _write_table(
+    write_table(out / "emg.csv", _EMG_COLS, np.column_stack([t_emg, log.emg.raw.samples]))
+    write_table(
         out / "kinematics.csv",
         _KINEMATICS_COLS,
         np.column_stack(
@@ -164,18 +170,23 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
     )
 
     if log.truth is not None:
-        states = log.truth.state_codes
-        left = log.truth.phases[Foot.LEFT]
-        right = log.truth.phases[Foot.RIGHT]
-        with open(out / "truth_labels.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(_LABEL_COLS) + "\n")
-            for k in range(log.n_ticks):
-                fh.write(
-                    f"{t[k]:.6f},{STATE_BY_CODE[states[k]].value},"
-                    f"{_PHASE_NAMES[left[k]]},{_PHASE_NAMES[right[k]]}\n"
-                )
+        write_labels_csv(out / "truth_labels.csv", t, log.truth.phases)
         write_events_csv(out / "truth_events.csv", log.truth.events)
     return out
+
+
+def write_labels_csv(path: Path, t: np.ndarray, phases: dict[Foot, np.ndarray]) -> None:
+    """Per-tick two-leg state and per-leg phase; `phases` are 0 stance, 1 swing."""
+    left = phases[Foot.LEFT]
+    right = phases[Foot.RIGHT]
+    states = gait_state_codes(phases)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(_LABEL_COLS) + "\n")
+        for k in range(len(t)):
+            fh.write(
+                f"{t[k]:.6f},{STATE_BY_CODE[states[k]].value},"
+                f"{_PHASE_NAMES[left[k]]},{_PHASE_NAMES[right[k]]}\n"
+            )
 
 
 def write_events_csv(path: Path, events: list[GaitEvent]) -> None:
@@ -211,7 +222,7 @@ def _read_truth(trial_dir: Path, n: int) -> TrialTruth:
     path = trial_dir / "truth_labels.csv"
     if not path.is_file():
         raise DataFormatError(f"missing channel file: {path}")
-    phase_code = {"stance": np.int8(0), "swing": np.int8(1)}
+    phase_code = {name: np.int8(code) for code, name in enumerate(_PHASE_NAMES)}
     left = np.zeros(n, dtype=np.int8)
     right = np.zeros(n, dtype=np.int8)
     with open(path, "r", encoding="utf-8") as fh:
@@ -258,6 +269,8 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
         )
         n = int(manifest["n_ticks"])
         mvc = float(manifest["mvc_mv"])
+        if not 0 < mvc < math.inf:
+            raise ValueError(f"mvc_mv must be positive and finite, got {mvc}")
         has_truth = manifest.get("has_truth", "false") == "true"
         params = None
         if all(key in manifest for key in _PARAM_KEYS) and "seed" in manifest:
@@ -313,3 +326,36 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
         truth=truth,
         params=params,
     )
+
+
+def format_metrics_csv(rows: list[tuple[str, TrialMetrics]]) -> str:
+    """The `analyze` table: a `trial` column, then one column per metric."""
+    lines = ["trial," + ",".join(METRIC_COLUMNS)]
+    for name, m in rows:
+        lines.append(name + "," + ",".join(f"{v:.6f}" for v in m.as_row()))
+    return "\n".join(lines) + "\n"
+
+
+def read_metrics_csv(path: Path | str) -> tuple[list[str], np.ndarray]:
+    """Metric names and a (trials, metrics) array from an `analyze` table."""
+    p = Path(path)
+    if not p.is_file():
+        raise DataFormatError(f"metrics file not found: {p}")
+    lines = [ln for ln in p.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    if not lines:
+        raise DataFormatError(f"{p}: empty metrics file")
+    header = lines[0].split(",")
+    if header[0] != "trial" or len(header) < 2:
+        raise DataFormatError(f"{p}: unexpected metrics header {lines[0]!r}")
+    values = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != len(header):
+            raise DataFormatError(f"{p}: row width mismatch in {ln!r}")
+        try:
+            values.append([float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise DataFormatError(f"{p}: {exc}") from exc
+    if not values:
+        raise DataFormatError(f"{p}: no metric rows")
+    return header[1:], np.asarray(values)

@@ -68,6 +68,27 @@ class TestSimulate:
         cfg.write_text("duration_s = 10\nnot_a_key = 1\n")
         assert run_cli("simulate", "--out", str(tmp_path / "x"), "--config", str(cfg)) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--duration", "nan"),
+            ("--control-rate", "inf"),
+            ("--cadence", "inf"),
+            ("--noise-sigma", "inf"),
+            ("--speed", "inf"),
+            ("--load-peak", "inf"),
+            ("--omega-amp", "inf"),
+        ],
+    )
+    def test_non_finite_setting_is_one_line_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        capsys.readouterr()
+        code = run_cli("simulate", "--out", str(out), "--duration", "10", flag, value)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and "finite" in err[0]
+        assert not out.exists()
+
 
 class TestRun:
     @pytest.mark.parametrize("mode", ["foot-sensors", "actuators-velocity"])
@@ -158,7 +179,14 @@ class TestRun:
         assert len(err) == 1 and name in err[0]
 
     @pytest.mark.parametrize(
-        "key, value", [("n_ticks", "abc"), ("control_rate_hz", "0"), ("seed", "1.5")]
+        "key, value",
+        [
+            ("n_ticks", "abc"),
+            ("control_rate_hz", "0"),
+            ("seed", "1.5"),
+            ("mvc_mv", "0"),
+            ("mvc_mv", "nan"),
+        ],
     )
     def test_bad_manifest_value_is_one_line_data_error(
         self, trial_dir, tmp_path, capsys, key, value
@@ -207,6 +235,26 @@ class TestRun:
             "right_stance_left_swing",
             "double_swing",
         }
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("simulate", "seed = abc"), ("run", "k_myo_nm = ten"), ("run", "mode = bogus")],
+)
+def test_unparsable_config_value_is_one_line_usage_error(
+    trial_dir, tmp_path, capsys, command, line
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "run":
+        argv += ["--trial", str(trial_dir)]
+    capsys.readouterr()
+    code = run_cli(*argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    key = line.split(" = ")[0]
+    assert len(err) == 1 and repr(key) in err[0]
 
 
 class TestAnalyze:

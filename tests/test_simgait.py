@@ -234,13 +234,6 @@ class TestReplay:
         assert ticks[0].insole_left.foot is Foot.LEFT
         assert ticks[0].insole_right.foot is Foot.RIGHT
 
-    def test_sink_receives_same_stream(self, clean_trial):
-        seen = []
-        result = replay(clean_trial, sink=seen.append)
-        assert result is None
-        assert len(seen) == clean_trial.n_ticks
-        assert seen[:5] == list(replay(clean_trial))[:5]
-
     def test_missing_channel_rejected(self):
         log = generate(GaitParams(), 10.0)
         log.insole.pop(Foot.LEFT)
