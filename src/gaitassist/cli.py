@@ -34,6 +34,7 @@ from .simgait import ChannelRates, GaitParams, TrialLog, generate
 from .trial_io import (
     TORQUE_COLS,
     format_metrics_csv,
+    format_rows,
     load_trial,
     parse_manifest,
     read_metrics_csv,
@@ -255,19 +256,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         entries += [(f"sim.{key}", _fmt(sim_settings[key])) for key in _SIM_DEFAULTS]
     write_manifest(out / "run_manifest.txt", entries)
 
-    write_table(
-        out / "torque.csv",
-        TORQUE_COLS,
-        np.column_stack([result.t, result.tau_left, result.tau_right]),
-    )
+    torque = (result.t, result.tau_left, result.tau_right)
+    write_table(out / "torque.csv", TORQUE_COLS, *torque)
     write_events_csv(out / "events.csv", result.events)
     write_labels_csv(out / "labels.csv", result.t, result.causal_phases)
     if result.score is not None:
         _write_score(out / "score.txt", result)
 
     if args.print_torque:
-        for t, l, r in zip(result.t, result.tau_left, result.tau_right):
-            print(f"{t:.6f},{l:.6f},{r:.6f}")
+        sys.stdout.writelines(format_rows(TORQUE_COLS, *torque))
 
     summary = f"ran {mode.value} over {log.n_ticks} ticks -> {out}"
     if result.score is not None:

@@ -2,18 +2,20 @@
 
 Every table is comma separated with a mandatory header row and decimal
 points; time-indexed tables start with a column `t_s` in seconds printed with
-six decimals. Manifests are UTF-8 `key = value` lines. Formatting is fixed so
-identical inputs always produce byte-identical files.
+six decimals, sample k at k / rate. Manifests are UTF-8 `key = value` lines.
+Formatting is fixed so identical inputs always produce byte-identical files.
 """
 from __future__ import annotations
 
 import math
+import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError
-from .gait import EventKind, Foot, GaitEvent
+from .gait import BLOCK_TICKS, EventKind, Foot, GaitEvent
 from .metrics import METRIC_COLUMNS, TrialMetrics
 from .signals import EmgChannel, TimeSeries
 from .simgait import (
@@ -23,6 +25,20 @@ from .simgait import (
 FORMAT_TAG = "gaitassist-trial/1"
 
 _PHASE_NAMES = ("stance", "swing")  # indexed by phase code
+# `,gait_state,phase_left,phase_right` of a labels row, indexed by state code
+# (the left leg's phase code is its high bit)
+_LABEL_TAILS = np.array(
+    [
+        f",{state.value},{_PHASE_NAMES[code >> 1]},{_PHASE_NAMES[code & 1]}"
+        for code, state in enumerate(STATE_BY_CODE)
+    ],
+    dtype=object,
+)
+# truth_labels.csv as loadtxt reads it. A phase cell longer than 7 characters
+# is cut to 7, still longer than any phase name, so it cannot pass as one;
+# the gait state is implied by the phases and not read.
+_TRUTH_ROW = np.dtype([("t_s", float), ("state", "U1"), ("left", "U7"), ("right", "U7")])
+_GRID_TOLERANCE_S = 1e-6  # `t_s` against k / rate; printing rounds by at most 5e-7
 _PARAM_KEYS = (
     "cadence_hz",
     "stance_fraction",
@@ -61,12 +77,48 @@ def read_manifest(path: Path) -> dict[str, str]:
     return parse_manifest(path.read_text(encoding="utf-8"))
 
 
-def write_table(path: Path, columns: list[str], rows: np.ndarray) -> None:
-    """Write `rows` under a header of `columns`, every cell as `%.6f`."""
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+def _format_blocks(template: str, parts: tuple[np.ndarray, ...]) -> Iterator[str]:
+    """The rows of `parts` side by side, as np.column_stack lays them, each
+    through the one-row `template`; one string per block of about
+    BLOCK_TICKS cells, so memory stays flat whatever the table's width.
+
+    `%` formats every cell with CPython's own formatter, the one np.savetxt
+    reaches through `%` on each row, so the bytes are the same as its output.
+    """
+    step = max(1, BLOCK_TICKS // template.count("%"))
+    for start in range(0, len(parts[0]), step):
+        block = np.column_stack([part[start : start + step] for part in parts])
+        yield template * len(block) % tuple(block.ravel().tolist())
+
+
+def format_rows(columns: list[str], *parts: np.ndarray) -> Iterator[str]:
+    """Data rows of a table headed `columns`, every cell as `%.6f`, in blocks.
+
+    `parts` are 1-D columns or 2-D groups of columns, laid side by side.
+    """
+    return _format_blocks(",".join(["%.6f"] * len(columns)) + "\n", parts)
+
+
+def write_table(path: Path, columns: list[str], *parts: np.ndarray) -> None:
+    """Write the rows of `parts` (see :func:`format_rows`) under a header of
+    `columns`, every cell as `%.6f`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        np.savetxt(fh, rows, fmt="%.6f", delimiter=",", newline="\n")
+        fh.writelines(format_rows(columns, *parts))
+
+
+def _loadtxt(fh, name: str, **kwargs) -> np.ndarray:
+    """np.loadtxt of the comma-separated rows left in `fh`.
+
+    A row that does not parse is a DataFormatError naming the file. A file
+    without rows is left to the caller's row count, without numpy's warning.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            return np.loadtxt(fh, delimiter=",", **kwargs)
+        except ValueError as exc:
+            raise DataFormatError(f"{name}: {exc}") from exc
 
 
 def _read_table(path: Path, expected_columns: list[str]) -> np.ndarray:
@@ -78,10 +130,7 @@ def _read_table(path: Path, expected_columns: list[str]) -> np.ndarray:
             raise DataFormatError(
                 f"{path.name}: header {header!r} does not match {expected_columns}"
             )
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise DataFormatError(f"{path.name}: {exc}") from exc
+        data = _loadtxt(fh, path.name, ndmin=2)
     if data.size == 0:
         raise DataFormatError(f"{path.name}: no data rows")
     if data.shape[1] != len(expected_columns):
@@ -142,31 +191,20 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
         entries.append(("seed", str(log.params.seed)))
     write_manifest(out / "manifest.txt", entries)
 
-    write_table(
-        out / "omega.csv",
-        _OMEGA_COLS,
-        np.column_stack([t, log.omega_left.samples, log.omega_right.samples]),
-    )
+    write_table(out / "omega.csv", _OMEGA_COLS, t, log.omega_left.samples, log.omega_right.samples)
     for foot, name in ((Foot.LEFT, "insole_left"), (Foot.RIGHT, "insole_right")):
-        write_table(
-            out / f"{name}.csv", _INSOLE_COLS, np.column_stack([t, log.insole[foot]])
-        )
-    t_emg = log.emg.raw.times()
-    write_table(out / "emg.csv", _EMG_COLS, np.column_stack([t_emg, log.emg.raw.samples]))
+        write_table(out / f"{name}.csv", _INSOLE_COLS, t, log.insole[foot])
+    write_table(out / "emg.csv", _EMG_COLS, log.emg.raw.times(), log.emg.raw.samples)
     write_table(
         out / "kinematics.csv",
         _KINEMATICS_COLS,
-        np.column_stack(
-            [
-                t,
-                log.foot_xy[Foot.LEFT],
-                log.foot_xy[Foot.RIGHT],
-                log.hip_deg[Foot.LEFT].samples,
-                log.hip_deg[Foot.RIGHT].samples,
-                log.knee_deg[Foot.LEFT].samples,
-                log.knee_deg[Foot.RIGHT].samples,
-            ]
-        ),
+        t,
+        log.foot_xy[Foot.LEFT],
+        log.foot_xy[Foot.RIGHT],
+        log.hip_deg[Foot.LEFT].samples,
+        log.hip_deg[Foot.RIGHT].samples,
+        log.knee_deg[Foot.LEFT].samples,
+        log.knee_deg[Foot.RIGHT].samples,
     )
 
     if log.truth is not None:
@@ -177,16 +215,10 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
 
 def write_labels_csv(path: Path, t: np.ndarray, phases: dict[Foot, np.ndarray]) -> None:
     """Per-tick two-leg state and per-leg phase; `phases` are 0 stance, 1 swing."""
-    left = phases[Foot.LEFT]
-    right = phases[Foot.RIGHT]
-    states = gait_state_codes(phases)
+    tails = _LABEL_TAILS[gait_state_codes(phases)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_LABEL_COLS) + "\n")
-        for k in range(len(t)):
-            fh.write(
-                f"{t[k]:.6f},{STATE_BY_CODE[states[k]].value},"
-                f"{_PHASE_NAMES[left[k]]},{_PHASE_NAMES[right[k]]}\n"
-            )
+        fh.writelines(_format_blocks("%.6f%s\n", (t, tails)))
 
 
 def write_events_csv(path: Path, events: list[GaitEvent]) -> None:
@@ -218,34 +250,45 @@ def read_events_csv(path: Path) -> list[GaitEvent]:
     return events
 
 
-def _read_truth(trial_dir: Path, n: int) -> TrialTruth:
+def _check_grid(name: str, t: np.ndarray, rate_hz: float) -> None:
+    """Every `t_s` within _GRID_TOLERANCE_S of k / rate_hz, k its data row - 1."""
+    off = np.arange(len(t)) / rate_hz
+    off -= t
+    bad = ~(np.abs(off, out=off) <= _GRID_TOLERANCE_S)  # NaN is off the grid too
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DataFormatError(
+            f"{name}: t_s {t[row]:.6f} in data row {row + 1} is off the "
+            f"{rate_hz:g} Hz grid (expected {row / rate_hz:.6f})"
+        )
+
+
+def _read_truth(trial_dir: Path, n: int, rate_hz: float) -> TrialTruth:
     path = trial_dir / "truth_labels.csv"
     if not path.is_file():
         raise DataFormatError(f"missing channel file: {path}")
-    phase_code = {name: np.int8(code) for code, name in enumerate(_PHASE_NAMES)}
-    left = np.zeros(n, dtype=np.int8)
-    right = np.zeros(n, dtype=np.int8)
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header.split(",") != _LABEL_COLS:
             raise DataFormatError(f"{path.name}: unexpected header {header!r}")
-        k = 0
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4 or parts[2] not in phase_code or parts[3] not in phase_code:
-                raise DataFormatError(f"{path.name}:{lineno}: malformed row {line!r}")
-            if k >= n:
-                raise DataFormatError(f"{path.name}: more rows than n_ticks={n}")
-            left[k] = phase_code[parts[2]]
-            right[k] = phase_code[parts[3]]
-            k += 1
-    if k != n:
-        raise DataFormatError(f"{path.name}: expected {n} rows, got {k}")
+        rows = _loadtxt(fh, path.name, dtype=_TRUTH_ROW, comments=None, ndmin=1)
+    if len(rows) != n:
+        raise DataFormatError(f"{path.name}: expected {n} rows, got {len(rows)}")
+    _check_grid(path.name, rows["t_s"], rate_hz)
+    phases = {}
+    for foot, column in ((Foot.LEFT, "left"), (Foot.RIGHT, "right")):
+        names = rows[column]
+        codes = np.full(n, -1, dtype=np.int8)
+        for code, name in enumerate(_PHASE_NAMES):
+            codes[names == name] = code
+        if (codes < 0).any():
+            row = int(np.argmax(codes < 0))
+            raise DataFormatError(
+                f"{path.name}: unknown phase_{column} {names[row]!r} in data row {row + 1}"
+            )
+        phases[foot] = codes
     events = read_events_csv(trial_dir / "truth_events.csv")
-    return TrialTruth(phases={Foot.LEFT: left, Foot.RIGHT: right}, events=events)
+    return TrialTruth(phases=phases, events=events)
 
 
 def load_trial(trial_dir: Path | str) -> TrialLog:
@@ -254,7 +297,8 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
     Raises DataFormatError, naming the file, for anything malformed: a
     missing file or key, a manifest value that does not parse or is out of
     range, a bad header or row count, a cell that is not a finite number,
-    or a negative insole force.
+    a `t_s` off the k / rate grid, an unknown phase name, or a negative
+    insole force.
     """
     trial_dir = Path(trial_dir)
     manifest = read_manifest(trial_dir / "manifest.txt")
@@ -283,31 +327,30 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
     except ValueError as exc:  # unparsable or out-of-range value
         raise DataFormatError(f"manifest.txt: {exc}") from exc
 
-    def expect_rows(table: np.ndarray, rows: int, name: str) -> np.ndarray:
+    def read_series(name: str, columns: list[str], rows: int, rate_hz: float) -> np.ndarray:
+        table = _read_table(trial_dir / name, columns)
         if table.shape[0] != rows:
             raise DataFormatError(f"{name}: expected {rows} rows, got {table.shape[0]}")
+        _check_grid(name, table[:, 0], rate_hz)
         return table
 
-    omega = expect_rows(_read_table(trial_dir / "omega.csv", _OMEGA_COLS), n, "omega.csv")
+    control = rates.control_hz
+    omega = read_series("omega.csv", _OMEGA_COLS, n, control)
     insole = {}
     for foot, name in ((Foot.LEFT, "insole_left"), (Foot.RIGHT, "insole_right")):
-        table = _read_table(trial_dir / f"{name}.csv", _INSOLE_COLS)
-        forces = expect_rows(table, n, f"{name}.csv")[:, 1:]
+        forces = read_series(f"{name}.csv", _INSOLE_COLS, n, control)[:, 1:]
         if (forces < 0.0).any():
             row, col = np.argwhere(forces < 0.0)[0]
             raise DataFormatError(
                 f"{name}.csv: negative force {_INSOLE_COLS[col + 1]} in data row {row + 1}"
             )
         insole[foot] = forces
-    n_emg = int(round(n * rates.emg_hz / rates.control_hz))
-    emg = expect_rows(_read_table(trial_dir / "emg.csv", _EMG_COLS), n_emg, "emg.csv")
-    kin = expect_rows(
-        _read_table(trial_dir / "kinematics.csv", _KINEMATICS_COLS), n, "kinematics.csv"
-    )
+    n_emg = int(round(n * rates.emg_hz / control))
+    emg = read_series("emg.csv", _EMG_COLS, n_emg, rates.emg_hz)
+    kin = read_series("kinematics.csv", _KINEMATICS_COLS, n, control)
 
-    truth = _read_truth(trial_dir, n) if has_truth else None
+    truth = _read_truth(trial_dir, n, control) if has_truth else None
 
-    control = rates.control_hz
     return TrialLog(
         rates=rates,
         omega_left=TimeSeries(omega[:, 1], control),

@@ -13,7 +13,8 @@ import pytest
 
 import gaitassist
 from gaitassist.cli import main
-from gaitassist.trial_io import read_manifest
+from gaitassist.errors import DataFormatError
+from gaitassist.trial_io import load_trial, read_manifest
 
 
 def run_cli(*argv: str) -> int:
@@ -202,6 +203,83 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and "manifest.txt" in err[0]
+
+    @pytest.mark.parametrize(
+        "mutation",
+        ["three-columns", "unknown-phase", "extended-phase-name", "extra-row", "missing-row"],
+    )
+    def test_bad_truth_labels_is_one_line_data_error(self, trial_dir, tmp_path, capsys, mutation):
+        broken = tmp_path / "broken"
+        shutil.copytree(trial_dir, broken)
+        labels = broken / "truth_labels.csv"
+        lines = labels.read_text().splitlines()
+        cells = lines[5].split(",")
+        if mutation == "three-columns":
+            lines[5] = ",".join(cells[:3])
+        elif mutation == "unknown-phase":
+            lines[5] = ",".join([*cells[:2], "hover", cells[3]])
+        elif mutation == "extended-phase-name":
+            lines[5] = ",".join([*cells[:3], cells[3] + "x"])
+        elif mutation == "extra-row":
+            lines.append(lines[-1])
+        else:
+            lines.pop()
+        labels.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError) as excinfo:
+            load_trial(broken)
+        message = str(excinfo.value)
+        assert "truth_labels.csv" in message and "\n" not in message
+        capsys.readouterr()
+        code = run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and "truth_labels.csv" in err[0]
+
+    @pytest.mark.filterwarnings("error")  # a warning would be more stderr lines
+    @pytest.mark.parametrize("name", ["omega.csv", "truth_labels.csv"])
+    def test_header_only_table_is_one_line_data_error(self, trial_dir, tmp_path, capsys, name):
+        broken = tmp_path / "broken"
+        shutil.copytree(trial_dir, broken)
+        header = (broken / name).read_text().splitlines()[0]
+        (broken / name).write_text(header + "\n")
+        capsys.readouterr()
+        code = run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and name in err[0]
+
+    def test_blank_truth_label_line_is_skipped(self, trial_dir, tmp_path):
+        spaced = tmp_path / "spaced"
+        shutil.copytree(trial_dir, spaced)
+        labels = spaced / "truth_labels.csv"
+        lines = labels.read_text().splitlines()
+        lines.insert(5, "")
+        labels.write_text("\n".join(lines) + "\n")
+        truth = load_trial(spaced).truth
+        for foot, phases in load_trial(trial_dir).truth.phases.items():
+            np.testing.assert_array_equal(truth.phases[foot], phases)
+        assert run_cli("run", "--trial", str(spaced), "--out", str(tmp_path / "o")) == 0
+
+    @pytest.mark.parametrize(
+        "name",
+        ["omega.csv", "insole_left.csv", "insole_right.csv", "emg.csv", "kinematics.csv",
+         "truth_labels.csv"],
+    )
+    def test_t_s_off_the_sample_grid_is_one_line_data_error(
+        self, trial_dir, tmp_path, capsys, name
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(trial_dir, broken)
+        lines = (broken / name).read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[0] = f"{float(cells[0]) + 2e-6:.6f}"  # twice the grid tolerance
+        lines[5] = ",".join(cells)
+        (broken / name).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and name in err[0] and "data row 5" in err[0]
 
     def test_print_torque_streams_rows(self, trial_dir, tmp_path, capsys):
         out = tmp_path / "run-stdout"

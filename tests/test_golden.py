@@ -103,3 +103,38 @@ def test_analyze_metrics_match_golden_digest(tmp_path):
     metrics = tmp_path / "metrics.csv"
     assert main(["analyze", str(trial), "--out", str(metrics)]) == 0
     assert hashlib.sha256(metrics.read_bytes()).hexdigest() == ANALYZE_SEED42_METRICS
+
+
+# `simulate --duration 30 --noise-sigma 0.05 --seed 42`: every file of the trial
+SIMULATE_SEED42 = {
+    "manifest.txt": "3ceaf9bd296a84feb6ef3948000d4c6e43bd49bce4755a60c230722635f37282",
+    "omega.csv": "7e63ee7f1e2519689116f5f141a4d54456b5e51f1f6ceee034f9e736db3b4353",
+    "insole_left.csv": "d4f1f359b20c5e8101d1450b3318bdb4e58b5a15d3d32c3af985eedab7e7fd3b",
+    "insole_right.csv": "3939794b50cade3a54192d3e238223a1a45b58e3fcea2f1443b52cf3020be2bf",
+    "emg.csv": "47ed56ff8af9e1a2d6eabc1093b5d0b8fcb25a67c793bd555b4a309deaa3f2b3",
+    "kinematics.csv": "e82901bed40947d5e8a4a5ed75de15a44e6af65d9c723f2bcb4acdc8e93ec16e",
+    "truth_labels.csv": "f7685f2d875c63c36e6fc1040a8ef7935781360c9c367eeb7c9a919b24af68e7",
+    "truth_events.csv": "00d48d08e834b5144ed3799b846820d00f335e550144bbe3b30238e6e91f87f3",
+}
+
+
+def test_simulate_trial_files_match_golden_digests(tmp_path):
+    trial = tmp_path / "trial"
+    simulate = ["simulate", "--duration", "30", "--noise-sigma", "0.05", "--seed", "42"]
+    assert main([*simulate, "--out", str(trial)]) == 0
+    actual = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in trial.iterdir()}
+    assert actual == SIMULATE_SEED42
+
+
+# the whole stdout of `run --print-torque`: 3000 torque rows, then the summary
+# line, which names the output directory as given (`out`, relative)
+PRINT_TORQUE_SEED42_STDOUT = "8a611cb39f6c72453753179d5281d6f499721e23196b73ea7527a4dfc04be579"
+
+
+def test_print_torque_stdout_matches_golden_digest(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", *_COMMON, "--seed", "42", "--mode", "foot-sensors", "--out", "out"]
+    capsys.readouterr()
+    assert main([*argv, "--print-torque"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == PRINT_TORQUE_SEED42_STDOUT

@@ -1,13 +1,17 @@
 """On-disk trial format tests: roundtrips, byte stability, malformed inputs."""
 from __future__ import annotations
 
+import io
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaitassist.errors import DataFormatError
-from gaitassist.gait import EventKind, Foot, GaitEvent
+from gaitassist.gait import BLOCK_TICKS, EventKind, Foot, GaitEvent
 from gaitassist.simgait import GaitParams, generate
 from gaitassist.trial_io import (
     FORMAT_TAG,
@@ -17,6 +21,7 @@ from gaitassist.trial_io import (
     read_manifest,
     save_trial,
     write_events_csv,
+    write_table,
 )
 
 
@@ -81,6 +86,47 @@ class TestRoundTrip:
         assert int(manifest["n_ticks"]) == 1000
         channels = manifest["channels"].split(",")
         assert len(channels) >= 6
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**12), 10**12).map(lambda k: (k + 0.5) * 1e-6),  # rounding ties
+    st.sampled_from([-0.0, 0.5e-6, -0.5e-6, 1e12, 1e-300, math.nan, math.inf, -math.inf]),
+)
+_ROW_COUNTS = st.one_of(
+    st.integers(1, 40),
+    st.sampled_from([BLOCK_TICKS - 1, BLOCK_TICKS, BLOCK_TICKS + 1, 2 * BLOCK_TICKS + 1]),
+)
+
+
+class TestWriteTable:
+    """`write_table` writes exactly what np.savetxt(fmt="%.6f", delimiter=",") writes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool=st.lists(_CELLS, min_size=1, max_size=16),
+        n_rows=_ROW_COUNTS,
+        width=st.integers(1, 9),
+        one_d=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(pool=[-0.0, 0.5e-6, 1.5e-6, 1e12, 1e-300], n_rows=1, width=9, one_d=False, seed=0)
+    @example(pool=[math.nan, math.inf, -math.inf, 2.5e-6], n_rows=3, width=3, one_d=False, seed=1)
+    # a block holds BLOCK_TICKS // width rows: one short of a block, one over
+    # two blocks, and exactly three blocks
+    @example(pool=[0.1234565, -1.0], n_rows=BLOCK_TICKS - 1, width=2, one_d=True, seed=2)
+    @example(pool=[0.0000005, 7.0], n_rows=BLOCK_TICKS + 1, width=2, one_d=False, seed=3)
+    @example(pool=[1.0000005, -0.0], n_rows=BLOCK_TICKS - 1, width=3, one_d=False, seed=4)
+    def test_bytes_match_savetxt(self, tmp_path_factory, pool, n_rows, width, one_d, seed):
+        shape = (n_rows,) if one_d else (n_rows, width)
+        rows = np.random.default_rng(seed).choice(np.array(pool, dtype=float), size=shape)
+        columns = [f"c{j}" for j in range(1 if one_d else width)]
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        write_table(path, columns, rows)
+        expected = io.StringIO()
+        expected.write(",".join(columns) + "\n")
+        np.savetxt(expected, rows, fmt="%.6f", delimiter=",", newline="\n")
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 class TestEventsCsv:
