@@ -1,7 +1,8 @@
 """Myoelectric gait assistance: detection, control, simulation, and analysis.
 
 The package is organized around small immutable value types and pure
-stepping functions so that every run is reproducible sample for sample:
+per-leg transition functions, folded over whole channels, so that every
+run is reproducible sample for sample:
 
 - :mod:`gaitassist.signals` for EMG conditioning and filter design
 - :mod:`gaitassist.gait_fsr` and :mod:`gaitassist.gait_vel` for the two
@@ -14,21 +15,20 @@ stepping functions so that every run is reproducible sample for sample:
 """
 from __future__ import annotations
 
-from .controller import UNLIMITED, AssistState, ControllerConfig, TorqueCommand, controller_tick
+from .controller import UNLIMITED, ControllerConfig
 from .errors import DataFormatError, GaitAssistError, InvalidSpecError
 from .gait import EventKind, Foot, GaitEvent, GaitState, Phase, gait_state_from_phases
-from .gait_fsr import FsrDetectorConfig, InsoleFrame, LegPhaseState, fsr_step
-from .gait_vel import VelDetectorConfig, VelDetectorState, vel_step
+from .gait_fsr import FsrDetectorConfig
+from .gait_vel import VelDetectorConfig
 from .metrics import DetectionScore, TrialMetrics, score_detection
 from .runner import DetectionMode, RunResult, run_trial
 from .signals import EmgChannel, FilterSpec, TimeSeries, design_filter, emg_envelope
-from .simgait import ChannelRates, GaitParams, TrialLog, generate, replay
+from .simgait import ChannelRates, GaitParams, TrialLog, generate
 from .trial_io import load_trial, save_trial
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AssistState",
     "ChannelRates",
     "ControllerConfig",
     "DataFormatError",
@@ -43,29 +43,21 @@ __all__ = [
     "GaitEvent",
     "GaitParams",
     "GaitState",
-    "InsoleFrame",
     "InvalidSpecError",
-    "LegPhaseState",
     "Phase",
     "RunResult",
     "TimeSeries",
-    "TorqueCommand",
     "TrialLog",
     "TrialMetrics",
     "UNLIMITED",
     "VelDetectorConfig",
-    "VelDetectorState",
-    "controller_tick",
     "design_filter",
     "emg_envelope",
-    "fsr_step",
     "gait_state_from_phases",
     "generate",
     "load_trial",
-    "replay",
     "run_trial",
     "save_trial",
     "score_detection",
-    "vel_step",
     "__version__",
 ]

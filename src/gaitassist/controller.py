@@ -47,34 +47,6 @@ class ControllerConfig:
             raise InvalidSpecError("rate_hz must be positive")
 
 
-@dataclass(frozen=True)
-class TorqueCommand:
-    """Per-leg assistive torque in N*m at one control tick."""
-
-    t: float
-    tau_left_nm: float
-    tau_right_nm: float
-
-
-@dataclass(frozen=True)
-class AssistState:
-    """Carry-over between ticks: the previous command and total torque."""
-
-    last_command: TorqueCommand
-    tau_exo_nm: float = 0.0
-
-    @classmethod
-    def initial(cls, t: float = 0.0) -> AssistState:
-        return cls(last_command=TorqueCommand(t, 0.0, 0.0), tau_exo_nm=0.0)
-
-
-def total_torque(emg_norm: float, cfg: ControllerConfig) -> float:
-    """Total assistance: activation in [0, 1] times the myoelectric gain."""
-    if not 0.0 <= emg_norm <= 1.0:
-        raise ValueError(f"emg_norm must lie in [0, 1], got {emg_norm}")
-    return cfg.k_myo_nm * emg_norm
-
-
 def distribute(gait: GaitState, tau_exo_nm: float, cfg: ControllerConfig) -> tuple[float, float]:
     """Split total torque between (left, right) legs by gait state.
 
@@ -95,42 +67,10 @@ def distribute(gait: GaitState, tau_exo_nm: float, cfg: ControllerConfig) -> tup
 
 
 def _toward(previous: float, target: float, max_step: float) -> float:
+    """One ramp-limited tick: `target`, or `previous` moved `max_step` toward it."""
     if target > previous + max_step:
         return previous + max_step
     if target < previous - max_step:
         return previous - max_step
     return target
 
-
-def slew_limit(state: AssistState, target: TorqueCommand, cfg: ControllerConfig) -> TorqueCommand:
-    """Move each leg's command toward `target` by at most ramp_rate / rate_hz.
-
-    With an unlimited ramp rate the target passes through unchanged.
-    """
-    if cfg.ramp_rate_nm_s == UNLIMITED:
-        return target
-    max_step = cfg.ramp_rate_nm_s / cfg.rate_hz
-    prev = state.last_command
-    return TorqueCommand(
-        t=target.t,
-        tau_left_nm=_toward(prev.tau_left_nm, target.tau_left_nm, max_step),
-        tau_right_nm=_toward(prev.tau_right_nm, target.tau_right_nm, max_step),
-    )
-
-
-def controller_tick(
-    t: float,
-    gait: GaitState,
-    emg_norm: float,
-    state: AssistState,
-    cfg: ControllerConfig,
-) -> tuple[AssistState, TorqueCommand]:
-    """One pure control step: scale, distribute, ramp-limit.
-
-    Returns the updated state and the command for this tick; calling twice
-    with equal inputs yields equal outputs.
-    """
-    tau_exo = total_torque(emg_norm, cfg)
-    tau_left, tau_right = distribute(gait, tau_exo, cfg)
-    command = slew_limit(state, TorqueCommand(t, tau_left, tau_right), cfg)
-    return AssistState(last_command=command, tau_exo_nm=tau_exo), command

@@ -72,16 +72,6 @@ def gait_state_from_phases(left: Phase, right: Phase) -> GaitState:
     return GaitState.DOUBLE_SWING
 
 
-def phases_from_gait_state(state: GaitState) -> tuple[Phase, Phase]:
-    """Inverse of :func:`gait_state_from_phases`, as (left, right)."""
-    return {
-        GaitState.DOUBLE_STANCE: (Phase.STANCE, Phase.STANCE),
-        GaitState.LEFT_STANCE_RIGHT_SWING: (Phase.STANCE, Phase.SWING),
-        GaitState.RIGHT_STANCE_LEFT_SWING: (Phase.SWING, Phase.STANCE),
-        GaitState.DOUBLE_SWING: (Phase.SWING, Phase.SWING),
-    }[state]
-
-
 def check_event_stream(events: list[GaitEvent]) -> None:
     """Raise ValueError if per-foot events do not alternate with increasing time."""
     last: dict[Foot, GaitEvent] = {}

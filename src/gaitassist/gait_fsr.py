@@ -9,38 +9,15 @@ hysteresis band and a minimum-phase debounce rejects chatter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSpecError
-from .gait import (
-    EventKind,
-    Foot,
-    GaitEvent,
-    GaitState,
-    Phase,
-    gait_state_from_phases,
-    merge_legs,
-    scan_leg,
-)
+from .gait import EventKind, Foot, GaitEvent, Phase, merge_legs, scan_leg
 
 FRONT_SENSORS = slice(0, 4)
 BACK_SENSORS = slice(4, 8)
-
-
-@dataclass(frozen=True)
-class InsoleFrame:
-    """One insole sample: eight non-negative forces in newtons."""
-
-    t: float
-    foot: Foot
-    forces_n: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        forces = tuple(float(f) for f in self.forces_n)
-        check_forces(np.array(forces))
-        object.__setattr__(self, "forces_n", forces)
 
 
 def check_forces(forces: np.ndarray) -> None:
@@ -55,12 +32,6 @@ def check_forces(forces: np.ndarray) -> None:
 def force_sums(forces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(front, back) cluster force sums of one frame or of one row per frame."""
     return forces[..., FRONT_SENSORS].sum(axis=-1), forces[..., BACK_SENSORS].sum(axis=-1)
-
-
-def cluster_sums(frame: InsoleFrame) -> tuple[float, float]:
-    """(front, back) cluster force sums in newtons."""
-    front, back = force_sums(np.asarray(frame.forces_n))
-    return (float(front), float(back))
 
 
 @dataclass(frozen=True)
@@ -89,19 +60,8 @@ class FsrDetectorConfig:
             raise InvalidSpecError("min_phase_s must be positive")
 
 
-@dataclass(frozen=True)
-class LegPhaseState:
-    """Per-leg detector state, stepped functionally one frame at a time."""
-
-    foot: Foot
-    phase: Phase = Phase.SWING
-    since: float = -math.inf
-    last_event: GaitEvent | None = None
-    last_t: float = -math.inf
-
-    @property
-    def last_event_t(self) -> float:
-        return self.last_event.t if self.last_event is not None else -math.inf
+# A leg's state before its first frame: swinging, with no event yet.
+INITIAL_STATE = (Phase.SWING, -math.inf)
 
 
 def fsr_transition(
@@ -130,44 +90,12 @@ def fsr_transition(
     return state, None
 
 
-def fsr_step(
-    state: LegPhaseState, cfg: FsrDetectorConfig, frame: InsoleFrame
-) -> tuple[LegPhaseState, GaitEvent | None]:
-    """Advance one leg's phase machine by one insole frame.
-
-    Returns the new state and the emitted event, if any. Frames must arrive
-    in non-decreasing time order for the leg.
-    """
-    if frame.foot is not state.foot:
-        raise InvalidSpecError(
-            f"frame for {frame.foot.value} fed to {state.foot.value} detector"
-        )
-    if frame.t < state.last_t:
-        raise ValueError(
-            f"out-of-order insole frame: t={frame.t} after t={state.last_t}"
-        )
-    front, back = cluster_sums(frame)
-    (phase, _), fired = fsr_transition(
-        (state.phase, state.last_event_t), frame.t, front, back, cfg
-    )
-    if fired is None:
-        return replace(state, last_t=frame.t), None
-    event = GaitEvent(frame.t, state.foot, fired[0])
-    return (
-        LegPhaseState(
-            foot=state.foot, phase=phase, since=frame.t, last_event=event, last_t=frame.t
-        ),
-        event,
-    )
-
-
 def detect_fsr(
     insole: dict[Foot, np.ndarray], t: np.ndarray, cfg: FsrDetectorConfig
 ) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
     """Run both legs' detectors over whole insole channels.
 
-    Equivalent to stepping :func:`fsr_step` per leg over every frame, from
-    the default :class:`LegPhaseState`, but builds no object per frame.
+    Each leg folds :func:`fsr_transition` over its frames from INITIAL_STATE.
 
     Args:
         insole: per-foot (n, 8) forces in newtons, one row per tick.
@@ -179,7 +107,6 @@ def detect_fsr(
         the tick (0 stance, 1 swing). Raises InvalidSpecError for a force
         that is negative or not finite.
     """
-    initial = LegPhaseState(Foot.LEFT)  # both legs start from the defaults
     fired = {}
     for foot in Foot:
         forces = np.asarray(insole[foot], dtype=float)
@@ -188,12 +115,6 @@ def detect_fsr(
                 f"{foot.value} insole needs {len(t)} rows of 8 forces, got shape {forces.shape}"
             )
         check_forces(forces)
-        fired[foot] = scan_leg(
-            fsr_transition, (initial.phase, initial.last_event_t), cfg, t, *force_sums(forces)
-        )
-    return merge_legs(len(t), initial.phase, fired)
+        fired[foot] = scan_leg(fsr_transition, INITIAL_STATE, cfg, t, *force_sums(forces))
+    return merge_legs(len(t), INITIAL_STATE[0], fired)
 
-
-def both_feet_phases(left: LegPhaseState, right: LegPhaseState) -> GaitState:
-    """Combine the two per-leg states into the two-leg gait state."""
-    return gait_state_from_phases(left.phase, right.phase)

@@ -11,21 +11,12 @@ control periods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSpecError
-from .gait import (
-    EventKind,
-    Foot,
-    GaitEvent,
-    GaitState,
-    Phase,
-    gait_state_from_phases,
-    merge_legs,
-    scan_leg,
-)
+from .gait import EventKind, Foot, GaitEvent, Phase, merge_legs, scan_leg
 
 
 @dataclass(frozen=True)
@@ -46,55 +37,17 @@ class VelDetectorConfig:
             raise InvalidSpecError("min_event_gap_s must be non-negative")
 
 
-@dataclass(frozen=True)
-class _LegState:
-    """One leg's phase plus its peak tracker and the contralateral crossing tracker."""
-
-    foot: Foot
-    phase: Phase = Phase.STANCE
-    since: float = -math.inf
-    last_event_t: float = -math.inf
-    # running maximum of the leg's own angular velocity since the last event
-    peak_max: float = -math.inf
-    peak_max_t: float = math.nan
-    decline_count: int = 0
-    # hysteresis tracker for the contralateral signal: +1 above the band,
-    # -1 below it, 0 before the signal first leaves the band
-    cross_region: int = 0
-    cross_pending_t: float = math.nan
-
-
-@dataclass(frozen=True)
-class VelDetectorState:
-    """Both legs' detector state; step with :func:`vel_step`.
-
-    Both legs start in stance, matching a standing posture before walking.
-    """
-
-    left: _LegState
-    right: _LegState
-
-    @classmethod
-    def initial(cls) -> VelDetectorState:
-        return cls(left=_LegState(Foot.LEFT), right=_LegState(Foot.RIGHT))
-
-
 # A leg's state as plain values: (phase, last_event_t, peak_max, peak_max_t,
-# decline_count, cross_region, cross_pending_t), the fields of _LegState
-# that the transition reads.
+# decline_count, cross_region, cross_pending_t). peak_max and peak_max_t are
+# the running maximum of the leg's own angular velocity after its last event,
+# and decline_count the samples after that maximum. cross_region tracks the
+# contralateral signal: +1 above the hysteresis band, -1 below it, 0 before
+# it first leaves the band; cross_pending_t is when it last passed zero.
 _Plain = tuple[Phase, float, float, float, int, int, float]
 
-
-def _plain(leg: _LegState) -> _Plain:
-    return (
-        leg.phase,
-        leg.last_event_t,
-        leg.peak_max,
-        leg.peak_max_t,
-        leg.decline_count,
-        leg.cross_region,
-        leg.cross_pending_t,
-    )
+# A leg's state before the first tick: in stance, matching a standing
+# posture before walking, with no event, peak or crossing yet.
+INITIAL_STATE: _Plain = (Phase.STANCE, -math.inf, -math.inf, math.nan, 0, 0, math.nan)
 
 
 def vel_transition(
@@ -103,7 +56,7 @@ def vel_transition(
     """One leg's detector on plain floats: the single copy of its logic.
 
     Args:
-        state: the leg's plain state before this tick (see `_plain`).
+        state: the leg's plain state before this tick (see `_Plain`).
         t: tick time in seconds.
         own, contra: this leg's and the other leg's hip angular velocity.
         cfg: detector thresholds.
@@ -178,73 +131,12 @@ def vel_transition(
     return (phase, last_event_t, peak_max, peak_max_t, decline, region, pending), fired
 
 
-def _step_leg(
-    leg: _LegState, cfg: VelDetectorConfig, t: float, own: float, contra: float
-) -> tuple[_LegState, GaitEvent | None]:
-    state, fired = vel_transition(_plain(leg), t, own, contra, cfg)
-    phase, last_event_t, peak_max, peak_max_t, decline, region, pending = state
-    event = None if fired is None else GaitEvent(fired[1], leg.foot, fired[0])
-    return (
-        replace(
-            leg,
-            phase=phase,
-            since=leg.since if event is None else event.t,
-            last_event_t=last_event_t,
-            peak_max=peak_max,
-            peak_max_t=peak_max_t,
-            decline_count=decline,
-            cross_region=region,
-            cross_pending_t=pending,
-        ),
-        event,
-    )
-
-
-def _check_finite(t: float, omega_left: float, omega_right: float) -> None:
-    if not (math.isfinite(omega_left) and math.isfinite(omega_right)):
-        raise ValueError(
-            f"non-finite angular velocity at t={t}: ({omega_left}, {omega_right})"
-        )
-
-
-def vel_step(
-    state: VelDetectorState,
-    cfg: VelDetectorConfig,
-    t: float,
-    omega_left: float,
-    omega_right: float,
-) -> tuple[VelDetectorState, list[GaitEvent]]:
-    """Advance both legs by one control tick.
-
-    Args:
-        state: detector state from the previous tick.
-        cfg: detector thresholds.
-        t: tick time in seconds.
-        omega_left, omega_right: hip angular velocities in rad/s.
-
-    Returns:
-        The new state and any events emitted this tick (at most one per leg).
-        Toe-off events are backdated to the sample where the peak occurred.
-    """
-    _check_finite(t, omega_left, omega_right)
-    new_left, ev_left = _step_leg(state.left, cfg, t, omega_left, omega_right)
-    new_right, ev_right = _step_leg(state.right, cfg, t, omega_right, omega_left)
-    events = [ev for ev in (ev_left, ev_right) if ev is not None]
-    return VelDetectorState(left=new_left, right=new_right), events
-
-
-def vel_phases(state: VelDetectorState) -> GaitState:
-    """Combine the two per-leg phases into the two-leg gait state."""
-    return gait_state_from_phases(state.left.phase, state.right.phase)
-
-
 def detect_vel(
     omega_left: np.ndarray, omega_right: np.ndarray, t: np.ndarray, cfg: VelDetectorConfig
 ) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
     """Run both legs' detectors over whole angular velocity channels.
 
-    Equivalent to stepping :func:`vel_step` over every tick from
-    :meth:`VelDetectorState.initial`, but builds no object per tick.
+    Each leg folds :func:`vel_transition` over the ticks from INITIAL_STATE.
 
     Args:
         omega_left, omega_right: hip angular velocities in rad/s, one per tick.
@@ -259,14 +151,12 @@ def detect_vel(
     bad = ~(np.isfinite(omega_left) & np.isfinite(omega_right))
     if bad.any():
         k = int(bad.argmax())
-        _check_finite(float(t[k]), float(omega_left[k]), float(omega_right[k]))
-    initial = VelDetectorState.initial()
+        raise ValueError(
+            f"non-finite angular velocity at t={float(t[k])}: "
+            f"({float(omega_left[k])}, {float(omega_right[k])})"
+        )
     fired = {
-        Foot.LEFT: scan_leg(
-            vel_transition, _plain(initial.left), cfg, t, omega_left, omega_right
-        ),
-        Foot.RIGHT: scan_leg(
-            vel_transition, _plain(initial.right), cfg, t, omega_right, omega_left
-        ),
+        Foot.LEFT: scan_leg(vel_transition, INITIAL_STATE, cfg, t, omega_left, omega_right),
+        Foot.RIGHT: scan_leg(vel_transition, INITIAL_STATE, cfg, t, omega_right, omega_left),
     }
-    return merge_legs(len(t), initial.left.phase, fired)
+    return merge_legs(len(t), INITIAL_STATE[0], fired)

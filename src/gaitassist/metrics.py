@@ -210,16 +210,13 @@ def score_detection(
     truth_phases: dict[Foot, np.ndarray],
     rate_hz: float,
     t0: float = 0.0,
-    window_s: float = MATCH_WINDOW_S,
-    exclude_samples: int = 1,
 ) -> DetectionScore:
     """Score detector output against ground truth on a shared time base.
 
     Events are matched greedily in time order, per foot and kind, inside
-    +/-window_s. Phase accuracy is the per-leg label agreement averaged over
-    legs, ignoring `exclude_samples` samples on each side of every true event
-    of that leg (a transition can never be pinned more tightly than the
-    sample grid).
+    +/-MATCH_WINDOW_S. Phase accuracy is the per-leg label agreement averaged
+    over legs, ignoring the sample on each side of every true event of that
+    leg (a transition can never be pinned more tightly than the sample grid).
     """
     errors_by_kind: dict[EventKind, list[float]] = {k: [] for k in EventKind}
     missed_by_kind: dict[EventKind, int] = {k: 0 for k in EventKind}
@@ -232,7 +229,7 @@ def score_detection(
             pred_t = np.array(
                 [ev.t for ev in predicted_events if ev.foot is foot and ev.kind is kind]
             )
-            errors, missed, spurious = _match_times(truth_t, pred_t, window_s)
+            errors, missed, spurious = _match_times(truth_t, pred_t, MATCH_WINDOW_S)
             errors_by_kind[kind].extend(errors)
             missed_by_kind[kind] += missed
             spurious_by_kind[kind] += spurious
@@ -261,9 +258,7 @@ def score_detection(
             if ev.foot is not foot:
                 continue
             k = int(round((ev.t - t0) * rate_hz))
-            lo = max(0, k - exclude_samples)
-            hi = min(len(truth), k + exclude_samples + 1)
-            keep[lo:hi] = False
+            keep[max(0, k - 1) : k + 2] = False
         if keep.any():
             accuracies.append(float(np.mean(pred[keep] == truth[keep])))
     phase_accuracy = float(np.mean(accuracies)) if accuracies else math.nan

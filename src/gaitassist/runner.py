@@ -3,10 +3,8 @@
 Each detector runs over whole channels: one plain-float transition per leg
 per tick, fed from numpy a bounded block at a time, with no object built
 per tick. The torque of the whole trial then follows from the per-tick gait
-states with numpy. The outputs equal, bit for bit, a tick-by-tick fold of
-the per-tick API (`replay`, `fsr_step`, `vel_step`, `controller_tick`),
-which is kept as the reference. Either detection framework can drive the
-controller: insole force sensors or hip angular velocities.
+states with numpy. Either detection framework can drive the controller:
+insole force sensors or hip angular velocities.
 """
 from __future__ import annotations
 
@@ -15,14 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .controller import (
-    UNLIMITED,
-    AssistState,
-    ControllerConfig,
-    TorqueCommand,
-    _toward,
-    distribute,
-)
+from .controller import UNLIMITED, ControllerConfig, _toward, distribute
 from .errors import InvalidSpecError
 from .gait import BLOCK_TICKS, Foot, GaitEvent, Phase
 from .gait_fsr import FsrDetectorConfig, check_forces, detect_fsr
@@ -31,12 +22,9 @@ from .metrics import DetectionScore, phases_from_events, score_detection
 from .signals import TimeSeries, decimate_to, emg_envelope
 from .simgait import STATE_BY_CODE, TrialLog, check_channels, gait_state_codes
 
-# The per-tick reference API stays importable from this module, where
-# perfbench/spans.py looks it up to trace it.
-from .controller import controller_tick  # noqa: F401
-from .gait_fsr import fsr_step  # noqa: F401
-from .gait_vel import vel_step  # noqa: F401
-from .simgait import replay  # noqa: F401
+# perfbench/spans.py looks these four names up on this module and wraps them
+# without calling them; that lookup is the only reason they are still bound.
+replay = fsr_step = vel_step = controller_tick = None
 
 
 class DetectionMode(Enum):
@@ -59,13 +47,6 @@ class RunResult:
     causal_phases: dict[Foot, np.ndarray]
     event_phases: dict[Foot, np.ndarray]  # reconstructed from emitted events
     score: DetectionScore | None
-
-    @property
-    def commands(self) -> list[TorqueCommand]:
-        return [
-            TorqueCommand(float(t), float(l), float(r))
-            for t, l, r in zip(self.t, self.tau_left, self.tau_right)
-        ]
 
 
 def control_envelope(log: TrialLog) -> TimeSeries:
@@ -103,13 +84,12 @@ def run_trial(
             f"control rate {log.rates.control_hz} Hz"
         )
 
+    check_channels(log)
     env = control_envelope(log)
     if len(env) < log.n_ticks:
         raise InvalidSpecError("EMG channel shorter than the trial")
     n = log.n_ticks
     emg_norm = env.samples[:n]
-
-    check_channels(log)
     t = log.times()
     if mode is DetectionMode.FOOT_SENSORS:
         events, causal = detect_fsr(log.insole, t, fsr_cfg)
@@ -159,9 +139,9 @@ def command_torque(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-tick (left, right, total) torque for a whole trial.
 
-    Equal, bit for bit, to folding :func:`controller_tick` over the ticks
-    from :meth:`AssistState.initial`: each gait state's split comes from
-    :func:`distribute`, and only a finite ramp rate needs a sequential pass.
+    Each gait state's split comes from :func:`distribute`. Only a finite
+    ramp rate needs a sequential pass: each leg's command moves from 0 N*m
+    toward its target by at most ramp_rate / rate_hz per tick.
 
     Args:
         state_codes: per-tick gait state, as an index into STATE_BY_CODE.
@@ -177,14 +157,13 @@ def command_torque(
     tau_right = gains[state_codes, 1] * tau_exo
     if cfg.ramp_rate_nm_s != UNLIMITED:
         max_step = cfg.ramp_rate_nm_s / cfg.rate_hz
-        first = AssistState.initial().last_command
-        _ramp(tau_left, first.tau_left_nm, max_step)
-        _ramp(tau_right, first.tau_right_nm, max_step)
+        _ramp(tau_left, 0.0, max_step)
+        _ramp(tau_right, 0.0, max_step)
     return tau_left, tau_right, tau_exo
 
 
 def _ramp(tau: np.ndarray, previous: float, max_step: float) -> None:
-    """Slew-limit one leg's commands in place, starting from `previous`."""
+    """Slew-limit one leg's torque in place, starting from `previous`."""
     for start in range(0, len(tau), BLOCK_TICKS):
         block = tau[start : start + BLOCK_TICKS].tolist()
         for i, target in enumerate(block):

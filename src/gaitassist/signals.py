@@ -98,10 +98,6 @@ class FilterCoefficients:
     def n_sections(self) -> int:
         return self.sos.shape[0]
 
-    def poles(self) -> np.ndarray:
-        _, p, _ = _signal.sos2zpk(self.sos)
-        return p
-
 
 def design_filter(spec: FilterSpec) -> FilterCoefficients:
     """Design a Butterworth filter for `spec`.

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterator
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -30,7 +29,6 @@ from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DataFormatError, InvalidSpecError
 from .gait import EventKind, Foot, GaitEvent, GaitState
-from .gait_fsr import InsoleFrame
 from .signals import EmgChannel, FilterSpec, TimeSeries, design_filter, filter_causal
 
 DEFAULT_MVC_MV = 1.0
@@ -198,18 +196,6 @@ class TrialLog:
 
     def times(self) -> np.ndarray:
         return self.omega_left.times()
-
-
-@dataclass(frozen=True)
-class TickSample:
-    """Channels delivered for one control tick during replay."""
-
-    index: int
-    t: float
-    omega_left: float
-    omega_right: float
-    insole_left: InsoleFrame
-    insole_right: InsoleFrame
 
 
 def _leg_phase_offset(foot: Foot) -> float:
@@ -395,29 +381,3 @@ def check_channels(log: TrialLog) -> None:
     if log.insole is None or any(foot not in log.insole for foot in Foot):
         raise DataFormatError("trial log is missing insole channels")
 
-
-def replay(log: TrialLog) -> Iterator[TickSample]:
-    """Deliver the trial tick by tick at the control rate, in time order.
-
-    Raises DataFormatError at once, before the first tick is requested, if a
-    required channel is missing.
-    """
-    check_channels(log)
-
-    def _iter() -> Iterator[TickSample]:
-        times = log.times()
-        wl = log.omega_left.samples
-        wr = log.omega_right.samples
-        il = log.insole[Foot.LEFT]
-        ir = log.insole[Foot.RIGHT]
-        for k in range(log.n_ticks):
-            yield TickSample(
-                index=k,
-                t=float(times[k]),
-                omega_left=float(wl[k]),
-                omega_right=float(wr[k]),
-                insole_left=InsoleFrame(float(times[k]), Foot.LEFT, tuple(il[k])),
-                insole_right=InsoleFrame(float(times[k]), Foot.RIGHT, tuple(ir[k])),
-            )
-
-    return _iter()

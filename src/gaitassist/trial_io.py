@@ -34,10 +34,12 @@ _LABEL_TAILS = np.array(
     ],
     dtype=object,
 )
-# truth_labels.csv as loadtxt reads it. A phase cell longer than 7 characters
-# is cut to 7, still longer than any phase name, so it cannot pass as one;
-# the gait state is implied by the phases and not read.
-_TRUTH_ROW = np.dtype([("t_s", float), ("state", "U1"), ("left", "U7"), ("right", "U7")])
+# `gait_state` of a labels row, indexed by state code
+_STATE_NAMES = np.array([state.value for state in STATE_BY_CODE])
+# truth_labels.csv as loadtxt reads it. A cell longer than its field is cut
+# to the field's width, still longer than any name it may hold, so it cannot
+# pass as one.
+_TRUTH_ROW = np.dtype([("t_s", float), ("state", "U24"), ("left", "U7"), ("right", "U7")])
 _GRID_TOLERANCE_S = 1e-6  # `t_s` against k / rate; printing rounds by at most 5e-7
 _PARAM_KEYS = (
     "cadence_hz",
@@ -107,18 +109,50 @@ def write_table(path: Path, columns: list[str], *parts: np.ndarray) -> None:
         fh.writelines(format_rows(columns, *parts))
 
 
-def _loadtxt(fh, name: str, **kwargs) -> np.ndarray:
-    """np.loadtxt of the comma-separated rows left in `fh`.
+def _loadtxt(
+    fh, name: str, columns: list[str], dtype=float, comments: str | None = "#", ndmin: int = 2
+) -> np.ndarray:
+    """np.loadtxt of the comma-separated rows left in `fh`, headed `columns`.
 
-    A row that does not parse is a DataFormatError naming the file. A file
-    without rows is left to the caller's row count, without numpy's warning.
+    A row that does not parse is a DataFormatError naming the file and the
+    row's 1-based data row number. A file without rows is left to the
+    caller's row count, without numpy's warning.
     """
+    start = fh.tell()
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            return np.loadtxt(fh, delimiter=",", **kwargs)
+            return np.loadtxt(fh, delimiter=",", dtype=dtype, comments=comments, ndmin=ndmin)
         except ValueError as exc:
-            raise DataFormatError(f"{name}: {exc}") from exc
+            fh.seek(start)
+            problem = _first_bad_row(fh, columns, dtype, comments)
+            raise DataFormatError(f"{name}: {problem}") from exc
+
+
+def _first_bad_row(fh, columns: list[str], dtype, comments: str | None) -> str:
+    """What is wrong with the first row left in `fh` that np.loadtxt, called
+    with `dtype` and `comments`, cannot parse; data rows are counted as it
+    counts them, skipping blank and comment lines."""
+    dtype = np.dtype(dtype)
+    numeric = [not dtype.names or dtype[i].kind == "f" for i in range(len(columns))]
+    row = 0
+    for line in fh:
+        if comments is not None:
+            line = line.split(comments, 1)[0]
+        if not line.strip():
+            continue
+        row += 1
+        cells = line.strip().split(",")
+        if len(cells) != len(columns):
+            return f"data row {row} has {len(cells)} cells, expected {len(columns)}"
+        for column, cell, is_number in zip(columns, cells, numeric):
+            if not is_number:
+                continue
+            try:
+                float(cell)
+            except ValueError:
+                return f"{column} {cell.strip()!r} in data row {row} is not a number"
+    return "rows do not parse as comma-separated values"
 
 
 def _read_table(path: Path, expected_columns: list[str]) -> np.ndarray:
@@ -130,7 +164,7 @@ def _read_table(path: Path, expected_columns: list[str]) -> np.ndarray:
             raise DataFormatError(
                 f"{path.name}: header {header!r} does not match {expected_columns}"
             )
-        data = _loadtxt(fh, path.name, ndmin=2)
+        data = _loadtxt(fh, path.name, expected_columns)
     if data.size == 0:
         raise DataFormatError(f"{path.name}: no data rows")
     if data.shape[1] != len(expected_columns):
@@ -271,7 +305,7 @@ def _read_truth(trial_dir: Path, n: int, rate_hz: float) -> TrialTruth:
         header = fh.readline().strip()
         if header.split(",") != _LABEL_COLS:
             raise DataFormatError(f"{path.name}: unexpected header {header!r}")
-        rows = _loadtxt(fh, path.name, dtype=_TRUTH_ROW, comments=None, ndmin=1)
+        rows = _loadtxt(fh, path.name, _LABEL_COLS, dtype=_TRUTH_ROW, comments=None, ndmin=1)
     if len(rows) != n:
         raise DataFormatError(f"{path.name}: expected {n} rows, got {len(rows)}")
     _check_grid(path.name, rows["t_s"], rate_hz)
@@ -284,9 +318,17 @@ def _read_truth(trial_dir: Path, n: int, rate_hz: float) -> TrialTruth:
         if (codes < 0).any():
             row = int(np.argmax(codes < 0))
             raise DataFormatError(
-                f"{path.name}: unknown phase_{column} {names[row]!r} in data row {row + 1}"
+                f"{path.name}: unknown phase_{column} {str(names[row])!r} in data row {row + 1}"
             )
         phases[foot] = codes
+    wrong = rows["state"] != _STATE_NAMES[gait_state_codes(phases)]
+    if wrong.any():
+        row = int(np.argmax(wrong))
+        state, left, right = (str(rows[column][row]) for column in ("state", "left", "right"))
+        raise DataFormatError(
+            f"{path.name}: gait_state {state!r} in data row {row + 1} does not "
+            f"match phase_left {left!r} and phase_right {right!r}"
+        )
     events = read_events_csv(trial_dir / "truth_events.csv")
     return TrialTruth(phases=phases, events=events)
 
@@ -297,8 +339,8 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
     Raises DataFormatError, naming the file, for anything malformed: a
     missing file or key, a manifest value that does not parse or is out of
     range, a bad header or row count, a cell that is not a finite number,
-    a `t_s` off the k / rate grid, an unknown phase name, or a negative
-    insole force.
+    a `t_s` off the k / rate grid, an unknown phase name, a gait state that
+    does not match the phases, or a negative insole force.
     """
     trial_dir = Path(trial_dir)
     manifest = read_manifest(trial_dir / "manifest.txt")

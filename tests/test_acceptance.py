@@ -16,15 +16,16 @@ import numpy as np
 import pytest
 
 from gaitassist.cli import main as cli_main
-from gaitassist.controller import (
-    UNLIMITED,
-    AssistState,
-    ControllerConfig,
-    controller_tick,
-)
+from gaitassist.controller import UNLIMITED, ControllerConfig
 from gaitassist.gait import EventKind, Foot, GaitState, check_event_stream
 from gaitassist.metrics import percentile, rms, stride_length
-from gaitassist.runner import DetectionMode, RunResult, control_envelope, run_trial
+from gaitassist.runner import (
+    DetectionMode,
+    RunResult,
+    command_torque,
+    control_envelope,
+    run_trial,
+)
 from gaitassist.signals import (
     DEFAULT_FILTER_ORDER,
     EMG_BAND_HZ,
@@ -77,23 +78,24 @@ def test_criterion_1_torque_law_exactness():
     }
     worst = 0.0
     swing_exact = True
-    state = AssistState.initial()
     start = time.perf_counter()
-    for i in range(10_000):
+    for _ in range(10_000):
         gait = states[int(rng.integers(len(states)))]
         emg = float(rng.uniform(0.0, 1.0))
         k_myo = float(rng.uniform(0.0, 40.0))
         cfg = dataclasses.replace(base, k_myo_nm=k_myo)
-        state, cmd = controller_tick(i * 0.01, gait, emg, state, cfg)
+        code = np.array([STATE_BY_CODE.index(gait)], dtype=np.int8)
+        left, right, _ = command_torque(code, np.array([emg]), cfg)
+        tau_left, tau_right = float(left[0]), float(right[0])
         gain_l, gain_r = gains[gait]
         worst = max(
             worst,
-            relative_error(cmd.tau_left_nm, gain_l * k_myo * emg),
-            relative_error(cmd.tau_right_nm, gain_r * k_myo * emg),
+            relative_error(tau_left, gain_l * k_myo * emg),
+            relative_error(tau_right, gain_r * k_myo * emg),
         )
-        if gait is GaitState.LEFT_STANCE_RIGHT_SWING and cmd.tau_right_nm != 0.0:
+        if gait is GaitState.LEFT_STANCE_RIGHT_SWING and tau_right != 0.0:
             swing_exact = False
-        if gait is GaitState.RIGHT_STANCE_LEFT_SWING and cmd.tau_left_nm != 0.0:
+        if gait is GaitState.RIGHT_STANCE_LEFT_SWING and tau_left != 0.0:
             swing_exact = False
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and swing_exact and elapsed < 1.0
@@ -104,22 +106,13 @@ def test_criterion_1_torque_law_exactness():
 
 
 def test_criterion_2_double_stance_split(clean_trial):
-    emg_norm = control_envelope(clean_trial).samples
+    emg_norm = control_envelope(clean_trial).samples[: clean_trial.n_ticks]
     codes = clean_trial.truth.state_codes
-    cfg = ControllerConfig()
-    state = AssistState.initial()
-    exact = True
-    n_checked = 0
-    for i, code in enumerate(codes):
-        state, cmd = controller_tick(
-            i / clean_trial.rates.control_hz,
-            STATE_BY_CODE[code], float(emg_norm[i]), state, cfg,
-        )
-        if STATE_BY_CODE[code] is GaitState.DOUBLE_STANCE:
-            n_checked += 1
-            half = 0.5 * state.tau_exo_nm
-            if cmd.tau_left_nm != half or cmd.tau_right_nm != half:
-                exact = False
+    tau_left, tau_right, tau_exo = command_torque(codes, emg_norm, ControllerConfig())
+    double = np.array([STATE_BY_CODE[code] is GaitState.DOUBLE_STANCE for code in codes])
+    n_checked = int(double.sum())
+    half = 0.5 * tau_exo[double]
+    exact = bool((tau_left[double] == half).all() and (tau_right[double] == half).all())
     ok = exact and n_checked > 0
     report(2, "double-stance equal split", ok, f"{n_checked} samples, exact {exact}")
 

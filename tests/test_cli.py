@@ -235,6 +235,50 @@ class TestRun:
         assert code == 2
         assert len(err) == 1 and "truth_labels.csv" in err[0]
 
+    def test_gait_state_contradicting_phases_is_one_line_data_error(
+        self, trial_dir, tmp_path, capsys
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(trial_dir, broken)
+        labels = broken / "truth_labels.csv"
+        lines = labels.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + ",double_swing,stance,stance"
+        labels.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert "truth_labels.csv" in err[0] and "data row 5" in err[0] and "double_swing" in err[0]
+
+    @pytest.mark.parametrize(
+        "mutation, problem",
+        [("bad-cell", "'abc'"), ("too-wide", "4 cells, expected 3")],
+        ids=["bad-cell", "too-wide"],
+    )
+    def test_unparsable_row_is_named_by_its_data_row(
+        self, trial_dir, tmp_path, capsys, mutation, problem
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(trial_dir, broken)
+        omega = broken / "omega.csv"
+        lines = omega.read_text().splitlines()
+        cells = lines[5].split(",")
+        if mutation == "bad-cell":
+            cells[1] = "abc"
+        else:
+            cells.append(cells[2])
+        lines[5] = ",".join(cells)
+        omega.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert "omega.csv" in err[0] and "data row 5" in err[0] and problem in err[0]
+        # none of numpy's own row numbers or advice
+        assert "at row" not in err[0] and "usecols" not in err[0]
+
     @pytest.mark.filterwarnings("error")  # a warning would be more stderr lines
     @pytest.mark.parametrize("name", ["omega.csv", "truth_labels.csv"])
     def test_header_only_table_is_one_line_data_error(self, trial_dir, tmp_path, capsys, name):

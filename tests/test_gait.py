@@ -12,7 +12,6 @@ from gaitassist.gait import (
     Phase,
     check_event_stream,
     gait_state_from_phases,
-    phases_from_gait_state,
 )
 
 
@@ -29,9 +28,9 @@ def test_events_imply_phases():
 
 
 def test_state_classification_round_trips():
-    for state in GaitState:
-        left, right = phases_from_gait_state(state)
-        assert gait_state_from_phases(left, right) is state
+    # each pair of leg phases names its own state, and every state is named
+    states = [gait_state_from_phases(left, right) for left in Phase for right in Phase]
+    assert sorted(states, key=list(GaitState).index) == list(GaitState)
 
 
 def test_state_table():

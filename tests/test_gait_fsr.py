@@ -12,39 +12,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitassist.errors import InvalidSpecError
-from gaitassist.gait import EventKind, Foot, GaitState, Phase, check_event_stream
+from gaitassist.gait import EventKind, Foot, GaitEvent, GaitState, Phase, check_event_stream
 from gaitassist.gait_fsr import (
+    INITIAL_STATE,
     FsrDetectorConfig,
-    InsoleFrame,
-    LegPhaseState,
-    both_feet_phases,
-    cluster_sums,
-    fsr_step,
+    check_forces,
+    detect_fsr,
+    force_sums,
+    fsr_transition,
 )
+from gaitassist.simgait import STATE_BY_CODE, gait_state_codes
 
 DT = 0.01
 
 
-def frame(t: float, total_n: float, foot: Foot = Foot.LEFT, front_share: float = 0.5) -> InsoleFrame:
-    """Insole frame with `total_n` split between clusters, evenly per sensor."""
+def frame(total_n: float, front_share: float = 0.5) -> np.ndarray:
+    """Eight insole forces with `total_n` split between clusters, evenly per sensor."""
     front = total_n * front_share / 4.0
     back = total_n * (1.0 - front_share) / 4.0
-    return InsoleFrame(t, foot, (front,) * 4 + (back,) * 4)
+    return np.array((front,) * 4 + (back,) * 4)
+
+
+def step(state, t: float, forces: np.ndarray, cfg=None):
+    """One frame through the leg's transition; returns (state, kind or None)."""
+    front, back = force_sums(forces)
+    state, fired = fsr_transition(state, t, float(front), float(back), cfg or FsrDetectorConfig())
+    return state, None if fired is None else fired[0]
 
 
 def run_schedule(totals, cfg=None, foot: Foot = Foot.LEFT, start=None, front_share=0.5):
     cfg = cfg or FsrDetectorConfig()
-    state = start or LegPhaseState(foot)
+    state = start or INITIAL_STATE
     events = []
     for k, total in enumerate(totals):
-        state, ev = fsr_step(state, cfg, frame(k * DT, total, foot, front_share))
-        if ev is not None:
-            events.append(ev)
+        front, back = force_sums(frame(total, front_share))
+        state, fired = fsr_transition(state, k * DT, float(front), float(back), cfg)
+        if fired is not None:
+            events.append(GaitEvent(fired[1], foot, fired[0]))
     return state, events
 
 
-def stance_state(foot: Foot = Foot.LEFT, since: float = -10.0) -> LegPhaseState:
-    return LegPhaseState(foot, phase=Phase.STANCE, since=since)
+def stance_state(last_event_t: float = -10.0) -> tuple[Phase, float]:
+    return (Phase.STANCE, last_event_t)
 
 
 class TestHeelStrike:
@@ -63,37 +72,26 @@ class TestHeelStrike:
 
     def test_total_force_triggers_even_if_clusters_are_small(self):
         # 24 N split 12/12: neither cluster alone exceeds the threshold
-        state, ev = fsr_step(
-            LegPhaseState(Foot.LEFT), FsrDetectorConfig(), frame(0.0, 24.0)
-        )
-        assert ev is not None and ev.kind is EventKind.HEEL_STRIKE
-        assert state.phase is Phase.STANCE
+        state, kind = step(INITIAL_STATE, 0.0, frame(24.0))
+        assert kind is EventKind.HEEL_STRIKE
+        assert state[0] is Phase.STANCE
 
     def test_first_loaded_frame_bootstraps_stance(self):
-        state, ev = fsr_step(
-            LegPhaseState(Foot.RIGHT), FsrDetectorConfig(), frame(0.0, 300.0, Foot.RIGHT)
-        )
-        assert ev == events_expected(0.0, Foot.RIGHT, EventKind.HEEL_STRIKE)
-        assert state.since == 0.0
-
-
-def events_expected(t, foot, kind):
-    from gaitassist.gait import GaitEvent
-
-    return GaitEvent(t, foot, kind)
+        state, events = run_schedule([300.0], foot=Foot.RIGHT)
+        assert events == [GaitEvent(0.0, Foot.RIGHT, EventKind.HEEL_STRIKE)]
+        assert state == (Phase.STANCE, 0.0)
 
 
 class TestToeOff:
     def test_release_needs_both_clusters_low(self):
-        cfg = FsrDetectorConfig()
         state = stance_state()
         # front stays loaded: no toe-off even though the total is falling
-        state, ev = fsr_step(state, cfg, frame(0.0, 30.0, front_share=1.0))
-        assert ev is None
+        state, kind = step(state, 0.0, frame(30.0, front_share=1.0))
+        assert kind is None
         # both clusters below 10 N: toe-off
-        state, ev = fsr_step(state, cfg, frame(DT, 18.0, front_share=0.5))
-        assert ev is not None and ev.kind is EventKind.TOE_OFF
-        assert state.phase is Phase.SWING
+        state, kind = step(state, DT, frame(18.0, front_share=0.5))
+        assert kind is EventKind.TOE_OFF
+        assert state[0] is Phase.SWING
 
     def test_unloading_ramp_crossing_time(self):
         # total = 40 - 40t, split evenly; both clusters < 10 when total < 20,
@@ -106,43 +104,23 @@ class TestToeOff:
 
 class TestDebounce:
     def test_suppressed_transition_fires_when_condition_persists(self):
-        cfg = FsrDetectorConfig()
-        state = LegPhaseState(Foot.LEFT)
-        events = []
         # contact at t = 0.20, then immediate unload from t = 0.22 onward
-        for k in range(60):
-            t = k * DT
-            total = 100.0 if 0.20 <= t < 0.22 else 0.0
-            state, ev = fsr_step(state, cfg, frame(t, total))
-            if ev:
-                events.append(ev)
+        totals = [100.0 if 0.20 <= k * DT < 0.22 else 0.0 for k in range(60)]
+        _, events = run_schedule(totals)
         assert [(e.kind, e.t) for e in events] == [
             (EventKind.HEEL_STRIKE, pytest.approx(0.20)),
             (EventKind.TOE_OFF, pytest.approx(0.35)),
         ]
 
     def test_chatter_inside_window_emits_nothing(self):
-        cfg = FsrDetectorConfig()
-        state = stance_state(since=0.0)
-        state = dataclasses_replace_last_event(state, t=0.0)
-        events = []
+        # a heel strike at t = 0, then wild chatter for 0.14 s: all suppressed
         rng = np.random.default_rng(5)
-        # wild chatter for 0.14 s right after a heel strike: all suppressed
+        state = stance_state(last_event_t=0.0)
+        kinds = []
         for k in range(1, 15):
-            state, ev = fsr_step(state, cfg, frame(k * DT, float(rng.uniform(0, 200))))
-            if ev:
-                events.append(ev)
-        assert events == []
-
-
-def dataclasses_replace_last_event(state: LegPhaseState, t: float) -> LegPhaseState:
-    from dataclasses import replace
-
-    from gaitassist.gait import GaitEvent
-
-    return replace(
-        state, last_event=GaitEvent(t, state.foot, EventKind.HEEL_STRIKE), last_t=t
-    )
+            state, kind = step(state, k * DT, frame(float(rng.uniform(0, 200))))
+            kinds.append(kind)
+        assert kinds == [None] * 14
 
 
 class TestHysteresisMonotonicity:
@@ -179,36 +157,36 @@ class TestStreamContracts:
             totals.append(level)
         _, events = run_schedule(totals)
         check_event_stream(events)
-        assert all(ev.foot is Foot.LEFT for ev in events)
-
-    def test_wrong_foot_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            fsr_step(
-                LegPhaseState(Foot.LEFT), FsrDetectorConfig(), frame(0.0, 0.0, Foot.RIGHT)
-            )
-
-    def test_out_of_order_frame_rejected(self):
-        cfg = FsrDetectorConfig()
-        state, _ = fsr_step(LegPhaseState(Foot.LEFT), cfg, frame(1.0, 0.0))
-        with pytest.raises(ValueError):
-            fsr_step(state, cfg, frame(0.5, 0.0))
-
-    def test_equal_timestamp_accepted(self):
-        cfg = FsrDetectorConfig()
-        state, _ = fsr_step(LegPhaseState(Foot.LEFT), cfg, frame(1.0, 0.0))
-        fsr_step(state, cfg, frame(1.0, 0.0))
+        # the whole-channel detector emits the same stream for a lone loaded leg
+        loaded = np.array([frame(total) for total in totals])
+        both, _ = detect_fsr(
+            {Foot.LEFT: loaded, Foot.RIGHT: np.zeros_like(loaded)},
+            np.arange(len(totals)) * DT,
+            FsrDetectorConfig(),
+        )
+        assert both == events
+        assert all(ev.foot is Foot.LEFT for ev in both)
 
 
 class TestValidation:
     def test_frame_needs_eight_forces(self):
         with pytest.raises(InvalidSpecError):
-            InsoleFrame(0.0, Foot.LEFT, (1.0,) * 7)
+            check_forces(np.ones(7))
+        with pytest.raises(InvalidSpecError):
+            detect_fsr(
+                {foot: np.ones((3, 7)) for foot in Foot}, np.arange(3) * DT, FsrDetectorConfig()
+            )
 
     def test_negative_or_non_finite_force_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            InsoleFrame(0.0, Foot.LEFT, (-1.0,) + (0.0,) * 7)
-        with pytest.raises(InvalidSpecError):
-            InsoleFrame(0.0, Foot.LEFT, (math.nan,) + (0.0,) * 7)
+        for bad in (-1.0, math.nan, math.inf):
+            forces = np.zeros(8)
+            forces[0] = bad
+            with pytest.raises(InvalidSpecError):
+                check_forces(forces)
+            insole = {foot: np.zeros((3, 8)) for foot in Foot}
+            insole[Foot.RIGHT][2] = forces
+            with pytest.raises(InvalidSpecError):
+                detect_fsr(insole, np.arange(3) * DT, FsrDetectorConfig())
 
     def test_release_must_sit_below_contact(self):
         with pytest.raises(InvalidSpecError):
@@ -217,11 +195,16 @@ class TestValidation:
             FsrDetectorConfig(contact_threshold_n=10.0, release_threshold_n=15.0)
 
     def test_cluster_sums(self):
-        fr = InsoleFrame(0.0, Foot.LEFT, (1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0))
-        assert cluster_sums(fr) == (10.0, 100.0)
+        forces = np.array([1.0, 2.0, 3.0, 4.0, 10.0, 20.0, 30.0, 40.0])
+        assert force_sums(forces) == (10.0, 100.0)
+        front, back = force_sums(np.stack([forces, 2.0 * forces]))
+        np.testing.assert_array_equal(front, [10.0, 20.0])
+        np.testing.assert_array_equal(back, [100.0, 200.0])
 
 
 def test_both_feet_phases_combines_states():
-    left = stance_state(Foot.LEFT)
-    right = LegPhaseState(Foot.RIGHT)
-    assert both_feet_phases(left, right) is GaitState.LEFT_STANCE_RIGHT_SWING
+    # a loaded left insole strikes at once; the unloaded right one keeps swinging
+    insole = {Foot.LEFT: np.tile(frame(300.0), (2, 1)), Foot.RIGHT: np.zeros((2, 8))}
+    _, phases = detect_fsr(insole, np.arange(2) * DT, FsrDetectorConfig())
+    states = [STATE_BY_CODE[code] for code in gait_state_codes(phases)]
+    assert states == [GaitState.LEFT_STANCE_RIGHT_SWING] * 2

@@ -2,45 +2,45 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gaitassist.errors import InvalidSpecError
-from gaitassist.gait import EventKind, Foot, GaitState, Phase, check_event_stream
-from gaitassist.gait_vel import (
-    VelDetectorConfig,
-    VelDetectorState,
-    _step_leg,
-    vel_phases,
-    vel_step,
-)
+from gaitassist.gait import EventKind, Foot, GaitEvent, GaitState, Phase, check_event_stream
+from gaitassist.gait_vel import INITIAL_STATE, VelDetectorConfig, detect_vel, vel_transition
+from gaitassist.simgait import STATE_BY_CODE, HipVelocityWaveform, gait_state_codes
 
 DT = 0.01
 HS = EventKind.HEEL_STRIKE
 TO = EventKind.TOE_OFF
 
 
-def swing_leg(foot: Foot = Foot.LEFT):
-    initial = VelDetectorState.initial()
-    leg = initial.left if foot is Foot.LEFT else initial.right
-    return replace(leg, phase=Phase.SWING)
+def swing_leg():
+    return (Phase.SWING, *INITIAL_STATE[1:])
 
 
-def stance_leg(foot: Foot = Foot.LEFT):
-    initial = VelDetectorState.initial()
-    return initial.left if foot is Foot.LEFT else initial.right
+def stance_leg():
+    return INITIAL_STATE
 
 
 def drive_leg(leg, samples, cfg=None):
-    """Feed (own, contra) pairs; returns events tagged with their emission time."""
+    """Feed (own, contra) pairs to one left leg; returns its state and its
+    events tagged with their emission time."""
     cfg = cfg or VelDetectorConfig()
     emitted = []
     for k, (own, contra) in enumerate(samples):
-        leg, ev = _step_leg(leg, cfg, k * DT, own, contra)
-        if ev is not None:
-            emitted.append((ev, k * DT))
+        leg, fired = vel_transition(leg, k * DT, own, contra, cfg)
+        if fired is not None:
+            emitted.append((GaitEvent(fired[1], Foot.LEFT, fired[0]), k * DT))
     return leg, emitted
+
+
+def gait_walk(n: int = 1000):
+    """Both hips' angular velocity over n ticks of periodic walking."""
+    wave = HipVelocityWaveform(stance_fraction=0.6)
+    t = np.arange(n) * DT
+    return 2.0 * wave.unit(0.7 * t), 2.0 * wave.unit(0.7 * t + 0.5), t
 
 
 class TestHeelStrikeCrossing:
@@ -52,7 +52,7 @@ class TestHeelStrikeCrossing:
         # zero touched at t = 0.03; confirmation outside the band at t = 0.05
         assert ev.t == pytest.approx(0.03)
         assert emitted_at == pytest.approx(0.05)
-        assert leg.phase is Phase.STANCE
+        assert leg[0] is Phase.STANCE
 
     def test_upward_cross_mirrors_downward(self):
         contra = [-1.0, -0.3, 0.0, 0.03, 0.08]
@@ -113,7 +113,7 @@ class TestToeOffPeak:
         leg, emitted = drive_leg(swing_leg(), samples)
         kinds = [ev.kind for ev, _ in emitted]
         assert kinds == [HS]
-        assert leg.phase is Phase.STANCE
+        assert leg[0] is Phase.STANCE
 
 
 class TestEventGap:
@@ -151,52 +151,31 @@ class TestEventGap:
 
 class TestVelStep:
     def test_standing_still_emits_nothing(self):
-        state = VelDetectorState.initial()
-        cfg = VelDetectorConfig()
-        for k in range(300):
-            state, events = vel_step(state, cfg, k * DT, 0.0, 0.0)
-            assert events == []
-        assert vel_phases(state) is GaitState.DOUBLE_STANCE
+        still = np.zeros(300)
+        events, phases = detect_vel(still, still, np.arange(300) * DT, VelDetectorConfig())
+        assert events == []
+        codes = gait_state_codes(phases)
+        assert all(STATE_BY_CODE[code] is GaitState.DOUBLE_STANCE for code in codes)
 
     def test_non_finite_velocity_rejected(self):
-        state = VelDetectorState.initial()
-        with pytest.raises(ValueError):
-            vel_step(state, VelDetectorConfig(), 0.0, math.nan, 0.0)
-        with pytest.raises(ValueError):
-            vel_step(state, VelDetectorConfig(), 0.0, 0.0, math.inf)
+        t = np.arange(3) * DT
+        for bad_left, bad_right in ((math.nan, 0.0), (0.0, math.inf)):
+            left, right = np.zeros(3), np.zeros(3)
+            left[1], right[1] = bad_left, bad_right
+            with pytest.raises(ValueError):
+                detect_vel(left, right, t, VelDetectorConfig())
 
     def test_deterministic_replay(self):
-        from gaitassist.simgait import HipVelocityWaveform
-
-        wave = HipVelocityWaveform(stance_fraction=0.6)
-        cfg = VelDetectorConfig()
-
-        def run():
-            state = VelDetectorState.initial()
-            out = []
-            for k in range(1000):
-                t = k * DT
-                wl = 2.0 * wave.unit(0.7 * t)
-                wr = 2.0 * wave.unit(0.7 * t + 0.5)
-                state, events = vel_step(state, cfg, t, wl, wr)
-                out.extend(events)
-            return out
-
-        assert run() == run()
+        wl, wr, t = gait_walk()
+        first, first_phases = detect_vel(wl, wr, t, VelDetectorConfig())
+        again, again_phases = detect_vel(wl.copy(), wr.copy(), t.copy(), VelDetectorConfig())
+        assert first == again
+        for foot in Foot:
+            assert first_phases[foot].tobytes() == again_phases[foot].tobytes()
 
     def test_periodic_gait_produces_alternating_events(self):
-        from gaitassist.simgait import HipVelocityWaveform
-
-        wave = HipVelocityWaveform(stance_fraction=0.6)
-        state = VelDetectorState.initial()
-        cfg = VelDetectorConfig()
-        events = []
-        for k in range(1000):
-            t = k * DT
-            state, new = vel_step(
-                state, cfg, t, 2.0 * wave.unit(0.7 * t), 2.0 * wave.unit(0.7 * t + 0.5)
-            )
-            events.extend(new)
+        wl, wr, t = gait_walk()
+        events, _ = detect_vel(wl, wr, t, VelDetectorConfig())
         check_event_stream(events)
         for foot in Foot:
             for kind in (HS, TO):

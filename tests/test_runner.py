@@ -48,11 +48,6 @@ class TestCleanTrialRuns:
         plateau = clean_result.emg_norm.samples[mid].mean()
         assert plateau == pytest.approx(clean_trial.params.emg_level, abs=0.05)
 
-    def test_commands_property_mirrors_arrays(self, clean_result):
-        cmds = clean_result.commands
-        assert len(cmds) == len(clean_result.t)
-        assert cmds[42].tau_left_nm == clean_result.tau_left[42]
-
 
 class TestRunnerContracts:
     def test_controller_rate_must_match_trial(self, clean_trial):

@@ -53,9 +53,14 @@ def gain_db_at(h: np.ndarray, rate_hz: float, f_hz: float) -> float:
     return 20.0 * math.log10(abs(spectrum[bin_index]))
 
 
+def poles(coeffs: FilterCoefficients) -> np.ndarray:
+    """Every section's poles: the roots of its denominator, sos[:, 3:]."""
+    return np.concatenate([np.roots(denominator) for denominator in coeffs.sos[:, 3:]])
+
+
 def slowest_time_constant(coeffs: FilterCoefficients) -> float:
     """Samples for the slowest pole's envelope to fall by 1/e."""
-    magnitudes = np.abs(coeffs.poles())
+    magnitudes = np.abs(poles(coeffs))
     return float(-1.0 / np.log(magnitudes.max()))
 
 
@@ -149,7 +154,7 @@ class TestStability:
     @pytest.mark.parametrize("spec", CASES, ids=lambda s: f"{s.kind}-{s.rate_hz:g}")
     def test_poles_inside_unit_circle(self, spec):
         coeffs = design_filter(spec)
-        assert np.all(np.abs(coeffs.poles()) < 1.0)
+        assert np.all(np.abs(poles(coeffs)) < 1.0)
 
     @pytest.mark.parametrize("spec", CASES, ids=lambda s: f"{s.kind}-{s.rate_hz:g}")
     def test_impulse_response_decays_below_1e9(self, spec):
@@ -169,7 +174,7 @@ class TestStability:
     def test_any_valid_spec_is_stable(self, kind, order, rate, lo_frac, hi_frac):
         cutoffs = (lo_frac * rate, hi_frac * rate) if kind == "band-pass" else (lo_frac * rate,)
         coeffs = design_filter(FilterSpec(kind, order, cutoffs, rate))
-        assert np.all(np.abs(coeffs.poles()) < 1.0)
+        assert np.all(np.abs(poles(coeffs)) < 1.0)
         horizon = math.ceil(25.0 * slowest_time_constant(coeffs))
         h = impulse_response(coeffs, horizon + 100)
         assert np.max(np.abs(h[horizon:])) < 1e-9

@@ -7,13 +7,13 @@ import pytest
 from gaitassist.errors import DataFormatError, InvalidSpecError
 from gaitassist.gait import EventKind, Foot, check_event_stream
 from gaitassist.metrics import stride_length
+from gaitassist.runner import DetectionMode, run_trial
 from gaitassist.simgait import (
     KNEE_ROM_DEG,
     GaitParams,
     ChannelRates,
     HipVelocityWaveform,
     generate,
-    replay,
 )
 
 STANCE_FRACTIONS = [0.55, 0.6, 0.7, 0.75]
@@ -226,22 +226,19 @@ class TestGenerateContract:
 
 
 class TestReplay:
-    def test_iterates_every_tick_in_order(self, clean_trial):
-        ticks = list(replay(clean_trial))
-        assert len(ticks) == clean_trial.n_ticks
-        times = np.array([tick.t for tick in ticks])
-        np.testing.assert_allclose(np.diff(times), 0.01, atol=1e-9)
-        assert ticks[0].insole_left.foot is Foot.LEFT
-        assert ticks[0].insole_right.foot is Foot.RIGHT
+    """run_trial refuses a trial without every channel, in either mode."""
 
     def test_missing_channel_rejected(self):
-        log = generate(GaitParams(), 10.0)
-        log.insole.pop(Foot.LEFT)
-        with pytest.raises(DataFormatError):
-            replay(log)
+        for mode in DetectionMode:
+            log = generate(GaitParams(), 10.0)
+            log.insole.pop(Foot.LEFT)
+            with pytest.raises(DataFormatError):
+                run_trial(log, mode)
 
     def test_missing_omega_rejected(self):
-        log = generate(GaitParams(), 10.0)
-        log.omega_right = None
-        with pytest.raises(DataFormatError):
-            replay(log)
+        for mode in DetectionMode:
+            for name in ("omega_left", "omega_right"):
+                log = generate(GaitParams(), 10.0)
+                setattr(log, name, None)
+                with pytest.raises(DataFormatError):
+                    run_trial(log, mode)
