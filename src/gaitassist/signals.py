@@ -7,10 +7,14 @@ sections and carry their own state, so two streams never share a filter.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import math
+import numbers
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy import signal as _signal
 
 from .errors import InvalidSpecError
 
@@ -23,7 +27,6 @@ DEFAULT_FILTER_ORDER = 4
 MIN_EMG_RATE_HZ = 800.0
 
 _FILTER_KINDS = ("low-pass", "high-pass", "band-pass")
-_SCIPY_BTYPE = {"low-pass": "lowpass", "high-pass": "highpass", "band-pass": "bandpass"}
 
 
 @dataclass(eq=False)
@@ -67,8 +70,15 @@ class FilterSpec:
     def __post_init__(self) -> None:
         if self.kind not in _FILTER_KINDS:
             raise InvalidSpecError(f"unknown filter kind {self.kind!r}")
-        if self.order < 1:
-            raise InvalidSpecError(f"filter order must be >= 1, got {self.order}")
+        order = self.order
+        if (
+            isinstance(order, bool)
+            or not isinstance(order, numbers.Real)
+            or not 1 <= order < math.inf
+            or order % 1
+        ):
+            raise InvalidSpecError(f"filter order must be a whole number >= 1, got {order!r}")
+        object.__setattr__(self, "order", int(order))
         object.__setattr__(self, "cutoffs_hz", tuple(float(c) for c in self.cutoffs_hz))
         expected = 2 if self.kind == "band-pass" else 1
         if len(self.cutoffs_hz) != expected:
@@ -94,9 +104,87 @@ class FilterCoefficients:
     sos: np.ndarray
     rate_hz: float
 
+    def __post_init__(self) -> None:
+        # the compiled kernel takes normalized sections in a C-ordered float array
+        sos = np.ascontiguousarray(self.sos, dtype=float)
+        if sos.ndim != 2 or sos.shape[1] != 6 or np.any(sos[:, 3] != 1.0):
+            raise InvalidSpecError("sos must have shape (sections, 6) with sos[:, 3] == 1")
+        object.__setattr__(self, "sos", sos)
+
     @property
     def n_sections(self) -> int:
         return self.sos.shape[0]
+
+
+def _poly(roots: np.ndarray) -> np.ndarray:
+    """Monic polynomial with `roots`, highest power first (scipy's `poly`)."""
+    a = np.ones(1, dtype=roots.dtype)
+    for r in roots:
+        a = np.convolve(a, np.array([1.0, -r], dtype=roots.dtype))
+    return a.real
+
+
+def _conjugates_then_reals(p: np.ndarray) -> np.ndarray:
+    """One pole of each conjugate pair (imag > 0), then the real poles, in
+    scipy's `_cplxreal` order and tolerance."""
+    p = p[np.lexsort((abs(p.imag), p.real))]
+    real = abs(p.imag) <= 100 * np.finfo(float).eps * abs(p)
+    if real.all():
+        return p.real
+    upper, lower = p[~real & (p.imag > 0)], p[~real & (p.imag < 0)]
+    return np.concatenate(((upper + lower.conj()) / 2, p[real].real))
+
+
+def _butter_zpk(spec: FilterSpec) -> tuple[np.ndarray, np.ndarray, np.float64]:
+    """Digital zeros, poles and gain, computed as `scipy.signal.butter` does:
+    analog prototype, frequency transform, bilinear transform at fs = 2."""
+    n = spec.order
+    p = -np.exp(1j * np.pi * np.arange(-n + 1, n, 2, dtype=float) / (2 * n))
+    fs = 2.0
+    wn = np.asarray(spec.cutoffs_hz, dtype=float) / (spec.rate_hz / 2)
+    warped = 2 * fs * np.tan(np.pi * wn / fs)
+    if spec.kind == "band-pass":
+        bw, wo = float(warped[1] - warped[0]), float(np.sqrt(warped[0] * warped[1]))
+        p_lp = p * bw / 2
+        root = np.sqrt(p_lp**2 - wo**2)
+        z, p, k = np.zeros(n), np.concatenate((p_lp + root, p_lp - root)), bw**n
+    elif spec.kind == "high-pass":
+        wo = float(warped[0])
+        z, p, k = np.zeros(n), wo / p, np.real(1.0 / np.prod(-p))
+    else:
+        wo = float(warped[0])
+        z, p, k = np.zeros(0), wo * p, wo**n
+    fs2 = 2.0 * fs
+    z_z = np.concatenate(((fs2 + z) / (fs2 - z), -np.ones(len(p) - len(z))))
+    k_z = k * np.real(np.prod(fs2 - z) / np.prod(fs2 - p))
+    return z_z, (fs2 + p) / (fs2 - p), k_z
+
+
+def _zpk2sos(z: np.ndarray, p: np.ndarray, k: np.float64) -> np.ndarray:
+    """scipy's `zpk2sos` with "nearest" pairing, for the digital Butterworth
+    case: every zero is real and real poles come in pairs."""
+    if len(p) % 2:
+        z, p = np.append(z, 0.0), np.append(p, 0.0)
+    z, p = np.sort(z.real), _conjugates_then_reals(p)
+    sos = np.zeros((len(z) // 2, 6))
+    for si in range(len(sos) - 1, -1, -1):
+        # the pole nearest the unit circle first, with the zeros nearest it
+        i = np.argmin(np.abs(1 - np.abs(p)))
+        p1, p = p[i], np.delete(p, i)
+        if np.isreal(p1):
+            reals = np.flatnonzero(np.isreal(p))
+            i = reals[np.argmin(np.abs(1 - np.abs(p[reals])))]
+            p2, p = p[i], np.delete(p, i)
+        else:
+            p2 = p1.conj()
+        zeros = []
+        for _ in range(2):
+            i = np.argmin(np.abs(z - p1))
+            zeros.append(z[i])
+            z = np.delete(z, i)
+        sos[si] = np.concatenate((_poly(np.array(zeros)), _poly(np.array([p1, p2]))))
+    sos[0, :3] *= k
+    return sos
 
 
 def design_filter(spec: FilterSpec) -> FilterCoefficients:
@@ -104,13 +192,57 @@ def design_filter(spec: FilterSpec) -> FilterCoefficients:
 
     Returns second-order sections whose poles all lie strictly inside the
     unit circle. `spec.order` is the analog prototype order; a band-pass
-    realizes twice that many poles.
+    realizes twice that many poles. The sections equal
+    `scipy.signal.butter(..., output="sos")` bit for bit.
     """
-    cutoffs = spec.cutoffs_hz[0] if len(spec.cutoffs_hz) == 1 else list(spec.cutoffs_hz)
-    sos = _signal.butter(
-        spec.order, cutoffs, btype=_SCIPY_BTYPE[spec.kind], fs=spec.rate_hz, output="sos"
-    )
-    return FilterCoefficients(sos=np.asarray(sos, dtype=float), rate_hz=spec.rate_hz)
+    return FilterCoefficients(sos=_zpk2sos(*_butter_zpk(spec)), rate_hz=spec.rate_hz)
+
+
+def _sosfilt_via_scipy(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> None:
+    """`scipy.signal.sosfilt` under the kernel's in-place contract."""
+    from scipy.signal import sosfilt
+
+    y, zf = sosfilt(sos, x, zi=zi.transpose(1, 0, 2))
+    x[...] = y
+    zi[...] = zf.transpose(1, 0, 2)
+
+
+def _load_sosfilt():
+    """scipy's compiled kernel `_sosfilt(sos, x, zi)`, loaded by file path.
+
+    It filters each row of `x` (signals, samples) in place from the states
+    `zi` (signals, sections, 2), which it leaves updated. Importing
+    `scipy.signal` for it would cost about a second, most of it
+    `scipy.stats`. The kernel is private, so it is checked once on a tiny
+    input; if it cannot be loaded or gets that wrong, `scipy.signal.sosfilt`
+    stands in with the same numbers and the slow import.
+    """
+    try:
+        folder = Path(importlib.util.find_spec("scipy").origin).parent / "signal"
+        suffixes = importlib.machinery.EXTENSION_SUFFIXES
+        path = next(str(f) for f in (folder / f"_sosfilt{s}" for s in suffixes) if f.is_file())
+        name = "_sosfilt"  # must end in _sosfilt: the init function is PyInit__sosfilt
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+        x, zi = np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 1, 2))
+        module._sosfilt(np.array([[0.5, 0.5, 0.0, 1.0, -0.5, 0.0]]), x, zi)
+        if x.tolist() == [[0.5, 0.75, 0.375]] and zi.tolist() == [[[0.1875, 0.0]]]:
+            return module._sosfilt
+    except (ImportError, OSError, AttributeError, StopIteration, TypeError, ValueError):
+        pass  # no usable kernel: the public function below gives the same numbers
+    return _sosfilt_via_scipy
+
+
+_sosfilt = _load_sosfilt()
+
+
+def _run_sections(sos: np.ndarray, samples: np.ndarray, zi: np.ndarray) -> np.ndarray:
+    """Filter a copy of `samples` from the section states `zi` (sections, 2),
+    which end updated in place."""
+    y = np.array(samples, dtype=float, order="C", ndmin=2)
+    _sosfilt(sos, y, zi.reshape(1, -1, 2))
+    return y[0]
 
 
 class CausalFilter:
@@ -122,9 +254,7 @@ class CausalFilter:
 
     def process(self, block: np.ndarray) -> np.ndarray:
         """Filter a block of samples, carrying state across calls."""
-        block = np.asarray(block, dtype=float)
-        out, self._zi = _signal.sosfilt(self.coeffs.sos, block, zi=self._zi)
-        return out
+        return _run_sections(self.coeffs.sos, block, self._zi)
 
 
 def _check_rate(coeffs: FilterCoefficients, x: TimeSeries) -> None:
@@ -141,28 +271,49 @@ def filter_causal(coeffs: FilterCoefficients, x: TimeSeries) -> TimeSeries:
     truncated series reproduces a prefix of the full output exactly.
     """
     _check_rate(coeffs, x)
-    return x.with_samples(_signal.sosfilt(coeffs.sos, x.samples))
+    zi = np.zeros((coeffs.n_sections, 2))
+    return x.with_samples(_run_sections(coeffs.sos, x.samples, zi))
 
 
 def _min_zero_phase_len(coeffs: FilterCoefficients) -> int:
-    # scipy's default pad length for sosfiltfilt, reproduced so the length
-    # precondition can be checked up front.
+    """Samples of odd extension at each end of a zero-phase pass: three
+    times the taps, less the sections' trailing zero coefficients."""
     sos = coeffs.sos
     ntaps = 2 * sos.shape[0] + 1
     ntaps -= min((sos[:, 2] == 0).sum(), (sos[:, 5] == 0).sum())
     return int(3 * ntaps)
 
 
+def _step_states(sos: np.ndarray) -> np.ndarray:
+    """Section states at rest under a unit step (scipy's `sosfilt_zi`)."""
+    zi = np.empty((len(sos), 2))
+    scale = 1.0
+    for i, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        companion = np.array([[-a[1], -a[2]], [1.0, 0.0]])  # a[0] == 1
+        zi[i] = scale * np.linalg.solve(np.eye(2) - companion.T, b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    return zi
+
+
 def filter_zero_phase(coeffs: FilterCoefficients, x: TimeSeries) -> TimeSeries:
-    """Forward-backward filtering: zero phase shift, squared magnitude response."""
+    """Forward-backward filtering: zero phase shift, squared magnitude response.
+
+    Equal to `scipy.signal.sosfiltfilt` with its default odd padding: each
+    pass starts from the step states scaled by its first sample.
+    """
     _check_rate(coeffs, x)
-    padlen = _min_zero_phase_len(coeffs)
-    if len(x) <= padlen:
+    edge = _min_zero_phase_len(coeffs)
+    if len(x) <= edge:
         raise InvalidSpecError(
             f"series of {len(x)} samples is too short for zero-phase filtering "
-            f"(needs more than {padlen})"
+            f"(needs more than {edge})"
         )
-    return x.with_samples(_signal.sosfiltfilt(coeffs.sos, x.samples))
+    s, sos = x.samples, coeffs.sos
+    ext = np.concatenate((2 * s[:1] - s[edge:0:-1], s, 2 * s[-1:] - s[-2 : -(edge + 2) : -1]))
+    zi = _step_states(sos)
+    y = _run_sections(sos, ext, zi * ext[:1])
+    y = _run_sections(sos, y[::-1], zi * y[-1:])
+    return x.with_samples(y[::-1][edge:-edge])
 
 
 def rectify(x: TimeSeries) -> TimeSeries:

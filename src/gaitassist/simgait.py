@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import DataFormatError, InvalidSpecError
 from .gait import EventKind, Foot, GaitEvent, GaitState
@@ -139,7 +137,22 @@ class HipVelocityWaveform:
         knots = np.array([0.5, sf, self.down_crossing_phi, trough, 1.5])
         targets = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
         slopes = _pchip_slopes_periodic(knots, targets)
-        self._warp = CubicHermiteSpline(knots, targets, slopes)
+        # cubic Hermite pieces in ascending powers of (phi - knot), with
+        # scipy's CubicHermiteSpline coefficients
+        h = np.diff(knots)
+        secant = np.diff(targets) / h
+        t = (slopes[:-1] + slopes[1:] - 2 * secant) / h
+        self._knots = knots
+        self._pieces = (targets[:-1], slopes[:-1], (secant - slopes[:-1]) / h - t, t / h)
+
+    def _warp(self, phi: np.ndarray) -> np.ndarray:
+        """Evaluate the pieces as scipy's PPoly does, term by term in
+        ascending powers; intervals are closed on the left."""
+        i = np.clip(np.searchsorted(self._knots, phi, side="right") - 1, 0, len(self._knots) - 2)
+        s = phi - self._knots[i]
+        c0, c1, c2, c3 = (c[i] for c in self._pieces)
+        s2 = s * s
+        return c0 + c1 * s + c2 * s2 + c3 * (s2 * s)
 
     def unit(self, phi: np.ndarray | float) -> np.ndarray:
         """Waveform value at cycle phase `phi` (any shape, wrapped mod 1)."""
@@ -154,7 +167,9 @@ class HipVelocityWaveform:
         serves as the unit hip angle trajectory.
         """
         phi = np.linspace(0.0, 1.0, n)
-        integral = cumulative_trapezoid(self.unit(phi), phi, initial=0.0)
+        y = self.unit(phi)
+        # cumulative trapezoid, as scipy's cumulative_trapezoid(initial=0)
+        integral = np.concatenate(([0.0], np.cumsum(np.diff(phi) * (y[1:] + y[:-1]) / 2.0)))
         return phi, integral - integral[-1] * phi
 
 

@@ -227,6 +227,27 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             FilterSpec("notch", 4, (50.0,), 1000.0)
 
+    @pytest.mark.parametrize(
+        "order", [2.5, True, False, 0, -1, 0.0, float("nan"), np.float64("inf"), "4"]
+    )
+    def test_order_must_be_a_whole_number_from_one(self, order):
+        with pytest.raises(InvalidSpecError, match="filter order"):
+            FilterSpec("low-pass", order, (10.0,), 1000.0)
+
+    @pytest.mark.parametrize(
+        "sos", [[[1.0, 0.0, 0.0, 2.0, 0.0, 0.0]], [1.0, 0.0, 0.0, 1.0, 0.0, 0.0], [[1.0, 0.0, 1.0]]]
+    )
+    def test_sections_must_be_normalized_rows_of_six(self, sos):
+        with pytest.raises(InvalidSpecError, match="sos"):
+            FilterCoefficients(np.array(sos), 1000.0)
+
+    @pytest.mark.parametrize("order", [2.0, np.float64(2.0), np.int64(2)])
+    def test_integral_order_is_normalised_to_int(self, order):
+        spec = FilterSpec("low-pass", order, (10.0,), 1000.0)
+        assert type(spec.order) is int and spec.order == 2
+        expected = design_filter(FilterSpec("low-pass", 2, (10.0,), 1000.0)).sos
+        assert design_filter(spec).sos.tobytes() == expected.tobytes()
+
 
 class TestRectifyAndEcg:
     def test_rectify_is_absolute_value(self):
