@@ -264,7 +264,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _write_score(out / "score.txt", result)
 
     if args.print_torque:
-        sys.stdout.writelines(format_rows(TORQUE_COLS, *torque))
+        sys.stdout.writelines(format_rows(*torque))
 
     summary = f"ran {mode.value} over {log.n_ticks} ticks -> {out}"
     if result.score is not None:

@@ -25,15 +25,33 @@ from .simgait import (
 FORMAT_TAG = "gaitassist-trial/1"
 
 _PHASE_NAMES = ("stance", "swing")  # indexed by phase code
-# `,gait_state,phase_left,phase_right` of a labels row, indexed by state code
-# (the left leg's phase code is its high bit)
-_LABEL_TAILS = np.array(
-    [
-        f",{state.value},{_PHASE_NAMES[code >> 1]},{_PHASE_NAMES[code & 1]}"
-        for code, state in enumerate(STATE_BY_CODE)
-    ],
-    dtype=object,
-)
+
+# A `%.6f` cell is spelled in little-endian words: its sign and integer part
+# right-aligned in 8 bytes, then `.ddd` and `ddd,`. Spaces pad words and are
+# dropped from joined blocks. Digits and `-` have the space's bit set, so `|`
+# of a padded word and a spelled one keeps what is spelled.
+_LIMIT = 10**12  # rounded |cell| * 1e6 the words spell: integer parts to 999999
+_DIGITS = [f"{k:03d}" for k in range(1000)]
+
+
+def _words(texts: list[str], width: int = 0) -> np.ndarray:
+    """`texts` right-aligned in `width` bytes, by default the fewest 8-byte words that fit."""
+    width = width or -(-max(map(len, texts)) // 8) * 8
+    return np.array([text.rjust(width) for text in texts], f"S{width}").view(f"<u{min(width, 8)}")
+
+
+# An integer part h * 1000 + k is _HIGH_WORDS[h + s] | _LOW_WORDS[k + s + 2000 * (h > 0)],
+# s = 1000 if the cell is negative: the sign goes before h, or before k if h = 0
+_HIGH_WORDS = _words([f"{sign}{h}   " if h else "" for sign in ("", "-") for h in range(1000)], 8)
+_LOW_WORDS = _words([f"{sign}{k}" for sign in ("", "-") for k in range(1000)] + 2 * _DIGITS)
+_FRAC_HIGH = _words(["." + d for d in _DIGITS], 4)
+_FRAC_LOW = _words([d + "," for d in _DIGITS], 4)
+# `gait_state,phase_left,phase_right` ending a labels row, indexed by state
+# code (the left leg's phase code is its high bit)
+_LABEL_WORDS = _words([
+    f"{state.value},{_PHASE_NAMES[code >> 1]},{_PHASE_NAMES[code & 1]}\n"
+    for code, state in enumerate(STATE_BY_CODE)
+]).reshape(len(STATE_BY_CODE), -1)
 # `gait_state` of a labels row, indexed by state code
 _STATE_NAMES = np.array([state.value for state in STATE_BY_CODE])
 # truth_labels.csv as loadtxt reads it. A cell longer than its field is cut
@@ -79,26 +97,65 @@ def read_manifest(path: Path) -> dict[str, str]:
     return parse_manifest(path.read_text(encoding="utf-8"))
 
 
-def _format_blocks(template: str, parts: tuple[np.ndarray, ...]) -> Iterator[str]:
-    """The rows of `parts` side by side, as np.column_stack lays them, each
-    through the one-row `template`; one string per block of about
-    BLOCK_TICKS cells, so memory stays flat whatever the table's width.
-
-    `%` formats every cell with CPython's own formatter, the one np.savetxt
-    reaches through `%` on each row, so the bytes are the same as its output.
+def _fixed_point_words(block: np.ndarray) -> np.ndarray | None:
+    """Each cell of the 2-D `block` as `%.6f` spells it, then a comma, in two
+    words (shape block.shape + (2,)); None if a cell is not finite or rounds
+    to 1e6 or more in magnitude.
     """
-    step = max(1, BLOCK_TICKS // template.count("%"))
-    for start in range(0, len(parts[0]), step):
-        block = np.column_stack([part[start : start + step] for part in parts])
-        yield template * len(block) % tuple(block.ravel().tolist())
+    with np.errstate(over="ignore"):  # inf is past _LIMIT too
+        y = np.multiply(block, 1e6, dtype=float)
+    n = np.rint(y)
+    m = np.abs(n)
+    top = m.max()
+    if not top < _LIMIT:  # NaN too
+        return None
+    # y is off the exact product by at most |y| * 2**-53, so rint(y) rounds as
+    # `%` does unless y is about that close to a tie; `%` spells those cells
+    ties = np.flatnonzero(np.abs(y - n) >= 0.5 - (top + 1) * 2.0**-50)
+    m = m.astype(np.int64)
+    for i in ties:  # none reaches _LIMIT: fl is monotone and 999999999999.5 a double
+        m.flat[i] = int(("%.6f" % abs(block.flat[i])).replace(".", ""))
+    whole = m // 10**6
+    frac = m - whole * 10**6
+    frac_high = frac // 1000
+    sign = np.signbit(block) * 1000  # `%` prints -0.0 and -4e-7 as -0.000000
+    high = whole // 1000
+    low = whole - 1000 * high + sign
+    out = np.empty(block.shape + (2,), "<u8")
+    out[..., 0] = _HIGH_WORDS[high + sign] | _LOW_WORDS[low + 2000 * (high > 0)]
+    half = out.view("<u4")
+    half[..., 2] = _FRAC_HIGH[frac_high]
+    half[..., 3] = _FRAC_LOW[frac - 1000 * frac_high]
+    return out
 
 
-def format_rows(columns: list[str], *parts: np.ndarray) -> Iterator[str]:
-    """Data rows of a table headed `columns`, every cell as `%.6f`, in blocks.
+def _exact_words(block: np.ndarray) -> np.ndarray:
+    """:func:`_fixed_point_words` of any `block`, every cell through `%`."""
+    return _words(["%.6f," % cell for cell in block.ravel().tolist()]).reshape(block.shape + (-1,))
 
-    `parts` are 1-D columns or 2-D groups of columns, laid side by side.
+
+def format_rows(*parts: np.ndarray, tails: np.ndarray | None = None) -> Iterator[str]:
+    """Data rows of a table: `parts`, 1-D columns or 2-D groups of columns,
+    side by side, every cell `%.6f` and comma separated; one string per block
+    of BLOCK_TICKS rows, so memory stays flat. A row ends with a newline, or
+    with a comma and its row of `tails` words (see _words), whose text ends
+    with one.
+
+    The bytes are those of CPython's `%`, which np.savetxt reaches on each
+    row. numpy spells the cells (_fixed_point_words); `%` spells only blocks
+    with a non-finite cell or one of 1e6 or more (_exact_words).
     """
-    return _format_blocks(",".join(["%.6f"] * len(columns)) + "\n", parts)
+    for start in range(0, len(parts[0]), BLOCK_TICKS):
+        stop = start + BLOCK_TICKS
+        block = np.column_stack([part[start:stop] for part in parts])
+        words = _fixed_point_words(block)
+        if words is None:
+            words = _exact_words(block)
+        if tails is None:
+            words.view(np.uint8)[:, -1, -1] = ord("\n")  # the last cell's comma
+        else:
+            words = np.concatenate([words.reshape(len(block), -1), tails[start:stop]], axis=1)
+        yield words.tobytes().translate(None, b" ").decode("ascii")
 
 
 def write_table(path: Path, columns: list[str], *parts: np.ndarray) -> None:
@@ -106,7 +163,7 @@ def write_table(path: Path, columns: list[str], *parts: np.ndarray) -> None:
     `columns`, every cell as `%.6f`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(format_rows(columns, *parts))
+        fh.writelines(format_rows(*parts))
 
 
 def _loadtxt(
@@ -171,13 +228,16 @@ def _read_table(path: Path, expected_columns: list[str]) -> np.ndarray:
         raise DataFormatError(
             f"{path.name}: expected {len(expected_columns)} columns, got {data.shape[1]}"
         )
-    finite = np.isfinite(data)
-    if not finite.all():
-        row, col = np.argwhere(~finite)[0]
-        raise DataFormatError(
-            f"{path.name}: non-finite {expected_columns[col]} in data row {row + 1}"
-        )
+    _require_finite(path.name, expected_columns, data)
     return data
+
+
+def _require_finite(name: str, columns: list[str], data: np.ndarray) -> None:
+    """DataFormatError naming the first non-finite cell of `data`, headed `columns`."""
+    bad = ~np.isfinite(data)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise DataFormatError(f"{name}: non-finite {columns[col]!r} in data row {row + 1}")
 
 
 _OMEGA_COLS = ["t_s", "omega_left_rad_s", "omega_right_rad_s"]
@@ -249,10 +309,10 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
 
 def write_labels_csv(path: Path, t: np.ndarray, phases: dict[Foot, np.ndarray]) -> None:
     """Per-tick two-leg state and per-leg phase; `phases` are 0 stance, 1 swing."""
-    tails = _LABEL_TAILS[gait_state_codes(phases)]
+    tails = _LABEL_WORDS[gait_state_codes(phases)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_LABEL_COLS) + "\n")
-        fh.writelines(_format_blocks("%.6f%s\n", (t, tails)))
+        fh.writelines(format_rows(t, tails=tails))
 
 
 def write_events_csv(path: Path, events: list[GaitEvent]) -> None:
@@ -443,4 +503,6 @@ def read_metrics_csv(path: Path | str) -> tuple[list[str], np.ndarray]:
             raise DataFormatError(f"{p}: {exc}") from exc
     if not values:
         raise DataFormatError(f"{p}: no metric rows")
-    return header[1:], np.asarray(values)
+    data = np.asarray(values)
+    _require_finite(str(p), header[1:], data)
+    return header[1:], data

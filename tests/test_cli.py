@@ -474,6 +474,20 @@ class TestCompare:
         err = captured.err.splitlines()
         assert len(err) == 1 and "'a'" in err[0]
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("side", ["baseline", "other"])
+    def test_non_finite_cell_is_one_line_data_error(self, tmp_path, capsys, cell, side):
+        good = tmp_path / "good.csv"
+        good.write_text("trial,a,b\nx,1.0,2.0\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"trial,a,b\nx,1.0,2.0\n\ny,3.0,{cell}\n")
+        base, other = (bad, good) if side == "baseline" else (good, bad)
+        capsys.readouterr()
+        assert run_cli("compare", "--baseline", str(base), str(other)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gaitassist: data error: {bad}: non-finite 'b' in data row 2\n"
+
     def test_missing_baseline_is_data_error(self, tmp_path):
         assert run_cli("compare", "--baseline", str(tmp_path / "none.csv"), "x.csv") == 2
 

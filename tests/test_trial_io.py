@@ -1,6 +1,7 @@
 """On-disk trial format tests: roundtrips, byte stability, malformed inputs."""
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gaitassist import trial_io
+from gaitassist.cli import main
 from gaitassist.errors import DataFormatError
 from gaitassist.gait import BLOCK_TICKS, EventKind, Foot, GaitEvent
 from gaitassist.simgait import GaitParams, generate
@@ -91,6 +94,7 @@ class TestRoundTrip:
 _CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-(10**12), 10**12).map(lambda k: (k + 0.5) * 1e-6),  # rounding ties
+    st.integers(-(10**9), 10**9).map(lambda k: (k + 0.5) * 1e-6),  # ties in the usual range
     st.sampled_from([-0.0, 0.5e-6, -0.5e-6, 1e12, 1e-300, math.nan, math.inf, -math.inf]),
 )
 _ROW_COUNTS = st.one_of(
@@ -112,11 +116,17 @@ class TestWriteTable:
     )
     @example(pool=[-0.0, 0.5e-6, 1.5e-6, 1e12, 1e-300], n_rows=1, width=9, one_d=False, seed=0)
     @example(pool=[math.nan, math.inf, -math.inf, 2.5e-6], n_rows=3, width=3, one_d=False, seed=1)
-    # a block holds BLOCK_TICKS // width rows: one short of a block, one over
-    # two blocks, and exactly three blocks
+    # blocks of BLOCK_TICKS rows: one short of a block, and one over
     @example(pool=[0.1234565, -1.0], n_rows=BLOCK_TICKS - 1, width=2, one_d=True, seed=2)
     @example(pool=[0.0000005, 7.0], n_rows=BLOCK_TICKS + 1, width=2, one_d=False, seed=3)
     @example(pool=[1.0000005, -0.0], n_rows=BLOCK_TICKS - 1, width=3, one_d=False, seed=4)
+    # edges of the words numpy spells: signed zeros, a carry into the integer
+    # part at 1e3 and at the 1e6 limit, the largest cells below it, and a NaN
+    # that sends its block through `%`
+    @example(pool=[-0.0, -4e-7, 999.9999995, 999.9999996], n_rows=40, width=9, one_d=False, seed=5)
+    @example(pool=[999999.999999, -999999.999999, 0.25], n_rows=40, width=3, one_d=False, seed=6)
+    @example(pool=[999999.9999995, -999999.9999996], n_rows=40, width=3, one_d=False, seed=7)
+    @example(pool=[math.nan] + [k - 7.5 for k in range(15)], n_rows=60, width=1, one_d=True, seed=8)
     def test_bytes_match_savetxt(self, tmp_path_factory, pool, n_rows, width, one_d, seed):
         shape = (n_rows,) if one_d else (n_rows, width)
         rows = np.random.default_rng(seed).choice(np.array(pool, dtype=float), size=shape)
@@ -127,6 +137,29 @@ class TestWriteTable:
         expected.write(",".join(columns) + "\n")
         np.savetxt(expected, rows, fmt="%.6f", delimiter=",", newline="\n")
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_generated_trials_take_the_fast_path(self, tmp_path, monkeypatch):
+        """numpy spells every block of a simulated trial and of its run's
+        tables: with the `%` fallback made to fail, they still write their
+        golden bytes."""
+        from test_golden import _COMMON, GOLDEN, SIMULATE_SEED42
+
+        def fail(block):
+            raise AssertionError(f"a block of shape {block.shape} went through %")
+
+        def digest(path: Path) -> str:
+            return hashlib.sha256(path.read_bytes()).hexdigest()
+
+        monkeypatch.setattr(trial_io, "_exact_words", fail)
+        trial, run = tmp_path / "trial", tmp_path / "run"
+        assert main(["simulate", *_COMMON[1:], "--seed", "42", "--out", str(trial)]) == 0
+        assert {p.name: digest(p) for p in trial.iterdir()} == SIMULATE_SEED42
+        argv = ["run", *_COMMON, "--seed", "42", "--mode", "foot-sensors", "--out", str(run)]
+        assert main(argv) == 0
+        golden = GOLDEN["seed42-foot-sensors"][3]
+        assert {name: digest(run / name) for name in ("torque.csv", "labels.csv")} == {
+            name: golden[name] for name in ("torque.csv", "labels.csv")
+        }
 
 
 class TestEventsCsv:
