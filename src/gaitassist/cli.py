@@ -39,6 +39,7 @@ from .trial_io import (
     parse_manifest,
     read_metrics_csv,
     save_trial,
+    utf8_errors,
     write_events_csv,
     write_labels_csv,
     write_manifest,
@@ -71,7 +72,8 @@ def _load_config_file(path: str | None) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise DataFormatError(f"config file not found: {p}")
-    return parse_manifest(p.read_text(encoding="utf-8"))
+    with utf8_errors(str(p)):
+        return parse_manifest(p.read_text(encoding="utf-8"))
 
 
 def _check_config_keys(config: dict[str, str], *key_sets: dict) -> None:
@@ -328,7 +330,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     base_cols, base = read_metrics_csv(args.baseline)
-    base_mean = base.mean(axis=0)
+    with np.errstate(over="ignore"):  # finite cells can overflow the sum: checked below
+        base_mean = base.mean(axis=0)
     for col, mean in zip(base_cols, base_mean):
         if mean == 0.0 or not math.isfinite(mean):
             raise DataFormatError(
@@ -343,8 +346,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise DataFormatError(
                 f"{path}: metric columns {cols} do not match baseline {base_cols}"
             )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            change = 100.0 * (vals.mean(axis=0) - base_mean) / base_mean
+        with np.errstate(over="ignore"):
+            means = vals.mean(axis=0)
+            change = 100.0 * (means - base_mean) / base_mean
+        for col, mean, percent in zip(cols, means, change):
+            if not math.isfinite(mean):
+                raise DataFormatError(
+                    f"{path}: mean of {col!r} is {mean:g}, so its percent change is undefined"
+                )
+            if not math.isfinite(percent):
+                raise DataFormatError(f"{path}: percent change of {col!r} overflows")
         names.append(Path(path).stem)
         changes.append(change)
 

@@ -8,8 +8,10 @@ Formatting is fixed so identical inputs always produce byte-identical files.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,23 @@ _HIGH_WORDS = _words([f"{sign}{h}   " if h else "" for sign in ("", "-") for h i
 _LOW_WORDS = _words([f"{sign}{k}" for sign in ("", "-") for k in range(1000)] + 2 * _DIGITS)
 _FRAC_HIGH = _words(["." + d for d in _DIGITS], 4)
 _FRAC_LOW = _words([d + "," for d in _DIGITS], 4)
+# Reading takes the words back: a cell and its separator end 16 bytes of
+# text, read as two words, the sign and integer part, then `.dddddd` and the
+# separator. XOR with the text of a zero cell turns digits into 0-9 and the
+# dot and the right separator into 0; adding _LIMITS then sets the top bit of
+# any byte above its limit, 9 or 0.
+_LIMITS = np.array([0x76 * 0x0101010101010101, 0x7F7676767676767F], "<u8")
+_TOP_BITS = 0x80 * 0x0101010101010101
+# Indexed by 2 * d + s, d the distance from the separator before a cell to its
+# own and s = 1 if the cell starts with `-`: the digit bytes of the first
+# word, its top d - 8 - s, or else its top byte, which then holds no digit;
+# and the scale of the digits.
+_KEEP = np.array(
+    [2**64 - (1 << 64 - 8 * max(d - 8 - s, 1)) for d in range(17) for s in (0, 1)], "<u8"
+)
+_SCALES = np.tile([1e7, -1e7], 17)
+_CHUNK_BYTES = 1 << 17  # table text parsed at a time
+_PAD = 16  # buffer bytes before each chunk, the last a newline, so windows fit
 # `gait_state,phase_left,phase_right` ending a labels row, indexed by state
 # code (the left leg's phase code is its high bit)
 _LABEL_WORDS = _words([
@@ -94,7 +113,8 @@ def write_manifest(path: Path, entries: list[tuple[str, str]]) -> None:
 def read_manifest(path: Path) -> dict[str, str]:
     if not path.is_file():
         raise DataFormatError(f"missing manifest: {path}")
-    return parse_manifest(path.read_text(encoding="utf-8"))
+    with utf8_errors(path.name):
+        return parse_manifest(path.read_text(encoding="utf-8"))
 
 
 def _fixed_point_words(block: np.ndarray) -> np.ndarray | None:
@@ -166,6 +186,87 @@ def write_table(path: Path, columns: list[str], *parts: np.ndarray) -> None:
         fh.writelines(format_rows(*parts))
 
 
+def _eight_digits(x: np.ndarray) -> None:
+    """Replace each word of digit values, its first byte the most significant
+    digit, by the number it spells."""
+    x *= 10 * 2**8 + 1  # pairs of digits in every other byte
+    x >>= 8
+    x &= 0x00FF00FF00FF00FF
+    x *= 100 * 2**16 + 1  # fours in every other 16 bits
+    x >>= 16
+    x &= 0x0000FFFF0000FFFF
+    x *= 10000 * 2**32 + 1  # all eight in the top 32 bits
+    x >>= 32
+
+
+def _read_fixed_point(fh, ncols: int, rows: int) -> np.ndarray | None:
+    """The (`rows`, `ncols`) table left in the binary file `fh` if it is just
+    that many lines of comma-separated cells `-?d+.dddddd` with at most 8
+    characters before the dot, each line ending in a newline; else None.
+
+    The text is read in chunks that end at a newline, into one buffer. A
+    cell's value is N / 1e7, N ten times its digits as an integer: N < 2**53
+    and 1e7 are exact doubles and division rounds correctly, so it is the
+    double that np.loadtxt reads from the cell, bit for bit.
+    """
+    size = os.fstat(fh.fileno()).st_size - fh.tell()
+    if not 0 < 9 * rows * ncols <= size:  # the shortest cell is `d.dddddd,`
+        return None
+    out = np.empty(rows * ncols)
+    buf = bytearray(_PAD + min(size, _CHUNK_BYTES))
+    most = len(buf) // (9 * ncols) + 1  # rows a chunk can hold
+    # one row of zero cells, and the limits, for every cell a chunk can hold
+    zero_row = _words([f"00000000.000000{sep}" for sep in "," * (ncols - 1) + "\n"])
+    zero_cells = np.tile(zero_row, most)
+    limits = np.tile(_LIMITS, ncols * most)
+    buf[_PAD - 1] = ord("\n")
+    text = np.frombuffer(buf, np.uint8)
+    windows = np.ndarray(len(buf) + 1 - _PAD, "V16", buf, _PAD - 16, (1,))
+    done = carry = 0
+    while got := fh.readinto(memoryview(buf)[_PAD + carry :]):
+        end = _PAD + carry + got
+        stop = buf.rfind(b"\n", _PAD, end) + 1
+        # separators, counted from the newline before the chunk; windows[i]
+        # ends with separator i. Digits, '-' and '.' lie above ','.
+        seps = np.flatnonzero(text[_PAD - 1 : stop] <= ord(","))
+        prev, sep = seps[:-1], seps[1:]
+        cells = len(sep)
+        if not stop or cells % ncols or cells > ncols * most or done + cells > out.size:
+            return None
+        kind = sep - prev
+        if kind.max() > 16:  # more than 8 characters before the dot
+            return None
+        kind += kind
+        kind += text[_PAD:stop][prev] == ord("-")
+        words = windows[sep].view("<u8")
+        words ^= zero_cells[: 2 * cells]
+        pairs = words.reshape(-1, 2)
+        pairs[:, 0] &= _KEEP[kind]
+        bad = words + limits[: 2 * cells]
+        bad |= words
+        bad &= _TOP_BITS
+        if bad.max():
+            return None
+        _eight_digits(words)
+        value = pairs[:, 0] * 10**7
+        value += pairs[:, 1]
+        np.divide(value.view(np.int64), _SCALES[kind], out=out[done : done + cells])
+        done += cells
+        carry = end - stop
+        buf[_PAD : _PAD + carry] = buf[stop:end]
+    return out.reshape(rows, ncols) if done == out.size and not carry else None
+
+
+@contextmanager
+def utf8_errors(name: str) -> Iterator[None]:
+    """A UnicodeDecodeError inside, as a DataFormatError naming the file `name`."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise DataFormatError(f"{name}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})") from exc
+
+
 def _loadtxt(
     fh, name: str, columns: list[str], dtype=float, comments: str | None = "#", ndmin: int = 2
 ) -> np.ndarray:
@@ -212,16 +313,22 @@ def _first_bad_row(fh, columns: list[str], dtype, comments: str | None) -> str:
     return "rows do not parse as comma-separated values"
 
 
-def _read_table(path: Path, expected_columns: list[str]) -> np.ndarray:
+def _read_table(path: Path, expected_columns: list[str], rows: int) -> np.ndarray:
+    """The float table at `path`, expected to hold `rows` rows: by
+    :func:`_read_fixed_point` if it can, else, and for every error, by np.loadtxt."""
     if not path.is_file():
         raise DataFormatError(f"missing channel file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.split(",") != expected_columns:
-            raise DataFormatError(
-                f"{path.name}: header {header!r} does not match {expected_columns}"
-            )
-        data = _loadtxt(fh, path.name, expected_columns)
+    with open(path, "rb") as fh:
+        plain = fh.readline() == f"{','.join(expected_columns)}\n".encode()
+        data = _read_fixed_point(fh, len(expected_columns), rows) if plain else None
+    if data is None:
+        with utf8_errors(path.name), open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header.split(",") != expected_columns:
+                raise DataFormatError(
+                    f"{path.name}: header {header!r} does not match {expected_columns}"
+                )
+            data = _loadtxt(fh, path.name, expected_columns)
     if data.size == 0:
         raise DataFormatError(f"{path.name}: no data rows")
     if data.shape[1] != len(expected_columns):
@@ -326,7 +433,7 @@ def read_events_csv(path: Path) -> list[GaitEvent]:
     if not path.is_file():
         raise DataFormatError(f"missing events file: {path}")
     events: list[GaitEvent] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with utf8_errors(path.name), open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header.split(",") != _EVENT_COLS:
             raise DataFormatError(f"{path.name}: unexpected header {header!r}")
@@ -361,7 +468,7 @@ def _read_truth(trial_dir: Path, n: int, rate_hz: float) -> TrialTruth:
     path = trial_dir / "truth_labels.csv"
     if not path.is_file():
         raise DataFormatError(f"missing channel file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with utf8_errors(path.name), open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header.split(",") != _LABEL_COLS:
             raise DataFormatError(f"{path.name}: unexpected header {header!r}")
@@ -430,7 +537,7 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
         raise DataFormatError(f"manifest.txt: {exc}") from exc
 
     def read_series(name: str, columns: list[str], rows: int, rate_hz: float) -> np.ndarray:
-        table = _read_table(trial_dir / name, columns)
+        table = _read_table(trial_dir / name, columns, rows)
         if table.shape[0] != rows:
             raise DataFormatError(f"{name}: expected {rows} rows, got {table.shape[0]}")
         _check_grid(name, table[:, 0], rate_hz)
@@ -486,7 +593,9 @@ def read_metrics_csv(path: Path | str) -> tuple[list[str], np.ndarray]:
     p = Path(path)
     if not p.is_file():
         raise DataFormatError(f"metrics file not found: {p}")
-    lines = [ln for ln in p.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    with utf8_errors(str(p)):
+        text = p.read_text(encoding="utf-8")
+    lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DataFormatError(f"{p}: empty metrics file")
     header = lines[0].split(",")

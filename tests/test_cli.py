@@ -31,6 +31,16 @@ def trial_dir(tmp_path_factory):
     return out
 
 
+def with_byte_ff(trial_dir: Path, dst: Path, name: str) -> Path:
+    """A copy of `trial_dir` whose file `name` has the byte 0xff, never
+    UTF-8, at the start of its second line."""
+    shutil.copytree(trial_dir, dst)
+    data = (dst / name).read_bytes()
+    cut = data.index(b"\n") + 1
+    (dst / name).write_bytes(data[:cut] + b"\xff" + data[cut:])
+    return dst
+
+
 class TestSimulate:
     def test_writes_manifest_with_channels_and_seed(self, trial_dir):
         manifest = read_manifest(trial_dir / "manifest.txt")
@@ -325,6 +335,16 @@ class TestRun:
         assert code == 2
         assert len(err) == 1 and name in err[0] and "data row 5" in err[0]
 
+    @pytest.mark.parametrize("name", ["emg.csv", "manifest.txt", "truth_events.csv"])
+    def test_non_utf8_byte_is_one_line_data_error(self, trial_dir, tmp_path, capsys, name):
+        broken = with_byte_ff(trial_dir, tmp_path / "broken", name)
+        capsys.readouterr()
+        code = run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"gaitassist: data error: {name}: byte 0xff is not UTF-8 (invalid start byte)\n"
+        )
+
     def test_print_torque_streams_rows(self, trial_dir, tmp_path, capsys):
         out = tmp_path / "run-stdout"
         run_cli("run", "--trial", str(trial_dir), "--out", str(out), "--print-torque")
@@ -404,6 +424,16 @@ class TestAnalyze:
         code = run_cli("analyze", str(trial_dir), str(broken), "--out", str(tmp_path / "m.csv"))
         assert code == 2
         assert "broken" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["emg.csv", "manifest.txt", "truth_events.csv"])
+    def test_non_utf8_byte_names_the_file(self, trial_dir, tmp_path, capsys, name):
+        broken = with_byte_ff(trial_dir, tmp_path / "broken", name)
+        capsys.readouterr()
+        code = run_cli("analyze", str(trial_dir), str(broken), "--out", str(tmp_path / "m.csv"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"analyze: {broken}: {name}: byte 0xff is not UTF-8 (invalid start byte)\n"
+        )
 
     def test_trial_without_truth_detects_its_own_events(self, trial_dir, tmp_path):
         truthless = tmp_path / "truthless"
@@ -487,6 +517,36 @@ class TestCompare:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"gaitassist: data error: {bad}: non-finite 'b' in data row 2\n"
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning would be more stderr lines
+    @pytest.mark.parametrize("side", ["baseline", "other"])
+    def test_overflowing_mean_is_one_line_data_error(self, tmp_path, capsys, side):
+        big = tmp_path / "big.csv"
+        big.write_text("trial,a,b\nx,1.7e308,1.0\ny,1.7e308,2.0\n")
+        good = tmp_path / "good.csv"
+        good.write_text("trial,a,b\nz,1.0,3.0\n")
+        base, other = (big, good) if side == "baseline" else (good, big)
+        capsys.readouterr()
+        assert run_cli("compare", "--baseline", str(base), str(other)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        mean = "baseline mean" if side == "baseline" else "mean"
+        assert captured.err == (
+            f"gaitassist: data error: {big}: {mean} of 'a' is inf, "
+            "so its percent change is undefined\n"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_percent_change_is_one_line_data_error(self, tmp_path, capsys):
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("trial,a\nx,1e-300\n")
+        huge = tmp_path / "huge.csv"
+        huge.write_text("trial,a\nx,1e10\n")
+        capsys.readouterr()
+        assert run_cli("compare", "--baseline", str(tiny), str(huge)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gaitassist: data error: {huge}: percent change of 'a' overflows\n"
 
     def test_missing_baseline_is_data_error(self, tmp_path):
         assert run_cli("compare", "--baseline", str(tmp_path / "none.csv"), "x.csv") == 2

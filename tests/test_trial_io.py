@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,220 @@ class TestWriteTable:
         assert {name: digest(run / name) for name in ("torque.csv", "labels.csv")} == {
             name: golden[name] for name in ("torque.csv", "labels.csv")
         }
+
+
+# `run --trial --mode foot-sensors` on the trial `simulate --duration 30
+# --noise-sigma 0.05 --seed 42` writes (test_golden.py's SIMULATE_SEED42):
+# torque.csv, as recorded when np.loadtxt read every table. Its other
+# artifacts equal those of the golden `run --simulate` case.
+TRIAL_SEED42_TORQUE = "7fc1faed4d1b8e12217997580470cbacc356ba384d451f4cc451cd2dc318b0a0"
+_FLOAT_TABLES = ("omega.csv", "insole_left.csv", "insole_right.csv", "emg.csv", "kinematics.csv")
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _read(path: Path, columns: list[str], rows: int, chunk: int, fast: bool = True):
+    """`_read_table` with text chunks of `chunk` bytes; with `fast` off, as
+    before the fixed-point reader, every table through np.loadtxt."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trial_io, "_CHUNK_BYTES", chunk)
+        if not fast:
+            mp.setattr(trial_io, "_read_fixed_point", lambda fh, ncols, rows: None)
+        return trial_io._read_table(path, columns, rows)
+
+
+def _read_error(*args, **kwargs) -> str:
+    with pytest.raises(DataFormatError) as excinfo:
+        _read(*args, **kwargs)
+    return str(excinfo.value)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestReadTable:
+    """`_read_table` reads every table as np.loadtxt does, bit for bit, and
+    reports every fault as the np.loadtxt path does."""
+
+    COLUMNS = ["t_s", "a", "b"]
+    ROWS = 50
+    CHUNK = 160  # bytes: row 40 of the table below lies past the first chunk
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool=st.lists(st.one_of(_CELLS.filter(math.isfinite), st.floats(-1e8, 1e8)), min_size=1,
+                      max_size=16),
+        n_rows=st.integers(1, 120),
+        width=st.integers(1, 9),
+        chunk=st.sampled_from([160, 257, 1024, 1 << 17]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(pool=[-0.0, -4e-7, 0.5e-6, 999999.999999, -999999.999999], n_rows=100, width=9,
+             chunk=160, seed=0)
+    # 8 characters before the dot, the most the fixed-point reader takes, and more
+    @example(pool=[99999999.0, -9999999.5, 0.25], n_rows=30, width=2, chunk=160, seed=1)
+    @example(pool=[1e6, -1e7, 1e8, -1e8, 1e12], n_rows=30, width=3, chunk=257, seed=2)
+    def test_matches_loadtxt(self, tmp_path_factory, pool, n_rows, width, chunk, seed):
+        table = np.random.default_rng(seed).choice(np.array(pool), size=(n_rows, width))
+        columns = [f"c{j}" for j in range(width)]
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        write_table(path, columns, table)
+        expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert _same_bits(_read(path, columns, n_rows, chunk), expected)
+        # the fixed-point reader takes every table whose cells have at most 8
+        # characters before the dot
+        cells = path.read_text().replace("\n", ",").split(",")[width:-1]
+        fits = max(len(cell.partition(".")[0]) for cell in cells) <= 8
+        with pytest.MonkeyPatch.context() as mp, open(path, "rb") as fh:
+            mp.setattr(trial_io, "_CHUNK_BYTES", chunk)
+            fh.readline()
+            assert (trial_io._read_fixed_point(fh, width, n_rows) is not None) == fits
+
+    def table(self, tmp_path: Path, mutate) -> Path:
+        """A table of ROWS rows in the writer's spelling, its list of lines,
+        header first and each ending in a newline, passed through `mutate`."""
+        path = tmp_path / "table.csv"
+        t = np.arange(self.ROWS) / 100.0
+        write_table(path, self.COLUMNS, t, np.column_stack([t * -3.5, t + 1e6]))
+        lines = mutate(path.read_text().splitlines(keepends=True))
+        path.write_text("".join(lines), newline="")
+        return path
+
+    @staticmethod
+    def set_cell(row: int, cell: str):
+        def mutate(lines: list[str]) -> list[str]:
+            cells = lines[row].rstrip("\n").split(",")
+            cells[1] = cell
+            return lines[:row] + [",".join(cells) + "\n"] + lines[row + 1 :]
+        return mutate
+
+    @pytest.mark.parametrize("row", [1, 40])
+    @pytest.mark.parametrize(
+        "spelling",
+        [" 1.5", "1.5 ", "1e3", "+2.000000", "1.5", "-0", "-.000000", "1.0000000", "00000000001.5"],
+    )
+    def test_other_accepted_cells_read_as_loadtxt_reads_them(self, tmp_path, row, spelling):
+        path = self.table(tmp_path, self.set_cell(row, spelling))
+        expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert _same_bits(_read(path, self.COLUMNS, self.ROWS, self.CHUNK), expected)
+
+    LAYOUTS = {
+        "crlf": lambda lines: [line.replace("\n", "\r\n") for line in lines],
+        "blank-line": lambda lines: lines[:40] + ["\n"] + lines[40:],
+        "comment-line": lambda lines: lines[:40] + ["# a comment line\n"] + lines[40:],
+        "trailing-comment": lambda lines: (
+            lines[:40] + [lines[40].replace("\n", " # a comment\n")] + lines[41:]
+        ),
+        "no-final-newline": lambda lines: lines[:-1] + [lines[-1].rstrip("\n")],
+        # more cells in the first chunk than fixed-point rows could give it
+        "short-cells": lambda lines: (
+            lines[:1] + ["1,2,3\n"] * 25 + [",".join(["12345678.000000"] * 3) + "\n"] * 25
+        ),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_other_accepted_layouts_read_as_loadtxt_reads_them(self, tmp_path, layout):
+        path = self.table(tmp_path, self.LAYOUTS[layout])
+        expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert _same_bits(_read(path, self.COLUMNS, self.ROWS, self.CHUNK), expected)
+
+    @pytest.mark.parametrize("rows", [ROWS - 1, ROWS + 1, 0, -1])
+    def test_every_row_is_read_whatever_the_expected_count(self, tmp_path, rows):
+        """The caller reports a row count other than the manifest's."""
+        path = self.table(tmp_path, lambda lines: lines)
+        expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert _same_bits(_read(path, self.COLUMNS, rows, self.CHUNK), expected)
+
+    @pytest.mark.parametrize("row", [1, 40])
+    @pytest.mark.parametrize(
+        "cell",
+        ["abc", "1.000000.0", "--1.000000", "1.-000000", "1/000000", "", "0x10", "nan", "1.5,2.5",
+         "\u00e9"],
+    )
+    def test_rejected_cells_are_reported_as_before(self, tmp_path, row, cell):
+        path = self.table(tmp_path, self.set_cell(row, cell))
+        message = _read_error(path, self.COLUMNS, self.ROWS, self.CHUNK)
+        assert message == _read_error(path, self.COLUMNS, self.ROWS, self.CHUNK, fast=False)
+        assert message.startswith("table.csv: ") and f"data row {row}" in message
+
+    REJECTED_LAYOUTS = {
+        # separators that are neither a comma nor a newline, or in the wrong place
+        "plus-between-cells": lambda lines: (
+            lines[:40] + [lines[40].replace(",", "+", 1)] + lines[41:]
+        ),
+        "newline-moved": lambda lines: (
+            lines[:40]
+            + [lines[40].replace("\n", ",") + lines[41].replace(",", "\n", 1)]
+            + lines[42:]
+        ),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(REJECTED_LAYOUTS))
+    def test_rejected_layouts_are_reported_as_before(self, tmp_path, layout):
+        path = self.table(tmp_path, self.REJECTED_LAYOUTS[layout])
+        message = _read_error(path, self.COLUMNS, self.ROWS, self.CHUNK)
+        assert message == _read_error(path, self.COLUMNS, self.ROWS, self.CHUNK, fast=False)
+        assert message.startswith("table.csv: data row 40 has ")
+
+    def test_header_only_table_is_reported_as_before(self, tmp_path):
+        path = self.table(tmp_path, lambda lines: lines[:1])
+        assert _read_error(path, self.COLUMNS, self.ROWS, self.CHUNK) == "table.csv: no data rows"
+
+    def test_generated_trials_take_the_fast_path(self, tmp_path, monkeypatch):
+        """The fixed-point reader reads every float table of a simulated
+        trial: with np.loadtxt refused them, `analyze` and `run --trial` still
+        write their golden bytes."""
+        from test_golden import ANALYZE_SEED42_METRICS, GOLDEN
+
+        loadtxt = trial_io._loadtxt
+
+        def labels_only(fh, name, *args, **kwargs):
+            if name in _FLOAT_TABLES:
+                raise AssertionError(f"{name} went through np.loadtxt")
+            return loadtxt(fh, name, *args, **kwargs)
+
+        monkeypatch.setattr(trial_io, "_loadtxt", labels_only)
+        trial, run, metrics = tmp_path / "seed42", tmp_path / "run", tmp_path / "metrics.csv"
+        simulate = ["simulate", "--duration", "30", "--noise-sigma", "0.05", "--seed", "42"]
+        assert main([*simulate, "--out", str(trial)]) == 0
+        assert main(["analyze", str(trial), "--out", str(metrics)]) == 0
+        assert _digest(metrics) == ANALYZE_SEED42_METRICS
+        argv = ["run", "--trial", str(trial), "--mode", "foot-sensors", "--out", str(run)]
+        assert main(argv) == 0
+        golden = GOLDEN["seed42-foot-sensors"][3]
+        expected = {name: golden[name] for name in ("events.csv", "labels.csv", "score.txt")}
+        expected["torque.csv"] = TRIAL_SEED42_TORQUE
+        assert {name: _digest(run / name) for name in expected} == expected
+
+    def test_crlf_trial_loads_the_same_arrays(self, saved_trial, tmp_path):
+        _, out = saved_trial
+        crlf = tmp_path / "crlf"
+        shutil.copytree(out, crlf)
+        for path in crlf.glob("*.csv"):
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+
+        def arrays(log) -> dict[str, np.ndarray]:
+            out = {
+                "omega_left": log.omega_left.samples,
+                "omega_right": log.omega_right.samples,
+                "emg": log.emg.raw.samples,
+                "events": np.array([(e.t, e.foot.value, e.kind.value) for e in log.truth.events]),
+            }
+            for foot in Foot:
+                out[f"insole_{foot.value}"] = log.insole[foot]
+                out[f"foot_xy_{foot.value}"] = log.foot_xy[foot]
+                out[f"hip_{foot.value}"] = log.hip_deg[foot].samples
+                out[f"knee_{foot.value}"] = log.knee_deg[foot].samples
+                out[f"phases_{foot.value}"] = log.truth.phases[foot]
+            return out
+
+        lf, other = arrays(load_trial(out)), arrays(load_trial(crlf))
+        assert lf.keys() == other.keys()
+        for name in lf:
+            assert _same_bits(other[name], lf[name]), name
 
 
 class TestEventsCsv:
