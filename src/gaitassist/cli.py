@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 from dataclasses import fields
@@ -106,9 +107,18 @@ def _parse_float(raw: str) -> float:
     return UNLIMITED if raw.lower() in ("unlimited", "inf") else float(raw)
 
 
-def _build_config(cls, settings: dict, **fixed):
+def _build_config(cls, settings: dict):
     """An instance of the dataclass `cls` from its fields in `settings`."""
-    return cls(**{f.name: settings[f.name] for f in fields(cls) if f.name not in fixed}, **fixed)
+    return cls(**{f.name: settings[f.name] for f in fields(cls)})
+
+
+def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
+    """One flag per settings key, named after it without its unit suffix:
+    `duration_s` is `--duration`, `ramp_rate_nm_s` is `--ramp-rate`."""
+    for key, default in defaults.items():
+        flag = re.sub(r"_(hz|m_s|rad_s|nm_s|nm|n|s|samples)$", "", key).replace("_", "-")
+        kind = _parse_float if isinstance(default, float) else type(default)
+        parser.add_argument(f"--{flag}", dest=key, type=kind, help=f"default {_fmt(default)}")
 
 
 _SIM_DEFAULTS = {
@@ -117,20 +127,6 @@ _SIM_DEFAULTS = {
     "emg_rate_hz": ChannelRates.emg_hz,
     **{f.name: f.default for f in fields(GaitParams)},
 }
-
-
-def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--duration", dest="duration_s", type=float, help="trial length, s")
-    parser.add_argument("--cadence", dest="cadence_hz", type=float, help="strides per second")
-    parser.add_argument("--stance-fraction", dest="stance_fraction", type=float)
-    parser.add_argument("--speed", dest="speed_m_s", type=float, help="walking speed, m/s")
-    parser.add_argument("--omega-amp", dest="omega_amp_rad_s", type=float)
-    parser.add_argument("--load-peak", dest="load_peak_n", type=float)
-    parser.add_argument("--emg-level", dest="emg_level", type=float)
-    parser.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-    parser.add_argument("--seed", dest="seed", type=int)
-    parser.add_argument("--control-rate", dest="control_rate_hz", type=float)
-    parser.add_argument("--emg-rate", dest="emg_rate_hz", type=float)
 
 
 def _sim_settings(args: argparse.Namespace, config: dict[str, str]) -> dict:
@@ -162,31 +158,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 _RUN_CONFIGS = (ControllerConfig, FsrDetectorConfig, VelDetectorConfig)
 _RUN_DEFAULTS = {
     "mode": DetectionMode.FOOT_SENSORS.value,
-    # rate_hz is the trial's control rate, not a setting
-    **{f.name: f.default for cls in _RUN_CONFIGS for f in fields(cls) if f.name != "rate_hz"},
+    **{f.name: f.default for cls in _RUN_CONFIGS for f in fields(cls)},
 }
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--mode", choices=[m.value for m in DetectionMode], dest="mode", default=None
-    )
-    parser.add_argument("--k-myo", dest="k_myo_nm", type=float)
-    parser.add_argument("--k-stance", dest="k_stance", type=float)
-    parser.add_argument("--k-swing", dest="k_swing", type=float)
-    parser.add_argument(
-        "--ramp-rate",
-        dest="ramp_rate_nm_s",
-        type=_parse_float,
-        help="N*m per second, or 'unlimited'",
-    )
-    parser.add_argument("--contact-threshold", dest="contact_threshold_n", type=float)
-    parser.add_argument("--release-threshold", dest="release_threshold_n", type=float)
-    parser.add_argument("--min-phase", dest="min_phase_s", type=float)
-    parser.add_argument("--zero-hysteresis", dest="zero_hysteresis_rad_s", type=float)
-    parser.add_argument("--peak-min", dest="peak_min_rad_s", type=float)
-    parser.add_argument("--peak-confirm", dest="peak_confirm_samples", type=int)
-    parser.add_argument("--min-event-gap", dest="min_event_gap_s", type=float)
 
 
 def _write_score(path: Path, result: RunResult) -> None:
@@ -219,7 +192,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         mode = DetectionMode(run_settings["mode"])
     except ValueError:
         modes = ", ".join(m.value for m in DetectionMode)
-        raise InvalidSpecError(f"config key 'mode' must be one of {modes}") from None
+        raise InvalidSpecError(f"setting 'mode' must be one of {modes}") from None
     if (args.trial is None) == (not args.simulate):
         raise InvalidSpecError("choose exactly one input: --trial DIR or --simulate")
 
@@ -232,7 +205,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         sim_settings = None
         input_desc = str(args.trial)
 
-    controller_cfg = _build_config(ControllerConfig, run_settings, rate_hz=log.rates.control_hz)
+    controller_cfg = _build_config(ControllerConfig, run_settings)
     fsr_cfg = _build_config(FsrDetectorConfig, run_settings)
     vel_cfg = _build_config(VelDetectorConfig, run_settings)
 
@@ -378,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate a synthetic trial")
     p_sim.add_argument("--out", required=True, help="output trial directory")
     p_sim.add_argument("--config", default=None, help="key = value settings file")
-    _add_sim_flags(p_sim)
+    _add_flags(p_sim, _SIM_DEFAULTS)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_run = sub.add_parser("run", help="detect gait and command torque over a trial")
@@ -392,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--print-torque", action="store_true", help="also print torque rows to stdout"
     )
-    _add_run_flags(p_run)
-    _add_sim_flags(p_run)
+    _add_flags(p_run, _RUN_DEFAULTS)
+    _add_flags(p_run, _SIM_DEFAULTS)
     p_run.set_defaults(func=cmd_run)
 
     p_an = sub.add_parser("analyze", help="compute outcome metrics for trials")

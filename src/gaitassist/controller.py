@@ -20,21 +20,19 @@ UNLIMITED = math.inf
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Gains and rate for the torque controller.
+    """Gains for the torque controller; it runs at the trial's control rate.
 
     k_myo_nm: torque produced at full muscle activation, N*m.
     k_stance / k_swing: per-leg share of total torque; the swing share may
         never exceed the stance share.
     ramp_rate_nm_s: largest allowed change per second of each leg's command;
         UNLIMITED (the default) disables ramp limiting.
-    rate_hz: control rate.
     """
 
     k_myo_nm: float = 10.0
     k_stance: float = 0.5
     k_swing: float = 0.0
     ramp_rate_nm_s: float = UNLIMITED
-    rate_hz: float = 100.0
 
     def __post_init__(self) -> None:
         if not 0 <= self.k_myo_nm < math.inf:
@@ -43,8 +41,6 @@ class ControllerConfig:
             raise InvalidSpecError("require 0 <= k_swing <= k_stance")
         if not self.ramp_rate_nm_s > 0:
             raise InvalidSpecError("ramp_rate_nm_s must be positive or UNLIMITED")
-        if not self.rate_hz > 0:
-            raise InvalidSpecError("rate_hz must be positive")
 
 
 def distribute(gait: GaitState, tau_exo_nm: float, cfg: ControllerConfig) -> tuple[float, float]:

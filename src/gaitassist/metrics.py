@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gait import EventKind, Foot, GaitEvent, Phase
+from .gait import PHASE_AFTER_EVENT, EventKind, Foot, GaitEvent, Phase
 
 MATCH_WINDOW_S = 0.1
 
@@ -49,37 +49,18 @@ class TrialMetrics:
         )
 
 
-def _window_samples(x, window: tuple[float, float] | None) -> np.ndarray:
-    """Samples of `x`, restricted to a [start, stop) window in seconds.
-
-    `x` may be a TimeSeries or a plain array; a window requires timestamps,
-    so it is only valid with a TimeSeries.
-    """
-    if window is None:
-        return np.asarray(getattr(x, "samples", x), dtype=float)
-    if not hasattr(x, "times"):
-        raise ValueError("a seconds window requires a TimeSeries input")
-    start, stop = window
-    if not stop > start:
-        raise ValueError(f"empty window [{start}, {stop})")
-    t = x.times()
-    return np.asarray(x.samples, dtype=float)[(t >= start) & (t < stop)]
-
-
-def rms(x, window: tuple[float, float] | None = None) -> float:
-    """Root mean square, optionally over a [start, stop) window in seconds."""
-    samples = _window_samples(x, window)
+def rms(samples: np.ndarray) -> float:
+    """Root mean square."""
     if samples.size == 0:
-        raise ValueError("rms of an empty window")
+        raise ValueError("rms of an empty series")
     return float(np.sqrt(np.mean(np.square(samples))))
 
 
-def percentile(x, p: float) -> float:
+def percentile(samples: np.ndarray, p: float) -> float:
     """Percentile with linear interpolation between closest ranks.
 
     p = 100 returns the maximum; p = 50 the median.
     """
-    samples = np.asarray(getattr(x, "samples", x), dtype=float)
     if samples.size == 0:
         raise ValueError("percentile of an empty series")
     if not 0.0 < p <= 100.0:
@@ -209,7 +190,6 @@ def score_detection(
     truth_events: list[GaitEvent],
     truth_phases: dict[Foot, np.ndarray],
     rate_hz: float,
-    t0: float = 0.0,
 ) -> DetectionScore:
     """Score detector output against ground truth on a shared time base.
 
@@ -257,7 +237,7 @@ def score_detection(
         for ev in truth_events:
             if ev.foot is not foot:
                 continue
-            k = int(round((ev.t - t0) * rate_hz))
+            k = int(round(ev.t * rate_hz))
             keep[max(0, k - 1) : k + 2] = False
         if keep.any():
             accuracies.append(float(np.mean(pred[keep] == truth[keep])))
@@ -266,36 +246,23 @@ def score_detection(
 
 
 def phases_from_events(
-    events: list[GaitEvent],
-    n: int,
-    rate_hz: float,
-    t0: float = 0.0,
-    initial: dict[Foot, Phase] | None = None,
+    events: list[GaitEvent], n: int, rate_hz: float, initial: Phase = Phase.STANCE
 ) -> dict[Foot, np.ndarray]:
     """Per-sample phase labels reconstructed from an event sequence.
 
     Before a foot's first event its phase is the one that event ends (a heel
-    strike implies prior swing); a foot with no events keeps `initial` or
-    stance. Returns int8 arrays with 0 = stance, 1 = swing.
+    strike implies prior swing); a foot with no events keeps `initial`.
+    Returns int8 arrays with 0 = stance, 1 = swing.
     """
     phase_code = {Phase.STANCE: 0, Phase.SWING: 1}
     out: dict[Foot, np.ndarray] = {}
     for foot in Foot:
         evs = [ev for ev in events if ev.foot is foot]
-        labels = np.zeros(n, dtype=np.int8)
-        if not evs:
-            start = (initial or {}).get(foot, Phase.STANCE)
-            labels[:] = phase_code[start]
-            out[foot] = labels
-            continue
-        first = evs[0]
-        before = Phase.SWING if first.kind is EventKind.HEEL_STRIKE else Phase.STANCE
-        labels[:] = phase_code[before]
+        start = PHASE_AFTER_EVENT[evs[0].kind].other() if evs else initial
+        labels = np.full(n, phase_code[start], dtype=np.int8)
         for ev in evs:
-            k = int(round((ev.t - t0) * rate_hz))
-            if k >= n:
-                continue
-            phase = Phase.STANCE if ev.kind is EventKind.HEEL_STRIKE else Phase.SWING
-            labels[max(0, k):] = phase_code[phase]
+            k = int(round(ev.t * rate_hz))
+            if k < n:
+                labels[max(0, k):] = phase_code[PHASE_AFTER_EVENT[ev.kind]]
         out[foot] = labels
     return out

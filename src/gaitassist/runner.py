@@ -13,9 +13,10 @@ from enum import Enum
 
 import numpy as np
 
+from . import gait_fsr, gait_vel
 from .controller import UNLIMITED, ControllerConfig, _toward, distribute
 from .errors import InvalidSpecError
-from .gait import BLOCK_TICKS, Foot, GaitEvent, Phase
+from .gait import BLOCK_TICKS, Foot, GaitEvent
 from .gait_fsr import FsrDetectorConfig, check_forces, detect_fsr
 from .gait_vel import VelDetectorConfig, detect_vel
 from .metrics import DetectionScore, phases_from_events, score_detection
@@ -78,11 +79,6 @@ def run_trial(
     controller_cfg = controller_cfg or ControllerConfig()
     fsr_cfg = fsr_cfg or FsrDetectorConfig()
     vel_cfg = vel_cfg or VelDetectorConfig()
-    if controller_cfg.rate_hz != log.rates.control_hz:
-        raise InvalidSpecError(
-            f"controller rate {controller_cfg.rate_hz} Hz does not match trial "
-            f"control rate {log.rates.control_hz} Hz"
-        )
 
     check_channels(log)
     env = control_envelope(log)
@@ -93,21 +89,18 @@ def run_trial(
     t = log.times()
     if mode is DetectionMode.FOOT_SENSORS:
         events, causal = detect_fsr(log.insole, t, fsr_cfg)
-        initial_phase = Phase.SWING
+        initial_phase = gait_fsr.INITIAL_STATE[0]
     else:
         for foot in Foot:
             check_forces(np.asarray(log.insole[foot], dtype=float))
         events, causal = detect_vel(log.omega_left.samples, log.omega_right.samples, t, vel_cfg)
-        initial_phase = Phase.STANCE
+        initial_phase = gait_vel.INITIAL_STATE[0]
     state_codes = gait_state_codes(causal)
-    tau_left, tau_right, tau_exo = command_torque(state_codes, emg_norm, controller_cfg)
-
-    event_phases = phases_from_events(
-        events,
-        n,
-        log.rates.control_hz,
-        initial={foot: initial_phase for foot in Foot},
+    tau_left, tau_right, tau_exo = command_torque(
+        state_codes, emg_norm, controller_cfg, log.rates.control_hz
     )
+
+    event_phases = phases_from_events(events, n, log.rates.control_hz, initial_phase)
 
     score = None
     if log.truth is not None:
@@ -135,7 +128,7 @@ def run_trial(
 
 
 def command_torque(
-    state_codes: np.ndarray, emg_norm: np.ndarray, cfg: ControllerConfig
+    state_codes: np.ndarray, emg_norm: np.ndarray, cfg: ControllerConfig, rate_hz: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-tick (left, right, total) torque for a whole trial.
 
@@ -146,7 +139,8 @@ def command_torque(
     Args:
         state_codes: per-tick gait state, as an index into STATE_BY_CODE.
         emg_norm: per-tick normalized activation; ValueError outside [0, 1].
-        cfg: controller gains, ramp limit and rate.
+        cfg: controller gains and ramp limit.
+        rate_hz: the trial's control rate.
     """
     outside = ~((emg_norm >= 0.0) & (emg_norm <= 1.0))
     if outside.any():
@@ -156,7 +150,7 @@ def command_torque(
     tau_left = gains[state_codes, 0] * tau_exo
     tau_right = gains[state_codes, 1] * tau_exo
     if cfg.ramp_rate_nm_s != UNLIMITED:
-        max_step = cfg.ramp_rate_nm_s / cfg.rate_hz
+        max_step = cfg.ramp_rate_nm_s / rate_hz
         _ramp(tau_left, 0.0, max_step)
         _ramp(tau_right, 0.0, max_step)
     return tau_left, tau_right, tau_exo

@@ -31,11 +31,10 @@ _FILTER_KINDS = ("low-pass", "high-pass", "band-pass")
 
 @dataclass(eq=False)
 class TimeSeries:
-    """Uniformly sampled signal: sample k sits at t0 + k / rate_hz."""
+    """Uniformly sampled signal: sample k sits at k / rate_hz."""
 
     samples: np.ndarray
     rate_hz: float
-    t0: float = 0.0
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=float)
@@ -47,15 +46,11 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.rate_hz
-
     def times(self) -> np.ndarray:
-        return self.t0 + np.arange(len(self.samples)) / self.rate_hz
+        return np.arange(len(self.samples)) / self.rate_hz
 
     def with_samples(self, samples: np.ndarray) -> TimeSeries:
-        return TimeSeries(samples, self.rate_hz, self.t0)
+        return TimeSeries(samples, self.rate_hz)
 
 
 @dataclass(frozen=True)
@@ -271,8 +266,7 @@ def filter_causal(coeffs: FilterCoefficients, x: TimeSeries) -> TimeSeries:
     truncated series reproduces a prefix of the full output exactly.
     """
     _check_rate(coeffs, x)
-    zi = np.zeros((coeffs.n_sections, 2))
-    return x.with_samples(_run_sections(coeffs.sos, x.samples, zi))
+    return x.with_samples(CausalFilter(coeffs).process(x.samples))
 
 
 def _min_zero_phase_len(coeffs: FilterCoefficients) -> int:
@@ -316,30 +310,12 @@ def filter_zero_phase(coeffs: FilterCoefficients, x: TimeSeries) -> TimeSeries:
     return x.with_samples(y[::-1][edge:-edge])
 
 
-def rectify(x: TimeSeries) -> TimeSeries:
-    """Full-wave rectification."""
-    return x.with_samples(np.abs(x.samples))
-
-
-def remove_ecg(x: TimeSeries, zero_phase: bool = False) -> TimeSeries:
-    """Suppress cardiac contamination with a 30 Hz high-pass.
-
-    Crosstalk from the heart is narrow-band and low-frequency compared with
-    the muscle signal, so a fixed high-pass removes it while passing the
-    useful band nearly untouched.
-    """
-    spec = FilterSpec("high-pass", DEFAULT_FILTER_ORDER, (ECG_HIGHPASS_HZ,), x.rate_hz)
-    coeffs = design_filter(spec)
-    return filter_zero_phase(coeffs, x) if zero_phase else filter_causal(coeffs, x)
-
-
 @dataclass(eq=False)
 class EmgChannel:
     """Raw surface EMG (mV) plus its maximum-voluntary-contraction scale."""
 
     raw: TimeSeries
     mvc: float
-    label: str = "emg"
 
     def __post_init__(self) -> None:
         if not self.mvc > 0:
@@ -349,8 +325,11 @@ class EmgChannel:
 def emg_envelope(ch: EmgChannel, zero_phase: bool = False) -> TimeSeries:
     """Normalized muscle activation envelope in [0, 1].
 
-    Pipeline: band-pass 10-400 Hz, cardiac-artifact high-pass, full-wave
-    rectification, 2.5 Hz low-pass, division by MVC, clipping to [0, 1].
+    Pipeline: band-pass 10-400 Hz, 30 Hz high-pass, full-wave rectification,
+    2.5 Hz low-pass, division by MVC, clipping to [0, 1]. Crosstalk from the
+    heart is narrow-band and low-frequency compared with the muscle signal,
+    so the fixed high-pass removes it while passing the useful band nearly
+    untouched.
 
     Args:
         ch: raw EMG channel, sampled at >= 800 Hz.
@@ -364,13 +343,13 @@ def emg_envelope(ch: EmgChannel, zero_phase: bool = False) -> TimeSeries:
             f"needs at least {MIN_EMG_RATE_HZ} Hz"
         )
     band = design_filter(FilterSpec("band-pass", DEFAULT_FILTER_ORDER, EMG_BAND_HZ, rate))
+    ecg = design_filter(FilterSpec("high-pass", DEFAULT_FILTER_ORDER, (ECG_HIGHPASS_HZ,), rate))
     smooth = design_filter(
         FilterSpec("low-pass", DEFAULT_FILTER_ORDER, (ENVELOPE_LOWPASS_HZ,), rate)
     )
     apply = filter_zero_phase if zero_phase else filter_causal
-    y = apply(band, ch.raw)
-    y = remove_ecg(y, zero_phase=zero_phase)
-    y = rectify(y)
+    y = apply(ecg, apply(band, ch.raw))
+    y = y.with_samples(np.abs(y.samples))  # rebinding frees the unrectified copy
     y = apply(smooth, y)
     return y.with_samples(np.clip(y.samples / ch.mvc, 0.0, 1.0))
 
@@ -383,4 +362,4 @@ def decimate_to(x: TimeSeries, rate_hz: float) -> TimeSeries:
         raise InvalidSpecError(
             f"cannot decimate {x.rate_hz} Hz to {rate_hz} Hz by an integer factor"
         )
-    return TimeSeries(x.samples[::k].copy(), rate_hz, x.t0)
+    return TimeSeries(x.samples[::k].copy(), rate_hz)

@@ -130,8 +130,6 @@ class HipVelocityWaveform:
 
     def __init__(self, stance_fraction: float):
         sf = float(stance_fraction)
-        self.peak_phi = sf
-        self.up_crossing_phi = 0.5
         self.down_crossing_phi = sf + 0.65 * (1.0 - sf)
         trough = 0.5 * (self.down_crossing_phi + 1.5)
         knots = np.array([0.5, sf, self.down_crossing_phi, trough, 1.5])
@@ -160,13 +158,13 @@ class HipVelocityWaveform:
         s = np.sin(2.0 * np.pi * self._warp(wrapped))
         return (0.8 + 0.2 * s) * s
 
-    def cycle_integral_table(self, n: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (phi, detrended integral) table over one cycle.
+    def cycle_integral_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (phi, detrended integral) table over one cycle, 4,096 points.
 
         The integral of the waveform minus its secular ramp; periodic, so it
         serves as the unit hip angle trajectory.
         """
-        phi = np.linspace(0.0, 1.0, n)
+        phi = np.linspace(0.0, 1.0, 4096)
         y = self.unit(phi)
         # cumulative trapezoid, as scipy's cumulative_trapezoid(initial=0)
         integral = np.concatenate(([0.0], np.cumsum(np.diff(phi) * (y[1:] + y[:-1]) / 2.0)))
@@ -179,11 +177,6 @@ class TrialTruth:
 
     phases: dict[Foot, np.ndarray]  # int8; 0 = stance, 1 = swing
     events: list[GaitEvent]
-
-    @property
-    def state_codes(self) -> np.ndarray:
-        """Two-leg state per sample, coded by index into STATE_BY_CODE."""
-        return gait_state_codes(self.phases)
 
 
 @dataclass(eq=False)
@@ -292,6 +285,10 @@ def generate(
             f"{params.cadence_hz} strides/s"
         )
     n = int(round(duration_s * rates.control_hz))
+    if n < 1:
+        raise InvalidSpecError(
+            f"duration {duration_s} s holds no control tick at {rates.control_hz} Hz"
+        )
     n_emg = int(round(duration_s * rates.emg_hz))
     t = np.arange(n) / rates.control_hz
     rng = np.random.default_rng(params.seed)
@@ -366,7 +363,7 @@ def generate(
         omega_left=TimeSeries(omega[Foot.LEFT], control),
         omega_right=TimeSeries(omega[Foot.RIGHT], control),
         insole=insole,
-        emg=EmgChannel(TimeSeries(emg_raw, rates.emg_hz), mvc=DEFAULT_MVC_MV, label="forearm"),
+        emg=EmgChannel(TimeSeries(emg_raw, rates.emg_hz), mvc=DEFAULT_MVC_MV),
         foot_xy=foot_xy,
         hip_deg={foot: TimeSeries(hip[foot], control) for foot in Foot},
         knee_deg={foot: TimeSeries(knee[foot], control) for foot in Foot},

@@ -521,6 +521,8 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
             emg_hz=float(manifest["emg_rate_hz"]),
         )
         n = int(manifest["n_ticks"])
+        if n < 1:
+            raise ValueError(f"n_ticks must be positive, got {n}")
         mvc = float(manifest["mvc_mv"])
         if not 0 < mvc < math.inf:
             raise ValueError(f"mvc_mv must be positive and finite, got {mvc}")
@@ -565,7 +567,7 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
         omega_left=TimeSeries(omega[:, 1], control),
         omega_right=TimeSeries(omega[:, 2], control),
         insole=insole,
-        emg=EmgChannel(TimeSeries(emg[:, 1], rates.emg_hz), mvc=mvc, label="forearm"),
+        emg=EmgChannel(TimeSeries(emg[:, 1], rates.emg_hz), mvc=mvc),
         foot_xy={Foot.LEFT: kin[:, 1:3], Foot.RIGHT: kin[:, 3:5]},
         hip_deg={
             Foot.LEFT: TimeSeries(kin[:, 5], control),

@@ -37,7 +37,7 @@ from gaitassist.signals import (
     emg_envelope,
     filter_causal,
 )
-from gaitassist.simgait import STATE_BY_CODE, GaitParams, generate
+from gaitassist.simgait import STATE_BY_CODE, GaitParams, gait_state_codes, generate
 
 GAUSS_RECTIFIED_MEAN = math.sqrt(2.0 / math.pi)
 
@@ -85,7 +85,7 @@ def test_criterion_1_torque_law_exactness():
         k_myo = float(rng.uniform(0.0, 40.0))
         cfg = dataclasses.replace(base, k_myo_nm=k_myo)
         code = np.array([STATE_BY_CODE.index(gait)], dtype=np.int8)
-        left, right, _ = command_torque(code, np.array([emg]), cfg)
+        left, right, _ = command_torque(code, np.array([emg]), cfg, 100.0)
         tau_left, tau_right = float(left[0]), float(right[0])
         gain_l, gain_r = gains[gait]
         worst = max(
@@ -107,8 +107,10 @@ def test_criterion_1_torque_law_exactness():
 
 def test_criterion_2_double_stance_split(clean_trial):
     emg_norm = control_envelope(clean_trial).samples[: clean_trial.n_ticks]
-    codes = clean_trial.truth.state_codes
-    tau_left, tau_right, tau_exo = command_torque(codes, emg_norm, ControllerConfig())
+    codes = gait_state_codes(clean_trial.truth.phases)
+    tau_left, tau_right, tau_exo = command_torque(
+        codes, emg_norm, ControllerConfig(), clean_trial.rates.control_hz
+    )
     double = np.array([STATE_BY_CODE[code] is GaitState.DOUBLE_STANCE for code in codes])
     n_checked = int(double.sum())
     half = 0.5 * tau_exo[double]

@@ -1,6 +1,7 @@
 """Command-line interface tests: subcommands, exit codes, artifacts."""
 from __future__ import annotations
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import gaitassist
-from gaitassist.cli import main
+from gaitassist.cli import _RUN_DEFAULTS, _SIM_DEFAULTS, build_parser, main
 from gaitassist.errors import DataFormatError
 from gaitassist.trial_io import load_trial, read_manifest
 
@@ -98,6 +99,21 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and "finite" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["simulate"], ["run", "--simulate"]])
+    def test_trial_without_a_control_tick_is_one_line_usage_error(
+        self, tmp_path, capsys, command
+    ):
+        out = tmp_path / "x"
+        capsys.readouterr()
+        code = run_cli(
+            *command, "--out", str(out), "--duration", "10", "--control-rate", "0.01"
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "gaitassist: error: duration 10.0 s holds no control tick at 0.01 Hz\n"
+        )
         assert not out.exists()
 
 
@@ -213,6 +229,29 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and "manifest.txt" in err[0]
+
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    @pytest.mark.parametrize("n_ticks", ["-5", "0"])
+    def test_non_positive_n_ticks_is_one_line_data_error(
+        self, trial_dir, tmp_path, capsys, command, n_ticks
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(trial_dir, broken)
+        manifest = broken / "manifest.txt"
+        text = manifest.read_text()
+        assert "n_ticks = 1000\n" in text
+        manifest.write_text(text.replace("n_ticks = 1000\n", f"n_ticks = {n_ticks}\n"))
+        capsys.readouterr()
+        if command == "run":
+            code = run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o"))
+            prefix = "gaitassist: data error: "
+        else:
+            code = run_cli("analyze", str(broken))
+            prefix = f"analyze: {broken}: "
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"{prefix}manifest.txt: n_ticks must be positive, got {n_ticks}\n"
+        )
 
     @pytest.mark.parametrize(
         "mutation",
@@ -397,6 +436,64 @@ def test_unparsable_config_value_is_one_line_usage_error(
     assert code == 1
     key = line.split(" = ")[0]
     assert len(err) == 1 and repr(key) in err[0]
+
+
+def _flags(command: str) -> dict[str, list[str]]:
+    """Option strings of one subcommand, by the settings key they set."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags: dict[str, list[str]] = {}
+    for action in sub.choices[command]._actions:
+        flags.setdefault(action.dest, []).extend(action.option_strings)
+    return flags
+
+
+class TestFlags:
+    SIM_FLAGS = {
+        "--cadence", "--control-rate", "--duration", "--emg-level", "--emg-rate",
+        "--load-peak", "--noise-sigma", "--omega-amp", "--seed", "--speed",
+        "--stance-fraction",
+    }
+    RUN_FLAGS = {
+        "--contact-threshold", "--k-myo", "--k-stance", "--k-swing", "--min-event-gap",
+        "--min-phase", "--mode", "--peak-confirm", "--peak-min", "--ramp-rate",
+        "--release-threshold", "--zero-hysteresis",
+    }
+    COMMON = {"-h", "--help", "--out", "--config"}
+
+    def test_simulate_and_run_keep_their_flag_strings(self):
+        simulate = {flag for flags in _flags("simulate").values() for flag in flags}
+        run = {flag for flags in _flags("run").values() for flag in flags}
+        assert simulate == self.COMMON | self.SIM_FLAGS
+        assert run == self.COMMON | self.SIM_FLAGS | self.RUN_FLAGS | {
+            "--trial", "--simulate", "--realtime", "--print-torque"
+        }
+
+    @pytest.mark.parametrize(
+        "command, defaults",
+        [("simulate", [_SIM_DEFAULTS]), ("run", [_RUN_DEFAULTS, _SIM_DEFAULTS])],
+    )
+    def test_every_settings_key_has_exactly_one_flag(self, command, defaults):
+        flags = _flags(command)
+        for keys in defaults:
+            for key in keys:
+                assert len(flags.get(key, [])) == 1, key
+
+    def test_unlimited_gain_flag_is_one_line_usage_error_like_config(
+        self, trial_dir, tmp_path, capsys
+    ):
+        cfg = tmp_path / "unlimited.cfg"
+        cfg.write_text("k_myo_nm = unlimited\n")
+        errs = []
+        for extra in (["--k-myo", "unlimited"], ["--config", str(cfg)]):
+            capsys.readouterr()
+            code = run_cli("run", "--trial", str(trial_dir), "--out", str(tmp_path / "o"), *extra)
+            assert code == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == (
+            "gaitassist: error: k_myo_nm must be finite and non-negative\n"
+        )
+        assert not (tmp_path / "o").exists()
 
 
 class TestAnalyze:

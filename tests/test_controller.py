@@ -12,7 +12,7 @@ from gaitassist.controller import UNLIMITED, ControllerConfig, distribute
 from gaitassist.errors import InvalidSpecError
 from gaitassist.gait import GaitState
 from gaitassist.runner import command_torque
-from gaitassist.simgait import STATE_BY_CODE
+from gaitassist.simgait import STATE_BY_CODE, ChannelRates
 
 STATES = list(GaitState)
 
@@ -31,7 +31,7 @@ def leg_gains(gait: GaitState, cfg: ControllerConfig) -> tuple[float, float]:
 def torque(states, emg, cfg: ControllerConfig):
     """(left, right, total) torque per tick for the given gait states and activations."""
     codes = np.array([STATE_BY_CODE.index(state) for state in states], dtype=np.int8)
-    return command_torque(codes, np.asarray(emg, dtype=float), cfg)
+    return command_torque(codes, np.asarray(emg, dtype=float), cfg, 100.0)
 
 
 class TestTotalTorque:
@@ -89,14 +89,14 @@ class TestDistribute:
 class TestSlewLimit:
     def test_step_clamped_to_ramp_per_tick(self):
         # a 5 N*m target from rest moves 0.5 N*m per tick, and back down the same
-        cfg = ControllerConfig(ramp_rate_nm_s=50.0, rate_hz=100.0)
+        cfg = ControllerConfig(ramp_rate_nm_s=50.0)
         left, right, _ = torque([GaitState.DOUBLE_STANCE] * 12, [1.0] * 11 + [0.0], cfg)
         assert left[0] == 0.5 and right[0] == 0.5
         assert left[9] == right[9] == 5.0
         assert left[11] == right[11] == 4.5
 
     def test_target_within_step_passes_exactly(self):
-        cfg = ControllerConfig(k_stance=0.5, k_swing=0.4, ramp_rate_nm_s=50.0, rate_hz=100.0)
+        cfg = ControllerConfig(k_stance=0.5, k_swing=0.4, ramp_rate_nm_s=50.0)
         states = [GaitState.DOUBLE_STANCE] * 2 + [GaitState.LEFT_STANCE_RIGHT_SWING]
         emg = [0.2, 0.2, 0.24]
         left, right, total = torque(states, emg, cfg)
@@ -124,7 +124,7 @@ class TestSlewLimit:
         ramp=st.floats(min_value=0.1, max_value=500.0),
     )
     def test_never_exceeds_per_tick_budget(self, ticks, k_myo, ramp):
-        cfg = ControllerConfig(k_myo_nm=k_myo, ramp_rate_nm_s=ramp, rate_hz=100.0)
+        cfg = ControllerConfig(k_myo_nm=k_myo, ramp_rate_nm_s=ramp)
         states = [state for state, _ in ticks]
         emg = [level for _, level in ticks]
         left, right, total = torque(states, emg, cfg)
@@ -153,8 +153,8 @@ class TestControllerTick:
         cfg = ControllerConfig(ramp_rate_nm_s=30.0)
         codes = np.array([0, 1, 2, 3, 0], dtype=np.int8)
         emg = np.array([0.5, 0.7, 0.1, 0.9, 0.5])
-        a = command_torque(codes, emg, cfg)
-        b = command_torque(codes, emg, cfg)
+        a = command_torque(codes, emg, cfg, 100.0)
+        b = command_torque(codes, emg, cfg, 100.0)
         assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
         assert codes.tolist() == [0, 1, 2, 3, 0] and emg.tolist() == [0.5, 0.7, 0.1, 0.9, 0.5]
 
@@ -206,5 +206,7 @@ class TestConfigValidation:
             ControllerConfig(ramp_rate_nm_s=-5.0)
 
     def test_non_positive_rate_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            ControllerConfig(rate_hz=0.0)
+        # the controller runs at the trial's control rate, which ChannelRates checks
+        for rate in (0.0, -100.0):
+            with pytest.raises(InvalidSpecError):
+                ChannelRates(control_hz=rate)

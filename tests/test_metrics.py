@@ -18,7 +18,6 @@ from gaitassist.metrics import (
     score_detection,
     stride_length,
 )
-from gaitassist.signals import TimeSeries
 
 HS = EventKind.HEEL_STRIKE
 TO = EventKind.TOE_OFF
@@ -54,22 +53,6 @@ class TestRms:
             x = rng.standard_normal(rng.integers(1, 200)) * rng.uniform(0.01, 100)
             expected = brute_rms(x.tolist())
             assert rms(x) == pytest.approx(expected, rel=1e-12)
-
-    def test_window_in_seconds(self):
-        x = TimeSeries(np.arange(20, dtype=float), 10.0)
-        # [0.5, 1.5) covers samples 5..14
-        assert rms(x, window=(0.5, 1.5)) == pytest.approx(brute_rms(range(5, 15)))
-
-    def test_empty_window_rejected(self):
-        x = TimeSeries(np.arange(20, dtype=float), 10.0)
-        with pytest.raises(ValueError):
-            rms(x, window=(1.0, 1.0))
-        with pytest.raises(ValueError):
-            rms(x, window=(5.0, 6.0))
-
-    def test_window_requires_timestamps(self):
-        with pytest.raises(ValueError):
-            rms(np.arange(20, dtype=float), window=(0.0, 1.0))
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
@@ -284,30 +267,6 @@ class TestScoreDetection:
                 assert s.matched + s.missed == truth_count
             assert 0.0 <= score.phase_accuracy <= 1.0
 
-    def test_translation_symmetry(self):
-        truth = make_truth()
-        pred = [GaitEvent(ev.t + 0.015, ev.foot, ev.kind) for ev in truth]
-        n = 1200
-        base = score_detection(
-            pred, self._labels(pred, n), truth, self._labels(truth, n), self.RATE
-        )
-        delta = 5.0
-        truth_s = [GaitEvent(ev.t + delta, ev.foot, ev.kind) for ev in truth]
-        pred_s = [GaitEvent(ev.t + delta, ev.foot, ev.kind) for ev in pred]
-        shifted = score_detection(
-            pred_s,
-            phases_from_events(pred_s, n, self.RATE, t0=delta),
-            truth_s,
-            phases_from_events(truth_s, n, self.RATE, t0=delta),
-            self.RATE,
-            t0=delta,
-        )
-        assert shifted.phase_accuracy == base.phase_accuracy
-        for kind in base.by_kind:
-            b, s = base.by_kind[kind], shifted.by_kind[kind]
-            assert (s.matched, s.missed, s.spurious) == (b.matched, b.missed, b.spurious)
-            assert s.timing_mae_s == pytest.approx(b.timing_mae_s, abs=1e-9)
-
     def test_mismatched_label_lengths_rejected(self):
         truth = make_truth()
         with pytest.raises(ValueError):
@@ -338,7 +297,6 @@ class TestPhasesFromEvents:
         assert np.all(right[20:] == 0)
 
     def test_footless_stream_keeps_initial_phase(self):
-        labels = phases_from_events(
-            [_hs(0.1, Foot.LEFT)], 10, 100.0, initial={Foot.RIGHT: Phase.SWING}
-        )
+        labels = phases_from_events([_hs(0.1, Foot.LEFT)], 10, 100.0, initial=Phase.SWING)
         assert np.all(labels[Foot.RIGHT] == 1)
+        assert np.all(phases_from_events([], 10, 100.0)[Foot.RIGHT] == 0)  # stance by default

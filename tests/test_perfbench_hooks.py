@@ -55,3 +55,22 @@ def test_traced_runs_equal_untraced_and_every_name_is_restored(perfbench):
         after = vars(module)
         changed = [name for name, value in names.items() if after.get(name) is not value]
         assert changed == [], f"{module.__name__} not restored: {changed}"
+
+
+def test_cli_session_reaches_every_traced_layer(perfbench, tmp_path):
+    """Every name the tracer patches must still be called through that name,
+    or its per-layer metric would silently read 0. The four per-tick names
+    are the exception: they are bound to None and nothing calls them."""
+    _, spans = perfbench
+    trial = str(tmp_path / "trial")
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        assert cli.main(["simulate", "--out", trial, "--duration", "10", "--seed", "3"]) == 0
+        for mode in runner.DetectionMode:
+            out = str(tmp_path / mode.value)
+            assert cli.main(["run", "--trial", trial, "--mode", mode.value, "--out", out]) == 0
+        assert cli.main(["analyze", trial, "--out", str(tmp_path / "metrics.csv")]) == 0
+
+    recorded = {name for tb in tracer.tables() for name in tb.names if tb.mask(name).any()}
+    assert set(tracer.names) - set(spans._PER_TICK) - recorded == set()
+    assert tracer.counts().get(spans.DESIGN_FILTER, 0) >= 1

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from gaitassist.controller import ControllerConfig
-from gaitassist.errors import InvalidSpecError
 from gaitassist.gait import EventKind, Foot, check_event_stream
 from gaitassist.runner import DetectionMode, control_envelope, run_trial
-from gaitassist.simgait import STATE_BY_CODE
+from gaitassist.simgait import STATE_BY_CODE, ChannelRates, GaitParams, generate
 
 
 @pytest.fixture(scope="module", params=list(DetectionMode), ids=lambda m: m.value)
@@ -50,10 +49,14 @@ class TestCleanTrialRuns:
 
 
 class TestRunnerContracts:
-    def test_controller_rate_must_match_trial(self, clean_trial):
-        bad = ControllerConfig(rate_hz=200.0)
-        with pytest.raises(InvalidSpecError):
-            run_trial(clean_trial, DetectionMode.FOOT_SENSORS, controller_cfg=bad)
+    def test_controller_rate_must_match_trial(self):
+        # the ramp limit is per second: at 200 Hz a tick moves at most half
+        # as far as at 100 Hz, and the rising edge from rest takes full steps
+        log = generate(GaitParams(seed=5), 10.0, ChannelRates(control_hz=200.0))
+        cfg = ControllerConfig(ramp_rate_nm_s=50.0)
+        result = run_trial(log, DetectionMode.FOOT_SENSORS, controller_cfg=cfg)
+        steps = np.abs(np.diff(result.tau_left, prepend=0.0))
+        assert steps.max() == pytest.approx(50.0 / 200.0, rel=1e-12)
 
     def test_zero_gain_commands_zero_torque(self, clean_trial):
         result = run_trial(

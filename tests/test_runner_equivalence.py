@@ -76,7 +76,7 @@ def reference_run(log, mode, controller_cfg, fsr_cfg, vel_cfg):
     else:
         stance = (Phase.STANCE, -math.inf, -math.inf, math.nan, 0, 0, math.nan)
         legs = {foot: stance for foot in Foot}
-    max_step = controller_cfg.ramp_rate_nm_s / controller_cfg.rate_hz
+    max_step = controller_cfg.ramp_rate_nm_s / log.rates.control_hz
     previous = (0.0, 0.0)
     events, codes, tau_left, tau_right, tau_exo = [], [], [], [], []
     for k in range(log.n_ticks):
@@ -159,7 +159,6 @@ def prefix(log: TrialLog, k: int) -> TrialLog:
         emg=EmgChannel(
             log.emg.raw.with_samples(log.emg.raw.samples[: k * samples_per_tick]),
             mvc=log.emg.mvc,
-            label=log.emg.label,
         ),
         foot_xy={foot: log.foot_xy[foot][:k] for foot in Foot},
         hip_deg={foot: cut(log.hip_deg[foot]) for foot in Foot},

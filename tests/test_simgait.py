@@ -13,6 +13,7 @@ from gaitassist.simgait import (
     GaitParams,
     ChannelRates,
     HipVelocityWaveform,
+    gait_state_codes,
     generate,
 )
 
@@ -81,7 +82,7 @@ class TestTruthConsistency:
 
     def test_double_stance_fraction_matches_geometry(self, clean_trial):
         sf = clean_trial.params.stance_fraction
-        codes = clean_trial.truth.state_codes
+        codes = gait_state_codes(clean_trial.truth.phases)
         double_stance = np.mean(codes == 0)
         assert double_stance == pytest.approx(2.0 * (sf - 0.5), abs=0.01)
         # with stance fraction above one half the legs always overlap
