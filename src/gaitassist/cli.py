@@ -114,19 +114,33 @@ def _build_config(cls, settings: dict):
 
 def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
     """One flag per settings key, named after it without its unit suffix:
-    `duration_s` is `--duration`, `ramp_rate_nm_s` is `--ramp-rate`."""
+    `duration_s` is `--duration`, `ramp_rate_nm_s` is `--ramp-rate`. Its help
+    shows the default and the range that the key's field declares."""
     for key, default in defaults.items():
         flag = re.sub(r"_(hz|m_s|rad_s|nm_s|nm|n|s|samples)$", "", key).replace("_", "-")
         kind = _parse_float if isinstance(default, float) else type(default)
-        parser.add_argument(f"--{flag}", dest=key, type=kind, help=f"default {_fmt(default)}")
+        shown = f"default {_fmt(default)}"
+        if key in _FIELDS:
+            shown += f", range {_FIELDS[key].metadata['range']}"
+        elif key == "mode":
+            shown += f", one of {_MODES}"
+        parser.add_argument(f"--{flag}", dest=key, type=kind, help=shown)
 
 
+_RATES = dict(zip(("control_rate_hz", "emg_rate_hz"), fields(ChannelRates)))
 _SIM_DEFAULTS = {
     "duration_s": 60.0,
-    "control_rate_hz": ChannelRates.control_hz,
-    "emg_rate_hz": ChannelRates.emg_hz,
+    **{key: f.default for key, f in _RATES.items()},
     **{f.name: f.default for f in fields(GaitParams)},
 }
+_RUN_CONFIGS = (ControllerConfig, FsrDetectorConfig, VelDetectorConfig)
+_RUN_DEFAULTS = {
+    "mode": DetectionMode.FOOT_SENSORS.value,
+    **{f.name: f.default for cls in _RUN_CONFIGS for f in fields(cls)},
+}
+_MODES = ", ".join(m.value for m in DetectionMode)
+# the field that declares the range of each settings key but duration_s and mode
+_FIELDS = {**_RATES, **{f.name: f for cls in (GaitParams, *_RUN_CONFIGS) for f in fields(cls)}}
 
 
 def _sim_settings(args: argparse.Namespace, config: dict[str, str]) -> dict:
@@ -136,9 +150,7 @@ def _sim_settings(args: argparse.Namespace, config: dict[str, str]) -> dict:
 
 def _build_trial(settings: dict) -> TrialLog:
     params = _build_config(GaitParams, settings)
-    rates = ChannelRates(
-        control_hz=settings["control_rate_hz"], emg_hz=settings["emg_rate_hz"]
-    )
+    rates = ChannelRates(*(settings[key] for key in _RATES))
     return generate(params, settings["duration_s"], rates)
 
 
@@ -153,13 +165,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         f"{log.rates.control_hz:g} Hz, seed {log.params.seed}"
     )
     return 0
-
-
-_RUN_CONFIGS = (ControllerConfig, FsrDetectorConfig, VelDetectorConfig)
-_RUN_DEFAULTS = {
-    "mode": DetectionMode.FOOT_SENSORS.value,
-    **{f.name: f.default for cls in _RUN_CONFIGS for f in fields(cls)},
-}
 
 
 def _write_score(path: Path, result: RunResult) -> None:
@@ -191,8 +196,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         mode = DetectionMode(run_settings["mode"])
     except ValueError:
-        modes = ", ".join(m.value for m in DetectionMode)
-        raise InvalidSpecError(f"setting 'mode' must be one of {modes}") from None
+        raise InvalidSpecError(f"setting 'mode' must be one of {_MODES}") from None
+    controller_cfg, fsr_cfg, vel_cfg = (_build_config(c, run_settings) for c in _RUN_CONFIGS)
     if (args.trial is None) == (not args.simulate):
         raise InvalidSpecError("choose exactly one input: --trial DIR or --simulate")
 
@@ -204,10 +209,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         log = load_trial(args.trial)
         sim_settings = None
         input_desc = str(args.trial)
-
-    controller_cfg = _build_config(ControllerConfig, run_settings)
-    fsr_cfg = _build_config(FsrDetectorConfig, run_settings)
-    vel_cfg = _build_config(VelDetectorConfig, run_settings)
 
     start = time.monotonic()
     result = run_trial(log, mode, controller_cfg, fsr_cfg, vel_cfg)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, check_ranges, ranged
 from .gait import GaitState
 
 UNLIMITED = math.inf
@@ -29,18 +29,15 @@ class ControllerConfig:
         UNLIMITED (the default) disables ramp limiting.
     """
 
-    k_myo_nm: float = 10.0
-    k_stance: float = 0.5
-    k_swing: float = 0.0
-    ramp_rate_nm_s: float = UNLIMITED
+    k_myo_nm: float = ranged(10.0, "[0, inf)")
+    k_stance: float = ranged(0.5, "[0, inf)")
+    k_swing: float = ranged(0.0, "[0, inf)")
+    ramp_rate_nm_s: float = ranged(UNLIMITED, "(0, inf]")
 
     def __post_init__(self) -> None:
-        if not 0 <= self.k_myo_nm < math.inf:
-            raise InvalidSpecError("k_myo_nm must be finite and non-negative")
-        if not 0 <= self.k_swing <= self.k_stance:
-            raise InvalidSpecError("require 0 <= k_swing <= k_stance")
-        if not self.ramp_rate_nm_s > 0:
-            raise InvalidSpecError("ramp_rate_nm_s must be positive or UNLIMITED")
+        check_ranges(self)
+        if not self.k_swing <= self.k_stance:
+            raise InvalidSpecError("k_swing must not exceed k_stance")
 
 
 def distribute(gait: GaitState, tau_exo_nm: float, cfg: ControllerConfig) -> tuple[float, float]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, check_ranges, ranged
 from .gait import EventKind, Foot, GaitEvent, Phase, merge_legs, scan_leg
 
 FRONT_SENSORS = slice(0, 4)
@@ -41,23 +41,17 @@ class FsrDetectorConfig:
     contact_threshold_n: total force above which a swinging foot is in contact.
     release_threshold_n: per-cluster force below which a stance foot has left
         the ground; must sit below the contact threshold (hysteresis).
-    min_phase_s: shortest accepted phase duration (debounce), at least two
-        control periods.
+    min_phase_s: shortest accepted phase duration (debounce), in (0, inf) s.
     """
 
-    contact_threshold_n: float = 20.0
-    release_threshold_n: float = 10.0
-    min_phase_s: float = 0.15
+    contact_threshold_n: float = ranged(20.0, "(0, inf)")
+    release_threshold_n: float = ranged(10.0, "(0, inf)")
+    min_phase_s: float = ranged(0.15, "(0, inf)")
 
     def __post_init__(self) -> None:
-        if not self.contact_threshold_n > 0:
-            raise InvalidSpecError("contact_threshold_n must be positive")
-        if not 0 < self.release_threshold_n < self.contact_threshold_n:
-            raise InvalidSpecError(
-                "release_threshold_n must be positive and below contact_threshold_n"
-            )
-        if not self.min_phase_s > 0:
-            raise InvalidSpecError("min_phase_s must be positive")
+        check_ranges(self)
+        if not self.release_threshold_n < self.contact_threshold_n:
+            raise InvalidSpecError("release_threshold_n must be below contact_threshold_n")
 
 
 # A leg's state before its first frame: swinging, with no event yet.

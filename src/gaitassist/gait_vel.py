@@ -11,30 +11,32 @@ control periods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import check_ranges, ranged
 from .gait import EventKind, Foot, GaitEvent, Phase, merge_legs, scan_leg
 
 
 @dataclass(frozen=True)
 class VelDetectorConfig:
-    zero_hysteresis_rad_s: float = 0.05
-    peak_min_rad_s: float = 0.5
-    peak_confirm_samples: int = 3
-    min_event_gap_s: float = 0.3
+    """Thresholds for the hip-velocity detector.
+
+    zero_hysteresis_rad_s: half-width of the band around zero that the
+        contralateral velocity must leave to confirm a crossing.
+    peak_min_rad_s: smallest peak of the leg's own velocity taken as toe off.
+    peak_confirm_samples: declining samples that confirm a peak (the lag).
+    min_event_gap_s: shortest time between two events of one leg.
+    """
+
+    zero_hysteresis_rad_s: float = ranged(0.05, "(0, inf)")
+    peak_min_rad_s: float = ranged(0.5, "(0, inf)")
+    peak_confirm_samples: int = field(default=3, metadata={"range": "[2, inf)", "integer": True})
+    min_event_gap_s: float = ranged(0.3, "[0, inf)")
 
     def __post_init__(self) -> None:
-        if not self.zero_hysteresis_rad_s > 0:
-            raise InvalidSpecError("zero_hysteresis_rad_s must be positive")
-        if not self.peak_min_rad_s > 0:
-            raise InvalidSpecError("peak_min_rad_s must be positive")
-        if self.peak_confirm_samples < 2:
-            raise InvalidSpecError("peak_confirm_samples must be at least 2")
-        if self.min_event_gap_s < 0:
-            raise InvalidSpecError("min_event_gap_s must be non-negative")
+        check_ranges(self)
 
 
 # A leg's state as plain values: (phase, last_event_t, peak_max, peak_max_t,

@@ -11,12 +11,12 @@ import importlib.machinery
 import importlib.util
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, check_ranges
 
 # Conditioning chain constants. Raw EMG is band-passed, cardiac artifact is
 # suppressed with a high-pass, then the rectified signal is smoothed.
@@ -315,11 +315,10 @@ class EmgChannel:
     """Raw surface EMG (mV) plus its maximum-voluntary-contraction scale."""
 
     raw: TimeSeries
-    mvc: float
+    mvc: float = field(metadata={"range": "(0, inf)"})
 
     def __post_init__(self) -> None:
-        if not self.mvc > 0:
-            raise InvalidSpecError(f"mvc must be positive, got {self.mvc}")
+        check_ranges(self)
 
 
 def emg_envelope(ch: EmgChannel, zero_phase: bool = False) -> TimeSeries:

@@ -21,11 +21,11 @@ for equal (params, duration, rates).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError, InvalidSpecError
+from .errors import DataFormatError, InvalidSpecError, check_ranges, ranged
 from .gait import EventKind, Foot, GaitEvent, GaitState
 from .signals import EmgChannel, FilterSpec, TimeSeries, design_filter, filter_causal
 
@@ -54,34 +54,17 @@ def gait_state_codes(phases: dict[Foot, np.ndarray]) -> np.ndarray:
 class GaitParams:
     """Trial parameters; defaults follow typical loaded treadmill walking."""
 
-    cadence_hz: float = 0.7
-    stance_fraction: float = 0.6
-    speed_m_s: float = 0.74
-    omega_amp_rad_s: float = 2.0
-    load_peak_n: float = 400.0
-    emg_level: float = 0.5
-    noise_sigma: float = 0.0
-    seed: int = 0
+    cadence_hz: float = ranged(0.7, "(0, inf)")
+    stance_fraction: float = ranged(0.6, "(0.5, 0.8)")
+    speed_m_s: float = ranged(0.74, "[0, inf)")
+    omega_amp_rad_s: float = ranged(2.0, "(0, inf)")
+    load_peak_n: float = ranged(400.0, "(0, inf)")
+    emg_level: float = ranged(0.5, "(0, 1]")
+    noise_sigma: float = ranged(0.0, "[0, inf)")
+    seed: int = field(default=0, metadata={"range": "[0, inf)", "integer": True})
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise InvalidSpecError(f"{f.name} must be finite, got {value}")
-        if not self.cadence_hz > 0:
-            raise InvalidSpecError("cadence_hz must be positive")
-        if not 0.5 < self.stance_fraction < 0.8:
-            raise InvalidSpecError("stance_fraction must lie in (0.5, 0.8)")
-        if not self.speed_m_s >= 0:
-            raise InvalidSpecError("speed_m_s must be non-negative")
-        if not self.omega_amp_rad_s > 0:
-            raise InvalidSpecError("omega_amp_rad_s must be positive")
-        if not self.load_peak_n > 0:
-            raise InvalidSpecError("load_peak_n must be positive")
-        if not 0 < self.emg_level <= 1:
-            raise InvalidSpecError("emg_level must lie in (0, 1]")
-        if not self.noise_sigma >= 0:
-            raise InvalidSpecError("noise_sigma must be non-negative")
+        check_ranges(self)
 
     @property
     def stride_length_m(self) -> float:
@@ -90,12 +73,11 @@ class GaitParams:
 
 @dataclass(frozen=True)
 class ChannelRates:
-    control_hz: float = 100.0
-    emg_hz: float = 1000.0
+    control_hz: float = ranged(100.0, "(0, inf)")
+    emg_hz: float = ranged(1000.0, "(0, inf)")
 
     def __post_init__(self) -> None:
-        if not 0 < self.control_hz < math.inf or not 0 < self.emg_hz < math.inf:
-            raise InvalidSpecError("rates must be positive and finite")
+        check_ranges(self)
 
 
 def _pchip_slopes_periodic(x: np.ndarray, y: np.ndarray) -> np.ndarray:

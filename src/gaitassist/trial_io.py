@@ -12,6 +12,7 @@ import os
 import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -78,15 +79,7 @@ _STATE_NAMES = np.array([state.value for state in STATE_BY_CODE])
 # pass as one.
 _TRUTH_ROW = np.dtype([("t_s", float), ("state", "U24"), ("left", "U7"), ("right", "U7")])
 _GRID_TOLERANCE_S = 1e-6  # `t_s` against k / rate; printing rounds by at most 5e-7
-_PARAM_KEYS = (
-    "cadence_hz",
-    "stance_fraction",
-    "speed_m_s",
-    "omega_amp_rad_s",
-    "load_peak_n",
-    "emg_level",
-    "noise_sigma",
-)
+_PARAM_KEYS = tuple(f.name for f in fields(GaitParams) if f.name != "seed")
 
 
 def format_manifest(entries: list[tuple[str, str]]) -> str:

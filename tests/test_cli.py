@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import gaitassist
+from gaitassist import cli
 from gaitassist.cli import _RUN_DEFAULTS, _SIM_DEFAULTS, build_parser, main
 from gaitassist.errors import DataFormatError
 from gaitassist.trial_io import load_trial, read_manifest
@@ -99,6 +100,21 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and "finite" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["simulate"], ["run", "--simulate"]])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_one_line_usage_error(self, tmp_path, capsys, command, source):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -3\n")
+        extra = ["--seed", "-1"] if source == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "x"
+        capsys.readouterr()
+        code = run_cli(*command, "--out", str(out), "--duration", "10", *extra)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "gaitassist: error: seed must be a whole number in [0, inf)\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [["simulate"], ["run", "--simulate"]])
@@ -494,6 +510,19 @@ class TestFlags:
             "gaitassist: error: k_myo_nm must be finite and non-negative\n"
         )
         assert not (tmp_path / "o").exists()
+
+    def test_run_settings_are_checked_before_the_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("trial built before the run settings were checked")
+
+        monkeypatch.setattr(cli, "generate", no_trial)
+        monkeypatch.setattr(cli, "load_trial", no_trial)
+        for source in (["--simulate", "--duration", "300"], ["--trial", str(tmp_path / "none")]):
+            capsys.readouterr()
+            assert run_cli("run", *source, "--out", str(tmp_path / "o"), "--k-stance", "nan") == 1
+            assert capsys.readouterr().err == (
+                "gaitassist: error: k_stance must be finite and non-negative\n"
+            )
 
 
 class TestAnalyze:
