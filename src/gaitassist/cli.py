@@ -8,8 +8,9 @@ Exit codes: 0 on success, 1 for usage errors (bad flags or parameters),
 2 for data errors (missing or malformed inputs).
 
 Configuration comes from defaults, then an optional `key = value` config
-file, then explicit flags, in that order of precedence. Every effective
-value is echoed into the output manifest.
+file, then explicit flags, in that order of precedence. Flags and config
+values parse alike, by `trial_io.parse_value`. Every effective value is
+echoed into the output manifest.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import UNLIMITED, ControllerConfig
+from .controller import ControllerConfig
 from .errors import DataFormatError, GaitAssistError, InvalidSpecError
 from .gait import Foot
 from .gait_fsr import FsrDetectorConfig, detect_fsr
@@ -36,8 +37,10 @@ from .trial_io import (
     TORQUE_COLS,
     format_metrics_csv,
     format_rows,
+    format_value,
     load_trial,
     parse_manifest,
+    parse_value,
     read_metrics_csv,
     save_trial,
     utf8_errors,
@@ -59,52 +62,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value: float | int | str | bool) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "unlimited" if math.isinf(value) else f"{value:.6f}"
-    return str(value)
-
-
-def _load_config_file(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.is_file():
-        raise DataFormatError(f"config file not found: {p}")
-    with utf8_errors(str(p)):
-        return parse_manifest(p.read_text(encoding="utf-8"))
-
-
-def _check_config_keys(config: dict[str, str], *key_sets: dict) -> None:
-    known = set().union(*(set(ks) for ks in key_sets))
+def _settings(args: argparse.Namespace, *defaults: dict) -> list[dict]:
+    """A copy of each dict of `defaults`, overridden by the --config file's
+    values, then by the flags', each parsed by `parse_value`. A config key
+    that none of `defaults` holds is refused."""
+    config = {}
+    if args.config is not None:
+        path = Path(args.config)
+        if not path.is_file():
+            raise DataFormatError(f"config file not found: {path}")
+        with utf8_errors(str(path)):
+            config = parse_manifest(path.read_text(encoding="utf-8"))
     for key in config:
-        if key not in known:
+        if not any(key in keys for keys in defaults):
             raise InvalidSpecError(f"unknown config key {key!r}")
-
-
-def _merge(defaults: dict, config: dict[str, str], overrides: dict) -> dict:
-    """defaults <- config file <- explicit flags; ignores out-of-scope keys."""
-    merged = dict(defaults)
-    for key, raw in config.items():
-        if key in merged:
-            kind = type(merged[key])
-            try:
-                merged[key] = _parse_float(raw) if kind is float else kind(raw)
-            except ValueError:
-                raise InvalidSpecError(
-                    f"config key {key!r}: {raw!r} is not a valid {kind.__name__}"
-                ) from None
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
+    merged = []
+    for keys in defaults:
+        values = dict(keys)
+        for source in (config, vars(args)):
+            for key, raw in source.items():
+                if key in keys and raw is not None:
+                    values[key] = parse_value(key, raw, keys[key])
+        merged.append(values)
     return merged
-
-
-def _parse_float(raw: str) -> float:
-    """A float, where 'unlimited' or 'inf' (any case) mean UNLIMITED."""
-    return UNLIMITED if raw.lower() in ("unlimited", "inf") else float(raw)
 
 
 def _build_config(cls, settings: dict):
@@ -118,20 +98,17 @@ def _add_flags(parser: argparse.ArgumentParser, defaults: dict) -> None:
     shows the default and the range that the key's field declares."""
     for key, default in defaults.items():
         flag = re.sub(r"_(hz|m_s|rad_s|nm_s|nm|n|s|samples)$", "", key).replace("_", "-")
-        kind = _parse_float if isinstance(default, float) else type(default)
-        shown = f"default {_fmt(default)}"
+        shown = f"default {format_value(default)}"
         if key in _FIELDS:
             shown += f", range {_FIELDS[key].metadata['range']}"
         elif key == "mode":
             shown += f", one of {_MODES}"
-        parser.add_argument(f"--{flag}", dest=key, type=kind, help=shown)
+        parser.add_argument(f"--{flag}", dest=key, help=shown)
 
 
-_RATES = dict(zip(("control_rate_hz", "emg_rate_hz"), fields(ChannelRates)))
 _SIM_DEFAULTS = {
     "duration_s": 60.0,
-    **{key: f.default for key, f in _RATES.items()},
-    **{f.name: f.default for f in fields(GaitParams)},
+    **{f.name: f.default for cls in (ChannelRates, GaitParams) for f in fields(cls)},
 }
 _RUN_CONFIGS = (ControllerConfig, FsrDetectorConfig, VelDetectorConfig)
 _RUN_DEFAULTS = {
@@ -140,29 +117,21 @@ _RUN_DEFAULTS = {
 }
 _MODES = ", ".join(m.value for m in DetectionMode)
 # the field that declares the range of each settings key but duration_s and mode
-_FIELDS = {**_RATES, **{f.name: f for cls in (GaitParams, *_RUN_CONFIGS) for f in fields(cls)}}
-
-
-def _sim_settings(args: argparse.Namespace, config: dict[str, str]) -> dict:
-    overrides = {key: getattr(args, key, None) for key in _SIM_DEFAULTS}
-    return _merge(_SIM_DEFAULTS, config, overrides)
+_FIELDS = {f.name: f for cls in (ChannelRates, GaitParams, *_RUN_CONFIGS) for f in fields(cls)}
 
 
 def _build_trial(settings: dict) -> TrialLog:
     params = _build_config(GaitParams, settings)
-    rates = ChannelRates(*(settings[key] for key in _RATES))
-    return generate(params, settings["duration_s"], rates)
+    return generate(params, settings["duration_s"], _build_config(ChannelRates, settings))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    _check_config_keys(config, _SIM_DEFAULTS)
-    settings = _sim_settings(args, config)
+    (settings,) = _settings(args, _SIM_DEFAULTS)
     log = _build_trial(settings)
     out = save_trial(log, args.out)
     print(
         f"wrote trial to {out}: {log.n_ticks} ticks at "
-        f"{log.rates.control_hz:g} Hz, seed {log.params.seed}"
+        f"{log.rates.control_rate_hz:g} Hz, seed {log.params.seed}"
     )
     return 0
 
@@ -170,29 +139,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _write_score(path: Path, result: RunResult) -> None:
     score = result.score
     assert score is not None
-    entries: list[tuple[str, str]] = [
-        ("phase_accuracy", f"{score.phase_accuracy:.6f}"),
-        ("recall", f"{score.recall:.6f}"),
-        ("spurious_total", str(score.total_spurious)),
+    entries = [
+        ("phase_accuracy", score.phase_accuracy),
+        ("recall", score.recall),
+        ("spurious_total", score.total_spurious),
     ]
     for kind, s in score.by_kind.items():
         entries += [
-            (f"{kind.value}.matched", str(s.matched)),
-            (f"{kind.value}.missed", str(s.missed)),
-            (f"{kind.value}.spurious", str(s.spurious)),
-            (f"{kind.value}.timing_mae_s", f"{s.timing_mae_s:.6f}"),
+            (f"{kind.value}.matched", s.matched),
+            (f"{kind.value}.missed", s.missed),
+            (f"{kind.value}.spurious", s.spurious),
+            (f"{kind.value}.timing_mae_s", s.timing_mae_s),
         ]
     write_manifest(path, entries)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    _check_config_keys(config, _RUN_DEFAULTS, _SIM_DEFAULTS)
-    run_settings = _merge(
-        _RUN_DEFAULTS,
-        config,
-        {key: getattr(args, key, None) for key in _RUN_DEFAULTS},
-    )
+    run_settings, sim_settings = _settings(args, _RUN_DEFAULTS, _SIM_DEFAULTS)
     try:
         mode = DetectionMode(run_settings["mode"])
     except ValueError:
@@ -202,12 +165,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise InvalidSpecError("choose exactly one input: --trial DIR or --simulate")
 
     if args.simulate:
-        sim_settings = _sim_settings(args, config)
         log = _build_trial(sim_settings)
         input_desc = "simulate"
     else:
         log = load_trial(args.trial)
-        sim_settings = None
         input_desc = str(args.trial)
 
     start = time.monotonic()
@@ -220,16 +181,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    entries: list[tuple[str, str]] = [
+    entries = [
         ("format", "gaitassist-run/1"),
         ("input", input_desc),
-        ("n_ticks", str(log.n_ticks)),
-        ("control_rate_hz", _fmt(log.rates.control_hz)),
-        ("realtime", _fmt(bool(args.realtime))),
+        ("n_ticks", log.n_ticks),
+        ("control_rate_hz", log.rates.control_rate_hz),
+        ("realtime", args.realtime),
+        *run_settings.items(),
     ]
-    entries += [(key, _fmt(run_settings[key])) for key in _RUN_DEFAULTS]
-    if sim_settings is not None:
-        entries += [(f"sim.{key}", _fmt(sim_settings[key])) for key in _SIM_DEFAULTS]
+    if args.simulate:
+        entries += [(f"sim.{key}", value) for key, value in sim_settings.items()]
     write_manifest(out / "run_manifest.txt", entries)
 
     torque = (result.t, result.tau_left, result.tau_right)

@@ -53,7 +53,7 @@ class RunResult:
 def control_envelope(log: TrialLog) -> TimeSeries:
     """Causal EMG envelope decimated to the control rate."""
     env = emg_envelope(log.emg)
-    return decimate_to(env, log.rates.control_hz)
+    return decimate_to(env, log.rates.control_rate_hz)
 
 
 def run_trial(
@@ -97,10 +97,10 @@ def run_trial(
         initial_phase = gait_vel.INITIAL_STATE[0]
     state_codes = gait_state_codes(causal)
     tau_left, tau_right, tau_exo = command_torque(
-        state_codes, emg_norm, controller_cfg, log.rates.control_hz
+        state_codes, emg_norm, controller_cfg, log.rates.control_rate_hz
     )
 
-    event_phases = phases_from_events(events, n, log.rates.control_hz, initial_phase)
+    event_phases = phases_from_events(events, n, log.rates.control_rate_hz, initial_phase)
 
     score = None
     if log.truth is not None:
@@ -109,7 +109,7 @@ def run_trial(
             event_phases,
             log.truth.events,
             log.truth.phases,
-            rate_hz=log.rates.control_hz,
+            rate_hz=log.rates.control_rate_hz,
         )
 
     return RunResult(
@@ -118,7 +118,7 @@ def run_trial(
         tau_left=tau_left,
         tau_right=tau_right,
         tau_exo=tau_exo,
-        emg_norm=TimeSeries(emg_norm.copy(), log.rates.control_hz),
+        emg_norm=TimeSeries(emg_norm.copy(), log.rates.control_rate_hz),
         events=events,
         state_codes=state_codes,
         causal_phases=causal,

@@ -315,7 +315,7 @@ class EmgChannel:
     """Raw surface EMG (mV) plus its maximum-voluntary-contraction scale."""
 
     raw: TimeSeries
-    mvc: float = field(metadata={"range": "(0, inf)"})
+    mvc_mv: float = field(metadata={"range": "(0, inf)"})
 
     def __post_init__(self) -> None:
         check_ranges(self)
@@ -350,7 +350,7 @@ def emg_envelope(ch: EmgChannel, zero_phase: bool = False) -> TimeSeries:
     y = apply(ecg, apply(band, ch.raw))
     y = y.with_samples(np.abs(y.samples))  # rebinding frees the unrectified copy
     y = apply(smooth, y)
-    return y.with_samples(np.clip(y.samples / ch.mvc, 0.0, 1.0))
+    return y.with_samples(np.clip(y.samples / ch.mvc_mv, 0.0, 1.0))
 
 
 def decimate_to(x: TimeSeries, rate_hz: float) -> TimeSeries:

@@ -73,8 +73,8 @@ class GaitParams:
 
 @dataclass(frozen=True)
 class ChannelRates:
-    control_hz: float = ranged(100.0, "(0, inf)")
-    emg_hz: float = ranged(1000.0, "(0, inf)")
+    control_rate_hz: float = ranged(100.0, "(0, inf)")
+    emg_rate_hz: float = ranged(1000.0, "(0, inf)")
 
     def __post_init__(self) -> None:
         check_ranges(self)
@@ -182,7 +182,7 @@ class TrialLog:
 
     @property
     def duration_s(self) -> float:
-        return self.n_ticks / self.rates.control_hz
+        return self.n_ticks / self.rates.control_rate_hz
 
     def times(self) -> np.ndarray:
         return self.omega_left.times()
@@ -266,13 +266,13 @@ def generate(
             f"duration {duration_s} s is shorter than five strides at "
             f"{params.cadence_hz} strides/s"
         )
-    n = int(round(duration_s * rates.control_hz))
+    n = int(round(duration_s * rates.control_rate_hz))
     if n < 1:
         raise InvalidSpecError(
-            f"duration {duration_s} s holds no control tick at {rates.control_hz} Hz"
+            f"duration {duration_s} s holds no control tick at {rates.control_rate_hz} Hz"
         )
-    n_emg = int(round(duration_s * rates.emg_hz))
-    t = np.arange(n) / rates.control_hz
+    n_emg = int(round(duration_s * rates.emg_rate_hz))
+    t = np.arange(n) / rates.control_rate_hz
     rng = np.random.default_rng(params.seed)
     sf = params.stance_fraction
     wave = HipVelocityWaveform(sf)
@@ -310,7 +310,7 @@ def generate(
         y = np.full(n, 0.09 if foot is Foot.LEFT else -0.09)
         foot_xy[foot] = np.column_stack([x, y])
 
-    emg_raw = _synth_emg(params, n_emg, rates.emg_hz, rng)
+    emg_raw = _synth_emg(params, n_emg, rates.emg_rate_hz, rng)
 
     if params.noise_sigma > 0:
         sig = params.noise_sigma
@@ -336,16 +336,16 @@ def generate(
         foot: (phi[foot] >= sf).astype(np.int8) for foot in Foot
     }
     truth = TrialTruth(
-        phases=truth_phases, events=_truth_events(params, t_last=(n - 1) / rates.control_hz)
+        phases=truth_phases, events=_truth_events(params, t_last=(n - 1) / rates.control_rate_hz)
     )
 
-    control = rates.control_hz
+    control = rates.control_rate_hz
     return TrialLog(
         rates=rates,
         omega_left=TimeSeries(omega[Foot.LEFT], control),
         omega_right=TimeSeries(omega[Foot.RIGHT], control),
         insole=insole,
-        emg=EmgChannel(TimeSeries(emg_raw, rates.emg_hz), mvc=DEFAULT_MVC_MV),
+        emg=EmgChannel(TimeSeries(emg_raw, rates.emg_rate_hz), mvc_mv=DEFAULT_MVC_MV),
         foot_xy=foot_xy,
         hip_deg={foot: TimeSeries(hip[foot], control) for foot in Foot},
         knee_deg={foot: TimeSeries(knee[foot], control) for foot in Foot},

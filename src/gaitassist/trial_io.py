@@ -2,12 +2,12 @@
 
 Every table is comma separated with a mandatory header row and decimal
 points; time-indexed tables start with a column `t_s` in seconds printed with
-six decimals, sample k at k / rate. Manifests are UTF-8 `key = value` lines.
+six decimals, sample k at k / rate. Manifests are UTF-8 `key = value` lines,
+values spelled by :func:`format_value` and read, like CLI settings, by :func:`parse_value`.
 Formatting is fixed so identical inputs always produce byte-identical files.
 """
 from __future__ import annotations
 
-import math
 import os
 import warnings
 from collections.abc import Iterator
@@ -17,12 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .controller import UNLIMITED
+from .errors import DataFormatError, InvalidSpecError, check_range
 from .gait import BLOCK_TICKS, EventKind, Foot, GaitEvent
 from .metrics import METRIC_COLUMNS, TrialMetrics
 from .signals import EmgChannel, TimeSeries
 from .simgait import (
-    STATE_BY_CODE, ChannelRates, GaitParams, TrialLog, TrialTruth, gait_state_codes
+    DEFAULT_MVC_MV, STATE_BY_CODE, ChannelRates, GaitParams, TrialLog, TrialTruth,
+    gait_state_codes,
 )
 
 FORMAT_TAG = "gaitassist-trial/1"
@@ -79,11 +81,46 @@ _STATE_NAMES = np.array([state.value for state in STATE_BY_CODE])
 # pass as one.
 _TRUTH_ROW = np.dtype([("t_s", float), ("state", "U24"), ("left", "U7"), ("right", "U7")])
 _GRID_TOLERANCE_S = 1e-6  # `t_s` against k / rate; printing rounds by at most 5e-7
-_PARAM_KEYS = tuple(f.name for f in fields(GaitParams) if f.name != "seed")
+_MVC_FIELD = next(f for f in fields(EmgChannel) if f.name == "mvc_mv")
 
 
-def format_manifest(entries: list[tuple[str, str]]) -> str:
-    return "".join(f"{key} = {value}\n" for key, value in entries)
+def format_value(value: float | int | str | bool) -> str:
+    """A `key = value` value: a float with six decimals, UNLIMITED as
+    `unlimited`, a bool as `true` or `false`, anything else as str spells it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "unlimited" if value == UNLIMITED else f"{value:.6f}"
+    return str(value)
+
+
+def parse_value(key: str, raw: str, like: float | int | str) -> float | int | str:
+    """The setting `key` spelled `raw`, as the type of `like`; a float may be
+    `unlimited` in any case. InvalidSpecError, in one line, if it does not parse."""
+    if isinstance(like, str):
+        return raw
+    try:
+        if isinstance(like, float):
+            return UNLIMITED if raw.lower() == "unlimited" else float(raw)
+        return int(raw)
+    except ValueError:
+        kind = type(like).__name__
+        raise InvalidSpecError(f"setting {key!r}: {raw!r} is not a valid {kind}") from None
+
+
+def _settings_entries(obj) -> list[tuple[str, float | int]]:
+    """Each field of the settings dataclass `obj` as the type of its default,
+    so an int given for a float setting is still spelled as a float."""
+    return [(f.name, type(f.default)(getattr(obj, f.name))) for f in fields(obj)]
+
+
+def _settings_from(manifest: dict[str, str], cls):
+    """An instance of the settings dataclass `cls` from its keys in `manifest`."""
+    return cls(**{f.name: parse_value(f.name, manifest[f.name], f.default) for f in fields(cls)})
+
+
+def format_manifest(entries: list[tuple[str, float | int | str | bool]]) -> str:
+    return "".join(f"{key} = {format_value(value)}\n" for key, value in entries)
 
 
 def parse_manifest(text: str) -> dict[str, str]:
@@ -99,7 +136,7 @@ def parse_manifest(text: str) -> dict[str, str]:
     return out
 
 
-def write_manifest(path: Path, entries: list[tuple[str, str]]) -> None:
+def write_manifest(path: Path, entries: list[tuple[str, float | int | str | bool]]) -> None:
     path.write_text(format_manifest(entries), encoding="utf-8")
 
 
@@ -369,20 +406,17 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
     if log.truth is not None:
         channels += ["truth_labels", "truth_events"]
 
-    entries: list[tuple[str, str]] = [
+    entries = [
         ("format", FORMAT_TAG),
-        ("control_rate_hz", f"{log.rates.control_hz:.6f}"),
-        ("emg_rate_hz", f"{log.rates.emg_hz:.6f}"),
-        ("n_ticks", str(log.n_ticks)),
-        ("duration_s", f"{log.duration_s:.6f}"),
-        ("mvc_mv", f"{log.emg.mvc:.6f}"),
+        *_settings_entries(log.rates),
+        ("n_ticks", log.n_ticks),
+        ("duration_s", log.duration_s),
+        ("mvc_mv", float(log.emg.mvc_mv)),
         ("channels", ",".join(channels)),
-        ("has_truth", "true" if log.truth is not None else "false"),
+        ("has_truth", log.truth is not None),
     ]
     if log.params is not None:
-        for key in _PARAM_KEYS:
-            entries.append((key, f"{getattr(log.params, key):.6f}"))
-        entries.append(("seed", str(log.params.seed)))
+        entries += _settings_entries(log.params)
     write_manifest(out / "manifest.txt", entries)
 
     write_table(out / "omega.csv", _OMEGA_COLS, t, log.omega_left.samples, log.omega_right.samples)
@@ -509,23 +543,16 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
             f"unsupported trial format {manifest.get('format')!r} in {trial_dir}"
         )
     try:
-        rates = ChannelRates(
-            control_hz=float(manifest["control_rate_hz"]),
-            emg_hz=float(manifest["emg_rate_hz"]),
-        )
-        n = int(manifest["n_ticks"])
+        rates = _settings_from(manifest, ChannelRates)
+        n = parse_value("n_ticks", manifest["n_ticks"], 1)
         if n < 1:
             raise ValueError(f"n_ticks must be positive, got {n}")
-        mvc = float(manifest["mvc_mv"])
-        if not 0 < mvc < math.inf:
-            raise ValueError(f"mvc_mv must be positive and finite, got {mvc}")
+        mvc = parse_value("mvc_mv", manifest["mvc_mv"], DEFAULT_MVC_MV)
+        check_range(_MVC_FIELD, mvc)
         has_truth = manifest.get("has_truth", "false") == "true"
         params = None
-        if all(key in manifest for key in _PARAM_KEYS) and "seed" in manifest:
-            params = GaitParams(
-                **{key: float(manifest[key]) for key in _PARAM_KEYS},
-                seed=int(manifest["seed"]),
-            )
+        if all(f.name in manifest for f in fields(GaitParams)):
+            params = _settings_from(manifest, GaitParams)
     except KeyError as exc:
         raise DataFormatError(f"manifest is missing key {exc}") from exc
     except ValueError as exc:  # unparsable or out-of-range value
@@ -538,7 +565,7 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
         _check_grid(name, table[:, 0], rate_hz)
         return table
 
-    control = rates.control_hz
+    control = rates.control_rate_hz
     omega = read_series("omega.csv", _OMEGA_COLS, n, control)
     insole = {}
     for foot, name in ((Foot.LEFT, "insole_left"), (Foot.RIGHT, "insole_right")):
@@ -549,8 +576,8 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
                 f"{name}.csv: negative force {_INSOLE_COLS[col + 1]} in data row {row + 1}"
             )
         insole[foot] = forces
-    n_emg = int(round(n * rates.emg_hz / control))
-    emg = read_series("emg.csv", _EMG_COLS, n_emg, rates.emg_hz)
+    n_emg = int(round(n * rates.emg_rate_hz / control))
+    emg = read_series("emg.csv", _EMG_COLS, n_emg, rates.emg_rate_hz)
     kin = read_series("kinematics.csv", _KINEMATICS_COLS, n, control)
 
     truth = _read_truth(trial_dir, n, control) if has_truth else None
@@ -560,7 +587,7 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
         omega_left=TimeSeries(omega[:, 1], control),
         omega_right=TimeSeries(omega[:, 2], control),
         insole=insole,
-        emg=EmgChannel(TimeSeries(emg[:, 1], rates.emg_hz), mvc=mvc),
+        emg=EmgChannel(TimeSeries(emg[:, 1], rates.emg_rate_hz), mvc_mv=mvc),
         foot_xy={Foot.LEFT: kin[:, 1:3], Foot.RIGHT: kin[:, 3:5]},
         hip_deg={
             Foot.LEFT: TimeSeries(kin[:, 5], control),

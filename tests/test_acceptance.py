@@ -109,7 +109,7 @@ def test_criterion_2_double_stance_split(clean_trial):
     emg_norm = control_envelope(clean_trial).samples[: clean_trial.n_ticks]
     codes = gait_state_codes(clean_trial.truth.phases)
     tau_left, tau_right, tau_exo = command_torque(
-        codes, emg_norm, ControllerConfig(), clean_trial.rates.control_hz
+        codes, emg_norm, ControllerConfig(), clean_trial.rates.control_rate_hz
     )
     double = np.array([STATE_BY_CODE[code] is GaitState.DOUBLE_STANCE for code in codes])
     n_checked = int(double.sum())
@@ -187,7 +187,7 @@ def test_criterion_5_emg_pipeline():
     noise /= noise.std()
     raw = np.zeros(6000)
     raw[2000:5000] = 0.5 * mvc / GAUSS_RECTIFIED_MEAN * noise[2000:5000]
-    env = emg_envelope(EmgChannel(TimeSeries(raw, rate), mvc=mvc), zero_phase=True)
+    env = emg_envelope(EmgChannel(TimeSeries(raw, rate), mvc_mv=mvc), zero_phase=True)
     plateau = float(env.samples[3200:4800].mean())
     plateau_ok = abs(plateau - 0.50) <= 0.05
 
@@ -239,7 +239,7 @@ def test_criterion_6_metrics_oracle_equivalence(clean_trial):
 
 def test_criterion_7_slew_limit_contract(clean_trial):
     cfg = ControllerConfig(ramp_rate_nm_s=50.0)
-    budget = 50.0 / clean_trial.rates.control_hz
+    budget = 50.0 / clean_trial.rates.control_rate_hz
     worst = 0.0
     for mode in DetectionMode:
         res = run_trial(clean_trial, mode, controller_cfg=cfg)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import gaitassist
 from gaitassist import cli
 from gaitassist.cli import _RUN_DEFAULTS, _SIM_DEFAULTS, build_parser, main
 from gaitassist.errors import DataFormatError
+from gaitassist.simgait import ChannelRates, GaitParams
 from gaitassist.trial_io import load_trial, read_manifest
 
 
@@ -41,6 +43,38 @@ def with_byte_ff(trial_dir: Path, dst: Path, name: str) -> Path:
     cut = data.index(b"\n") + 1
     (dst / name).write_bytes(data[:cut] + b"\xff" + data[cut:])
     return dst
+
+
+def with_manifest_value(trial_dir: Path, dst: Path, key: str, value: str) -> Path:
+    """A copy of `trial_dir` whose manifest spells `key` as `value`."""
+    shutil.copytree(trial_dir, dst)
+    manifest = dst / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    assert sum(line.startswith(f"{key} = ") for line in lines) == 1
+    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
+    manifest.write_text("\n".join(lines) + "\n")
+    return dst
+
+
+# a manifest value, and the message that refuses it
+MANIFEST_CASES = [
+    ("control_rate_hz", "0", "control_rate_hz must be finite and positive"),
+    ("control_rate_hz", "-1", "control_rate_hz must be finite and positive"),
+    ("seed", "1.5", "setting 'seed': '1.5' is not a valid int"),
+    ("mvc_mv", "0", "mvc_mv must be finite and positive"),
+    ("mvc_mv", "nan", "mvc_mv must be finite and positive"),
+    ("mvc_mv", "-1", "mvc_mv must be finite and positive"),
+    ("mvc_mv", "inf", "mvc_mv must be finite and positive"),
+    ("mvc_mv", "abc", "setting 'mvc_mv': 'abc' is not a valid float"),
+    ("n_ticks", "abc", "setting 'n_ticks': 'abc' is not a valid int"),
+    ("seed", "abc", "setting 'seed': 'abc' is not a valid int"),
+    *(
+        (f.name, "abc", f"setting {f.name!r}: 'abc' is not a valid float")
+        for cls in (ChannelRates, GaitParams)
+        for f in fields(cls)
+        if f.name != "seed"
+    ),
+]
 
 
 class TestSimulate:
@@ -222,29 +256,23 @@ class TestRun:
         assert len(err) == 1 and name in err[0]
 
     @pytest.mark.parametrize(
-        "key, value",
-        [
-            ("n_ticks", "abc"),
-            ("control_rate_hz", "0"),
-            ("seed", "1.5"),
-            ("mvc_mv", "0"),
-            ("mvc_mv", "nan"),
-        ],
+        "key, value, message", MANIFEST_CASES, ids=[f"{k}-{v}" for k, v, _ in MANIFEST_CASES]
     )
     def test_bad_manifest_value_is_one_line_data_error(
-        self, trial_dir, tmp_path, capsys, key, value
+        self, trial_dir, tmp_path, capsys, key, value, message
     ):
-        broken = tmp_path / "broken"
-        shutil.copytree(trial_dir, broken)
-        manifest = broken / "manifest.txt"
-        lines = manifest.read_text().splitlines()
-        lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
-        manifest.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        code = run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o"))
-        err = capsys.readouterr().err.splitlines()
-        assert code == 2
-        assert len(err) == 1 and "manifest.txt" in err[0]
+        broken = with_manifest_value(trial_dir, tmp_path / "broken", key, value)
+        for command in ("run", "analyze"):
+            capsys.readouterr()
+            if command == "run":
+                code = run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o"))
+                prefix = "gaitassist: data error: "
+            else:
+                code = run_cli("analyze", str(broken))
+                prefix = f"analyze: {broken}: "
+            assert code == 2
+            assert capsys.readouterr().err == f"{prefix}manifest.txt: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "analyze"])
     @pytest.mark.parametrize("n_ticks", ["-5", "0"])
@@ -523,6 +551,67 @@ class TestFlags:
             assert capsys.readouterr().err == (
                 "gaitassist: error: k_stance must be finite and non-negative\n"
             )
+
+
+INT_KEYS = ("seed", "peak_confirm_samples")
+SETTINGS_KEYS = sorted({*_SIM_DEFAULTS, *_RUN_DEFAULTS} - {"mode"})
+
+
+def _unparsable(key: str) -> tuple[str, str]:
+    """A value of the settings key `key` that does not parse for its type,
+    and the one line that refuses it."""
+    raw, kind = ("2.5", "int") if key in INT_KEYS else ("abc", "float")
+    return raw, f"gaitassist: error: setting {key!r}: {raw!r} is not a valid {kind}\n"
+
+
+class TestUnparsableSettings:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key", SETTINGS_KEYS)
+    def test_is_one_line_usage_error_naming_the_key(self, tmp_path, capsys, key, source):
+        command = ["simulate"] if key in _SIM_DEFAULTS else ["run", "--simulate"]
+        self.check(tmp_path, capsys, key, source, command)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key", sorted(_SIM_DEFAULTS))
+    def test_simulation_setting_is_parsed_with_a_trial_input(
+        self, trial_dir, tmp_path, capsys, key, source
+    ):
+        """The trial ignores simulation settings, but they must still parse:
+        a config value that does not exited 0 before flags and config
+        values shared one parser."""
+        self.check(tmp_path, capsys, key, source, ["run", "--trial", str(trial_dir)])
+
+    @staticmethod
+    def check(tmp_path, capsys, key, source, command):
+        raw, line = _unparsable(key)
+        if source == "flag":
+            extra = [_flags(command[0])[key][0], raw]
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{key} = {raw}\n")
+            extra = ["--config", str(cfg)]
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run_cli(*command, "--out", str(out), *extra) == 1
+        assert capsys.readouterr().err == line
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--peak-confirm", "2.5", "setting 'peak_confirm_samples': '2.5' is not a valid int"),
+            ("--k-myo", "abc", "setting 'k_myo_nm': 'abc' is not a valid float"),
+            ("--control-rate", "-1", "control_rate_hz must be finite and positive"),
+            ("--emg-rate", "inf", "emg_rate_hz must be finite and positive"),
+        ],
+    )
+    def test_flag_error_is_one_line_naming_the_key(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = run_cli("run", "--simulate", "--duration", "10", "--out", str(out), flag, value)
+        assert code == 1
+        assert capsys.readouterr().err == f"gaitassist: error: {message}\n"
+        assert not out.exists()
 
 
 class TestAnalyze:

@@ -209,4 +209,4 @@ class TestConfigValidation:
         # the controller runs at the trial's control rate, which ChannelRates checks
         for rate in (0.0, -100.0):
             with pytest.raises(InvalidSpecError):
-                ChannelRates(control_hz=rate)
+                ChannelRates(control_rate_hz=rate)

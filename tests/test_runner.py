@@ -52,7 +52,7 @@ class TestRunnerContracts:
     def test_controller_rate_must_match_trial(self):
         # the ramp limit is per second: at 200 Hz a tick moves at most half
         # as far as at 100 Hz, and the rising edge from rest takes full steps
-        log = generate(GaitParams(seed=5), 10.0, ChannelRates(control_hz=200.0))
+        log = generate(GaitParams(seed=5), 10.0, ChannelRates(control_rate_hz=200.0))
         cfg = ControllerConfig(ramp_rate_nm_s=50.0)
         result = run_trial(log, DetectionMode.FOOT_SENSORS, controller_cfg=cfg)
         steps = np.abs(np.diff(result.tau_left, prepend=0.0))
@@ -70,7 +70,7 @@ class TestRunnerContracts:
     def test_slew_limited_run_obeys_per_tick_budget(self, clean_trial):
         cfg = ControllerConfig(ramp_rate_nm_s=50.0)
         result = run_trial(clean_trial, DetectionMode.FOOT_SENSORS, controller_cfg=cfg)
-        budget = 50.0 / clean_trial.rates.control_hz
+        budget = 50.0 / clean_trial.rates.control_rate_hz
         assert np.abs(np.diff(result.tau_left)).max() <= budget + 1e-12
         assert np.abs(np.diff(result.tau_right)).max() <= budget + 1e-12
 
@@ -118,6 +118,6 @@ class TestModeAgreement:
 
 def test_control_envelope_is_decimated_causal_path(clean_trial):
     env = control_envelope(clean_trial)
-    assert env.rate_hz == clean_trial.rates.control_hz
+    assert env.rate_hz == clean_trial.rates.control_rate_hz
     assert len(env) == clean_trial.n_ticks
     assert np.all(env.samples >= 0.0) and np.all(env.samples <= 1.0)

@@ -76,7 +76,7 @@ def reference_run(log, mode, controller_cfg, fsr_cfg, vel_cfg):
     else:
         stance = (Phase.STANCE, -math.inf, -math.inf, math.nan, 0, 0, math.nan)
         legs = {foot: stance for foot in Foot}
-    max_step = controller_cfg.ramp_rate_nm_s / log.rates.control_hz
+    max_step = controller_cfg.ramp_rate_nm_s / log.rates.control_rate_hz
     previous = (0.0, 0.0)
     events, codes, tau_left, tau_right, tau_exo = [], [], [], [], []
     for k in range(log.n_ticks):
@@ -145,8 +145,8 @@ def test_run_trial_equals_per_tick_fold(log, mode, controller_cfg, fsr_cfg, vel_
 
 def prefix(log: TrialLog, k: int) -> TrialLog:
     """The first k ticks of `log`, with EMG cut at the matching sample, no truth."""
-    samples_per_tick = int(round(log.rates.emg_hz / log.rates.control_hz))
-    control = log.rates.control_hz
+    samples_per_tick = int(round(log.rates.emg_rate_hz / log.rates.control_rate_hz))
+    control = log.rates.control_rate_hz
 
     def cut(series: TimeSeries) -> TimeSeries:
         return TimeSeries(series.samples[:k], control)
@@ -158,7 +158,7 @@ def prefix(log: TrialLog, k: int) -> TrialLog:
         insole={foot: log.insole[foot][:k] for foot in Foot},
         emg=EmgChannel(
             log.emg.raw.with_samples(log.emg.raw.samples[: k * samples_per_tick]),
-            mvc=log.emg.mvc,
+            mvc_mv=log.emg.mvc_mv,
         ),
         foot_xy={foot: log.foot_xy[foot][:k] for foot in Foot},
         hip_deg={foot: cut(log.hip_deg[foot]) for foot in Foot},
@@ -186,5 +186,5 @@ def test_first_k_ticks_are_a_prefix_of_the_full_run(log, mode, controller_cfg, f
         assert part.causal_phases[foot].tobytes() == full.causal_phases[foot][:k].tobytes()
     assert part.events == full.events[: len(part.events)]
     # every event the prefix emits lies in it; backdated toe offs lie before it
-    assert all(event.t < k / log.rates.control_hz for event in part.events)
+    assert all(event.t < k / log.rates.control_rate_hz for event in part.events)
 

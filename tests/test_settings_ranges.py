@@ -9,7 +9,7 @@ from dataclasses import fields
 
 import pytest
 
-from gaitassist.cli import _RUN_DEFAULTS, _SIM_DEFAULTS, _fmt, build_parser, main
+from gaitassist.cli import _RUN_DEFAULTS, _SIM_DEFAULTS, build_parser, main
 from gaitassist.controller import ControllerConfig
 from gaitassist.errors import InvalidSpecError
 from gaitassist.gait_fsr import FsrDetectorConfig
@@ -17,16 +17,13 @@ from gaitassist.gait_vel import VelDetectorConfig
 from gaitassist.runner import DetectionMode
 from gaitassist.signals import EmgChannel, TimeSeries
 from gaitassist.simgait import ChannelRates, GaitParams
+from gaitassist.trial_io import format_value
 
 SETTINGS = (ControllerConfig, FsrDetectorConfig, VelDetectorConfig, GaitParams, ChannelRates)
 UNRANGED_KEYS = {"duration_s", "mode"}  # checked by generate and by cmd_run
 TINY = math.nextafter(0.0, 1.0)
 # each settings key's declaring field, mapped here independently of the CLI
-KEY_FIELDS = {
-    **{f.name: f for cls in SETTINGS if cls is not ChannelRates for f in fields(cls)},
-    "control_rate_hz": fields(ChannelRates)[0],
-    "emg_rate_hz": fields(ChannelRates)[1],
-}
+KEY_FIELDS = {f.name: f for cls in SETTINGS for f in fields(cls)}
 
 
 def build(cls, **kwargs):
@@ -64,6 +61,8 @@ def test_every_setting_and_key_declares_a_range():
         assert isinstance(f.metadata.get("range"), str), f"{cls.__name__}.{f.name}"
     integers = {f.name for _, f in RANGED if f.metadata.get("integer")}
     assert integers == {"peak_confirm_samples", "seed"}
+    # a settings key is its field's name
+    assert {*_SIM_DEFAULTS, *_RUN_DEFAULTS} - UNRANGED_KEYS == set(KEY_FIELDS)
     for key in {*_SIM_DEFAULTS, *_RUN_DEFAULTS} - UNRANGED_KEYS:
         assert key in KEY_FIELDS, f"settings key {key!r} maps to no declared range"
         assert _SIM_DEFAULTS.get(key, _RUN_DEFAULTS.get(key)) == KEY_FIELDS[key].default
@@ -114,7 +113,7 @@ def test_help_shows_each_default_and_declared_range(command):
     for key in keys:
         if key in KEY_FIELDS:
             f = KEY_FIELDS[key]
-            assert shown[key] == f"default {_fmt(f.default)}, range {f.metadata['range']}"
+            assert shown[key] == f"default {format_value(f.default)}, range {f.metadata['range']}"
     assert shown["duration_s"] == "default 60.000000"
     if command == "run":
         modes = ", ".join(m.value for m in DetectionMode)
@@ -130,7 +129,7 @@ def test_out_of_range_flag_and_config_value_give_one_identical_line(key, tmp_pat
     command = ["simulate"] if key in _SIM_DEFAULTS else ["run", "--simulate"]
     for value in candidates(interval, integer):
         if inside(interval, value) or (integer and not isinstance(value, int)):
-            continue  # an int flag's parser refuses a float before any range check
+            continue  # an int setting refuses a float as unparsable, before any range check
         out = tmp_path / "out"
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"{key} = {value!r}\n")

@@ -256,8 +256,8 @@ class TestRectifyAndEcg:
         # can make the envelope blind to the sign of the raw signal
         raw = TimeSeries(np.random.default_rng(21).standard_normal(5_000), 1000.0)
         negated = raw.with_samples(-raw.samples)
-        env = emg_envelope(EmgChannel(raw, mvc=1.0), zero_phase=zero_phase).samples
-        env_negated = emg_envelope(EmgChannel(negated, mvc=1.0), zero_phase=zero_phase).samples
+        env = emg_envelope(EmgChannel(raw, mvc_mv=1.0), zero_phase=zero_phase).samples
+        env_negated = emg_envelope(EmgChannel(negated, mvc_mv=1.0), zero_phase=zero_phase).samples
         assert env.max() > 0.1
         assert env_negated.tobytes() == env.tobytes()
 
@@ -325,13 +325,13 @@ class TestEnvelope:
     def test_envelope_always_in_unit_interval(self, seed, scale):
         rng = np.random.default_rng(seed)
         raw = TimeSeries(scale * rng.standard_normal(3000), 1000.0)
-        env = emg_envelope(EmgChannel(raw, mvc=0.5), zero_phase=True)
+        env = emg_envelope(EmgChannel(raw, mvc_mv=0.5), zero_phase=True)
         assert np.all(env.samples >= 0.0)
         assert np.all(env.samples <= 1.0)
 
     def test_mvc_must_be_positive(self):
         with pytest.raises(InvalidSpecError):
-            EmgChannel(TimeSeries(np.zeros(10), 1000.0), mvc=0.0)
+            EmgChannel(TimeSeries(np.zeros(10), 1000.0), mvc_mv=0.0)
 
 
 class TestDecimate:

@@ -112,7 +112,7 @@ class TestTruthConsistency:
         for ev in clean_trial.truth.events:
             if ev.foot is not Foot.LEFT or ev.kind is not EventKind.TOE_OFF:
                 continue
-            k = int(round(ev.t * clean_trial.rates.control_hz))
+            k = int(round(ev.t * clean_trial.rates.control_rate_hz))
             window = omega[max(0, k - 3) : k + 4]
             assert window.max() >= 0.99 * params.omega_amp_rad_s
 
@@ -222,7 +222,7 @@ class TestGenerateContract:
 
     def test_non_integer_rate_ratio_is_fine_for_generate(self):
         # generate itself has no ratio constraint; only the control path does
-        log = generate(GaitParams(), 10.0, ChannelRates(control_hz=100.0, emg_hz=1100.0))
+        log = generate(GaitParams(), 10.0, ChannelRates(control_rate_hz=100.0, emg_rate_hz=1100.0))
         assert len(log.emg.raw) == 11_000
 
 

@@ -1,6 +1,7 @@
 """On-disk trial format tests: roundtrips, byte stability, malformed inputs."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -13,14 +14,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaitassist import trial_io
-from gaitassist.cli import main
-from gaitassist.errors import DataFormatError
+from gaitassist.cli import _RUN_DEFAULTS, _SIM_DEFAULTS, main
+from gaitassist.controller import UNLIMITED
+from gaitassist.errors import DataFormatError, InvalidSpecError
 from gaitassist.gait import BLOCK_TICKS, EventKind, Foot, GaitEvent
-from gaitassist.simgait import GaitParams, generate
+from gaitassist.signals import EmgChannel
+from gaitassist.simgait import ChannelRates, GaitParams, generate
 from gaitassist.trial_io import (
     FORMAT_TAG,
+    format_value,
     load_trial,
     parse_manifest,
+    parse_value,
     read_events_csv,
     read_manifest,
     save_trial,
@@ -49,7 +54,7 @@ class TestRoundTrip:
         np.testing.assert_allclose(
             loaded.emg.raw.samples, log.emg.raw.samples, atol=1e-6
         )
-        assert loaded.emg.mvc == log.emg.mvc
+        assert loaded.emg.mvc_mv == log.emg.mvc_mv
         for foot in Foot:
             np.testing.assert_allclose(loaded.insole[foot], log.insole[foot], atol=1e-6)
             np.testing.assert_allclose(loaded.foot_xy[foot], log.foot_xy[foot], atol=1e-6)
@@ -477,3 +482,62 @@ class TestManifestParsing:
     def test_malformed_line_rejected(self):
         with pytest.raises(DataFormatError):
             parse_manifest("just some words\n")
+
+
+class TestValueCodec:
+    DEFAULTS = [*_SIM_DEFAULTS.items(), *_RUN_DEFAULTS.items()]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [*DEFAULTS, ("ramp_rate_nm_s", UNLIMITED)],
+        ids=[*(key for key, _ in DEFAULTS), "UNLIMITED"],
+    )
+    def test_every_default_survives_a_round_trip(self, key, value):
+        parsed = parse_value(key, format_value(value), value)
+        assert parsed == value and type(parsed) is type(value)
+
+    def test_spellings(self):
+        assert [format_value(v) for v in (UNLIMITED, -UNLIMITED, 0.5, -0.0, 3, True, False)] == [
+            "unlimited", "-inf", "0.500000", "-0.000000", "3", "true", "false"
+        ]
+        for raw in ("unlimited", "Unlimited", "UNLIMITED", "inf", "Infinity"):
+            assert parse_value("ramp_rate_nm_s", raw, 1.0) == UNLIMITED
+        assert parse_value("mode", " x ", "foot-sensors") == " x "
+
+    @pytest.mark.parametrize(
+        "raw, like, kind", [("abc", 1.0, "float"), ("2.5", 3, "int"), ("", 1.0, "float")]
+    )
+    def test_unparsable_value_is_one_line_naming_the_key(self, raw, like, kind):
+        with pytest.raises(InvalidSpecError) as excinfo:
+            parse_value("some_key", raw, like)
+        assert str(excinfo.value) == f"setting 'some_key': {raw!r} is not a valid {kind}"
+
+    def test_int_valued_float_settings_write_the_same_manifest(self, saved_trial, tmp_path):
+        log, _ = saved_trial
+        as_ints = dataclasses.replace(
+            log,
+            rates=ChannelRates(control_rate_hz=200, emg_rate_hz=1000),
+            params=GaitParams(cadence_hz=1, load_peak_n=400, seed=6),
+            emg=EmgChannel(log.emg.raw, mvc_mv=1),
+        )
+        as_floats = dataclasses.replace(
+            log,
+            rates=ChannelRates(control_rate_hz=200.0, emg_rate_hz=1000.0),
+            params=GaitParams(cadence_hz=1.0, load_peak_n=400.0, seed=6),
+            emg=EmgChannel(log.emg.raw, mvc_mv=1.0),
+        )
+        manifests = [
+            (save_trial(trial, tmp_path / name) / "manifest.txt").read_bytes()
+            for name, trial in (("ints", as_ints), ("floats", as_floats))
+        ]
+        assert manifests[0] == manifests[1]
+        lines = manifests[0].decode().splitlines()
+        for line in (
+            "control_rate_hz = 200.000000",
+            "emg_rate_hz = 1000.000000",
+            "cadence_hz = 1.000000",
+            "load_peak_n = 400.000000",
+            "mvc_mv = 1.000000",
+            "seed = 6",
+        ):
+            assert line in lines
