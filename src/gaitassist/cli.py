@@ -29,13 +29,13 @@ from .errors import DataFormatError, GaitAssistError, InvalidSpecError
 from .gait import Foot
 from .gait_fsr import FsrDetectorConfig, detect_fsr
 from .gait_vel import VelDetectorConfig
-from .metrics import TrialMetrics, cadence, percentile, rms, rom, stride_length
+from .metrics import METRIC_COLUMNS, TrialMetrics, cadence, percentile, rms, rom, stride_length
 from .runner import DetectionMode, RunResult, run_trial
 from .signals import emg_envelope
 from .simgait import ChannelRates, GaitParams, TrialLog, generate
 from .trial_io import (
     TORQUE_COLS,
-    format_metrics_csv,
+    format_named_rows,
     format_rows,
     format_value,
     load_trial,
@@ -242,10 +242,10 @@ def compute_trial_metrics(log: TrialLog) -> TrialMetrics:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     failures: list[str] = []
-    rows: list[tuple[str, TrialMetrics]] = []
+    rows: list[tuple[str, tuple[float, ...]]] = []
     for path in args.trials:
         try:
-            rows.append((Path(path).name, compute_trial_metrics(load_trial(path))))
+            rows.append((Path(path).name, compute_trial_metrics(load_trial(path)).as_row()))
         except (GaitAssistError, OSError, ValueError) as exc:
             failures.append(f"{path}: {exc}")
 
@@ -254,7 +254,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"analyze: {line}", file=sys.stderr)
         return _DATA_EXIT
 
-    table = format_metrics_csv(rows)
+    table = format_named_rows(["trial", *METRIC_COLUMNS], rows)
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")
         print(f"wrote metrics for {len(rows)} trial(s) to {args.out}")
@@ -294,10 +294,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         names.append(Path(path).stem)
         changes.append(change)
 
-    lines = ["metric," + ",".join(f"{n} [%]" for n in names)]
-    for i, col in enumerate(base_cols):
-        lines.append(col + "," + ",".join(f"{c[i]:.6f}" for c in changes))
-    table = "\n".join(lines) + "\n"
+    header = ["metric", *(f"{name} [%]" for name in names)]
+    table = format_named_rows(header, zip(base_cols, zip(*changes)))
     if args.out:
         Path(args.out).write_text(table, encoding="utf-8")
         print(f"wrote comparison of {len(names)} file(s) to {args.out}")

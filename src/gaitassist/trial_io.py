@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
@@ -19,8 +19,7 @@ import numpy as np
 
 from .controller import UNLIMITED
 from .errors import DataFormatError, InvalidSpecError, check_range
-from .gait import BLOCK_TICKS, EventKind, Foot, GaitEvent
-from .metrics import METRIC_COLUMNS, TrialMetrics
+from .gait import BLOCK_TICKS, EventKind, Foot, GaitEvent, check_event_stream
 from .signals import EmgChannel, TimeSeries
 from .simgait import (
     DEFAULT_MVC_MV, STATE_BY_CODE, ChannelRates, GaitParams, TrialLog, TrialTruth,
@@ -74,12 +73,20 @@ _LABEL_WORDS = _words([
     f"{state.value},{_PHASE_NAMES[code >> 1]},{_PHASE_NAMES[code & 1]}\n"
     for code, state in enumerate(STATE_BY_CODE)
 ]).reshape(len(STATE_BY_CODE), -1)
+# `foot,kind` ending an events row, indexed by 2 * foot code + kind code
+_FEET, _KINDS = tuple(Foot), tuple(EventKind)
+_EVENT_WORDS = _words(
+    [f"{foot.value},{kind.value}\n" for foot in _FEET for kind in _KINDS]
+).reshape(len(_FEET) * len(_KINDS), -1)
 # `gait_state` of a labels row, indexed by state code
 _STATE_NAMES = np.array([state.value for state in STATE_BY_CODE])
-# truth_labels.csv as loadtxt reads it. A cell longer than its field is cut
-# to the field's width, still longer than any name it may hold, so it cannot
-# pass as one.
-_TRUTH_ROW = np.dtype([("t_s", float), ("state", "U24"), ("left", "U7"), ("right", "U7")])
+# A labels and an events row as _loadtxt reads them, one field per column. A
+# cell longer than its field is cut to the field's width, still longer than
+# any name it may hold, so it cannot pass as one.
+_LABEL_ROW = np.dtype(
+    [("t_s", float), ("gait_state", "U24"), ("phase_left", "U7"), ("phase_right", "U7")]
+)
+_EVENT_ROW = np.dtype([("t_s", float), ("foot", "U6"), ("kind", "U12")])
 _GRID_TOLERANCE_S = 1e-6  # `t_s` against k / rate; printing rounds by at most 5e-7
 _MVC_FIELD = next(f for f in fields(EmgChannel) if f.name == "mvc_mv")
 
@@ -94,16 +101,19 @@ def format_value(value: float | int | str | bool) -> str:
     return str(value)
 
 
-def parse_value(key: str, raw: str, like: float | int | str) -> float | int | str:
+def parse_value(key: str, raw: str, like: float | int | str | bool) -> float | int | str | bool:
     """The setting `key` spelled `raw`, as the type of `like`; a float may be
-    `unlimited` in any case. InvalidSpecError, in one line, if it does not parse."""
+    `unlimited` in any case, a bool is `true` or `false`. InvalidSpecError, in
+    one line, if it does not parse."""
     if isinstance(like, str):
         return raw
     try:
+        if isinstance(like, bool):
+            return {"true": True, "false": False}[raw]
         if isinstance(like, float):
             return UNLIMITED if raw.lower() == "unlimited" else float(raw)
         return int(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         kind = type(like).__name__
         raise InvalidSpecError(f"setting {key!r}: {raw!r} is not a valid {kind}") from None
 
@@ -117,10 +127,6 @@ def _settings_entries(obj) -> list[tuple[str, float | int]]:
 def _settings_from(manifest: dict[str, str], cls):
     """An instance of the settings dataclass `cls` from its keys in `manifest`."""
     return cls(**{f.name: parse_value(f.name, manifest[f.name], f.default) for f in fields(cls)})
-
-
-def format_manifest(entries: list[tuple[str, float | int | str | bool]]) -> str:
-    return "".join(f"{key} = {format_value(value)}\n" for key, value in entries)
 
 
 def parse_manifest(text: str) -> dict[str, str]:
@@ -137,7 +143,8 @@ def parse_manifest(text: str) -> dict[str, str]:
 
 
 def write_manifest(path: Path, entries: list[tuple[str, float | int | str | bool]]) -> None:
-    path.write_text(format_manifest(entries), encoding="utf-8")
+    text = "".join(f"{key} = {format_value(value)}\n" for key, value in entries)
+    path.write_text(text, encoding="utf-8")
 
 
 def read_manifest(path: Path) -> dict[str, str]:
@@ -208,12 +215,22 @@ def format_rows(*parts: np.ndarray, tails: np.ndarray | None = None) -> Iterator
         yield words.tobytes().translate(None, b" ").decode("ascii")
 
 
-def write_table(path: Path, columns: list[str], *parts: np.ndarray) -> None:
-    """Write the rows of `parts` (see :func:`format_rows`) under a header of
-    `columns`, every cell as `%.6f`."""
+def write_table(
+    path: Path, columns: list[str], *parts: np.ndarray, tails: np.ndarray | None = None
+) -> None:
+    """Write the rows of `parts` and `tails` (see :func:`format_rows`) under
+    a header of `columns`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(columns) + "\n")
-        fh.writelines(format_rows(*parts))
+        fh.writelines(format_rows(*parts, tails=tails))
+
+
+def format_named_rows(header: list[str], rows: Iterable[tuple[str, Iterable[float]]]) -> str:
+    """The `analyze` and `compare` tables: `header`, then each row's name and
+    its values as `%.6f`, comma separated."""
+    lines = [",".join(header)]
+    lines += [",".join([name, *(f"{value:.6f}" for value in values)]) for name, values in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _eight_digits(x: np.ndarray) -> None:
@@ -297,36 +314,34 @@ def utf8_errors(name: str) -> Iterator[None]:
         raise DataFormatError(f"{name}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})") from exc
 
 
-def _loadtxt(
-    fh, name: str, columns: list[str], dtype=float, comments: str | None = "#", ndmin: int = 2
-) -> np.ndarray:
-    """np.loadtxt of the comma-separated rows left in `fh`, headed `columns`.
+def _loadtxt(fh, name: str, columns: list[str], dtype=float) -> np.ndarray:
+    """np.loadtxt of the comma-separated rows left in `fh`, headed `columns`:
+    a 2-D float array, or one record per row for a structured `dtype`. `#`
+    starts a comment.
 
     A row that does not parse is a DataFormatError naming the file and the
     row's 1-based data row number. A file without rows is left to the
-    caller's row count, without numpy's warning.
+    caller, without numpy's warning.
     """
+    dtype = np.dtype(dtype)
     start = fh.tell()
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            return np.loadtxt(fh, delimiter=",", dtype=dtype, comments=comments, ndmin=ndmin)
+            return np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1 if dtype.names else 2)
         except ValueError as exc:
             fh.seek(start)
-            problem = _first_bad_row(fh, columns, dtype, comments)
-            raise DataFormatError(f"{name}: {problem}") from exc
+            raise DataFormatError(f"{name}: {_first_bad_row(fh, columns, dtype)}") from exc
 
 
-def _first_bad_row(fh, columns: list[str], dtype, comments: str | None) -> str:
+def _first_bad_row(fh, columns: list[str], dtype: np.dtype) -> str:
     """What is wrong with the first row left in `fh` that np.loadtxt, called
-    with `dtype` and `comments`, cannot parse; data rows are counted as it
-    counts them, skipping blank and comment lines."""
-    dtype = np.dtype(dtype)
+    with `dtype`, cannot parse; data rows are counted as it counts them,
+    skipping blank and comment lines."""
     numeric = [not dtype.names or dtype[i].kind == "f" for i in range(len(columns))]
     row = 0
     for line in fh:
-        if comments is not None:
-            line = line.split(comments, 1)[0]
+        line = line.split("#", 1)[0]
         if not line.strip():
             continue
         row += 1
@@ -343,29 +358,34 @@ def _first_bad_row(fh, columns: list[str], dtype, comments: str | None) -> str:
     return "rows do not parse as comma-separated values"
 
 
-def _read_table(path: Path, expected_columns: list[str], rows: int) -> np.ndarray:
-    """The float table at `path`, expected to hold `rows` rows: by
-    :func:`_read_fixed_point` if it can, else, and for every error, by np.loadtxt."""
+def _read_table(path: Path, columns: list[str], rows: int, dtype=float) -> np.ndarray:
+    """The table at `path`, headed `columns`: a 2-D float array, or for a
+    structured `dtype`, whose fields are `columns`, one record per row. A
+    float table is read by :func:`_read_fixed_point` if it can be, with
+    `rows` the row count the caller expects, else, and for every error, by
+    :func:`_loadtxt`. Every row is read, and every float cell must be finite."""
     if not path.is_file():
-        raise DataFormatError(f"missing channel file: {path}")
+        raise DataFormatError(f"missing file: {path}")
     with open(path, "rb") as fh:
-        plain = fh.readline() == f"{','.join(expected_columns)}\n".encode()
-        data = _read_fixed_point(fh, len(expected_columns), rows) if plain else None
+        plain = dtype is float and fh.readline() == f"{','.join(columns)}\n".encode()
+        data = _read_fixed_point(fh, len(columns), rows) if plain else None
     if data is None:
         with utf8_errors(path.name), open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
-            if header.split(",") != expected_columns:
-                raise DataFormatError(
-                    f"{path.name}: header {header!r} does not match {expected_columns}"
-                )
-            data = _loadtxt(fh, path.name, expected_columns)
+            if header.split(",") != columns:
+                raise DataFormatError(f"{path.name}: header {header!r} does not match {columns}")
+            data = _loadtxt(fh, path.name, columns, dtype)
+    if dtype is not float:  # np.loadtxt has checked the cell count of every record
+        numbers = [column for column in columns if data.dtype[column].kind == "f"]
+        _require_finite(path.name, numbers, np.column_stack([data[c] for c in numbers]))
+        return data
     if data.size == 0:
         raise DataFormatError(f"{path.name}: no data rows")
-    if data.shape[1] != len(expected_columns):
+    if data.shape[1] != len(columns):
         raise DataFormatError(
-            f"{path.name}: expected {len(expected_columns)} columns, got {data.shape[1]}"
+            f"{path.name}: expected {len(columns)} columns, got {data.shape[1]}"
         )
-    _require_finite(path.name, expected_columns, data)
+    _require_finite(path.name, columns, data)
     return data
 
 
@@ -391,9 +411,15 @@ _KINEMATICS_COLS = [
     "knee_left_deg",
     "knee_right_deg",
 ]
-_LABEL_COLS = ["t_s", "gait_state", "phase_left", "phase_right"]
-_EVENT_COLS = ["t_s", "foot", "kind"]
+_LABEL_COLS = list(_LABEL_ROW.names)
+_EVENT_COLS = list(_EVENT_ROW.names)
 TORQUE_COLS = ["t_s", "tau_left_nm", "tau_right_nm"]
+
+
+def _channels(has_truth: bool) -> str:
+    """The manifest's `channels`: the tables of a trial with or without truth."""
+    names = ["omega", "insole_left", "insole_right", "emg", "kinematics"]
+    return ",".join(names + ["truth_labels", "truth_events"] * has_truth)
 
 
 def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
@@ -401,10 +427,7 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t = log.times()
-
-    channels = ["omega", "insole_left", "insole_right", "emg", "kinematics"]
-    if log.truth is not None:
-        channels += ["truth_labels", "truth_events"]
+    has_truth = log.truth is not None
 
     entries = [
         ("format", FORMAT_TAG),
@@ -412,8 +435,8 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
         ("n_ticks", log.n_ticks),
         ("duration_s", log.duration_s),
         ("mvc_mv", float(log.emg.mvc_mv)),
-        ("channels", ",".join(channels)),
-        ("has_truth", log.truth is not None),
+        ("channels", _channels(has_truth)),
+        ("has_truth", has_truth),
     ]
     if log.params is not None:
         entries += _settings_entries(log.params)
@@ -423,19 +446,11 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
     for foot, name in ((Foot.LEFT, "insole_left"), (Foot.RIGHT, "insole_right")):
         write_table(out / f"{name}.csv", _INSOLE_COLS, t, log.insole[foot])
     write_table(out / "emg.csv", _EMG_COLS, log.emg.raw.times(), log.emg.raw.samples)
-    write_table(
-        out / "kinematics.csv",
-        _KINEMATICS_COLS,
-        t,
-        log.foot_xy[Foot.LEFT],
-        log.foot_xy[Foot.RIGHT],
-        log.hip_deg[Foot.LEFT].samples,
-        log.hip_deg[Foot.RIGHT].samples,
-        log.knee_deg[Foot.LEFT].samples,
-        log.knee_deg[Foot.RIGHT].samples,
-    )
+    angles = [series[foot].samples for series in (log.hip_deg, log.knee_deg) for foot in _FEET]
+    feet_xy = [log.foot_xy[foot] for foot in _FEET]
+    write_table(out / "kinematics.csv", _KINEMATICS_COLS, t, *feet_xy, *angles)
 
-    if log.truth is not None:
+    if has_truth:
         write_labels_csv(out / "truth_labels.csv", t, log.truth.phases)
         write_events_csv(out / "truth_events.csv", log.truth.events)
     return out
@@ -443,87 +458,74 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
 
 def write_labels_csv(path: Path, t: np.ndarray, phases: dict[Foot, np.ndarray]) -> None:
     """Per-tick two-leg state and per-leg phase; `phases` are 0 stance, 1 swing."""
-    tails = _LABEL_WORDS[gait_state_codes(phases)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_LABEL_COLS) + "\n")
-        fh.writelines(format_rows(t, tails=tails))
+    write_table(path, _LABEL_COLS, t, tails=_LABEL_WORDS[gait_state_codes(phases)])
 
 
 def write_events_csv(path: Path, events: list[GaitEvent]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_EVENT_COLS) + "\n")
-        for ev in events:
-            fh.write(f"{ev.t:.6f},{ev.foot.value},{ev.kind.value}\n")
+    codes = [2 * _FEET.index(ev.foot) + _KINDS.index(ev.kind) for ev in events]
+    write_table(path, _EVENT_COLS, np.array([ev.t for ev in events]), tails=_EVENT_WORDS[codes])
+
+
+def _codes(name: str, rows: np.ndarray, column: str, words: tuple[str, ...]) -> np.ndarray:
+    """The index in `words` of each cell of `column` of the records `rows`
+    read from the file `name`; a DataFormatError names the first cell that
+    is none of them."""
+    cells = rows[column]
+    codes = np.full(len(cells), -1, dtype=np.int8)
+    for code, word in enumerate(words):
+        codes[cells == word] = code
+    if (codes < 0).any():
+        row = int(np.argmax(codes < 0))
+        raise DataFormatError(f"{name}: unknown {column} {str(cells[row])!r} in data row {row + 1}")
+    return codes
 
 
 def read_events_csv(path: Path) -> list[GaitEvent]:
-    if not path.is_file():
-        raise DataFormatError(f"missing events file: {path}")
-    events: list[GaitEvent] = []
-    with utf8_errors(path.name), open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.split(",") != _EVENT_COLS:
-            raise DataFormatError(f"{path.name}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path.name}:{lineno}: malformed row {line!r}")
-            try:
-                events.append(GaitEvent(float(parts[0]), Foot(parts[1]), EventKind(parts[2])))
-            except ValueError as exc:
-                raise DataFormatError(f"{path.name}:{lineno}: {exc}") from exc
-    return events
+    rows = _read_table(path, _EVENT_COLS, 0, _EVENT_ROW)
+    feet = _codes(path.name, rows, "foot", tuple(foot.value for foot in _FEET)).tolist()
+    kinds = _codes(path.name, rows, "kind", tuple(kind.value for kind in _KINDS)).tolist()
+    return [
+        GaitEvent(t, _FEET[foot], _KINDS[kind])
+        for t, foot, kind in zip(rows["t_s"].tolist(), feet, kinds)
+    ]
 
 
-def _check_grid(name: str, t: np.ndarray, rate_hz: float) -> None:
-    """Every `t_s` within _GRID_TOLERANCE_S of k / rate_hz, k its data row - 1."""
-    off = np.arange(len(t)) / rate_hz
+def _read_series(path: Path, columns: list[str], rows: int, rate_hz: float, dtype=float):
+    """The table at `path` (see :func:`_read_table`), which must hold `rows`
+    rows, the `t_s` of data row k + 1 within _GRID_TOLERANCE_S of k / rate_hz."""
+    table = _read_table(path, columns, rows, dtype)
+    if len(table) != rows:
+        raise DataFormatError(f"{path.name}: expected {rows} rows, got {len(table)}")
+    t = table[:, 0] if dtype is float else table["t_s"]
+    off = np.arange(rows) / rate_hz
     off -= t
     bad = ~(np.abs(off, out=off) <= _GRID_TOLERANCE_S)  # NaN is off the grid too
     if bad.any():
         row = int(np.argmax(bad))
         raise DataFormatError(
-            f"{name}: t_s {t[row]:.6f} in data row {row + 1} is off the "
+            f"{path.name}: t_s {t[row]:.6f} in data row {row + 1} is off the "
             f"{rate_hz:g} Hz grid (expected {row / rate_hz:.6f})"
         )
+    return table
 
 
 def _read_truth(trial_dir: Path, n: int, rate_hz: float) -> TrialTruth:
-    path = trial_dir / "truth_labels.csv"
-    if not path.is_file():
-        raise DataFormatError(f"missing channel file: {path}")
-    with utf8_errors(path.name), open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header.split(",") != _LABEL_COLS:
-            raise DataFormatError(f"{path.name}: unexpected header {header!r}")
-        rows = _loadtxt(fh, path.name, _LABEL_COLS, dtype=_TRUTH_ROW, comments=None, ndmin=1)
-    if len(rows) != n:
-        raise DataFormatError(f"{path.name}: expected {n} rows, got {len(rows)}")
-    _check_grid(path.name, rows["t_s"], rate_hz)
-    phases = {}
-    for foot, column in ((Foot.LEFT, "left"), (Foot.RIGHT, "right")):
-        names = rows[column]
-        codes = np.full(n, -1, dtype=np.int8)
-        for code, name in enumerate(_PHASE_NAMES):
-            codes[names == name] = code
-        if (codes < 0).any():
-            row = int(np.argmax(codes < 0))
-            raise DataFormatError(
-                f"{path.name}: unknown phase_{column} {str(names[row])!r} in data row {row + 1}"
-            )
-        phases[foot] = codes
-    wrong = rows["state"] != _STATE_NAMES[gait_state_codes(phases)]
+    name = "truth_labels.csv"
+    rows = _read_series(trial_dir / name, _LABEL_COLS, n, rate_hz, _LABEL_ROW)
+    phases = {foot: _codes(name, rows, f"phase_{foot.value}", _PHASE_NAMES) for foot in _FEET}
+    wrong = rows["gait_state"] != _STATE_NAMES[gait_state_codes(phases)]
     if wrong.any():
         row = int(np.argmax(wrong))
-        state, left, right = (str(rows[column][row]) for column in ("state", "left", "right"))
+        state, left, right = (str(rows[column][row]) for column in _LABEL_COLS[1:])
         raise DataFormatError(
-            f"{path.name}: gait_state {state!r} in data row {row + 1} does not "
+            f"{name}: gait_state {state!r} in data row {row + 1} does not "
             f"match phase_left {left!r} and phase_right {right!r}"
         )
     events = read_events_csv(trial_dir / "truth_events.csv")
+    try:
+        check_event_stream(events)
+    except ValueError as exc:
+        raise DataFormatError(f"truth_events.csv: {exc}") from None
     return TrialTruth(phases=phases, events=events)
 
 
@@ -532,9 +534,11 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
 
     Raises DataFormatError, naming the file, for anything malformed: a
     missing file or key, a manifest value that does not parse or is out of
-    range, a bad header or row count, a cell that is not a finite number,
-    a `t_s` off the k / rate grid, an unknown phase name, a gait state that
-    does not match the phases, or a negative insole force.
+    range, a `duration_s` or `channels` that does not match the rest of the
+    manifest, a bad header or row count, a cell that is not a finite number,
+    a `t_s` off the k / rate grid, an unknown phase, foot or event name, a
+    gait state that does not match the phases, truth events that do not
+    alternate per foot, or a negative insole force.
     """
     trial_dir = Path(trial_dir)
     manifest = read_manifest(trial_dir / "manifest.txt")
@@ -544,32 +548,36 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
         )
     try:
         rates = _settings_from(manifest, ChannelRates)
+        control = rates.control_rate_hz
         n = parse_value("n_ticks", manifest["n_ticks"], 1)
         if n < 1:
             raise ValueError(f"n_ticks must be positive, got {n}")
+        duration = parse_value("duration_s", manifest["duration_s"], 1.0)
+        if not abs(duration - n / control) <= _GRID_TOLERANCE_S:
+            raise ValueError(
+                f"duration_s {manifest['duration_s']} does not match "
+                f"n_ticks / control_rate_hz = {format_value(n / control)}"
+            )
         mvc = parse_value("mvc_mv", manifest["mvc_mv"], DEFAULT_MVC_MV)
         check_range(_MVC_FIELD, mvc)
-        has_truth = manifest.get("has_truth", "false") == "true"
+        has_truth = parse_value("has_truth", manifest["has_truth"], False)
+        if manifest["channels"] != _channels(has_truth):
+            raise ValueError(
+                f"channels {manifest['channels']!r} do not match has_truth = "
+                f"{format_value(has_truth)}, which lists {_channels(has_truth)!r}"
+            )
         params = None
         if all(f.name in manifest for f in fields(GaitParams)):
             params = _settings_from(manifest, GaitParams)
     except KeyError as exc:
         raise DataFormatError(f"manifest is missing key {exc}") from exc
-    except ValueError as exc:  # unparsable or out-of-range value
+    except ValueError as exc:  # unparsable, out-of-range or mismatched value
         raise DataFormatError(f"manifest.txt: {exc}") from exc
 
-    def read_series(name: str, columns: list[str], rows: int, rate_hz: float) -> np.ndarray:
-        table = _read_table(trial_dir / name, columns, rows)
-        if table.shape[0] != rows:
-            raise DataFormatError(f"{name}: expected {rows} rows, got {table.shape[0]}")
-        _check_grid(name, table[:, 0], rate_hz)
-        return table
-
-    control = rates.control_rate_hz
-    omega = read_series("omega.csv", _OMEGA_COLS, n, control)
+    omega = _read_series(trial_dir / "omega.csv", _OMEGA_COLS, n, control)
     insole = {}
     for foot, name in ((Foot.LEFT, "insole_left"), (Foot.RIGHT, "insole_right")):
-        forces = read_series(f"{name}.csv", _INSOLE_COLS, n, control)[:, 1:]
+        forces = _read_series(trial_dir / f"{name}.csv", _INSOLE_COLS, n, control)[:, 1:]
         if (forces < 0.0).any():
             row, col = np.argwhere(forces < 0.0)[0]
             raise DataFormatError(
@@ -577,8 +585,8 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
             )
         insole[foot] = forces
     n_emg = int(round(n * rates.emg_rate_hz / control))
-    emg = read_series("emg.csv", _EMG_COLS, n_emg, rates.emg_rate_hz)
-    kin = read_series("kinematics.csv", _KINEMATICS_COLS, n, control)
+    emg = _read_series(trial_dir / "emg.csv", _EMG_COLS, n_emg, rates.emg_rate_hz)
+    kin = _read_series(trial_dir / "kinematics.csv", _KINEMATICS_COLS, n, control)
 
     truth = _read_truth(trial_dir, n, control) if has_truth else None
 
@@ -589,25 +597,11 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
         insole=insole,
         emg=EmgChannel(TimeSeries(emg[:, 1], rates.emg_rate_hz), mvc_mv=mvc),
         foot_xy={Foot.LEFT: kin[:, 1:3], Foot.RIGHT: kin[:, 3:5]},
-        hip_deg={
-            Foot.LEFT: TimeSeries(kin[:, 5], control),
-            Foot.RIGHT: TimeSeries(kin[:, 6], control),
-        },
-        knee_deg={
-            Foot.LEFT: TimeSeries(kin[:, 7], control),
-            Foot.RIGHT: TimeSeries(kin[:, 8], control),
-        },
+        hip_deg={foot: TimeSeries(kin[:, 5 + i], control) for i, foot in enumerate(_FEET)},
+        knee_deg={foot: TimeSeries(kin[:, 7 + i], control) for i, foot in enumerate(_FEET)},
         truth=truth,
         params=params,
     )
-
-
-def format_metrics_csv(rows: list[tuple[str, TrialMetrics]]) -> str:
-    """The `analyze` table: a `trial` column, then one column per metric."""
-    lines = ["trial," + ",".join(METRIC_COLUMNS)]
-    for name, m in rows:
-        lines.append(name + "," + ",".join(f"{v:.6f}" for v in m.as_row()))
-    return "\n".join(lines) + "\n"
 
 
 def read_metrics_csv(path: Path | str) -> tuple[list[str], np.ndarray]:

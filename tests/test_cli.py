@@ -68,6 +68,16 @@ MANIFEST_CASES = [
     ("mvc_mv", "abc", "setting 'mvc_mv': 'abc' is not a valid float"),
     ("n_ticks", "abc", "setting 'n_ticks': 'abc' is not a valid int"),
     ("seed", "abc", "setting 'seed': 'abc' is not a valid int"),
+    ("has_truth", "True", "setting 'has_truth': 'True' is not a valid bool"),
+    ("has_truth", "1", "setting 'has_truth': '1' is not a valid bool"),
+    *(
+        ("duration_s", value, f"duration_s {value} does not match "
+         "n_ticks / control_rate_hz = 10.000000")
+        for value in ("99.000000", "10.000002", "nan")
+    ),
+    ("duration_s", "abc", "setting 'duration_s': 'abc' is not a valid float"),
+    ("channels", "omega", "channels 'omega' do not match has_truth = true, which lists "
+     "'omega,insole_left,insole_right,emg,kinematics,truth_labels,truth_events'"),
     *(
         (f.name, "abc", f"setting {f.name!r}: 'abc' is not a valid float")
         for cls in (ChannelRates, GaitParams)
@@ -272,6 +282,86 @@ class TestRun:
                 prefix = f"analyze: {broken}: "
             assert code == 2
             assert capsys.readouterr().err == f"{prefix}manifest.txt: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_duration_within_printing_tolerance_loads(self, trial_dir, tmp_path):
+        edited = with_manifest_value(trial_dir, tmp_path / "edited", "duration_s", "10.0000009")
+        assert load_trial(edited).duration_s == 10.0
+
+    @pytest.mark.parametrize("key", ["duration_s", "channels", "has_truth"])
+    def test_missing_manifest_key_is_one_line_data_error(self, trial_dir, tmp_path, capsys, key):
+        broken = tmp_path / "broken"
+        shutil.copytree(trial_dir, broken)
+        manifest = broken / "manifest.txt"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines if not line.startswith(f"{key} = ")))
+        capsys.readouterr()
+        assert run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err == f"gaitassist: data error: manifest is missing key {key!r}\n"
+
+    TRIAL_TABLES = [
+        "omega.csv", "insole_left.csv", "insole_right.csv", "emg.csv", "kinematics.csv",
+        "truth_labels.csv", "truth_events.csv",
+    ]
+
+    @pytest.mark.parametrize("cell", ["nan", "1e400"])
+    @pytest.mark.parametrize("name", TRIAL_TABLES)
+    def test_non_finite_t_s_is_one_line_naming_the_data_row(
+        self, trial_dir, tmp_path, capsys, name, cell
+    ):
+        """Every table a trial holds is checked alike; `1e400` reads as inf."""
+        broken = tmp_path / "broken"
+        shutil.copytree(trial_dir, broken)
+        lines = (broken / name).read_text().splitlines()
+        cells = lines[5].split(",")
+        cells[0] = cell
+        lines[5] = ",".join(cells)
+        (broken / name).write_text("\n".join(lines) + "\n")
+        for command in ("run", "analyze"):
+            capsys.readouterr()
+            if command == "run":
+                code = run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o"))
+                prefix = "gaitassist: data error: "
+            else:
+                code = run_cli("analyze", str(broken))
+                prefix = f"analyze: {broken}: "
+            assert code == 2
+            assert capsys.readouterr().err == f"{prefix}{name}: non-finite 't_s' in data row 5\n"
+
+    @pytest.mark.parametrize(
+        "mutation, problem",
+        [
+            ("duplicated-row", "not strictly increasing"),
+            ("swapped-rows", "not strictly increasing"),
+            ("repeated-kind", "duplicated"),
+        ],
+    )
+    def test_truth_events_that_do_not_alternate_are_one_line_data_error(
+        self, trial_dir, tmp_path, capsys, mutation, problem
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(trial_dir, broken)
+        events = broken / "truth_events.csv"
+        lines = events.read_text().splitlines(keepends=True)
+        if mutation == "duplicated-row":
+            lines.insert(5, lines[5])
+        elif mutation == "swapped-rows":  # the first two events of one foot
+            i, j = [k for k in range(1, len(lines)) if ",left," in lines[k]][:2]
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            row = next(k for k in range(2, len(lines)) if ",heel_strike" in lines[k])
+            lines[row] = lines[row].replace("heel_strike", "toe_off")
+        events.write_text("".join(lines))
+        for command in ("run", "analyze"):
+            capsys.readouterr()
+            if command == "run":
+                code = run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o"))
+            else:
+                code = run_cli("analyze", str(broken))
+            err = capsys.readouterr().err.splitlines()
+            assert code == 2
+            assert len(err) == 1 and "truth_events.csv: " in err[0] and problem in err[0]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["run", "analyze"])
@@ -655,7 +745,8 @@ class TestAnalyze:
         shutil.copytree(trial_dir, truthless)
         manifest = truthless / "manifest.txt"
         text = manifest.read_text()
-        assert "has_truth = true\n" in text
+        assert "has_truth = true\n" in text and ",truth_labels,truth_events\n" in text
+        text = text.replace(",truth_labels,truth_events\n", "\n")
         manifest.write_text(text.replace("has_truth = true\n", "has_truth = false\n"))
         out = tmp_path / "metrics.csv"
         assert run_cli("analyze", str(trial_dir), str(truthless), "--out", str(out)) == 0
@@ -699,6 +790,26 @@ class TestCompare:
         run_cli("compare", "--baseline", str(base), str(base), "--out", str(out))
         for line in out.read_text().splitlines()[1:]:
             assert float(line.split(",")[1]) == pytest.approx(0.0, abs=1e-9)
+
+    def test_stdout_bytes_are_pinned(self, tmp_path, capsys):
+        """Six decimals per percent change, `-0.000000` for a tiny drop, one
+        `<stem> [%]` column per compared file."""
+        files = {
+            "base": "trial,a [m],b,c\nx,1.0,2.0,1.0\ny,3.5,-4.25,1.0\n",
+            "one": "trial,a [m],b,c\nz,2.0000005,-1.0,0.99999999999\n",
+            "two-x": "trial,a [m],b,c\nw,1e6,0.1,1.0\nv,-3.0,1e-9,1.0\n",
+        }
+        for stem, text in files.items():
+            (tmp_path / f"{stem}.csv").write_text(text)
+        capsys.readouterr()
+        argv = ["compare", "--baseline", str(tmp_path / "base.csv")]
+        assert run_cli(*argv, str(tmp_path / "one.csv"), str(tmp_path / "two-x.csv")) == 0
+        assert capsys.readouterr().out == (
+            "metric,one [%],two-x [%]\n"
+            "a [m],-11.111089,22222055.555556\n"
+            "b,-11.111111,-104.444444\n"
+            "c,-0.000000,0.000000\n"
+        )
 
     def test_mismatched_columns_is_data_error(self, metrics_files, tmp_path):
         base, _ = metrics_files

@@ -87,6 +87,19 @@ class TestRoundTrip:
         for file in sorted(out.iterdir()):
             assert (again / file.name).read_bytes() == file.read_bytes(), file.name
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("cadence_hz", [0.5, 0.9, 1.3])
+    @pytest.mark.parametrize("stance_fraction", [0.55, 0.65, 0.75])
+    def test_generated_truth_passes_the_load_checks(
+        self, tmp_path, stance_fraction, cadence_hz, seed
+    ):
+        params = GaitParams(stance_fraction=stance_fraction, cadence_hz=cadence_hz, seed=seed)
+        log = generate(params, 12.0)
+        loaded = load_trial(save_trial(log, tmp_path / "trial"))
+        assert [(e.foot, e.kind) for e in loaded.truth.events] == [
+            (e.foot, e.kind) for e in log.truth.events
+        ]
+
     def test_manifest_contents(self, saved_trial):
         _, out = saved_trial
         manifest = read_manifest(out / "manifest.txt")
@@ -405,6 +418,78 @@ class TestEventsCsv:
         with pytest.raises(DataFormatError):
             read_events_csv(path)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                _CELLS | st.floats(1e6, 1e9),
+                st.sampled_from(list(Foot)),
+                st.sampled_from(list(EventKind)),
+            ),
+            max_size=40,
+        )
+    )
+    # a rounding tie, -0.0, the 1e6 edge of the digit tables, and a NaN after a finite time
+    @example(rows=[(t, Foot.LEFT, EventKind.TOE_OFF) for t in (0.5e-6, -0.0, 1e6, 999999.9999995)])
+    @example(rows=[(1.5, Foot.RIGHT, EventKind.TOE_OFF), (math.nan, Foot.LEFT, EventKind.TOE_OFF)])
+    def test_bytes_are_the_f_string_rows_and_read_back(self, tmp_path_factory, rows):
+        """`write_events_csv` writes `f"{t:.6f},{foot},{kind}\\n"` per event,
+        and `read_events_csv` reads back what it wrote, or names the first
+        non-finite time."""
+        events = [GaitEvent(t, foot, kind) for t, foot, kind in rows]
+        path = tmp_path_factory.mktemp("events") / "events.csv"
+        write_events_csv(path, events)
+        expected = "".join(f"{ev.t:.6f},{ev.foot.value},{ev.kind.value}\n" for ev in events)
+        assert path.read_bytes() == ("t_s,foot,kind\n" + expected).encode()
+        bad = [row for row, ev in enumerate(events, start=1) if not math.isfinite(ev.t)]
+        if bad:
+            with pytest.raises(DataFormatError) as excinfo:
+                read_events_csv(path)
+            assert str(excinfo.value) == f"events.csv: non-finite 't_s' in data row {bad[0]}"
+        else:
+            assert read_events_csv(path) == [
+                GaitEvent(float(f"{ev.t:.6f}"), ev.foot, ev.kind) for ev in events
+            ]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0.100000,left", "events.csv: data row 2 has 2 cells, expected 3"),
+            ("0.100000,middle,heel_strike", "events.csv: unknown foot 'middle' in data row 2"),
+            ("0.100000,left,toe_offs", "events.csv: unknown kind 'toe_offs' in data row 2"),
+            ("0.100000,left,toe_off ", "events.csv: unknown kind 'toe_off ' in data row 2"),
+            ("abc,left,toe_off", "events.csv: t_s 'abc' in data row 2 is not a number"),
+            ("1e400,left,toe_off", "events.csv: non-finite 't_s' in data row 2"),
+        ],
+    )
+    def test_bad_row_is_named_by_its_data_row(self, tmp_path, row, message):
+        path = tmp_path / "events.csv"
+        path.write_text(f"t_s,foot,kind\n0.050000,right,toe_off\n# a comment\n\n{row}\n")
+        with pytest.raises(DataFormatError) as excinfo:
+            read_events_csv(path)
+        assert str(excinfo.value) == message
+
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "events.csv"
+        path.write_text("t_s,foot,kind\n# a comment\n\n0.100000,left,toe_off\n")
+        assert read_events_csv(path) == [GaitEvent(0.1, Foot.LEFT, EventKind.TOE_OFF)]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "missing file: {path}"),
+            ("t_s,kind,foot\n", "events.csv: header 't_s,kind,foot' does not match "
+             "['t_s', 'foot', 'kind']"),
+        ],
+    )
+    def test_missing_file_or_bad_header_is_one_line(self, tmp_path, text, message):
+        path = tmp_path / "events.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(DataFormatError) as excinfo:
+            read_events_csv(path)
+        assert str(excinfo.value) == message.format(path=path)
+
 
 class TestMalformedTrials:
     def corrupt(self, src: Path, tmp_path: Path, name: str, mutate) -> Path:
@@ -503,9 +588,13 @@ class TestValueCodec:
         for raw in ("unlimited", "Unlimited", "UNLIMITED", "inf", "Infinity"):
             assert parse_value("ramp_rate_nm_s", raw, 1.0) == UNLIMITED
         assert parse_value("mode", " x ", "foot-sensors") == " x "
+        for flag in (True, False):
+            assert parse_value("has_truth", format_value(flag), not flag) is flag
 
     @pytest.mark.parametrize(
-        "raw, like, kind", [("abc", 1.0, "float"), ("2.5", 3, "int"), ("", 1.0, "float")]
+        "raw, like, kind",
+        [("abc", 1.0, "float"), ("2.5", 3, "int"), ("", 1.0, "float"), ("True", False, "bool"),
+         ("1", True, "bool"), (" true", True, "bool")],
     )
     def test_unparsable_value_is_one_line_naming_the_key(self, raw, like, kind):
         with pytest.raises(InvalidSpecError) as excinfo:
