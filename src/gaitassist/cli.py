@@ -24,10 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import gait_fsr
 from .controller import ControllerConfig
 from .errors import DataFormatError, GaitAssistError, InvalidSpecError
 from .gait import Foot
-from .gait_fsr import FsrDetectorConfig, detect_fsr
+from .gait_fsr import FsrDetectorConfig
 from .gait_vel import VelDetectorConfig
 from .metrics import METRIC_COLUMNS, TrialMetrics, cadence, percentile, rms, rom, stride_length
 from .runner import DetectionMode, RunResult, run_trial
@@ -39,11 +40,10 @@ from .trial_io import (
     format_rows,
     format_value,
     load_trial,
-    parse_manifest,
     parse_value,
+    read_manifest,
     read_metrics_csv,
     save_trial,
-    utf8_errors,
     write_events_csv,
     write_labels_csv,
     write_manifest,
@@ -66,13 +66,7 @@ def _settings(args: argparse.Namespace, *defaults: dict) -> list[dict]:
     """A copy of each dict of `defaults`, overridden by the --config file's
     values, then by the flags', each parsed by `parse_value`. A config key
     that none of `defaults` holds is refused."""
-    config = {}
-    if args.config is not None:
-        path = Path(args.config)
-        if not path.is_file():
-            raise DataFormatError(f"config file not found: {path}")
-        with utf8_errors(str(path)):
-            config = parse_manifest(path.read_text(encoding="utf-8"))
+    config = {} if args.config is None else read_manifest(Path(args.config))
     for key in config:
         if not any(key in keys for keys in defaults):
             raise InvalidSpecError(f"unknown config key {key!r}")
@@ -221,15 +215,12 @@ def compute_trial_metrics(log: TrialLog) -> TrialMetrics:
         # the first tick reads as a heel strike there. That is the trial's
         # start, not a stride boundary: truth events likewise begin after it.
         events = [
-            ev for ev in detect_fsr(log.insole, times, FsrDetectorConfig())[0] if ev.t > times[0]
+            ev for ev in gait_fsr.detect(log.insole, times, FsrDetectorConfig())[0]
+            if ev.t > times[0]
         ]
     stride = stride_length(log.foot_xy, times, events)
-    hip = float(
-        np.mean([rom(log.hip_deg[f].samples, times, events, f) for f in Foot])
-    )
-    knee = float(
-        np.mean([rom(log.knee_deg[f].samples, times, events, f) for f in Foot])
-    )
+    hip = float(np.mean([rom(log.hip_deg[f], times, events, f) for f in Foot]))
+    knee = float(np.mean([rom(log.knee_deg[f], times, events, f) for f in Foot]))
     return TrialMetrics(
         emg_rms=rms(env.samples),
         emg_p90=percentile(env.samples, 90.0),

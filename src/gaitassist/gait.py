@@ -1,8 +1,8 @@
 """Shared gait vocabulary: feet, leg phases, gait events, and the combined two-leg state.
 
-Also the whole-trial fold both detectors share: `scan_leg` steps one leg's
-plain-float transition over a trial, and `merge_legs` turns the two legs'
-events into the event stream and the per-tick phases.
+Also the whole-trial fold both detectors share: `detect` steps each leg's
+plain-float transition over a trial and returns the event stream and the
+per-tick phases.
 """
 from __future__ import annotations
 
@@ -96,55 +96,46 @@ def check_event_stream(events: list[GaitEvent]) -> None:
 BLOCK_TICKS = 4096
 
 
-def scan_leg(
+def detect(
     transition: Callable[..., tuple[Any, tuple[EventKind, float] | None]],
-    state: Any,
+    initial: tuple,
     cfg: Any,
     t: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-) -> list[tuple[int, EventKind, float]]:
-    """Fold one leg's transition over a whole trial, one tick per sample.
+    legs: dict[Foot, tuple[np.ndarray, np.ndarray]],
+) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
+    """Fold each leg's transition over a whole trial, one tick per sample.
 
     Args:
         transition: the detector's plain-float transition, called as
             `transition(state, t, a, b, cfg) -> (state, fired)`; `fired` is
             None or the (kind, event time) of the event emitted at t.
-        state: the leg's state before the first tick.
+        initial: each leg's state before the first tick, its phase first.
         cfg: detector configuration, passed through to `transition`.
-        t, a, b: tick times and the leg's two input channels, equal length.
+        t: the n tick times in seconds.
+        legs: each leg's two input channels (a, b), n values each.
 
     Returns:
-        (emission tick, kind, event time) of every event, in tick order.
-    """
-    fired_at: list[tuple[int, EventKind, float]] = []
-    for start in range(0, len(t), BLOCK_TICKS):
-        stop = start + BLOCK_TICKS
-        for k, tk, ak, bk in zip(
-            count(start), t[start:stop].tolist(), a[start:stop].tolist(), b[start:stop].tolist()
-        ):
-            state, fired = transition(state, tk, ak, bk, cfg)
-            if fired is not None:
-                fired_at.append((k, *fired))
-    return fired_at
-
-
-def merge_legs(
-    n: int, initial: Phase, fired: dict[Foot, list[tuple[int, EventKind, float]]]
-) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
-    """Event stream and causal per-tick phases of two legs scanned separately.
-
-    Every event flips its leg's phase from its emission tick on. Phases are
-    coded 0 for stance and 1 for swing. Events are ordered by emission tick,
-    left before right within a tick, as a tick-by-tick loop emits them.
+        The events ordered by emission tick, left before right within a
+        tick, as a tick-by-tick loop emits them, and each leg's causal
+        per-tick phase (0 stance, 1 swing): every event flips its leg's
+        phase from its emission tick on.
     """
     tagged: list[tuple[int, GaitEvent]] = []
     phases: dict[Foot, np.ndarray] = {}
-    for foot in (Foot.LEFT, Foot.RIGHT):
-        ticks = np.array([k for k, _, _ in fired[foot]], dtype=np.intp)
-        flips = np.zeros(n, dtype=np.int8)
-        flips[ticks] = 1
-        phases[foot] = ((int(initial is Phase.SWING) + np.cumsum(flips)) & 1).astype(np.int8)
-        tagged += [(k, GaitEvent(t, foot, kind)) for k, kind, t in fired[foot]]
+    for foot in Foot:
+        a, b = legs[foot]
+        state, ticks = initial, []
+        for start in range(0, len(t), BLOCK_TICKS):
+            stop = start + BLOCK_TICKS
+            for k, tk, ak, bk in zip(
+                count(start), t[start:stop].tolist(), a[start:stop].tolist(), b[start:stop].tolist()
+            ):
+                state, fired = transition(state, tk, ak, bk, cfg)
+                if fired is not None:
+                    ticks.append(k)
+                    tagged.append((k, GaitEvent(fired[1], foot, fired[0])))
+        flips = np.zeros(len(t), dtype=np.int8)
+        flips[np.array(ticks, dtype=np.intp)] = 1
+        phases[foot] = ((int(initial[0] is Phase.SWING) + np.cumsum(flips)) & 1).astype(np.int8)
     tagged.sort(key=lambda item: item[0])  # stable, so left stays before right
     return [event for _, event in tagged], phases

@@ -13,20 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gait
 from .errors import InvalidSpecError, check_ranges, ranged
-from .gait import EventKind, Foot, GaitEvent, Phase, merge_legs, scan_leg
+from .gait import EventKind, Foot, GaitEvent, Phase
 
 FRONT_SENSORS = slice(0, 4)
 BACK_SENSORS = slice(4, 8)
-
-
-def check_forces(forces: np.ndarray) -> None:
-    """Raise InvalidSpecError unless `forces` holds rows of 8 finite, non-negative forces."""
-    width = forces.shape[-1] if forces.ndim else 0
-    if width != 8:
-        raise InvalidSpecError(f"insole frame needs 8 forces, got {width}")
-    if not ((forces >= 0.0) & (forces < math.inf)).all():
-        raise InvalidSpecError("insole forces must be finite and non-negative")
 
 
 def force_sums(forces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,31 +76,12 @@ def fsr_transition(
     return state, None
 
 
-def detect_fsr(
+def detect(
     insole: dict[Foot, np.ndarray], t: np.ndarray, cfg: FsrDetectorConfig
 ) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
-    """Run both legs' detectors over whole insole channels.
-
-    Each leg folds :func:`fsr_transition` over its frames from INITIAL_STATE.
-
-    Args:
-        insole: per-foot (n, 8) forces in newtons, one row per tick.
-        t: the n tick times in seconds.
-        cfg: thresholds and debounce.
-
-    Returns:
-        The events in emission order and each leg's per-tick phase after
-        the tick (0 stance, 1 swing). Raises InvalidSpecError for a force
-        that is negative or not finite.
-    """
-    fired = {}
-    for foot in Foot:
-        forces = np.asarray(insole[foot], dtype=float)
-        if forces.ndim != 2 or len(forces) != len(t):
-            raise InvalidSpecError(
-                f"{foot.value} insole needs {len(t)} rows of 8 forces, got shape {forces.shape}"
-            )
-        check_forces(forces)
-        fired[foot] = scan_leg(fsr_transition, INITIAL_STATE, cfg, t, *force_sums(forces))
-    return merge_legs(len(t), INITIAL_STATE[0], fired)
-
+    """Both legs' :func:`fsr_transition` folded over whole insole channels
+    (see :func:`gait.detect`); `insole` holds each foot's (n, 8) forces in
+    newtons, one row per tick, as `simgait.check_channels` checks them."""
+    return gait.detect(
+        fsr_transition, INITIAL_STATE, cfg, t, {foot: force_sums(insole[foot]) for foot in Foot}
+    )

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gait
 from .errors import check_ranges, ranged
-from .gait import EventKind, Foot, GaitEvent, Phase, merge_legs, scan_leg
+from .gait import EventKind, Foot, GaitEvent, Phase
 
 
 @dataclass(frozen=True)
@@ -133,32 +134,12 @@ def vel_transition(
     return (phase, last_event_t, peak_max, peak_max_t, decline, region, pending), fired
 
 
-def detect_vel(
-    omega_left: np.ndarray, omega_right: np.ndarray, t: np.ndarray, cfg: VelDetectorConfig
+def detect(
+    omega: dict[Foot, np.ndarray], t: np.ndarray, cfg: VelDetectorConfig
 ) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
-    """Run both legs' detectors over whole angular velocity channels.
-
-    Each leg folds :func:`vel_transition` over the ticks from INITIAL_STATE.
-
-    Args:
-        omega_left, omega_right: hip angular velocities in rad/s, one per tick.
-        t: the tick times in seconds.
-        cfg: detector thresholds.
-
-    Returns:
-        The events in emission order and each leg's per-tick phase after
-        the tick (0 stance, 1 swing). Raises ValueError at the first tick
-        whose angular velocity is not finite.
-    """
-    bad = ~(np.isfinite(omega_left) & np.isfinite(omega_right))
-    if bad.any():
-        k = int(bad.argmax())
-        raise ValueError(
-            f"non-finite angular velocity at t={float(t[k])}: "
-            f"({float(omega_left[k])}, {float(omega_right[k])})"
-        )
-    fired = {
-        Foot.LEFT: scan_leg(vel_transition, INITIAL_STATE, cfg, t, omega_left, omega_right),
-        Foot.RIGHT: scan_leg(vel_transition, INITIAL_STATE, cfg, t, omega_right, omega_left),
-    }
-    return merge_legs(len(t), INITIAL_STATE[0], fired)
+    """Both legs' :func:`vel_transition` folded over whole channels (see
+    :func:`gait.detect`); `omega` holds each foot's hip angular velocity in
+    rad/s, one finite value per tick. A leg reads its own velocity, then the
+    other leg's."""
+    legs = {foot: (omega[foot], omega[foot.other()]) for foot in Foot}
+    return gait.detect(vel_transition, INITIAL_STATE, cfg, t, legs)

@@ -17,8 +17,8 @@ from . import gait_fsr, gait_vel
 from .controller import UNLIMITED, ControllerConfig, _toward, distribute
 from .errors import InvalidSpecError
 from .gait import BLOCK_TICKS, Foot, GaitEvent
-from .gait_fsr import FsrDetectorConfig, check_forces, detect_fsr
-from .gait_vel import VelDetectorConfig, detect_vel
+from .gait_fsr import FsrDetectorConfig
+from .gait_vel import VelDetectorConfig
 from .metrics import DetectionScore, phases_from_events, score_detection
 from .signals import TimeSeries, decimate_to, emg_envelope
 from .simgait import STATE_BY_CODE, TrialLog, check_channels, gait_state_codes
@@ -66,8 +66,8 @@ def run_trial(
     """Run detection plus torque control over a whole trial.
 
     Args:
-        log: input trial; needs insole channels in FOOT_SENSORS mode and
-            angular velocity channels in ACTUATORS_VELOCITY mode.
+        log: input trial; needs both feet's omega and insole channels in
+            either mode, as `simgait.check_channels` checks them.
         mode: which detection framework drives the gait state.
         controller_cfg, fsr_cfg, vel_cfg: overrides; defaults otherwise.
 
@@ -77,8 +77,10 @@ def run_trial(
         ground truth, a DetectionScore of the event-reconstructed labels.
     """
     controller_cfg = controller_cfg or ControllerConfig()
-    fsr_cfg = fsr_cfg or FsrDetectorConfig()
-    vel_cfg = vel_cfg or VelDetectorConfig()
+    if mode is DetectionMode.FOOT_SENSORS:
+        module, channels, cfg = gait_fsr, log.insole, fsr_cfg or FsrDetectorConfig()
+    else:
+        module, channels, cfg = gait_vel, log.omega, vel_cfg or VelDetectorConfig()
 
     check_channels(log)
     env = control_envelope(log)
@@ -87,20 +89,13 @@ def run_trial(
     n = log.n_ticks
     emg_norm = env.samples[:n]
     t = log.times()
-    if mode is DetectionMode.FOOT_SENSORS:
-        events, causal = detect_fsr(log.insole, t, fsr_cfg)
-        initial_phase = gait_fsr.INITIAL_STATE[0]
-    else:
-        for foot in Foot:
-            check_forces(np.asarray(log.insole[foot], dtype=float))
-        events, causal = detect_vel(log.omega_left.samples, log.omega_right.samples, t, vel_cfg)
-        initial_phase = gait_vel.INITIAL_STATE[0]
+    events, causal = module.detect(channels, t, cfg)
     state_codes = gait_state_codes(causal)
     tau_left, tau_right, tau_exo = command_torque(
         state_codes, emg_norm, controller_cfg, log.rates.control_rate_hz
     )
 
-    event_phases = phases_from_events(events, n, log.rates.control_rate_hz, initial_phase)
+    event_phases = phases_from_events(events, n, log.rates.control_rate_hz, module.INITIAL_STATE[0])
 
     score = None
     if log.truth is not None:

@@ -166,26 +166,25 @@ class TrialLog:
     """One trial's channels at the control rate plus raw EMG and truth."""
 
     rates: ChannelRates
-    omega_left: TimeSeries
-    omega_right: TimeSeries
+    omega: dict[Foot, np.ndarray]  # (n,) hip angular velocity, rad/s
     insole: dict[Foot, np.ndarray]  # (n, 8) newtons
     emg: EmgChannel
     foot_xy: dict[Foot, np.ndarray]  # (n, 2) meters
-    hip_deg: dict[Foot, TimeSeries]
-    knee_deg: dict[Foot, TimeSeries]
+    hip_deg: dict[Foot, np.ndarray]  # (n,)
+    knee_deg: dict[Foot, np.ndarray]  # (n,)
     truth: TrialTruth | None = None
     params: GaitParams | None = None
 
     @property
     def n_ticks(self) -> int:
-        return len(self.omega_left)
+        return len(self.omega[Foot.LEFT])
 
     @property
     def duration_s(self) -> float:
         return self.n_ticks / self.rates.control_rate_hz
 
     def times(self) -> np.ndarray:
-        return self.omega_left.times()
+        return np.arange(self.n_ticks) / self.rates.control_rate_hz
 
 
 def _leg_phase_offset(foot: Foot) -> float:
@@ -339,16 +338,14 @@ def generate(
         phases=truth_phases, events=_truth_events(params, t_last=(n - 1) / rates.control_rate_hz)
     )
 
-    control = rates.control_rate_hz
     return TrialLog(
         rates=rates,
-        omega_left=TimeSeries(omega[Foot.LEFT], control),
-        omega_right=TimeSeries(omega[Foot.RIGHT], control),
+        omega=omega,
         insole=insole,
         emg=EmgChannel(TimeSeries(emg_raw, rates.emg_rate_hz), mvc_mv=DEFAULT_MVC_MV),
         foot_xy=foot_xy,
-        hip_deg={foot: TimeSeries(hip[foot], control) for foot in Foot},
-        knee_deg={foot: TimeSeries(knee[foot], control) for foot in Foot},
+        hip_deg=hip,
+        knee_deg=knee,
         truth=truth,
         params=params,
     )
@@ -368,10 +365,24 @@ def _knee_angle(phi: np.ndarray, sf: float) -> np.ndarray:
 
 
 def check_channels(log: TrialLog) -> None:
-    """Raise DataFormatError unless `log` has both omega and both insole channels."""
-    for name in ("omega_left", "omega_right"):
-        if getattr(log, name, None) is None:
-            raise DataFormatError(f"trial log is missing channel {name!r}")
-    if log.insole is None or any(foot not in log.insole for foot in Foot):
-        raise DataFormatError("trial log is missing insole channels")
+    """The one check of the channels `run_trial` reads, in either mode.
 
+    DataFormatError if a foot's omega or insole channel is missing;
+    InvalidSpecError unless each omega holds n_ticks finite values and each
+    insole n_ticks rows of 8 finite, non-negative forces.
+    """
+    for name in ("omega", "insole"):
+        for foot in Foot:
+            if foot not in (getattr(log, name) or {}):
+                raise DataFormatError(f"trial log is missing the {foot.value} {name} channel")
+    n = log.n_ticks
+    for foot in Foot:
+        for name, shape in (("omega", (n,)), ("insole", (n, 8))):
+            got = np.shape(getattr(log, name)[foot])
+            if got != shape:
+                raise InvalidSpecError(f"{foot.value} {name} needs shape {shape}, got {got}")
+        if not np.isfinite(log.omega[foot]).all():
+            raise InvalidSpecError(f"{foot.value} omega must be finite")
+        forces = log.insole[foot]
+        if not ((forces >= 0.0) & (forces < math.inf)).all():
+            raise InvalidSpecError(f"{foot.value} insole forces must be finite and non-negative")

@@ -148,8 +148,10 @@ def write_manifest(path: Path, entries: list[tuple[str, float | int | str | bool
 
 
 def read_manifest(path: Path) -> dict[str, str]:
+    """The `key = value` entries of the UTF-8 file at `path`: a trial
+    manifest or a `--config` file."""
     if not path.is_file():
-        raise DataFormatError(f"missing manifest: {path}")
+        raise DataFormatError(f"missing file: {path}")
     with utf8_errors(path.name):
         return parse_manifest(path.read_text(encoding="utf-8"))
 
@@ -227,7 +229,14 @@ def write_table(
 
 def format_named_rows(header: list[str], rows: Iterable[tuple[str, Iterable[float]]]) -> str:
     """The `analyze` and `compare` tables: `header`, then each row's name and
-    its values as `%.6f`, comma separated."""
+    its values as `%.6f`, comma separated. DataFormatError if a header cell
+    or row name holds a comma or a line break, which would break the table."""
+    rows = list(rows)
+    for name in [*header, *(name for name, _ in rows)]:
+        if any(c in name for c in ",\r\n"):
+            raise DataFormatError(
+                f"{name!r} cannot name a table cell: it holds ',' or a line break"
+            )
     lines = [",".join(header)]
     lines += [",".join([name, *(f"{value:.6f}" for value in values)]) for name, values in rows]
     return "\n".join(lines) + "\n"
@@ -442,11 +451,11 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
         entries += _settings_entries(log.params)
     write_manifest(out / "manifest.txt", entries)
 
-    write_table(out / "omega.csv", _OMEGA_COLS, t, log.omega_left.samples, log.omega_right.samples)
+    write_table(out / "omega.csv", _OMEGA_COLS, t, *(log.omega[foot] for foot in _FEET))
     for foot, name in ((Foot.LEFT, "insole_left"), (Foot.RIGHT, "insole_right")):
         write_table(out / f"{name}.csv", _INSOLE_COLS, t, log.insole[foot])
     write_table(out / "emg.csv", _EMG_COLS, log.emg.raw.times(), log.emg.raw.samples)
-    angles = [series[foot].samples for series in (log.hip_deg, log.knee_deg) for foot in _FEET]
+    angles = [angle[foot] for angle in (log.hip_deg, log.knee_deg) for foot in _FEET]
     feet_xy = [log.foot_xy[foot] for foot in _FEET]
     write_table(out / "kinematics.csv", _KINEMATICS_COLS, t, *feet_xy, *angles)
 
@@ -592,13 +601,12 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
 
     return TrialLog(
         rates=rates,
-        omega_left=TimeSeries(omega[:, 1], control),
-        omega_right=TimeSeries(omega[:, 2], control),
+        omega={foot: omega[:, 1 + i] for i, foot in enumerate(_FEET)},
         insole=insole,
         emg=EmgChannel(TimeSeries(emg[:, 1], rates.emg_rate_hz), mvc_mv=mvc),
         foot_xy={Foot.LEFT: kin[:, 1:3], Foot.RIGHT: kin[:, 3:5]},
-        hip_deg={foot: TimeSeries(kin[:, 5 + i], control) for i, foot in enumerate(_FEET)},
-        knee_deg={foot: TimeSeries(kin[:, 7 + i], control) for i, foot in enumerate(_FEET)},
+        hip_deg={foot: kin[:, 5 + i] for i, foot in enumerate(_FEET)},
+        knee_deg={foot: kin[:, 7 + i] for i, foot in enumerate(_FEET)},
         truth=truth,
         params=params,
     )

@@ -224,7 +224,7 @@ def test_criterion_6_metrics_oracle_equivalence(clean_trial):
 
     params = clean_trial.params
     measured = stride_length(
-        clean_trial.foot_xy, clean_trial.omega_left.times(), clean_trial.truth.events
+        clean_trial.foot_xy, clean_trial.times(), clean_trial.truth.events
     )
     expected = params.speed_m_s / params.cadence_hz
     stride_err = relative_error(measured, expected)

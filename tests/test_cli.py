@@ -572,6 +572,25 @@ def test_unparsable_config_value_is_one_line_usage_error(
     assert len(err) == 1 and repr(key) in err[0]
 
 
+@pytest.mark.parametrize("command", ["simulate", "run"])
+@pytest.mark.parametrize("broken", ["missing", "non-utf8"])
+def test_unreadable_config_is_one_line_data_error(trial_dir, tmp_path, capsys, command, broken):
+    cfg = tmp_path / "cfg.txt"
+    if broken == "non-utf8":
+        cfg.write_bytes(b"seed = 1\n\xff\n")
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "run":
+        argv += ["--trial", str(trial_dir)]
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == "gaitassist: data error: " + (
+        f"missing file: {cfg}\n"
+        if broken == "missing"
+        else "cfg.txt: byte 0xff is not UTF-8 (invalid start byte)\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def _flags(command: str) -> dict[str, list[str]]:
     """Option strings of one subcommand, by the settings key they set."""
     parser = build_parser()
@@ -740,6 +759,21 @@ class TestAnalyze:
             f"analyze: {broken}: {name}: byte 0xff is not UTF-8 (invalid start byte)\n"
         )
 
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+    def test_trial_name_that_breaks_the_table_is_refused(self, trial_dir, tmp_path, capsys, name):
+        odd = tmp_path / name
+        shutil.copytree(trial_dir, odd)
+        out = tmp_path / "m.csv"
+        capsys.readouterr()
+        assert run_cli("analyze", str(odd), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"gaitassist: data error: {name!r} cannot name a table cell: "
+            "it holds ',' or a line break\n"
+        )
+        assert not out.exists()
+
     def test_trial_without_truth_detects_its_own_events(self, trial_dir, tmp_path):
         truthless = tmp_path / "truthless"
         shutil.copytree(trial_dir, truthless)
@@ -873,6 +907,21 @@ class TestCompare:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"gaitassist: data error: {huge}: percent change of 'a' overflows\n"
+
+    def test_file_stem_that_breaks_the_header_is_refused(self, metrics_files, tmp_path, capsys):
+        base, other = metrics_files
+        odd = tmp_path / "x,y.csv"
+        shutil.copyfile(other, odd)
+        out = tmp_path / "cmp.csv"
+        capsys.readouterr()
+        assert run_cli("compare", "--baseline", str(base), str(odd), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "gaitassist: data error: 'x,y [%]' cannot name a table cell: "
+            "it holds ',' or a line break\n"
+        )
+        assert not out.exists()
 
     def test_missing_baseline_is_data_error(self, tmp_path):
         assert run_cli("compare", "--baseline", str(tmp_path / "none.csv"), "x.csv") == 2

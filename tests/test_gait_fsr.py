@@ -13,15 +13,9 @@ from hypothesis import strategies as st
 
 from gaitassist.errors import InvalidSpecError
 from gaitassist.gait import EventKind, Foot, GaitEvent, GaitState, Phase, check_event_stream
-from gaitassist.gait_fsr import (
-    INITIAL_STATE,
-    FsrDetectorConfig,
-    check_forces,
-    detect_fsr,
-    force_sums,
-    fsr_transition,
-)
-from gaitassist.simgait import STATE_BY_CODE, gait_state_codes
+from gaitassist.gait_fsr import INITIAL_STATE, FsrDetectorConfig, detect, force_sums, fsr_transition
+from gaitassist.runner import DetectionMode, run_trial
+from gaitassist.simgait import STATE_BY_CODE, GaitParams, gait_state_codes, generate
 
 DT = 0.01
 
@@ -159,7 +153,7 @@ class TestStreamContracts:
         check_event_stream(events)
         # the whole-channel detector emits the same stream for a lone loaded leg
         loaded = np.array([frame(total) for total in totals])
-        both, _ = detect_fsr(
+        both, _ = detect(
             {Foot.LEFT: loaded, Foot.RIGHT: np.zeros_like(loaded)},
             np.arange(len(totals)) * DT,
             FsrDetectorConfig(),
@@ -169,24 +163,20 @@ class TestStreamContracts:
 
 
 class TestValidation:
-    def test_frame_needs_eight_forces(self):
+    @pytest.mark.parametrize("mode", list(DetectionMode))
+    def test_frame_needs_eight_forces(self, mode):
+        log = generate(GaitParams(), 10.0)
+        log.insole = {foot: np.ones((log.n_ticks, 7)) for foot in Foot}
         with pytest.raises(InvalidSpecError):
-            check_forces(np.ones(7))
-        with pytest.raises(InvalidSpecError):
-            detect_fsr(
-                {foot: np.ones((3, 7)) for foot in Foot}, np.arange(3) * DT, FsrDetectorConfig()
-            )
+            run_trial(log, mode)
 
-    def test_negative_or_non_finite_force_rejected(self):
+    @pytest.mark.parametrize("mode", list(DetectionMode))
+    def test_negative_or_non_finite_force_rejected(self, mode):
         for bad in (-1.0, math.nan, math.inf):
-            forces = np.zeros(8)
-            forces[0] = bad
+            log = generate(GaitParams(), 10.0)
+            log.insole[Foot.RIGHT][2, 0] = bad
             with pytest.raises(InvalidSpecError):
-                check_forces(forces)
-            insole = {foot: np.zeros((3, 8)) for foot in Foot}
-            insole[Foot.RIGHT][2] = forces
-            with pytest.raises(InvalidSpecError):
-                detect_fsr(insole, np.arange(3) * DT, FsrDetectorConfig())
+                run_trial(log, mode)
 
     def test_release_must_sit_below_contact(self):
         with pytest.raises(InvalidSpecError):
@@ -205,6 +195,6 @@ class TestValidation:
 def test_both_feet_phases_combines_states():
     # a loaded left insole strikes at once; the unloaded right one keeps swinging
     insole = {Foot.LEFT: np.tile(frame(300.0), (2, 1)), Foot.RIGHT: np.zeros((2, 8))}
-    _, phases = detect_fsr(insole, np.arange(2) * DT, FsrDetectorConfig())
+    _, phases = detect(insole, np.arange(2) * DT, FsrDetectorConfig())
     states = [STATE_BY_CODE[code] for code in gait_state_codes(phases)]
     assert states == [GaitState.LEFT_STANCE_RIGHT_SWING] * 2

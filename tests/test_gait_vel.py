@@ -8,8 +8,11 @@ import pytest
 
 from gaitassist.errors import InvalidSpecError
 from gaitassist.gait import EventKind, Foot, GaitEvent, GaitState, Phase, check_event_stream
-from gaitassist.gait_vel import INITIAL_STATE, VelDetectorConfig, detect_vel, vel_transition
-from gaitassist.simgait import STATE_BY_CODE, HipVelocityWaveform, gait_state_codes
+from gaitassist.gait_vel import INITIAL_STATE, VelDetectorConfig, detect, vel_transition
+from gaitassist.runner import DetectionMode, run_trial
+from gaitassist.simgait import (
+    STATE_BY_CODE, GaitParams, HipVelocityWaveform, gait_state_codes, generate,
+)
 
 DT = 0.01
 HS = EventKind.HEEL_STRIKE
@@ -40,7 +43,7 @@ def gait_walk(n: int = 1000):
     """Both hips' angular velocity over n ticks of periodic walking."""
     wave = HipVelocityWaveform(stance_fraction=0.6)
     t = np.arange(n) * DT
-    return 2.0 * wave.unit(0.7 * t), 2.0 * wave.unit(0.7 * t + 0.5), t
+    return {Foot.LEFT: 2.0 * wave.unit(0.7 * t), Foot.RIGHT: 2.0 * wave.unit(0.7 * t + 0.5)}, t
 
 
 class TestHeelStrikeCrossing:
@@ -152,30 +155,34 @@ class TestEventGap:
 class TestVelStep:
     def test_standing_still_emits_nothing(self):
         still = np.zeros(300)
-        events, phases = detect_vel(still, still, np.arange(300) * DT, VelDetectorConfig())
+        events, phases = detect(
+            {foot: still for foot in Foot}, np.arange(300) * DT, VelDetectorConfig()
+        )
         assert events == []
         codes = gait_state_codes(phases)
         assert all(STATE_BY_CODE[code] is GaitState.DOUBLE_STANCE for code in codes)
 
-    def test_non_finite_velocity_rejected(self):
-        t = np.arange(3) * DT
-        for bad_left, bad_right in ((math.nan, 0.0), (0.0, math.inf)):
-            left, right = np.zeros(3), np.zeros(3)
-            left[1], right[1] = bad_left, bad_right
+    @pytest.mark.parametrize("mode", list(DetectionMode))
+    def test_non_finite_velocity_rejected(self, mode):
+        for foot, bad in ((Foot.LEFT, math.nan), (Foot.RIGHT, math.inf)):
+            log = generate(GaitParams(), 10.0)
+            log.omega[foot][1] = bad
             with pytest.raises(ValueError):
-                detect_vel(left, right, t, VelDetectorConfig())
+                run_trial(log, mode)
 
     def test_deterministic_replay(self):
-        wl, wr, t = gait_walk()
-        first, first_phases = detect_vel(wl, wr, t, VelDetectorConfig())
-        again, again_phases = detect_vel(wl.copy(), wr.copy(), t.copy(), VelDetectorConfig())
+        omega, t = gait_walk()
+        first, first_phases = detect(omega, t, VelDetectorConfig())
+        again, again_phases = detect(
+            {foot: w.copy() for foot, w in omega.items()}, t.copy(), VelDetectorConfig()
+        )
         assert first == again
         for foot in Foot:
             assert first_phases[foot].tobytes() == again_phases[foot].tobytes()
 
     def test_periodic_gait_produces_alternating_events(self):
-        wl, wr, t = gait_walk()
-        events, _ = detect_vel(wl, wr, t, VelDetectorConfig())
+        omega, t = gait_walk()
+        events, _ = detect(omega, t, VelDetectorConfig())
         check_event_stream(events)
         for foot in Foot:
             for kind in (HS, TO):

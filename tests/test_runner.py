@@ -1,10 +1,13 @@
 """Closed-loop runner tests on synthetic trials."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from gaitassist.controller import ControllerConfig
+from gaitassist.errors import DataFormatError, InvalidSpecError
 from gaitassist.gait import EventKind, Foot, check_event_stream
 from gaitassist.runner import DetectionMode, control_envelope, run_trial
 from gaitassist.simgait import STATE_BY_CODE, ChannelRates, GaitParams, generate
@@ -121,3 +124,48 @@ def test_control_envelope_is_decimated_causal_path(clean_trial):
     assert env.rate_hz == clean_trial.rates.control_rate_hz
     assert len(env) == clean_trial.n_ticks
     assert np.all(env.samples >= 0.0) and np.all(env.samples <= 1.0)
+
+
+
+def _with(bad: float):
+    """A copy of a channel with its third tick's first value set to `bad`."""
+
+    def change(x: np.ndarray) -> np.ndarray:
+        x = x.copy()
+        x.reshape(len(x), -1)[2, 0] = bad
+        return x
+
+    return change
+
+
+# (channel, foot, change of that foot's channel or None to drop it, error)
+_BAD_CHANNELS = {
+    "missing left omega": ("omega", Foot.LEFT, None, DataFormatError),
+    "missing right insole": ("insole", Foot.RIGHT, None, DataFormatError),
+    "insole of 7 forces": ("insole", Foot.LEFT, lambda x: x[:, :7], InvalidSpecError),
+    **{
+        f"force of {bad}": ("insole", Foot.RIGHT, _with(bad), InvalidSpecError)
+        for bad in (-1.0, math.nan, math.inf)
+    },
+    **{
+        f"omega of {bad}": ("omega", Foot.LEFT, _with(bad), InvalidSpecError)
+        for bad in (math.nan, math.inf)
+    },
+    "short omega": ("omega", Foot.RIGHT, lambda x: x[:-1], InvalidSpecError),
+}
+
+
+@pytest.mark.parametrize("mode", list(DetectionMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("case", list(_BAD_CHANNELS))
+def test_every_channel_is_checked_in_both_modes(case, mode):
+    # run_trial checks both feet's omega and insole channels whichever
+    # framework drives the gait state
+    channel, foot, change, error = _BAD_CHANNELS[case]
+    log = generate(GaitParams(), 10.0)
+    channels = getattr(log, channel)
+    if change is None:
+        del channels[foot]
+    else:
+        channels[foot] = change(channels[foot])
+    with pytest.raises(error):
+        run_trial(log, mode)

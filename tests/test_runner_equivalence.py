@@ -19,7 +19,7 @@ from gaitassist.gait import Foot, GaitEvent, Phase, gait_state_from_phases
 from gaitassist.gait_fsr import FsrDetectorConfig, force_sums, fsr_transition
 from gaitassist.gait_vel import VelDetectorConfig, vel_transition
 from gaitassist.runner import DetectionMode, control_envelope, run_trial
-from gaitassist.signals import EmgChannel, TimeSeries
+from gaitassist.signals import EmgChannel
 from gaitassist.simgait import STATE_BY_CODE, GaitParams, TrialLog, generate
 
 DURATION_S = 8.0
@@ -70,7 +70,7 @@ def reference_run(log, mode, controller_cfg, fsr_cfg, vel_cfg):
     then the torque of the tick."""
     env = control_envelope(log).samples
     t = log.times()
-    omega = {Foot.LEFT: log.omega_left.samples, Foot.RIGHT: log.omega_right.samples}
+    omega = log.omega
     if mode is DetectionMode.FOOT_SENSORS:
         legs = {foot: (Phase.SWING, -math.inf) for foot in Foot}
     else:
@@ -146,23 +146,17 @@ def test_run_trial_equals_per_tick_fold(log, mode, controller_cfg, fsr_cfg, vel_
 def prefix(log: TrialLog, k: int) -> TrialLog:
     """The first k ticks of `log`, with EMG cut at the matching sample, no truth."""
     samples_per_tick = int(round(log.rates.emg_rate_hz / log.rates.control_rate_hz))
-    control = log.rates.control_rate_hz
-
-    def cut(series: TimeSeries) -> TimeSeries:
-        return TimeSeries(series.samples[:k], control)
-
     return TrialLog(
         rates=log.rates,
-        omega_left=cut(log.omega_left),
-        omega_right=cut(log.omega_right),
+        omega={foot: log.omega[foot][:k] for foot in Foot},
         insole={foot: log.insole[foot][:k] for foot in Foot},
         emg=EmgChannel(
             log.emg.raw.with_samples(log.emg.raw.samples[: k * samples_per_tick]),
             mvc_mv=log.emg.mvc_mv,
         ),
         foot_xy={foot: log.foot_xy[foot][:k] for foot in Foot},
-        hip_deg={foot: cut(log.hip_deg[foot]) for foot in Foot},
-        knee_deg={foot: cut(log.knee_deg[foot]) for foot in Foot},
+        hip_deg={foot: log.hip_deg[foot][:k] for foot in Foot},
+        knee_deg={foot: log.knee_deg[foot][:k] for foot in Foot},
         params=log.params,
     )
 

@@ -108,7 +108,7 @@ class TestTruthConsistency:
         # the velocity channel's own landmark sits on the truth toe-off grid
         params = clean_trial.params
         t = clean_trial.times()
-        omega = clean_trial.omega_left.samples
+        omega = clean_trial.omega[Foot.LEFT]
         for ev in clean_trial.truth.events:
             if ev.foot is not Foot.LEFT or ev.kind is not EventKind.TOE_OFF:
                 continue
@@ -141,14 +141,14 @@ class TestKinematics:
             assert dx[both_stance].max() < 1e-9
 
     def test_knee_range_of_motion_scale(self, clean_trial):
-        knee = clean_trial.knee_deg[Foot.LEFT].samples
+        knee = clean_trial.knee_deg[Foot.LEFT]
         assert knee.min() >= 0.0
         assert knee.max() == pytest.approx(KNEE_ROM_DEG, rel=0.02)
 
     def test_hip_angle_is_periodic_per_cycle(self):
         # cadence 0.5 Hz puts one cycle on exactly 200 ticks at 100 Hz
         log = generate(GaitParams(cadence_hz=0.5, seed=0), 12.0)
-        hip = log.hip_deg[Foot.LEFT].samples
+        hip = log.hip_deg[Foot.LEFT]
         np.testing.assert_allclose(hip[200:], hip[:-200], atol=1e-9)
         assert hip.max() - hip.min() > 10.0
 
@@ -158,17 +158,17 @@ class TestDeterminismAndNoise:
         params = GaitParams(noise_sigma=0.05, seed=123)
         a = generate(params, 10.0)
         b = generate(params, 10.0)
-        assert np.array_equal(a.omega_left.samples, b.omega_left.samples)
+        assert np.array_equal(a.omega[Foot.LEFT], b.omega[Foot.LEFT])
         assert np.array_equal(a.emg.raw.samples, b.emg.raw.samples)
         for foot in Foot:
             assert np.array_equal(a.insole[foot], b.insole[foot])
             assert np.array_equal(a.foot_xy[foot], b.foot_xy[foot])
-            assert np.array_equal(a.hip_deg[foot].samples, b.hip_deg[foot].samples)
+            assert np.array_equal(a.hip_deg[foot], b.hip_deg[foot])
 
     def test_different_seed_changes_noise(self):
         a = generate(GaitParams(noise_sigma=0.05, seed=1), 10.0)
         b = generate(GaitParams(noise_sigma=0.05, seed=2), 10.0)
-        assert not np.array_equal(a.omega_left.samples, b.omega_left.samples)
+        assert not np.array_equal(a.omega[Foot.LEFT], b.omega[Foot.LEFT])
 
     def test_insole_noise_is_load_proportional(self):
         clean = generate(GaitParams(seed=5), 10.0)
@@ -186,7 +186,7 @@ class TestDeterminismAndNoise:
         t = log.times()
         phi = np.mod(log.params.cadence_hz * t, 1.0)
         np.testing.assert_allclose(
-            log.omega_left.samples, log.params.omega_amp_rad_s * wave.unit(phi), atol=1e-12
+            log.omega[Foot.LEFT], log.params.omega_amp_rad_s * wave.unit(phi), atol=1e-12
         )
 
 
@@ -238,8 +238,8 @@ class TestReplay:
 
     def test_missing_omega_rejected(self):
         for mode in DetectionMode:
-            for name in ("omega_left", "omega_right"):
+            for foot in Foot:
                 log = generate(GaitParams(), 10.0)
-                setattr(log, name, None)
+                log.omega.pop(foot)
                 with pytest.raises(DataFormatError):
                     run_trial(log, mode)

@@ -49,7 +49,7 @@ class TestRoundTrip:
         assert loaded.n_ticks == log.n_ticks
         assert loaded.rates == log.rates
         np.testing.assert_allclose(
-            loaded.omega_left.samples, log.omega_left.samples, atol=1e-6
+            loaded.omega[Foot.LEFT], log.omega[Foot.LEFT], atol=1e-6
         )
         np.testing.assert_allclose(
             loaded.emg.raw.samples, log.emg.raw.samples, atol=1e-6
@@ -58,9 +58,7 @@ class TestRoundTrip:
         for foot in Foot:
             np.testing.assert_allclose(loaded.insole[foot], log.insole[foot], atol=1e-6)
             np.testing.assert_allclose(loaded.foot_xy[foot], log.foot_xy[foot], atol=1e-6)
-            np.testing.assert_allclose(
-                loaded.hip_deg[foot].samples, log.hip_deg[foot].samples, atol=1e-6
-            )
+            np.testing.assert_allclose(loaded.hip_deg[foot], log.hip_deg[foot], atol=1e-6)
 
     def test_truth_survives_exactly(self, saved_trial):
         log, out = saved_trial
@@ -376,16 +374,16 @@ class TestReadTable:
 
         def arrays(log) -> dict[str, np.ndarray]:
             out = {
-                "omega_left": log.omega_left.samples,
-                "omega_right": log.omega_right.samples,
+                "omega_left": log.omega[Foot.LEFT],
+                "omega_right": log.omega[Foot.RIGHT],
                 "emg": log.emg.raw.samples,
                 "events": np.array([(e.t, e.foot.value, e.kind.value) for e in log.truth.events]),
             }
             for foot in Foot:
                 out[f"insole_{foot.value}"] = log.insole[foot]
                 out[f"foot_xy_{foot.value}"] = log.foot_xy[foot]
-                out[f"hip_{foot.value}"] = log.hip_deg[foot].samples
-                out[f"knee_{foot.value}"] = log.knee_deg[foot].samples
+                out[f"hip_{foot.value}"] = log.hip_deg[foot]
+                out[f"knee_{foot.value}"] = log.knee_deg[foot]
                 out[f"phases_{foot.value}"] = log.truth.phases[foot]
             return out
 
