@@ -1,8 +1,8 @@
 """Myoelectric gait assistance: detection, control, simulation, and analysis.
 
 The package is organized around small immutable value types and pure
-per-leg transition functions, folded over whole channels, so that every
-run is reproducible sample for sample:
+per-leg detector kernels that take and return a plain state over whole
+channels, so that every run is reproducible sample for sample:
 
 - :mod:`gaitassist.signals` for EMG conditioning and filter design
 - :mod:`gaitassist.gait_fsr` and :mod:`gaitassist.gait_vel` for the two
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .controller import UNLIMITED, ControllerConfig
 from .errors import DataFormatError, GaitAssistError, InvalidSpecError
-from .gait import EventKind, Foot, GaitEvent, GaitState, Phase, gait_state_from_phases
+from .gait import EventKind, Foot, GaitEvent, GaitState, Phase
 from .gait_fsr import FsrDetectorConfig
 from .gait_vel import VelDetectorConfig
 from .metrics import DetectionScore, TrialMetrics, score_detection
@@ -53,7 +53,6 @@ __all__ = [
     "VelDetectorConfig",
     "design_filter",
     "emg_envelope",
-    "gait_state_from_phases",
     "generate",
     "load_trial",
     "run_trial",

@@ -1,15 +1,13 @@
 """Shared gait vocabulary: feet, leg phases, gait events, and the combined two-leg state.
 
-Also the whole-trial fold both detectors share: `detect` steps each leg's
-plain-float transition over a trial and returns the event stream and the
-per-tick phases.
+Also the step both detectors' `detect` take after their per-leg kernels:
+`events_and_phases` merges both legs' emitted events into one stream and
+gives the per-tick phases.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
-from typing import Any, Callable
 
 import numpy as np
 
@@ -61,17 +59,6 @@ class GaitState(Enum):
     DOUBLE_SWING = "double_swing"
 
 
-def gait_state_from_phases(left: Phase, right: Phase) -> GaitState:
-    """Classify the two-leg state from per-leg phases."""
-    if left is Phase.STANCE:
-        if right is Phase.STANCE:
-            return GaitState.DOUBLE_STANCE
-        return GaitState.LEFT_STANCE_RIGHT_SWING
-    if right is Phase.STANCE:
-        return GaitState.RIGHT_STANCE_LEFT_SWING
-    return GaitState.DOUBLE_SWING
-
-
 def check_event_stream(events: list[GaitEvent]) -> None:
     """Raise ValueError if per-foot events do not alternate with increasing time."""
     last: dict[Foot, GaitEvent] = {}
@@ -96,46 +83,24 @@ def check_event_stream(events: list[GaitEvent]) -> None:
 BLOCK_TICKS = 4096
 
 
-def detect(
-    transition: Callable[..., tuple[Any, tuple[EventKind, float] | None]],
-    initial: tuple,
-    cfg: Any,
-    t: np.ndarray,
-    legs: dict[Foot, tuple[np.ndarray, np.ndarray]],
+def events_and_phases(
+    legs: dict[Foot, tuple[list[int], list[tuple[EventKind, float]]]], n: int, initial: Phase
 ) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
-    """Fold each leg's transition over a whole trial, one tick per sample.
+    """Both legs' events and causal phases over n ticks, from each leg's
+    emission ticks and (kind, event time) pairs as a `detect_block` returns
+    them; `initial` is each leg's phase before its first tick.
 
-    Args:
-        transition: the detector's plain-float transition, called as
-            `transition(state, t, a, b, cfg) -> (state, fired)`; `fired` is
-            None or the (kind, event time) of the event emitted at t.
-        initial: each leg's state before the first tick, its phase first.
-        cfg: detector configuration, passed through to `transition`.
-        t: the n tick times in seconds.
-        legs: each leg's two input channels (a, b), n values each.
-
-    Returns:
-        The events ordered by emission tick, left before right within a
-        tick, as a tick-by-tick loop emits them, and each leg's causal
-        per-tick phase (0 stance, 1 swing): every event flips its leg's
-        phase from its emission tick on.
+    The events are ordered by emission tick, left before right within a
+    tick, as a tick-by-tick loop emits them. A leg's per-tick phase is 0 in
+    stance and 1 in swing: each event flips it from its emission tick on.
     """
     tagged: list[tuple[int, GaitEvent]] = []
     phases: dict[Foot, np.ndarray] = {}
     for foot in Foot:
-        a, b = legs[foot]
-        state, ticks = initial, []
-        for start in range(0, len(t), BLOCK_TICKS):
-            stop = start + BLOCK_TICKS
-            for k, tk, ak, bk in zip(
-                count(start), t[start:stop].tolist(), a[start:stop].tolist(), b[start:stop].tolist()
-            ):
-                state, fired = transition(state, tk, ak, bk, cfg)
-                if fired is not None:
-                    ticks.append(k)
-                    tagged.append((k, GaitEvent(fired[1], foot, fired[0])))
-        flips = np.zeros(len(t), dtype=np.int8)
+        ticks, fired = legs[foot]
+        tagged += [(k, GaitEvent(t_event, foot, kind)) for k, (kind, t_event) in zip(ticks, fired)]
+        flips = np.zeros(n, dtype=np.int8)
         flips[np.array(ticks, dtype=np.intp)] = 1
-        phases[foot] = ((int(initial[0] is Phase.SWING) + np.cumsum(flips)) & 1).astype(np.int8)
+        phases[foot] = ((int(initial is Phase.SWING) + np.cumsum(flips)) & 1).astype(np.int8)
     tagged.sort(key=lambda item: item[0])  # stable, so left stays before right
     return [event for _, event in tagged], phases

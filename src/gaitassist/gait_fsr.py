@@ -50,38 +50,54 @@ class FsrDetectorConfig:
 INITIAL_STATE = (Phase.SWING, -math.inf)
 
 
-def fsr_transition(
-    state: tuple[Phase, float], t: float, front: float, back: float, cfg: FsrDetectorConfig
-) -> tuple[tuple[Phase, float], tuple[EventKind, float] | None]:
-    """One leg's phase machine on plain floats: the single copy of its logic.
+def detect_block(
+    state: tuple[Phase, float], t: np.ndarray, front: np.ndarray, back: np.ndarray,
+    cfg: FsrDetectorConfig,
+) -> tuple[tuple[Phase, float], list[int], list[tuple[EventKind, float]]]:
+    """One leg's phase machine over a block of ticks, jumping from event to event.
+
+    A swinging leg strikes at the first tick, past the debounce, whose total
+    force exceeds the contact threshold; a leg in stance lifts off at the
+    first such tick where both clusters are below the release threshold.
 
     Args:
-        state: (phase, time of the last event) before this frame.
-        t: frame time in seconds.
-        front, back: the frame's cluster force sums in newtons.
+        state: (phase, time of the last event) before the block.
+        t: the block's increasing tick times in seconds.
+        front, back: the cluster force sums in newtons, one per tick.
         cfg: thresholds and debounce.
 
     Returns:
-        The state after the frame and, if the leg changed phase, the
-        (kind, time) of the event it emitted.
+        The state after the block, the emission ticks, and the (kind, time)
+        of each event.
     """
     phase, last_event_t = state
-    if t - last_event_t < cfg.min_phase_s:
-        return state, None
-    if phase is Phase.SWING:
-        if front + back > cfg.contact_threshold_n:
-            return (Phase.STANCE, t), (EventKind.HEEL_STRIKE, t)
-    elif front < cfg.release_threshold_n and back < cfg.release_threshold_n:
-        return (Phase.SWING, t), (EventKind.TOE_OFF, t)
-    return state, None
+    contact, release = cfg.contact_threshold_n, cfg.release_threshold_n
+    hits = {
+        Phase.SWING: (EventKind.HEEL_STRIKE, np.flatnonzero(front + back > contact)),
+        Phase.STANCE: (EventKind.TOE_OFF, np.flatnonzero((front < release) & (back < release))),
+    }
+    ticks, fired, k = [], [], 0
+    while True:
+        kind, candidates = hits[phase]
+        i = candidates.searchsorted(k)  # then skip the candidates inside the debounce
+        while i < len(candidates) and t[candidates[i]] - last_event_t < cfg.min_phase_s:
+            i += 1
+        if i == len(candidates):
+            return (phase, last_event_t), ticks, fired
+        k = int(candidates[i])
+        phase, last_event_t = phase.other(), float(t[k])
+        ticks.append(k)
+        fired.append((kind, last_event_t))
+        k += 1
 
 
 def detect(
     insole: dict[Foot, np.ndarray], t: np.ndarray, cfg: FsrDetectorConfig
 ) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
-    """Both legs' :func:`fsr_transition` folded over whole insole channels
-    (see :func:`gait.detect`); `insole` holds each foot's (n, 8) forces in
-    newtons, one row per tick, as `simgait.check_channels` checks them."""
-    return gait.detect(
-        fsr_transition, INITIAL_STATE, cfg, t, {foot: force_sums(insole[foot]) for foot in Foot}
-    )
+    """Both legs' :func:`detect_block` over whole insole channels from
+    `INITIAL_STATE`; `insole` holds each foot's (n, 8) forces in newtons, one
+    row per tick, as `simgait.check_channels` checks them."""
+    legs = {
+        foot: detect_block(INITIAL_STATE, t, *force_sums(insole[foot]), cfg)[1:] for foot in Foot
+    }
+    return gait.events_and_phases(legs, len(t), INITIAL_STATE[0])

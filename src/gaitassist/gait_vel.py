@@ -11,7 +11,9 @@ control periods.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -53,93 +55,129 @@ _Plain = tuple[Phase, float, float, float, int, int, float]
 INITIAL_STATE: _Plain = (Phase.STANCE, -math.inf, -math.inf, math.nan, 0, 0, math.nan)
 
 
-def vel_transition(
-    state: _Plain, t: float, own: float, contra: float, cfg: VelDetectorConfig
-) -> tuple[_Plain, tuple[EventKind, float] | None]:
-    """One leg's detector on plain floats: the single copy of its logic.
+def detect_block(
+    state: _Plain, t: np.ndarray, own: np.ndarray, contra: np.ndarray, cfg: VelDetectorConfig
+) -> tuple[_Plain, list[int], list[tuple[EventKind, float]]]:
+    """One leg's detector over a block of ticks, jumping from event to event.
+
+    A swinging leg strikes at the first crossing of the other leg's velocity
+    past the event gap whose event time is after the last event. A leg in
+    stance lifts off at the first peak its tracker confirms past the gap.
+    The tracker starts over after every event and every confirmed peak.
 
     Args:
-        state: the leg's plain state before this tick (see `_Plain`).
-        t: tick time in seconds.
+        state: the leg's state before the block (see `_Plain`): any state
+            a tick-by-tick run from `INITIAL_STATE` can reach.
+        t: the block's increasing tick times in seconds.
         own, contra: this leg's and the other leg's hip angular velocity.
         cfg: detector thresholds.
 
     Returns:
-        The state after the tick and, if the leg changed phase, the
-        (kind, time) of the event it emitted; a toe off is backdated to
-        the sample of the confirmed peak.
+        The state after the block, the emission ticks, and the (kind, time)
+        of each event.
     """
     phase, last_event_t, peak_max, peak_max_t, decline, region, pending = state
-    h = cfg.zero_hysteresis_rad_s
-    fired: tuple[EventKind, float] | None = None
+    n, c, gap = len(t), cfg.peak_confirm_samples, cfg.min_event_gap_s
+    crossings, region, pending = _crossings(t, contra, cfg.zero_hysteresis_rad_s, region, pending)
+    # ticks whose sample reaches the peak height and is not exceeded by the
+    # next c samples: a peak recorded there is confirmed c ticks later
+    head = own[: max(n - c, 0)]
+    peaks = (head >= cfg.peak_min_rad_s) & (head >= _window_max(own[1:], c))
+    peaks = np.flatnonzero(peaks).tolist()
 
-    # Heel strike: contralateral velocity passes through zero, confirmed when
-    # it emerges on the far side of the hysteresis band. The event time is
-    # the first sample past zero, not the confirmation sample.
-    crossed = False
-    if region == +1:
-        if math.isnan(pending) and contra <= 0.0:
-            pending = t
-        elif not math.isnan(pending) and contra > 0.0:
-            pending = math.nan
-        if contra < -h:
-            crossed = True
-            region = -1
-    elif region == -1:
-        if math.isnan(pending) and contra >= 0.0:
-            pending = t
-        elif not math.isnan(pending) and contra < 0.0:
-            pending = math.nan
-        if contra > h:
-            crossed = True
-            region = +1
-    else:
-        if contra > h:
-            region = +1
-        elif contra < -h:
-            region = -1
+    def confirmation(s: int) -> tuple[int, float] | None:
+        """(tick, peak time) of the tracker's next confirmed peak from tick s."""
+        if peak_max >= cfg.peak_min_rad_s:
+            j = s + max(0, c - decline - 1)
+            if j < n and own[s : j + 1].max() <= peak_max:
+                return j, peak_max_t
+        running, start = peak_max, s
+        for p in islice(peaks, bisect_left(peaks, s), None):
+            if p > start:
+                running = max(running, float(own[start:p].max()))
+            if own[p] > running:  # a new maximum: recorded, then confirmed
+                return p + c, float(t[p])
+            start = p
+        return None
 
-    if crossed:
-        t_event = pending if not math.isnan(pending) else t
-        pending = math.nan
-        if (
-            phase is Phase.SWING
-            and t - last_event_t >= cfg.min_event_gap_s
-            and t_event > last_event_t
-        ):
-            fired = (EventKind.HEEL_STRIKE, t_event)
-
-    # Toe off: causal peak confirmation on the leg's own velocity.
-    if fired is None:
-        if own > peak_max:
-            peak_max, peak_max_t, decline = own, t, 0
-        else:
-            decline += 1
-        if decline >= cfg.peak_confirm_samples and peak_max >= cfg.peak_min_rad_s:
-            if (
-                phase is Phase.STANCE
-                and t - last_event_t >= cfg.min_event_gap_s
-                and peak_max_t > last_event_t
+    ticks, fired, s = [], [], 0
+    while True:
+        if phase is Phase.SWING:
+            i = bisect_left(crossings, (s,))  # then skip the crossings that cannot fire
+            while i < len(crossings) and not (
+                t[crossings[i][0]] - last_event_t >= gap and crossings[i][1] > last_event_t
             ):
-                fired = (EventKind.TOE_OFF, peak_max_t)
-            else:
-                # stale or suppressed peak: start the tracker over
-                peak_max, peak_max_t, decline = -math.inf, math.nan, 0
+                i += 1
+            if i == len(crossings):
+                break
+            (k, t_event), kind = crossings[i], EventKind.HEEL_STRIKE
+        else:
+            hit = confirmation(s)
+            if hit is None:
+                break
+            (k, t_event), kind = hit, EventKind.TOE_OFF
+        s, peak_max, peak_max_t, decline = k + 1, -math.inf, math.nan, 0  # the tracker starts over
+        if not (t[k] - last_event_t >= gap and t_event > last_event_t):
+            continue  # a stale or suppressed peak; every crossing found above passes
+        ticks.append(k)
+        fired.append((kind, t_event))
+        phase, last_event_t = phase.other(), float(t[k])
+    while (hit := confirmation(s)) is not None:  # a swinging leg's peaks are discarded
+        s, peak_max, peak_max_t, decline = hit[0] + 1, -math.inf, math.nan, 0
+    if s < n:
+        k = s + int(np.argmax(own[s:]))
+        if own[k] > peak_max:
+            peak_max, peak_max_t, decline = float(own[k]), float(t[k]), n - 1 - k
+        else:
+            decline += n - s
+    return (phase, last_event_t, peak_max, peak_max_t, decline, region, pending), ticks, fired
 
-    if fired is not None:
-        phase = phase.other()
-        last_event_t = t
-        peak_max, peak_max_t, decline = -math.inf, math.nan, 0
 
-    return (phase, last_event_t, peak_max, peak_max_t, decline, region, pending), fired
+def _window_max(x: np.ndarray, w: int) -> np.ndarray:
+    """max(x[i : i + w]) for each i in range(len(x) - w + 1), by doubling."""
+    if len(x) < w:
+        return x[:0]
+    m, span = x, 1
+    while 2 * span <= w:
+        m, span = np.maximum(m[:-span], m[span:]), 2 * span
+    return np.maximum(m[: len(x) - w + 1], m[w - span :])
+
+
+def _crossings(
+    t: np.ndarray, contra: np.ndarray, h: float, region: int, pending: float
+) -> tuple[list[tuple[int, float]], int, float]:
+    """Each hysteresis crossing of the other leg's velocity in a block, as
+    (tick, time of the first sample past zero), and the (region, pending)
+    after the block. A crossing is a flip of the region, the last side of
+    the band the velocity left; it is used up whether or not it fires."""
+    side = (contra > h).astype(np.int8) - (contra < -h)
+    outside = np.flatnonzero(side)
+    signs = side[outside]
+    before = np.concatenate(([region], signs[:-1]))  # the region each sample leaves
+    flips = np.flatnonzero((signs != before) & (before != 0))
+    # the run that pending dates starts after the last sample on the region's
+    # side of zero (above it in +1, below in -1), or at the carried pending
+    ticks = np.arange(len(t))
+    back = {r: np.maximum.accumulate(np.where(r * contra > 0.0, ticks, -1)) for r in (1, -1)}
+    starts = np.concatenate((t[:1] if math.isnan(pending) else [pending], t[1:], [math.nan]))
+    k, r = outside[flips], before[flips]
+    crossings = list(zip(k.tolist(), starts[np.where(r > 0, back[1][k], back[-1][k]) + 1].tolist()))
+    if len(signs):
+        region = int(signs[-1])
+    if region and len(t):
+        pending = float(starts[back[region][-1] + 1])
+    return crossings, region, pending
 
 
 def detect(
     omega: dict[Foot, np.ndarray], t: np.ndarray, cfg: VelDetectorConfig
 ) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
-    """Both legs' :func:`vel_transition` folded over whole channels (see
-    :func:`gait.detect`); `omega` holds each foot's hip angular velocity in
-    rad/s, one finite value per tick. A leg reads its own velocity, then the
-    other leg's."""
-    legs = {foot: (omega[foot], omega[foot.other()]) for foot in Foot}
-    return gait.detect(vel_transition, INITIAL_STATE, cfg, t, legs)
+    """Both legs' :func:`detect_block` over whole channels from
+    `INITIAL_STATE`; `omega` holds each foot's hip angular velocity in rad/s,
+    one finite value per tick. A leg reads its own velocity, then the other
+    leg's."""
+    legs = {
+        foot: detect_block(INITIAL_STATE, t, omega[foot], omega[foot.other()], cfg)[1:]
+        for foot in Foot
+    }
+    return gait.events_and_phases(legs, len(t), INITIAL_STATE[0])

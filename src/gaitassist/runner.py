@@ -1,10 +1,10 @@
 """Offline control loop: detect gait over a trial, then command torque.
 
-Each detector runs over whole channels: one plain-float transition per leg
-per tick, fed from numpy a bounded block at a time, with no object built
-per tick. The torque of the whole trial then follows from the per-tick gait
-states with numpy. Either detection framework can drive the controller:
-insole force sensors or hip angular velocities.
+Each detector runs over whole channels: one event-skipping kernel per leg
+finds the candidate ticks with numpy and jumps from event to event, with no
+Python call per tick. The torque of the whole trial then follows from the
+per-tick gait states with numpy. Either detection framework can drive the
+controller: insole force sensors or hip angular velocities.
 """
 from __future__ import annotations
 

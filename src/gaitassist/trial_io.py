@@ -616,8 +616,8 @@ def read_metrics_csv(path: Path | str) -> tuple[list[str], np.ndarray]:
     """Metric names and a (trials, metrics) array from an `analyze` table."""
     p = Path(path)
     if not p.is_file():
-        raise DataFormatError(f"metrics file not found: {p}")
-    with utf8_errors(str(p)):
+        raise DataFormatError(f"missing file: {p}")
+    with utf8_errors(p.name):
         text = p.read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:

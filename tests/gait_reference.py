@@ -1,0 +1,146 @@
+"""The detectors' executable specification: one leg's transition per tick.
+
+`fsr_transition` and `vel_transition` are the plain-float, one-tick-at-a-time
+phase machines that the package's event-skipping kernels
+(`gait_fsr.detect_block`, `gait_vel.detect_block`) must reproduce bit for
+bit; `fold` steps one of them over a block of ticks and returns what a
+kernel returns. `gait_state_from_phases` names the two-leg state of a tick.
+The tests fold these as the reference; the package never calls them.
+"""
+from __future__ import annotations
+
+import math
+
+from gaitassist.gait import EventKind, GaitState, Phase
+from gaitassist.gait_fsr import FsrDetectorConfig
+from gaitassist.gait_vel import VelDetectorConfig, _Plain
+
+
+def gait_state_from_phases(left: Phase, right: Phase) -> GaitState:
+    """Classify the two-leg state from per-leg phases."""
+    if left is Phase.STANCE:
+        if right is Phase.STANCE:
+            return GaitState.DOUBLE_STANCE
+        return GaitState.LEFT_STANCE_RIGHT_SWING
+    if right is Phase.STANCE:
+        return GaitState.RIGHT_STANCE_LEFT_SWING
+    return GaitState.DOUBLE_SWING
+
+
+def fsr_transition(
+    state: tuple[Phase, float], t: float, front: float, back: float, cfg: FsrDetectorConfig
+) -> tuple[tuple[Phase, float], tuple[EventKind, float] | None]:
+    """One leg's insole phase machine, one frame at a time.
+
+    Args:
+        state: (phase, time of the last event) before this frame.
+        t: frame time in seconds.
+        front, back: the frame's cluster force sums in newtons.
+        cfg: thresholds and debounce.
+
+    Returns:
+        The state after the frame and, if the leg changed phase, the
+        (kind, time) of the event it emitted.
+    """
+    phase, last_event_t = state
+    if t - last_event_t < cfg.min_phase_s:
+        return state, None
+    if phase is Phase.SWING:
+        if front + back > cfg.contact_threshold_n:
+            return (Phase.STANCE, t), (EventKind.HEEL_STRIKE, t)
+    elif front < cfg.release_threshold_n and back < cfg.release_threshold_n:
+        return (Phase.SWING, t), (EventKind.TOE_OFF, t)
+    return state, None
+
+
+def vel_transition(
+    state: _Plain, t: float, own: float, contra: float, cfg: VelDetectorConfig
+) -> tuple[_Plain, tuple[EventKind, float] | None]:
+    """One leg's hip-velocity detector, one tick at a time.
+
+    Args:
+        state: the leg's plain state before this tick (see `_Plain`).
+        t: tick time in seconds.
+        own, contra: this leg's and the other leg's hip angular velocity.
+        cfg: detector thresholds.
+
+    Returns:
+        The state after the tick and, if the leg changed phase, the
+        (kind, time) of the event it emitted; a toe off is backdated to
+        the sample of the confirmed peak.
+    """
+    phase, last_event_t, peak_max, peak_max_t, decline, region, pending = state
+    h = cfg.zero_hysteresis_rad_s
+    fired: tuple[EventKind, float] | None = None
+
+    # Heel strike: contralateral velocity passes through zero, confirmed when
+    # it emerges on the far side of the hysteresis band. The event time is
+    # the first sample past zero, not the confirmation sample.
+    crossed = False
+    if region == +1:
+        if math.isnan(pending) and contra <= 0.0:
+            pending = t
+        elif not math.isnan(pending) and contra > 0.0:
+            pending = math.nan
+        if contra < -h:
+            crossed = True
+            region = -1
+    elif region == -1:
+        if math.isnan(pending) and contra >= 0.0:
+            pending = t
+        elif not math.isnan(pending) and contra < 0.0:
+            pending = math.nan
+        if contra > h:
+            crossed = True
+            region = +1
+    else:
+        if contra > h:
+            region = +1
+        elif contra < -h:
+            region = -1
+
+    if crossed:
+        t_event = pending if not math.isnan(pending) else t
+        pending = math.nan
+        if (
+            phase is Phase.SWING
+            and t - last_event_t >= cfg.min_event_gap_s
+            and t_event > last_event_t
+        ):
+            fired = (EventKind.HEEL_STRIKE, t_event)
+
+    # Toe off: causal peak confirmation on the leg's own velocity.
+    if fired is None:
+        if own > peak_max:
+            peak_max, peak_max_t, decline = own, t, 0
+        else:
+            decline += 1
+        if decline >= cfg.peak_confirm_samples and peak_max >= cfg.peak_min_rad_s:
+            if (
+                phase is Phase.STANCE
+                and t - last_event_t >= cfg.min_event_gap_s
+                and peak_max_t > last_event_t
+            ):
+                fired = (EventKind.TOE_OFF, peak_max_t)
+            else:
+                # stale or suppressed peak: start the tracker over
+                peak_max, peak_max_t, decline = -math.inf, math.nan, 0
+
+    if fired is not None:
+        phase = phase.other()
+        last_event_t = t
+        peak_max, peak_max_t, decline = -math.inf, math.nan, 0
+
+    return (phase, last_event_t, peak_max, peak_max_t, decline, region, pending), fired
+
+
+def fold(transition, state, t, a, b, cfg):
+    """Step `transition` over ticks t with channels a and b from `state`;
+    returns (state, emission ticks, fired), as a `detect_block` does."""
+    ticks, fired = [], []
+    for k, (tk, ak, bk) in enumerate(zip(t.tolist(), a.tolist(), b.tolist())):
+        state, event = transition(state, tk, ak, bk, cfg)
+        if event is not None:
+            ticks.append(k)
+            fired.append(event)
+    return state, ticks, fired

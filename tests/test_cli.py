@@ -926,6 +926,27 @@ class TestCompare:
     def test_missing_baseline_is_data_error(self, tmp_path):
         assert run_cli("compare", "--baseline", str(tmp_path / "none.csv"), "x.csv") == 2
 
+    @pytest.mark.parametrize("side", ["baseline", "other"])
+    @pytest.mark.parametrize("broken", ["missing", "non-utf8"])
+    def test_unreadable_metrics_file_is_one_line_data_error(
+        self, metrics_files, tmp_path, capsys, side, broken
+    ):
+        # the same words as every other reader: the path of a missing file,
+        # the name of a file that is not UTF-8
+        bad = tmp_path / "bad.csv"
+        if broken == "non-utf8":
+            bad.write_bytes(b"trial,a\nx,1.0\xff\n")
+        base, other = (bad, metrics_files[1]) if side == "baseline" else (metrics_files[0], bad)
+        capsys.readouterr()
+        assert run_cli("compare", "--baseline", str(base), str(other)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gaitassist: data error: " + (
+            f"missing file: {bad}\n"
+            if broken == "missing"
+            else "bad.csv: byte 0xff is not UTF-8 (invalid start byte)\n"
+        )
+
 
 _SUBCOMMANDS = ("simulate", "run", "analyze", "compare")
 _PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

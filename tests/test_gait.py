@@ -11,8 +11,9 @@ from gaitassist.gait import (
     GaitState,
     Phase,
     check_event_stream,
-    gait_state_from_phases,
 )
+
+from gait_reference import gait_state_from_phases
 
 
 def test_other_is_involutive():

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from gaitassist.errors import InvalidSpecError
 from gaitassist.gait import EventKind, Foot, GaitEvent, GaitState, Phase, check_event_stream
-from gaitassist.gait_fsr import INITIAL_STATE, FsrDetectorConfig, detect, force_sums, fsr_transition
+from gaitassist.gait_fsr import INITIAL_STATE, FsrDetectorConfig, detect, detect_block, force_sums
 from gaitassist.runner import DetectionMode, run_trial
 from gaitassist.simgait import STATE_BY_CODE, GaitParams, gait_state_codes, generate
 
@@ -28,22 +28,18 @@ def frame(total_n: float, front_share: float = 0.5) -> np.ndarray:
 
 
 def step(state, t: float, forces: np.ndarray, cfg=None):
-    """One frame through the leg's transition; returns (state, kind or None)."""
-    front, back = force_sums(forces)
-    state, fired = fsr_transition(state, t, float(front), float(back), cfg or FsrDetectorConfig())
-    return state, None if fired is None else fired[0]
+    """One frame through the leg's detector; returns (state, kind or None)."""
+    front, back = force_sums(forces[None, :])
+    state, _, fired = detect_block(state, np.array([t]), front, back, cfg or FsrDetectorConfig())
+    return state, fired[0][0] if fired else None
 
 
 def run_schedule(totals, cfg=None, foot: Foot = Foot.LEFT, start=None, front_share=0.5):
-    cfg = cfg or FsrDetectorConfig()
-    state = start or INITIAL_STATE
-    events = []
-    for k, total in enumerate(totals):
-        front, back = force_sums(frame(total, front_share))
-        state, fired = fsr_transition(state, k * DT, float(front), float(back), cfg)
-        if fired is not None:
-            events.append(GaitEvent(fired[1], foot, fired[0]))
-    return state, events
+    front, back = force_sums(np.array([frame(total, front_share) for total in totals]))
+    state, _, fired = detect_block(
+        start or INITIAL_STATE, np.arange(len(totals)) * DT, front, back, cfg or FsrDetectorConfig()
+    )
+    return state, [GaitEvent(t, foot, kind) for kind, t in fired]
 
 
 def stance_state(last_event_t: float = -10.0) -> tuple[Phase, float]:

@@ -8,7 +8,7 @@ import pytest
 
 from gaitassist.errors import InvalidSpecError
 from gaitassist.gait import EventKind, Foot, GaitEvent, GaitState, Phase, check_event_stream
-from gaitassist.gait_vel import INITIAL_STATE, VelDetectorConfig, detect, vel_transition
+from gaitassist.gait_vel import INITIAL_STATE, VelDetectorConfig, detect, detect_block
 from gaitassist.runner import DetectionMode, run_trial
 from gaitassist.simgait import (
     STATE_BY_CODE, GaitParams, HipVelocityWaveform, gait_state_codes, generate,
@@ -30,13 +30,12 @@ def stance_leg():
 def drive_leg(leg, samples, cfg=None):
     """Feed (own, contra) pairs to one left leg; returns its state and its
     events tagged with their emission time."""
-    cfg = cfg or VelDetectorConfig()
-    emitted = []
-    for k, (own, contra) in enumerate(samples):
-        leg, fired = vel_transition(leg, k * DT, own, contra, cfg)
-        if fired is not None:
-            emitted.append((GaitEvent(fired[1], Foot.LEFT, fired[0]), k * DT))
-    return leg, emitted
+    own, contra = np.array(samples, dtype=float).reshape(-1, 2).T
+    t = np.arange(len(samples)) * DT
+    leg, ticks, fired = detect_block(leg, t, own, contra, cfg or VelDetectorConfig())
+    return leg, [
+        (GaitEvent(t_event, Foot.LEFT, kind), t[k]) for k, (kind, t_event) in zip(ticks, fired)
+    ]
 
 
 def gait_walk(n: int = 1000):
