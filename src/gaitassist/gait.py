@@ -2,7 +2,7 @@
 
 Also the step both detectors' `detect` take after their per-leg kernels:
 `events_and_phases` merges both legs' emitted events into one stream and
-gives the per-tick phases.
+gives the per-tick phases, which `phases_from_flips` builds.
 """
 from __future__ import annotations
 
@@ -59,6 +59,25 @@ class GaitState(Enum):
     DOUBLE_SWING = "double_swing"
 
 
+# A phase's code in per-tick arrays is its position in `Phase` (0 stance, 1
+# swing); a two-leg state's is its position here, 2 * left code + right code.
+STATE_BY_CODE = tuple(GaitState)
+
+
+def gait_state_codes(phases: dict[Foot, np.ndarray]) -> np.ndarray:
+    """Per-tick index into STATE_BY_CODE from both legs' phase codes."""
+    return (2 * phases[Foot.LEFT] + phases[Foot.RIGHT]).astype(np.int8)
+
+
+def phases_from_flips(start: Phase, ticks: np.ndarray | list[int], n: int) -> np.ndarray:
+    """A leg's int8 phase codes over n ticks: `start`'s code, flipped from
+    each of `ticks` on. A tick before 0 flips from tick 0, one at or past n
+    never, and two flips on one tick cancel."""
+    ticks = np.asarray(ticks)
+    flips = np.bincount(np.maximum(ticks[ticks < n], 0).astype(np.intp), minlength=n)
+    return ((tuple(Phase).index(start) + np.cumsum(flips)) & 1).astype(np.int8)
+
+
 def check_event_stream(events: list[GaitEvent]) -> None:
     """Raise ValueError if per-foot events do not alternate with increasing time."""
     last: dict[Foot, GaitEvent] = {}
@@ -91,16 +110,14 @@ def events_and_phases(
     them; `initial` is each leg's phase before its first tick.
 
     The events are ordered by emission tick, left before right within a
-    tick, as a tick-by-tick loop emits them. A leg's per-tick phase is 0 in
-    stance and 1 in swing: each event flips it from its emission tick on.
+    tick, as a tick-by-tick loop emits them. Each event flips its leg's
+    phase from its emission tick on.
     """
     tagged: list[tuple[int, GaitEvent]] = []
     phases: dict[Foot, np.ndarray] = {}
     for foot in Foot:
         ticks, fired = legs[foot]
         tagged += [(k, GaitEvent(t_event, foot, kind)) for k, (kind, t_event) in zip(ticks, fired)]
-        flips = np.zeros(n, dtype=np.int8)
-        flips[np.array(ticks, dtype=np.intp)] = 1
-        phases[foot] = ((int(initial is Phase.SWING) + np.cumsum(flips)) & 1).astype(np.int8)
+        phases[foot] = phases_from_flips(initial, ticks, n)
     tagged.sort(key=lambda item: item[0])  # stable, so left stays before right
     return [event for _, event in tagged], phases

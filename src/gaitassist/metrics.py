@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gait import PHASE_AFTER_EVENT, EventKind, Foot, GaitEvent, Phase
+from .gait import PHASE_AFTER_EVENT, EventKind, Foot, GaitEvent, Phase, phases_from_flips
 
 MATCH_WINDOW_S = 0.1
 
@@ -68,10 +68,14 @@ def percentile(samples: np.ndarray, p: float) -> float:
     return float(np.percentile(samples, p, method="linear"))
 
 
-def _heel_strike_times(events: list[GaitEvent], foot: Foot) -> np.ndarray:
-    return np.array(
-        [ev.t for ev in events if ev.foot is foot and ev.kind is EventKind.HEEL_STRIKE]
-    )
+def _event_times(events: list[GaitEvent], foot: Foot, kind: EventKind | None = None) -> np.ndarray:
+    """Times of `foot`'s events of `kind`, or of every kind, in stream order."""
+    return np.array([ev.t for ev in events if ev.foot is foot and kind in (None, ev.kind)], float)
+
+
+def _ticks(events: list[GaitEvent], foot: Foot, rate_hz: float) -> np.ndarray:
+    """The ticks nearest `foot`'s event times, as whole floats, in stream order."""
+    return np.rint(_event_times(events, foot) * rate_hz)
 
 
 def stride_length(
@@ -91,7 +95,7 @@ def stride_length(
     """
     per_foot = []
     for foot in Foot:
-        hs = _heel_strike_times(events, foot)
+        hs = _event_times(events, foot, EventKind.HEEL_STRIKE)
         if len(hs) < 2:
             raise ValueError(
                 f"need at least two heel strikes for {foot.value}, got {len(hs)}"
@@ -113,7 +117,7 @@ def rom(
 
     Strides are delimited by consecutive heel strikes of `foot`.
     """
-    hs = _heel_strike_times(events, foot)
+    hs = _event_times(events, foot, EventKind.HEEL_STRIKE)
     if len(hs) < 2:
         raise ValueError(f"need at least two heel strikes for {foot.value}")
     angle_deg = np.asarray(angle_deg, dtype=float)
@@ -133,7 +137,7 @@ def cadence(events: list[GaitEvent]) -> float:
     """Strides per second from mean same-foot heel-strike spacing."""
     spacings = []
     for foot in Foot:
-        hs = _heel_strike_times(events, foot)
+        hs = _event_times(events, foot, EventKind.HEEL_STRIKE)
         if len(hs) >= 2:
             spacings.extend(np.diff(hs))
     if not spacings:
@@ -203,13 +207,11 @@ def score_detection(
     spurious_by_kind: dict[EventKind, int] = {k: 0 for k in EventKind}
     for foot in Foot:
         for kind in EventKind:
-            truth_t = np.array(
-                [ev.t for ev in truth_events if ev.foot is foot and ev.kind is kind]
+            errors, missed, spurious = _match_times(
+                _event_times(truth_events, foot, kind),
+                _event_times(predicted_events, foot, kind),
+                MATCH_WINDOW_S,
             )
-            pred_t = np.array(
-                [ev.t for ev in predicted_events if ev.foot is foot and ev.kind is kind]
-            )
-            errors, missed, spurious = _match_times(truth_t, pred_t, MATCH_WINDOW_S)
             errors_by_kind[kind].extend(errors)
             missed_by_kind[kind] += missed
             spurious_by_kind[kind] += spurious
@@ -233,12 +235,9 @@ def score_detection(
                 f"label streams for {foot.value} differ in length: "
                 f"{pred.shape} vs {truth.shape}"
             )
+        near = (_ticks(truth_events, foot, rate_hz)[:, None] + (-1, 0, 1)).ravel()
         keep = np.ones(len(truth), dtype=bool)
-        for ev in truth_events:
-            if ev.foot is not foot:
-                continue
-            k = int(round(ev.t * rate_hz))
-            keep[max(0, k - 1) : k + 2] = False
+        keep[near[(near >= 0) & (near < len(truth))].astype(np.intp)] = False
         if keep.any():
             accuracies.append(float(np.mean(pred[keep] == truth[keep])))
     phase_accuracy = float(np.mean(accuracies)) if accuracies else math.nan
@@ -248,21 +247,17 @@ def score_detection(
 def phases_from_events(
     events: list[GaitEvent], n: int, rate_hz: float, initial: Phase = Phase.STANCE
 ) -> dict[Foot, np.ndarray]:
-    """Per-sample phase labels reconstructed from an event sequence.
+    """Per-sample phase codes reconstructed from an event sequence whose
+    events alternate in kind per foot.
 
-    Before a foot's first event its phase is the one that event ends (a heel
-    strike implies prior swing); a foot with no events keeps `initial`.
-    Returns int8 arrays with 0 = stance, 1 = swing.
+    Each event flips its foot's phase from the tick nearest its time on (see
+    `gait.phases_from_flips`). Before a foot's first event its phase is the
+    one that event ends (a heel strike implies prior swing); a foot with no
+    events keeps `initial`.
     """
-    phase_code = {Phase.STANCE: 0, Phase.SWING: 1}
     out: dict[Foot, np.ndarray] = {}
     for foot in Foot:
-        evs = [ev for ev in events if ev.foot is foot]
-        start = PHASE_AFTER_EVENT[evs[0].kind].other() if evs else initial
-        labels = np.full(n, phase_code[start], dtype=np.int8)
-        for ev in evs:
-            k = int(round(ev.t * rate_hz))
-            if k < n:
-                labels[max(0, k):] = phase_code[PHASE_AFTER_EVENT[ev.kind]]
-        out[foot] = labels
+        first = next((ev.kind for ev in events if ev.foot is foot), None)
+        start = initial if first is None else PHASE_AFTER_EVENT[first].other()
+        out[foot] = phases_from_flips(start, _ticks(events, foot, rate_hz), n)
     return out

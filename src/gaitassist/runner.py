@@ -16,12 +16,12 @@ import numpy as np
 from . import gait_fsr, gait_vel
 from .controller import UNLIMITED, ControllerConfig, _toward, distribute
 from .errors import InvalidSpecError
-from .gait import BLOCK_TICKS, Foot, GaitEvent
+from .gait import BLOCK_TICKS, STATE_BY_CODE, Foot, GaitEvent, gait_state_codes
 from .gait_fsr import FsrDetectorConfig
 from .gait_vel import VelDetectorConfig
 from .metrics import DetectionScore, phases_from_events, score_detection
 from .signals import TimeSeries, decimate_to, emg_envelope
-from .simgait import STATE_BY_CODE, TrialLog, check_channels, gait_state_codes
+from .simgait import TrialLog, check_channels
 
 # perfbench/spans.py looks these four names up on this module and wraps them
 # without calling them; that lookup is the only reason they are still bound.

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataFormatError, InvalidSpecError, check_ranges, ranged
-from .gait import EventKind, Foot, GaitEvent, GaitState
+from .gait import EventKind, Foot, GaitEvent
 from .signals import EmgChannel, FilterSpec, TimeSeries, design_filter, filter_causal
 
 DEFAULT_MVC_MV = 1.0
@@ -35,20 +35,6 @@ EMG_SYNTH_BAND_HZ = (50.0, 350.0)
 # mean of |x| for zero-mean Gaussian x is sigma * sqrt(2/pi); invert it so the
 # smoothed rectified envelope lands on emg_level * mvc
 _GAUSS_RECTIFIED_MEAN = math.sqrt(2.0 / math.pi)
-
-STATE_BY_CODE = (
-    GaitState.DOUBLE_STANCE,
-    GaitState.LEFT_STANCE_RIGHT_SWING,
-    GaitState.RIGHT_STANCE_LEFT_SWING,
-    GaitState.DOUBLE_SWING,
-)
-
-
-def gait_state_codes(phases: dict[Foot, np.ndarray]) -> np.ndarray:
-    """Index into STATE_BY_CODE per tick from per-leg phase codes (0 stance,
-    1 swing); the left leg is the high bit."""
-    return (2 * phases[Foot.LEFT] + phases[Foot.RIGHT]).astype(np.int8)
-
 
 @dataclass(frozen=True)
 class GaitParams:
@@ -157,7 +143,7 @@ class HipVelocityWaveform:
 class TrialTruth:
     """Ground truth at the control rate: per-leg phases, two-leg state, events."""
 
-    phases: dict[Foot, np.ndarray]  # int8; 0 = stance, 1 = swing
+    phases: dict[Foot, np.ndarray]  # per-tick phase codes, as `gait` defines them
     events: list[GaitEvent]
 
 

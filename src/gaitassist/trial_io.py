@@ -19,16 +19,16 @@ import numpy as np
 
 from .controller import UNLIMITED
 from .errors import DataFormatError, InvalidSpecError, check_range
-from .gait import BLOCK_TICKS, EventKind, Foot, GaitEvent, check_event_stream
-from .signals import EmgChannel, TimeSeries
-from .simgait import (
-    DEFAULT_MVC_MV, STATE_BY_CODE, ChannelRates, GaitParams, TrialLog, TrialTruth,
+from .gait import (
+    BLOCK_TICKS, STATE_BY_CODE, EventKind, Foot, GaitEvent, Phase, check_event_stream,
     gait_state_codes,
 )
+from .signals import EmgChannel, TimeSeries
+from .simgait import DEFAULT_MVC_MV, ChannelRates, GaitParams, TrialLog, TrialTruth
 
 FORMAT_TAG = "gaitassist-trial/1"
 
-_PHASE_NAMES = ("stance", "swing")  # indexed by phase code
+_PHASE_NAMES = tuple(phase.value for phase in Phase)  # indexed by phase code
 
 # A `%.6f` cell is spelled in little-endian words: its sign and integer part
 # right-aligned in 8 bytes, then `.ddd` and `ddd,`. Spaces pad words and are
@@ -535,6 +535,14 @@ def _read_truth(trial_dir: Path, n: int, rate_hz: float) -> TrialTruth:
         check_event_stream(events)
     except ValueError as exc:
         raise DataFormatError(f"truth_events.csv: {exc}") from None
+    t = np.array([ev.t for ev in events], float)
+    outside = (t < -_GRID_TOLERANCE_S) | (t > n / rate_hz + _GRID_TOLERANCE_S)
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise DataFormatError(
+            f"truth_events.csv: t_s {t[row]:.6f} in data row {row + 1} is outside "
+            f"the trial, 0 to duration_s {n / rate_hz:.6f}"
+        )
     return TrialTruth(phases=phases, events=events)
 
 
@@ -547,7 +555,8 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
     manifest, a bad header or row count, a cell that is not a finite number,
     a `t_s` off the k / rate grid, an unknown phase, foot or event name, a
     gait state that does not match the phases, truth events that do not
-    alternate per foot, or a negative insole force.
+    alternate per foot or lie outside [0, duration_s], or a negative insole
+    force.
     """
     trial_dir = Path(trial_dir)
     manifest = read_manifest(trial_dir / "manifest.txt")

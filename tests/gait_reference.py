@@ -5,13 +5,18 @@ phase machines that the package's event-skipping kernels
 (`gait_fsr.detect_block`, `gait_vel.detect_block`) must reproduce bit for
 bit; `fold` steps one of them over a block of ticks and returns what a
 kernel returns. `gait_state_from_phases` names the two-leg state of a tick.
-The tests fold these as the reference; the package never calls them.
+`set_phases` and `phases_by_event` turn events into per-tick phases one event
+at a time, the specification of `gait.events_and_phases` and
+`metrics.phases_from_events`. The tests run these as the reference; the
+package never calls them.
 """
 from __future__ import annotations
 
 import math
 
-from gaitassist.gait import EventKind, GaitState, Phase
+import numpy as np
+
+from gaitassist.gait import PHASE_AFTER_EVENT, EventKind, Foot, GaitEvent, GaitState, Phase
 from gaitassist.gait_fsr import FsrDetectorConfig
 from gaitassist.gait_vel import VelDetectorConfig, _Plain
 
@@ -144,3 +149,30 @@ def fold(transition, state, t, a, b, cfg):
             ticks.append(k)
             fired.append(event)
     return state, ticks, fired
+
+
+def set_phases(start: Phase, marks: list[tuple[int, EventKind]], n: int) -> np.ndarray:
+    """One leg's per-tick phase codes over n ticks (0 stance, 1 swing):
+    `start`, then, one (tick, kind) mark at a time, the phase the kind
+    enters from that tick on; a negative tick sets every tick, one at or
+    past n none."""
+    code = {Phase.STANCE: 0, Phase.SWING: 1}
+    labels = np.full(n, code[start], dtype=np.int8)
+    for k, kind in marks:
+        if k < n:
+            labels[max(0, k):] = code[PHASE_AFTER_EVENT[kind]]
+    return labels
+
+
+def phases_by_event(
+    events: list[GaitEvent], n: int, rate_hz: float, initial: Phase = Phase.STANCE
+) -> dict[Foot, np.ndarray]:
+    """`metrics.phases_from_events` one event at a time: each foot starts in
+    the phase its first event ends, or in `initial` without events, and each
+    event sets the phase from the tick nearest its time on."""
+    out = {}
+    for foot in Foot:
+        evs = [ev for ev in events if ev.foot is foot]
+        start = PHASE_AFTER_EVENT[evs[0].kind].other() if evs else initial
+        out[foot] = set_phases(start, [(int(round(ev.t * rate_hz)), ev.kind) for ev in evs], n)
+    return out

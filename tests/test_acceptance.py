@@ -17,7 +17,9 @@ import pytest
 
 from gaitassist.cli import main as cli_main
 from gaitassist.controller import UNLIMITED, ControllerConfig
-from gaitassist.gait import EventKind, Foot, GaitState, check_event_stream
+from gaitassist.gait import (
+    STATE_BY_CODE, EventKind, Foot, GaitState, check_event_stream, gait_state_codes,
+)
 from gaitassist.metrics import percentile, rms, stride_length
 from gaitassist.runner import (
     DetectionMode,
@@ -37,7 +39,7 @@ from gaitassist.signals import (
     emg_envelope,
     filter_causal,
 )
-from gaitassist.simgait import STATE_BY_CODE, GaitParams, gait_state_codes, generate
+from gaitassist.simgait import GaitParams, generate
 
 GAUSS_RECTIFIED_MEAN = math.sqrt(2.0 / math.pi)
 

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from gaitassist.controller import UNLIMITED, ControllerConfig, distribute
 from gaitassist.errors import InvalidSpecError
-from gaitassist.gait import GaitState
+from gaitassist.gait import STATE_BY_CODE, GaitState
 from gaitassist.runner import command_torque
-from gaitassist.simgait import STATE_BY_CODE, ChannelRates
+from gaitassist.simgait import ChannelRates
 
 STATES = list(GaitState)
 

@@ -12,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitassist.errors import InvalidSpecError
-from gaitassist.gait import EventKind, Foot, GaitEvent, GaitState, Phase, check_event_stream
+from gaitassist.gait import (
+    STATE_BY_CODE, EventKind, Foot, GaitEvent, GaitState, Phase, check_event_stream,
+    gait_state_codes,
+)
 from gaitassist.gait_fsr import INITIAL_STATE, FsrDetectorConfig, detect, detect_block, force_sums
 from gaitassist.runner import DetectionMode, run_trial
-from gaitassist.simgait import STATE_BY_CODE, GaitParams, gait_state_codes, generate
+from gaitassist.simgait import GaitParams, generate
 
 DT = 0.01
 

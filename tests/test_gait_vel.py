@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from gaitassist.errors import InvalidSpecError
-from gaitassist.gait import EventKind, Foot, GaitEvent, GaitState, Phase, check_event_stream
+from gaitassist.gait import (
+    STATE_BY_CODE, EventKind, Foot, GaitEvent, GaitState, Phase, check_event_stream,
+    gait_state_codes,
+)
 from gaitassist.gait_vel import INITIAL_STATE, VelDetectorConfig, detect, detect_block
 from gaitassist.runner import DetectionMode, run_trial
-from gaitassist.simgait import (
-    STATE_BY_CODE, GaitParams, HipVelocityWaveform, gait_state_codes, generate,
-)
+from gaitassist.simgait import GaitParams, HipVelocityWaveform, generate
 
 DT = 0.01
 HS = EventKind.HEEL_STRIKE

@@ -8,9 +8,9 @@ import pytest
 
 from gaitassist.controller import ControllerConfig
 from gaitassist.errors import DataFormatError, InvalidSpecError
-from gaitassist.gait import EventKind, Foot, check_event_stream
+from gaitassist.gait import STATE_BY_CODE, EventKind, Foot, check_event_stream
 from gaitassist.runner import DetectionMode, control_envelope, run_trial
-from gaitassist.simgait import STATE_BY_CODE, ChannelRates, GaitParams, generate
+from gaitassist.simgait import ChannelRates, GaitParams, generate
 
 
 @pytest.fixture(scope="module", params=list(DetectionMode), ids=lambda m: m.value)

@@ -15,12 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaitassist.controller import UNLIMITED, ControllerConfig, _toward, distribute
-from gaitassist.gait import Foot, GaitEvent, Phase
+from gaitassist.gait import STATE_BY_CODE, Foot, GaitEvent, Phase
 from gaitassist.gait_fsr import FsrDetectorConfig, force_sums
 from gaitassist.gait_vel import VelDetectorConfig
 from gaitassist.runner import DetectionMode, control_envelope, run_trial
 from gaitassist.signals import EmgChannel
-from gaitassist.simgait import STATE_BY_CODE, GaitParams, TrialLog, generate
+from gaitassist.simgait import GaitParams, TrialLog, generate
 
 from gait_reference import fsr_transition, gait_state_from_phases, vel_transition
 

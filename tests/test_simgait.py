@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gaitassist.errors import DataFormatError, InvalidSpecError
-from gaitassist.gait import EventKind, Foot, check_event_stream
+from gaitassist.gait import EventKind, Foot, check_event_stream, gait_state_codes
 from gaitassist.metrics import stride_length
 from gaitassist.runner import DetectionMode, run_trial
 from gaitassist.simgait import (
@@ -13,7 +13,6 @@ from gaitassist.simgait import (
     GaitParams,
     ChannelRates,
     HipVelocityWaveform,
-    gait_state_codes,
     generate,
 )
 
