@@ -206,7 +206,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def compute_trial_metrics(log: TrialLog) -> TrialMetrics:
     """Trial-level outcome metrics from one log; uses truth events when present."""
-    env = emg_envelope(log.emg, zero_phase=True)
+    env = emg_envelope(log.emg)
     times = log.times()
     if log.truth is not None:
         events = log.truth.events

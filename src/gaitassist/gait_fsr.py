@@ -17,13 +17,15 @@ from . import gait
 from .errors import InvalidSpecError, check_ranges, ranged
 from .gait import EventKind, Foot, GaitEvent, Phase
 
-FRONT_SENSORS = slice(0, 4)
-BACK_SENSORS = slice(4, 8)
-
 
 def force_sums(forces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(front, back) cluster force sums of one frame or of one row per frame."""
-    return forces[..., FRONT_SENSORS].sum(axis=-1), forces[..., BACK_SENSORS].sum(axis=-1)
+    """(front, back) cluster force sums of one frame or of one row per frame,
+    each its columns added in order from +0.0: the bytes of numpy's `sum`."""
+    front = back = 0.0
+    for j in range(4):
+        front += forces[..., j]
+        back += forces[..., 4 + j]
+    return front, back
 
 
 @dataclass(frozen=True)

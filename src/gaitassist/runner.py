@@ -15,12 +15,11 @@ import numpy as np
 
 from . import gait_fsr, gait_vel
 from .controller import UNLIMITED, ControllerConfig, _toward, distribute
-from .errors import InvalidSpecError
 from .gait import BLOCK_TICKS, STATE_BY_CODE, Foot, GaitEvent, gait_state_codes
 from .gait_fsr import FsrDetectorConfig
 from .gait_vel import VelDetectorConfig
 from .metrics import DetectionScore, phases_from_events, score_detection
-from .signals import TimeSeries, decimate_to, emg_envelope
+from .signals import TimeSeries, causal_envelope
 from .simgait import TrialLog, check_channels
 
 # perfbench/spans.py looks these four names up on this module and wraps them
@@ -51,9 +50,8 @@ class RunResult:
 
 
 def control_envelope(log: TrialLog) -> TimeSeries:
-    """Causal EMG envelope decimated to the control rate."""
-    env = emg_envelope(log.emg)
-    return decimate_to(env, log.rates.control_rate_hz)
+    """Causal EMG envelope at the control rate."""
+    return causal_envelope(log.emg, log.rates.control_rate_hz)
 
 
 def run_trial(
@@ -83,11 +81,8 @@ def run_trial(
         module, channels, cfg = gait_vel, log.omega, vel_cfg or VelDetectorConfig()
 
     check_channels(log)
-    env = control_envelope(log)
-    if len(env) < log.n_ticks:
-        raise InvalidSpecError("EMG channel shorter than the trial")
     n = log.n_ticks
-    emg_norm = env.samples[:n]
+    emg_norm = control_envelope(log).samples[:n]
     t = log.times()
     events, causal = module.detect(channels, t, cfg)
     state_codes = gait_state_codes(causal)

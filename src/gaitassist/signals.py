@@ -12,6 +12,7 @@ import importlib.util
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -105,10 +106,6 @@ class FilterCoefficients:
         if sos.ndim != 2 or sos.shape[1] != 6 or np.any(sos[:, 3] != 1.0):
             raise InvalidSpecError("sos must have shape (sections, 6) with sos[:, 3] == 1")
         object.__setattr__(self, "sos", sos)
-
-    @property
-    def n_sections(self) -> int:
-        return self.sos.shape[0]
 
 
 def _poly(roots: np.ndarray) -> np.ndarray:
@@ -232,11 +229,16 @@ def _load_sosfilt():
 _sosfilt = _load_sosfilt()
 
 
+def _filter_rows(sos: np.ndarray, y: np.ndarray, zi: np.ndarray) -> None:
+    """`_sosfilt` in place; the kernel refuses the cache's read-only sections, so copy those."""
+    _sosfilt(sos if sos.flags.writeable else sos.copy(), y, zi)
+
+
 def _run_sections(sos: np.ndarray, samples: np.ndarray, zi: np.ndarray) -> np.ndarray:
     """Filter a copy of `samples` from the section states `zi` (sections, 2),
     which end updated in place."""
     y = np.array(samples, dtype=float, order="C", ndmin=2)
-    _sosfilt(sos, y, zi.reshape(1, -1, 2))
+    _filter_rows(sos, y, zi.reshape(1, -1, 2))
     return y[0]
 
 
@@ -245,7 +247,7 @@ class CausalFilter:
 
     def __init__(self, coeffs: FilterCoefficients):
         self.coeffs = coeffs
-        self._zi = np.zeros((coeffs.n_sections, 2))
+        self._zi = np.zeros((len(coeffs.sos), 2))
 
     def process(self, block: np.ndarray) -> np.ndarray:
         """Filter a block of samples, carrying state across calls."""
@@ -321,44 +323,70 @@ class EmgChannel:
         check_ranges(self)
 
 
-def emg_envelope(ch: EmgChannel, zero_phase: bool = False) -> TimeSeries:
-    """Normalized muscle activation envelope in [0, 1].
-
-    Pipeline: band-pass 10-400 Hz, 30 Hz high-pass, full-wave rectification,
-    2.5 Hz low-pass, division by MVC, clipping to [0, 1]. Crosstalk from the
-    heart is narrow-band and low-frequency compared with the muscle signal,
-    so the fixed high-pass removes it while passing the useful band nearly
-    untouched.
-
-    Args:
-        ch: raw EMG channel, sampled at >= 800 Hz.
-        zero_phase: use forward-backward filtering (offline metrics path)
-            instead of causal filtering (control path).
-    """
-    rate = ch.raw.rate_hz
+@lru_cache(maxsize=8)
+def _envelope_filters(rate: float) -> tuple[FilterCoefficients, ...]:
+    """The envelope's band-pass, ECG and smoothing filters at one EMG rate, designed
+    once, then the band-pass and ECG sections stacked for the causal chain's one
+    pass; all sections are read-only, so no caller can change the cached ones."""
     if rate < MIN_EMG_RATE_HZ:
         raise InvalidSpecError(
             f"EMG rate {rate} Hz too low; the {EMG_BAND_HZ[1]} Hz band edge "
             f"needs at least {MIN_EMG_RATE_HZ} Hz"
         )
-    band = design_filter(FilterSpec("band-pass", DEFAULT_FILTER_ORDER, EMG_BAND_HZ, rate))
-    ecg = design_filter(FilterSpec("high-pass", DEFAULT_FILTER_ORDER, (ECG_HIGHPASS_HZ,), rate))
-    smooth = design_filter(
-        FilterSpec("low-pass", DEFAULT_FILTER_ORDER, (ENVELOPE_LOWPASS_HZ,), rate)
+    band, ecg, smooth = (
+        design_filter(FilterSpec("band-pass", DEFAULT_FILTER_ORDER, EMG_BAND_HZ, rate)),
+        design_filter(FilterSpec("high-pass", DEFAULT_FILTER_ORDER, (ECG_HIGHPASS_HZ,), rate)),
+        design_filter(FilterSpec("low-pass", DEFAULT_FILTER_ORDER, (ENVELOPE_LOWPASS_HZ,), rate)),
     )
-    apply = filter_zero_phase if zero_phase else filter_causal
-    y = apply(ecg, apply(band, ch.raw))
+    filters = (band, ecg, smooth, FilterCoefficients(np.concatenate((band.sos, ecg.sos)), rate))
+    for coeffs in filters:
+        coeffs.sos.flags.writeable = False
+    return filters
+
+
+def _decimation_factor(rate: float, rate_hz: float) -> int:
+    k = round(rate / rate_hz)
+    if k < 1 or abs(rate / rate_hz - k) > 1e-9:
+        raise InvalidSpecError(f"cannot decimate {rate} Hz to {rate_hz} Hz by an integer factor")
+    return k
+
+
+def envelope_samples_needed(emg_rate_hz: float, rate_hz: float, ticks: int) -> int:
+    """Raw EMG samples that `causal_envelope` at `rate_hz` reads for its first `ticks`."""
+    return max((ticks - 1) * _decimation_factor(emg_rate_hz, rate_hz) + 1, 0)
+
+
+def causal_envelope(ch: EmgChannel, rate_hz: float) -> TimeSeries:
+    """The control path's normalized envelope in [0, 1] at `rate_hz`, every k-th
+    EMG sample of `emg_envelope`'s stages run causally: the band-pass and ECG
+    sections in one pass, rectifying and smoothing in place, and only the kept
+    samples scaled and clipped. Each stage acts sample by sample, so the bytes
+    are those of the stages run one by one over the whole channel."""
+    rate = ch.raw.rate_hz
+    _, _, smooth, fused = _envelope_filters(rate)
+    k = _decimation_factor(rate, rate_hz)
+    y = _run_sections(fused.sos, ch.raw.samples, np.zeros((len(fused.sos), 2)))
+    np.abs(y, out=y)
+    _filter_rows(smooth.sos, y[None], np.zeros((1, len(smooth.sos), 2)))
+    kept = y[::k] / ch.mvc_mv
+    return TimeSeries(np.clip(kept, 0.0, 1.0, out=kept), rate_hz)
+
+
+def emg_envelope(ch: EmgChannel) -> TimeSeries:
+    """Normalized muscle activation envelope in [0, 1], zero phase (offline metrics
+    path; the control path is `causal_envelope`).
+
+    Pipeline: band-pass 10-400 Hz, 30 Hz high-pass, full-wave rectification,
+    2.5 Hz low-pass, division by MVC, clipping to [0, 1], each filter run
+    forward and backward. Crosstalk from the heart is narrow-band and
+    low-frequency compared with the muscle signal, so the fixed high-pass
+    removes it while passing the useful band nearly untouched.
+
+    Args:
+        ch: raw EMG channel, sampled at >= 800 Hz.
+    """
+    band, ecg, smooth, _ = _envelope_filters(ch.raw.rate_hz)
+    y = filter_zero_phase(ecg, filter_zero_phase(band, ch.raw))
     y = y.with_samples(np.abs(y.samples))  # rebinding frees the unrectified copy
-    y = apply(smooth, y)
+    y = filter_zero_phase(smooth, y)
     return y.with_samples(np.clip(y.samples / ch.mvc_mv, 0.0, 1.0))
-
-
-def decimate_to(x: TimeSeries, rate_hz: float) -> TimeSeries:
-    """Take every k-th sample to reach `rate_hz`; assumes prior low-pass smoothing."""
-    ratio = x.rate_hz / rate_hz
-    k = int(round(ratio))
-    if abs(ratio - k) > 1e-9 or k < 1:
-        raise InvalidSpecError(
-            f"cannot decimate {x.rate_hz} Hz to {rate_hz} Hz by an integer factor"
-        )
-    return TimeSeries(x.samples[::k].copy(), rate_hz)

@@ -27,7 +27,14 @@ import numpy as np
 
 from .errors import DataFormatError, InvalidSpecError, check_ranges, ranged
 from .gait import EventKind, Foot, GaitEvent
-from .signals import EmgChannel, FilterSpec, TimeSeries, design_filter, filter_causal
+from .signals import (
+    EmgChannel,
+    FilterSpec,
+    TimeSeries,
+    design_filter,
+    envelope_samples_needed,
+    filter_causal,
+)
 
 DEFAULT_MVC_MV = 1.0
 KNEE_ROM_DEG = 60.0
@@ -354,8 +361,9 @@ def check_channels(log: TrialLog) -> None:
     """The one check of the channels `run_trial` reads, in either mode.
 
     DataFormatError if a foot's omega or insole channel is missing;
-    InvalidSpecError unless each omega holds n_ticks finite values and each
-    insole n_ticks rows of 8 finite, non-negative forces.
+    InvalidSpecError unless each omega holds n_ticks finite values, each insole
+    n_ticks rows of 8 finite, non-negative forces, and the raw EMG the finite
+    samples the control envelope reads through the last tick.
     """
     for name in ("omega", "insole"):
         for foot in Foot:
@@ -372,3 +380,9 @@ def check_channels(log: TrialLog) -> None:
         forces = log.insole[foot]
         if not ((forces >= 0.0) & (forces < math.inf)).all():
             raise InvalidSpecError(f"{foot.value} insole forces must be finite and non-negative")
+    raw = log.emg.raw
+    need = envelope_samples_needed(raw.rate_hz, log.rates.control_rate_hz, n)
+    if len(raw) < need:
+        raise InvalidSpecError(f"emg channel needs {need} or more samples for {n} ticks")
+    if not np.isfinite(raw.samples[:need]).all():
+        raise InvalidSpecError("emg channel must be finite through the last tick")

@@ -189,7 +189,7 @@ def test_criterion_5_emg_pipeline():
     noise /= noise.std()
     raw = np.zeros(6000)
     raw[2000:5000] = 0.5 * mvc / GAUSS_RECTIFIED_MEAN * noise[2000:5000]
-    env = emg_envelope(EmgChannel(TimeSeries(raw, rate), mvc_mv=mvc), zero_phase=True)
+    env = emg_envelope(EmgChannel(TimeSeries(raw, rate), mvc_mv=mvc))
     plateau = float(env.samples[3200:4800].mean())
     plateau_ok = abs(plateau - 0.50) <= 0.05
 

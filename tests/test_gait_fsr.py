@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gaitassist.errors import InvalidSpecError
 from gaitassist.gait import (
@@ -189,6 +190,56 @@ class TestValidation:
         front, back = force_sums(np.stack([forces, 2.0 * forces]))
         np.testing.assert_array_equal(front, [10.0, 20.0])
         np.testing.assert_array_equal(back, [100.0, 200.0])
+
+
+# zeros of both signs, subnormals, and values near 1e308 whose sums overflow
+_FORCE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, 1.5e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _insoles(draw) -> np.ndarray:
+    """Force arrays of shape (8,), (0, 8) or (n, 8): C- or Fortran-ordered,
+    or strided views of a larger array."""
+    rows = draw(st.sampled_from([None, 0, 1, 2, 7, 50]))
+    layout = draw(st.sampled_from(["C", "F", "column slice", "row slice"]))
+    shape = (8,) if rows is None else (rows, 8)
+    if layout == "column slice":
+        shape = shape[:-1] + (11,)
+    elif layout == "row slice" and rows is not None:
+        shape = (2 * rows, 8)
+    forces = draw(hnp.arrays(np.float64, shape, elements=_FORCE_VALUES))
+    if layout == "F":
+        return np.asfortranarray(forces)
+    if layout == "column slice":
+        return forces[..., 2:10]
+    return forces[::2] if layout == "row slice" and rows is not None else forces
+
+
+@settings(max_examples=300, deadline=None)
+@given(forces=_insoles())
+def test_force_sums_equal_numpy_sums_bit_for_bit(forces):
+    # numpy does not document its summation order over a strided last axis,
+    # so the column adds are held to its bytes, signed zeros and inf included
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = force_sums(forces)
+        want = forces[..., 0:4].sum(axis=-1), forces[..., 4:8].sum(axis=-1)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert np.shape(g) == np.shape(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_force_sums_overflow_to_inf_like_numpy():
+    forces = np.full((3, 8), 1e308)
+    forces[1] = 0.0
+    with np.errstate(over="ignore"):
+        front, back = force_sums(forces)
+        want = forces[:, 4:8].sum(axis=-1)
+    np.testing.assert_array_equal(front, [np.inf, 0.0, np.inf])
+    assert back.tobytes() == want.tobytes()
 
 
 def test_both_feet_phases_combines_states():

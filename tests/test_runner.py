@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from gaitassist import runner
 from gaitassist.controller import ControllerConfig
 from gaitassist.errors import DataFormatError, InvalidSpecError
 from gaitassist.gait import STATE_BY_CODE, EventKind, Foot, check_event_stream
 from gaitassist.runner import DetectionMode, control_envelope, run_trial
+from gaitassist.signals import EmgChannel
 from gaitassist.simgait import ChannelRates, GaitParams, generate
 
 
@@ -169,3 +171,35 @@ def test_every_channel_is_checked_in_both_modes(case, mode):
         channels[foot] = change(channels[foot])
     with pytest.raises(error):
         run_trial(log, mode)
+
+
+# (change of the raw EMG samples, message); a 10 s trial has 1000 ticks at 10 EMG
+# samples per tick, so the control envelope reads samples 0 to 9990
+_UNFINISHED = "^emg channel must be finite through the last tick$"
+_BAD_EMG = {
+    "nan": (lambda x: np.where(np.arange(len(x)) == 9990, math.nan, x), _UNFINISHED),
+    "inf": (lambda x: np.where(np.arange(len(x)) == 5, math.inf, x), _UNFINISHED),
+    "short": (lambda x: x[:9990], "^emg channel needs 9991 or more samples for 1000 ticks$"),
+}
+
+
+@pytest.mark.parametrize("mode", list(DetectionMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("case", list(_BAD_EMG))
+def test_raw_emg_is_checked_before_filtering_in_both_modes(case, mode, monkeypatch):
+    log = generate(GaitParams(seed=3), 10.0)
+    change, message = _BAD_EMG[case]
+    log.emg = EmgChannel(log.emg.raw.with_samples(change(log.emg.raw.samples)), log.emg.mvc_mv)
+    monkeypatch.setattr(runner, "control_envelope", None)  # the check comes first
+    with pytest.raises(InvalidSpecError, match=message):
+        run_trial(log, mode)
+
+
+@pytest.mark.parametrize("tail", ["cut", "nan"])
+def test_emg_past_the_last_tick_is_not_read(tail):
+    log = generate(GaitParams(seed=3), 10.0)
+    full = run_trial(log, DetectionMode.FOOT_SENSORS)
+    raw = log.emg.raw.samples
+    samples = raw[:9991] if tail == "cut" else np.where(np.arange(len(raw)) > 9990, math.nan, raw)
+    log.emg = EmgChannel(log.emg.raw.with_samples(samples), log.emg.mvc_mv)
+    short = run_trial(log, DetectionMode.FOOT_SENSORS)
+    assert short.emg_norm.samples.tobytes() == full.emg_norm.samples.tobytes()

@@ -28,9 +28,12 @@ from gaitassist.signals import (
     EMG_BAND_HZ,
     ENVELOPE_LOWPASS_HZ,
     CausalFilter,
+    EmgChannel,
     FilterSpec,
     TimeSeries,
+    causal_envelope,
     design_filter,
+    emg_envelope,
     filter_causal,
     filter_zero_phase,
 )
@@ -200,6 +203,7 @@ def test_fallback_to_scipy_signal_gives_identical_outputs(monkeypatch, capfd, br
     band = design_filter(FilterSpec("band-pass", 4, EMG_BAND_HZ, 1000.0))
     smooth = design_filter(FilterSpec("low-pass", 3, (ENVELOPE_LOWPASS_HZ,), 1000.0))
     x = TimeSeries(noise(4000) + 1.0, 1000.0)
+    emg = EmgChannel(x, mvc_mv=2.0)
 
     def outputs():
         stream = CausalFilter(band)
@@ -209,6 +213,9 @@ def test_fallback_to_scipy_signal_gives_identical_outputs(monkeypatch, capfd, br
             filter_zero_phase(band, x).samples,
             filter_zero_phase(smooth, x).samples,
             np.concatenate(blocks),
+            causal_envelope(emg, 100.0).samples,
+            causal_envelope(emg, 1000.0).samples,
+            emg_envelope(emg).samples,
         ]
 
     with_kernel = outputs()

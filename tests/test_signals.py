@@ -26,7 +26,7 @@ from gaitassist.signals import (
     FilterSpec,
     TimeSeries,
     _min_zero_phase_len,
-    decimate_to,
+    causal_envelope,
     design_filter,
     emg_envelope,
     filter_causal,
@@ -256,8 +256,11 @@ class TestRectifyAndEcg:
         # can make the envelope blind to the sign of the raw signal
         raw = TimeSeries(np.random.default_rng(21).standard_normal(5_000), 1000.0)
         negated = raw.with_samples(-raw.samples)
-        env = emg_envelope(EmgChannel(raw, mvc_mv=1.0), zero_phase=zero_phase).samples
-        env_negated = emg_envelope(EmgChannel(negated, mvc_mv=1.0), zero_phase=zero_phase).samples
+        def envelope(ch):
+            return emg_envelope(ch) if zero_phase else causal_envelope(ch, ch.raw.rate_hz)
+
+        env = envelope(EmgChannel(raw, mvc_mv=1.0)).samples
+        env_negated = envelope(EmgChannel(negated, mvc_mv=1.0)).samples
         assert env.max() > 0.1
         assert env_negated.tobytes() == env.tobytes()
 
@@ -288,7 +291,7 @@ class TestEnvelope:
         rate, mvc = 1000.0, 0.8
         rng = np.random.default_rng(31)
         raw = band_limited_noise(rng, 30_000, rate) * level * mvc / GAUSS_RECTIFIED_MEAN
-        env = emg_envelope(EmgChannel(TimeSeries(raw, rate), mvc), zero_phase=True)
+        env = emg_envelope(EmgChannel(TimeSeries(raw, rate), mvc))
         plateau = env.samples[10_000:20_000].mean()
         assert abs(plateau - level) <= 0.05
 
@@ -297,24 +300,24 @@ class TestEnvelope:
         rng = np.random.default_rng(32)
         raw = band_limited_noise(rng, 40_000, rate) * 0.5 * mvc / GAUSS_RECTIFIED_MEAN
         ch = EmgChannel(TimeSeries(raw, rate), mvc)
-        causal = emg_envelope(ch).samples[20_000:35_000].mean()
-        offline = emg_envelope(ch, zero_phase=True).samples[20_000:35_000].mean()
+        causal = causal_envelope(ch, rate).samples[20_000:35_000].mean()
+        offline = emg_envelope(ch).samples[20_000:35_000].mean()
         assert abs(causal - offline) < 0.02
 
     def test_low_rate_rejected(self):
         x = TimeSeries(np.zeros(4000), MIN_EMG_RATE_HZ - 1.0)
         with pytest.raises(InvalidSpecError):
-            emg_envelope(EmgChannel(x, 1.0))
+            causal_envelope(EmgChannel(x, 1.0), x.rate_hz)
 
     def test_rate_at_exact_band_nyquist_rejected(self):
         # 800 Hz passes the rate floor but puts the 400 Hz edge at Nyquist.
         x = TimeSeries(np.zeros(4000), MIN_EMG_RATE_HZ)
         with pytest.raises(InvalidSpecError):
-            emg_envelope(EmgChannel(x, 1.0))
+            causal_envelope(EmgChannel(x, 1.0), x.rate_hz)
 
     def test_rate_just_above_band_nyquist_accepted(self):
         x = TimeSeries(np.zeros(4000), MIN_EMG_RATE_HZ + 10.0)
-        env = emg_envelope(EmgChannel(x, 1.0))
+        env = causal_envelope(EmgChannel(x, 1.0), x.rate_hz)
         np.testing.assert_array_equal(env.samples, np.zeros(4000))
 
     @settings(max_examples=20, deadline=None)
@@ -325,7 +328,7 @@ class TestEnvelope:
     def test_envelope_always_in_unit_interval(self, seed, scale):
         rng = np.random.default_rng(seed)
         raw = TimeSeries(scale * rng.standard_normal(3000), 1000.0)
-        env = emg_envelope(EmgChannel(raw, mvc_mv=0.5), zero_phase=True)
+        env = emg_envelope(EmgChannel(raw, mvc_mv=0.5))
         assert np.all(env.samples >= 0.0)
         assert np.all(env.samples <= 1.0)
 
@@ -335,15 +338,21 @@ class TestEnvelope:
 
 
 class TestDecimate:
+    """The causal envelope at a control rate keeps every k-th sample."""
+
     def test_integer_factor_takes_every_kth(self):
-        x = TimeSeries(np.arange(100, dtype=float), 1000.0)
-        y = decimate_to(x, 100.0)
-        np.testing.assert_array_equal(y.samples, np.arange(0, 100, 10, dtype=float))
+        raw = TimeSeries(np.random.default_rng(41).standard_normal(100), 1000.0)
+        ch = EmgChannel(raw, mvc_mv=0.1)
+        y = causal_envelope(ch, 100.0)
+        full = causal_envelope(ch, 1000.0)
+        assert 0.0 < full.samples.max() < 1.0  # no sample clipped
+        np.testing.assert_array_equal(y.samples, full.samples[::10])
+        assert len(y) == 10
         assert y.rate_hz == 100.0
 
     def test_non_integer_factor_rejected(self):
-        with pytest.raises(InvalidSpecError):
-            decimate_to(TimeSeries(np.zeros(100), 1000.0), 300.0)
+        with pytest.raises(InvalidSpecError, match="integer factor"):
+            causal_envelope(EmgChannel(TimeSeries(np.zeros(100), 1000.0), 1.0), 300.0)
 
 
 class TestTimeSeries:
