@@ -19,7 +19,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -139,12 +139,7 @@ def _write_score(path: Path, result: RunResult) -> None:
         ("spurious_total", score.total_spurious),
     ]
     for kind, s in score.by_kind.items():
-        entries += [
-            (f"{kind.value}.matched", s.matched),
-            (f"{kind.value}.missed", s.missed),
-            (f"{kind.value}.spurious", s.spurious),
-            (f"{kind.value}.timing_mae_s", s.timing_mae_s),
-        ]
+        entries += [(f"{kind.value}.{f.name}", getattr(s, f.name)) for f in fields(s)]
     write_manifest(path, entries)
 
 
@@ -231,12 +226,21 @@ def compute_trial_metrics(log: TrialLog) -> TrialMetrics:
     )
 
 
+def _emit(table: str, out: str | None, what: str) -> None:
+    """Write `table`, which holds `what`, to the file `out` and say so, or to stdout."""
+    if out:
+        Path(out).write_text(table, encoding="utf-8")
+        print(f"wrote {what} to {out}")
+    else:
+        sys.stdout.write(table)
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     failures: list[str] = []
     rows: list[tuple[str, tuple[float, ...]]] = []
     for path in args.trials:
         try:
-            rows.append((Path(path).name, compute_trial_metrics(load_trial(path)).as_row()))
+            rows.append((Path(path).name, astuple(compute_trial_metrics(load_trial(path)))))
         except (GaitAssistError, OSError, ValueError) as exc:
             failures.append(f"{path}: {exc}")
 
@@ -246,11 +250,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return _DATA_EXIT
 
     table = format_named_rows(["trial", *METRIC_COLUMNS], rows)
-    if args.out:
-        Path(args.out).write_text(table, encoding="utf-8")
-        print(f"wrote metrics for {len(rows)} trial(s) to {args.out}")
-    else:
-        sys.stdout.write(table)
+    _emit(table, args.out, f"metrics for {len(rows)} trial(s)")
     return 0
 
 
@@ -287,11 +287,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     header = ["metric", *(f"{name} [%]" for name in names)]
     table = format_named_rows(header, zip(base_cols, zip(*changes)))
-    if args.out:
-        Path(args.out).write_text(table, encoding="utf-8")
-        print(f"wrote comparison of {len(names)} file(s) to {args.out}")
-    else:
-        sys.stdout.write(table)
+    _emit(table, args.out, f"comparison of {len(names)} file(s)")
     return 0
 
 

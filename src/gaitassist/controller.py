@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidSpecError, check_ranges, ranged
-from .gait import GaitState
+from .gait import STATE_BY_CODE, GaitState
 
 UNLIMITED = math.inf
 
@@ -40,30 +42,43 @@ class ControllerConfig:
             raise InvalidSpecError("k_swing must not exceed k_stance")
 
 
-def distribute(gait: GaitState, tau_exo_nm: float, cfg: ControllerConfig) -> tuple[float, float]:
-    """Split total torque between (left, right) legs by gait state.
+def command_torque(
+    state_codes: np.ndarray, emg_norm: np.ndarray, cfg: ControllerConfig, rate_hz: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-tick (left, right, total) torque for a whole trial.
 
-    Double stance shares equally at the stance gain; in single stance the
-    swing leg gets the swing gain (zero by default); with both feet off the
-    ground no torque is applied at all.
+    Each leg gets its gain for the tick's gait state times the total. Only a
+    finite ramp rate needs a sequential pass: each leg's command moves from
+    0 N*m toward its target by at most ramp_rate / rate_hz per tick.
+
+    Args:
+        state_codes: per-tick gait state, as an index into STATE_BY_CODE.
+        emg_norm: per-tick normalized activation; ValueError outside [0, 1].
+        cfg: controller gains and ramp limit.
+        rate_hz: the trial's control rate.
     """
-    if not tau_exo_nm >= 0:
-        raise ValueError(f"tau_exo_nm must be non-negative, got {tau_exo_nm}")
-    ks, kw = cfg.k_stance, cfg.k_swing
-    if gait is GaitState.DOUBLE_STANCE:
-        return (ks * tau_exo_nm, ks * tau_exo_nm)
-    if gait is GaitState.LEFT_STANCE_RIGHT_SWING:
-        return (ks * tau_exo_nm, kw * tau_exo_nm)
-    if gait is GaitState.RIGHT_STANCE_LEFT_SWING:
-        return (kw * tau_exo_nm, ks * tau_exo_nm)
-    return (0.0, 0.0)
-
-
-def _toward(previous: float, target: float, max_step: float) -> float:
-    """One ramp-limited tick: `target`, or `previous` moved `max_step` toward it."""
-    if target > previous + max_step:
-        return previous + max_step
-    if target < previous - max_step:
-        return previous - max_step
-    return target
-
+    outside = ~((emg_norm >= 0.0) & (emg_norm <= 1.0))
+    if outside.any():
+        raise ValueError(f"emg_norm must lie in [0, 1], got {emg_norm[outside.argmax()]}")
+    tau_exo = cfg.k_myo_nm * emg_norm
+    split = {
+        GaitState.DOUBLE_STANCE: (cfg.k_stance, cfg.k_stance),
+        GaitState.LEFT_STANCE_RIGHT_SWING: (cfg.k_stance, cfg.k_swing),
+        GaitState.RIGHT_STANCE_LEFT_SWING: (cfg.k_swing, cfg.k_stance),
+        GaitState.DOUBLE_SWING: (0.0, 0.0),
+    }
+    gains = np.array([split[state] for state in STATE_BY_CODE])
+    tau_left = gains[state_codes, 0] * tau_exo
+    tau_right = gains[state_codes, 1] * tau_exo
+    if cfg.ramp_rate_nm_s != UNLIMITED:
+        step = cfg.ramp_rate_nm_s / rate_hz
+        for tau in (tau_left, tau_right):
+            ramped, previous = tau.tolist(), 0.0
+            for i, target in enumerate(ramped):
+                if target > previous + step:
+                    target = previous + step
+                elif target < previous - step:
+                    target = previous - step
+                ramped[i] = previous = target
+            tau[:] = ramped
+    return tau_left, tau_right, tau_exo

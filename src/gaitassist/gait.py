@@ -96,12 +96,6 @@ def check_event_stream(events: list[GaitEvent]) -> None:
         last[ev.foot] = ev
 
 
-# Ticks converted from numpy to Python floats at a time by the array-native
-# loops: enough to amortise each conversion, few enough that no loop ever
-# holds a whole trial as Python lists.
-BLOCK_TICKS = 4096
-
-
 def events_and_phases(
     legs: dict[Foot, tuple[list[int], list[tuple[EventKind, float]]]], n: int, initial: Phase
 ) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:

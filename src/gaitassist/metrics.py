@@ -9,7 +9,7 @@ agreement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -17,36 +17,20 @@ from .gait import PHASE_AFTER_EVENT, EventKind, Foot, GaitEvent, Phase, phases_f
 
 MATCH_WINDOW_S = 0.1
 
-# Metric table header, kept aligned with the usual gait-report column names.
-METRIC_COLUMNS = (
-    "s. length [m]",
-    "hip RoM [deg]",
-    "knee RoM [deg]",
-    "speed [m/s]",
-    "EMG RMS [MVC]",
-    "EMG p90 [MVC]",
-)
-
 
 @dataclass(frozen=True)
 class TrialMetrics:
-    emg_rms: float
-    emg_p90: float
-    stride_length_m: float
-    hip_rom_deg: float
-    knee_rom_deg: float
-    speed_m_s: float
+    """An `analyze` row: fields in column order, headed by gait-report names."""
 
-    def as_row(self) -> tuple[float, ...]:
-        """Values ordered like METRIC_COLUMNS."""
-        return (
-            self.stride_length_m,
-            self.hip_rom_deg,
-            self.knee_rom_deg,
-            self.speed_m_s,
-            self.emg_rms,
-            self.emg_p90,
-        )
+    stride_length_m: float = field(metadata={"column": "s. length [m]"})
+    hip_rom_deg: float = field(metadata={"column": "hip RoM [deg]"})
+    knee_rom_deg: float = field(metadata={"column": "knee RoM [deg]"})
+    speed_m_s: float = field(metadata={"column": "speed [m/s]"})
+    emg_rms: float = field(metadata={"column": "EMG RMS [MVC]"})
+    emg_p90: float = field(metadata={"column": "EMG p90 [MVC]"})
+
+
+METRIC_COLUMNS = tuple(f.metadata["column"] for f in fields(TrialMetrics))
 
 
 def rms(samples: np.ndarray) -> float:
@@ -202,29 +186,20 @@ def score_detection(
     over legs, ignoring the sample on each side of every true event of that
     leg (a transition can never be pinned more tightly than the sample grid).
     """
-    errors_by_kind: dict[EventKind, list[float]] = {k: [] for k in EventKind}
-    missed_by_kind: dict[EventKind, int] = {k: 0 for k in EventKind}
-    spurious_by_kind: dict[EventKind, int] = {k: 0 for k in EventKind}
-    for foot in Foot:
-        for kind in EventKind:
-            errors, missed, spurious = _match_times(
+    by_kind = {}
+    for kind in EventKind:
+        errors, missed, spurious = [], 0, 0
+        for foot in Foot:
+            foot_errors, foot_missed, foot_spurious = _match_times(
                 _event_times(truth_events, foot, kind),
                 _event_times(predicted_events, foot, kind),
                 MATCH_WINDOW_S,
             )
-            errors_by_kind[kind].extend(errors)
-            missed_by_kind[kind] += missed
-            spurious_by_kind[kind] += spurious
-
-    by_kind = {}
-    for kind in EventKind:
-        errs = errors_by_kind[kind]
-        by_kind[kind] = EventScore(
-            matched=len(errs),
-            missed=missed_by_kind[kind],
-            spurious=spurious_by_kind[kind],
-            timing_mae_s=float(np.mean(errs)) if errs else math.nan,
-        )
+            errors += foot_errors
+            missed += foot_missed
+            spurious += foot_spurious
+        mae = float(np.mean(errors)) if errors else math.nan
+        by_kind[kind] = EventScore(len(errors), missed, spurious, timing_mae_s=mae)
 
     accuracies = []
     for foot in Foot:

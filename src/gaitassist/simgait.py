@@ -42,6 +42,13 @@ EMG_SYNTH_BAND_HZ = (50.0, 350.0)
 # mean of |x| for zero-mean Gaussian x is sigma * sqrt(2/pi); invert it so the
 # smoothed rectified envelope lands on emg_level * mvc
 _GAUSS_RECTIFIED_MEAN = math.sqrt(2.0 / math.pi)
+# The largest trial `generate` makes, counted before it allocates anything:
+# control ticks, raw EMG samples and truth events (2 * cadence_hz * duration_s).
+MAX_TICKS = 10**6
+MAX_EMG_SAMPLES = 10**7
+MAX_TRUTH_EVENTS = 10**5
+# Each leg's cycle phase at t = 0: the legs run half a cycle apart.
+_PHASE_OFFSET = {Foot.LEFT: 0.0, Foot.RIGHT: 0.5}
 
 @dataclass(frozen=True)
 class GaitParams:
@@ -71,6 +78,11 @@ class ChannelRates:
 
     def __post_init__(self) -> None:
         check_ranges(self)
+
+    def emg_samples(self, ticks: int) -> int:
+        """The raw EMG samples that span `ticks` control ticks: the count
+        `generate` makes and `load_trial` expects."""
+        return int(round(ticks * self.emg_rate_hz / self.control_rate_hz))
 
 
 def _pchip_slopes_periodic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -180,10 +192,6 @@ class TrialLog:
         return np.arange(self.n_ticks) / self.rates.control_rate_hz
 
 
-def _leg_phase_offset(foot: Foot) -> float:
-    return 0.0 if foot is Foot.LEFT else 0.5
-
-
 def _insole_clusters(phi: np.ndarray, params: GaitParams) -> tuple[np.ndarray, np.ndarray]:
     """(heel, forefoot) cluster loads over cycle phase; overlap keeps at least
     one cluster loaded throughout stance."""
@@ -214,7 +222,7 @@ def _truth_events(params: GaitParams, t_last: float) -> list[GaitEvent]:
     sf = params.stance_fraction
     n_cycles = int(math.ceil(t_last * c)) + 2
     for foot in (Foot.LEFT, Foot.RIGHT):
-        off = _leg_phase_offset(foot)
+        off = _PHASE_OFFSET[foot]
         for k in range(n_cycles):
             t_hs = (k - off) / c
             t_to = (k - off + sf) / c
@@ -258,49 +266,43 @@ def generate(
             f"duration {duration_s} s is shorter than five strides at "
             f"{params.cadence_hz} strides/s"
         )
-    n = int(round(duration_s * rates.control_rate_hz))
+    ticks = duration_s * rates.control_rate_hz
+    for count, limit, what, key in (
+        (ticks, MAX_TICKS, "control ticks", "control_rate_hz"),
+        (duration_s * rates.emg_rate_hz, MAX_EMG_SAMPLES, "EMG samples", "emg_rate_hz"),
+        (2.0 * params.cadence_hz * duration_s, MAX_TRUTH_EVENTS, "truth events", "cadence_hz"),
+    ):
+        if not count <= limit:
+            raise InvalidSpecError(
+                f"duration_s {duration_s:g} and {key} make {count:.3g} {what}, more than {limit:,}"
+            )
+    n = int(round(ticks))
     if n < 1:
         raise InvalidSpecError(
             f"duration {duration_s} s holds no control tick at {rates.control_rate_hz} Hz"
         )
-    n_emg = int(round(duration_s * rates.emg_rate_hz))
+    n_emg = rates.emg_samples(n)
     t = np.arange(n) / rates.control_rate_hz
     rng = np.random.default_rng(params.seed)
     sf = params.stance_fraction
     wave = HipVelocityWaveform(sf)
-
-    phi = {
-        foot: np.mod(params.cadence_hz * t + _leg_phase_offset(foot), 1.0)
-        for foot in Foot
-    }
-
-    omega = {foot: params.omega_amp_rad_s * wave.unit(phi[foot]) for foot in Foot}
-
     grid, unit_angle = wave.cycle_integral_table()
     hip_scale = math.degrees(params.omega_amp_rad_s / params.cadence_hz)
-    hip = {foot: hip_scale * np.interp(phi[foot], grid, unit_angle) for foot in Foot}
-
-    knee = {foot: _knee_angle(phi[foot], sf) for foot in Foot}
-
-    insole: dict[Foot, np.ndarray] = {}
-    for foot in Foot:
-        heel, fore = _insole_clusters(phi[foot], params)
-        frame = np.zeros((n, 8))
-        frame[:, 0:4] = fore[:, None] / 4.0
-        frame[:, 4:8] = heel[:, None] / 4.0
-        insole[foot] = frame
-
     stride = params.stride_length_m
-    cycles = {
-        foot: np.floor(params.cadence_hz * t + _leg_phase_offset(foot)) for foot in Foot
-    }
-    foot_xy: dict[Foot, np.ndarray] = {}
+
+    omega, insole, foot_xy, hip, knee, truth_phases = {}, {}, {}, {}, {}, {}
     for foot in Foot:
-        x = stride * (
-            cycles[foot] + _swing_progress(phi[foot], sf) - _leg_phase_offset(foot)
-        )
-        y = np.full(n, 0.09 if foot is Foot.LEFT else -0.09)
-        foot_xy[foot] = np.column_stack([x, y])
+        offset = _PHASE_OFFSET[foot]
+        cycle = params.cadence_hz * t + offset
+        phi = np.mod(cycle, 1.0)
+        omega[foot] = params.omega_amp_rad_s * wave.unit(phi)
+        hip[foot] = hip_scale * np.interp(phi, grid, unit_angle)
+        knee[foot] = _knee_angle(phi, sf)
+        heel, fore = _insole_clusters(phi, params)
+        insole[foot] = np.repeat(np.column_stack([fore, heel]) / 4.0, 4, axis=1)
+        x = stride * (np.floor(cycle) + _swing_progress(phi, sf) - offset)
+        foot_xy[foot] = np.column_stack([x, np.full(n, 0.09 if foot is Foot.LEFT else -0.09)])
+        truth_phases[foot] = (phi >= sf).astype(np.int8)
 
     emg_raw = _synth_emg(params, n_emg, rates.emg_rate_hz, rng)
 
@@ -316,17 +318,13 @@ def generate(
                 insole[foot] * (1.0 + sig * rng.standard_normal((n, 8))), 0.0, None
             )
         emg_raw = emg_raw + sig * np.abs(emg_raw).mean() * rng.standard_normal(n_emg)
-        for foot in Foot:
-            foot_xy[foot] = foot_xy[foot] + sig * stride * rng.standard_normal((n, 2))
         hip_amp = 0.5 * (unit_angle.max() - unit_angle.min()) * hip_scale
-        for foot in Foot:
-            hip[foot] = hip[foot] + sig * hip_amp * rng.standard_normal(n)
+        for channel, scale in ((foot_xy, stride), (hip, hip_amp)):
+            for foot in Foot:
+                channel[foot] += sig * scale * rng.standard_normal(channel[foot].shape)
         for foot in Foot:
             knee[foot] = knee[foot] + sig * 0.5 * KNEE_ROM_DEG * rng.standard_normal(n)
 
-    truth_phases = {
-        foot: (phi[foot] >= sf).astype(np.int8) for foot in Foot
-    }
     truth = TrialTruth(
         phases=truth_phases, events=_truth_events(params, t_last=(n - 1) / rates.control_rate_hz)
     )
@@ -357,30 +355,41 @@ def _knee_angle(phi: np.ndarray, sf: float) -> np.ndarray:
     )
 
 
-def check_channels(log: TrialLog) -> None:
-    """The one check of the channels `run_trial` reads, in either mode.
-
-    DataFormatError if a foot's omega or insole channel is missing;
-    InvalidSpecError unless each omega holds n_ticks finite values, each insole
-    n_ticks rows of 8 finite, non-negative forces, and the raw EMG the finite
-    samples the control envelope reads through the last tick.
-    """
-    for name in ("omega", "insole"):
+def check_legs(log: TrialLog, tails: dict[str, tuple[int, ...]]) -> None:
+    """The channel checks that a run and a save share, before either reads a
+    sample: DataFormatError if a foot lacks a channel named in `tails`;
+    InvalidSpecError unless each holds n_ticks rows of shape `tails[name]`,
+    all finite and, in an insole, non-negative, and the raw EMG is sampled
+    at `rates.emg_rate_hz`."""
+    for name in tails:
         for foot in Foot:
             if foot not in (getattr(log, name) or {}):
                 raise DataFormatError(f"trial log is missing the {foot.value} {name} channel")
     n = log.n_ticks
     for foot in Foot:
-        for name, shape in (("omega", (n,)), ("insole", (n, 8))):
+        for name, tail in tails.items():
             got = np.shape(getattr(log, name)[foot])
-            if got != shape:
-                raise InvalidSpecError(f"{foot.value} {name} needs shape {shape}, got {got}")
-        if not np.isfinite(log.omega[foot]).all():
-            raise InvalidSpecError(f"{foot.value} omega must be finite")
-        forces = log.insole[foot]
-        if not ((forces >= 0.0) & (forces < math.inf)).all():
-            raise InvalidSpecError(f"{foot.value} insole forces must be finite and non-negative")
-    raw = log.emg.raw
+            if got != (n, *tail):
+                raise InvalidSpecError(f"{foot.value} {name} needs shape {(n, *tail)}, got {got}")
+        for name in tails:
+            values = getattr(log, name)[foot]
+            if name == "insole" and not ((values >= 0.0) & (values < math.inf)).all():
+                raise InvalidSpecError(
+                    f"{foot.value} insole forces must be finite and non-negative"
+                )
+            if not np.isfinite(values).all():
+                raise InvalidSpecError(f"{foot.value} {name} must be finite")
+    if log.emg.raw.rate_hz != log.rates.emg_rate_hz:
+        rates = f"{log.emg.raw.rate_hz:g} Hz, not at emg_rate_hz {log.rates.emg_rate_hz:g}"
+        raise InvalidSpecError(f"emg channel is at {rates}")
+
+
+def check_channels(log: TrialLog) -> None:
+    """The one check of the channels `run_trial` reads, in either mode:
+    `check_legs` of omega and insole, then InvalidSpecError unless the raw EMG
+    holds the finite samples the control envelope reads through the last tick."""
+    check_legs(log, {"omega": (), "insole": (8,)})
+    raw, n = log.emg.raw, log.n_ticks
     need = envelope_samples_needed(raw.rate_hz, log.rates.control_rate_hz, n)
     if len(raw) < need:
         raise InvalidSpecError(f"emg channel needs {need} or more samples for {n} ticks")

@@ -20,13 +20,15 @@ import numpy as np
 from .controller import UNLIMITED
 from .errors import DataFormatError, InvalidSpecError, check_range
 from .gait import (
-    BLOCK_TICKS, STATE_BY_CODE, EventKind, Foot, GaitEvent, Phase, check_event_stream,
-    gait_state_codes,
+    STATE_BY_CODE, EventKind, Foot, GaitEvent, Phase, check_event_stream, gait_state_codes,
 )
 from .signals import EmgChannel, TimeSeries
-from .simgait import DEFAULT_MVC_MV, ChannelRates, GaitParams, TrialLog, TrialTruth
+from .simgait import DEFAULT_MVC_MV, ChannelRates, GaitParams, TrialLog, TrialTruth, check_legs
 
 FORMAT_TAG = "gaitassist-trial/1"
+# Rows that format_rows spells at a time: enough to amortise numpy's work per
+# call, few enough that no table's text is ever held whole in memory.
+BLOCK_TICKS = 4096
 
 _PHASE_NAMES = tuple(phase.value for phase in Phase)  # indexed by phase code
 
@@ -432,7 +434,14 @@ def _channels(has_truth: bool) -> str:
 
 
 def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
-    """Write `log` into `out_dir`, creating it if needed. Returns the path."""
+    """Write `log` into `out_dir`, creating it if needed; return the path.
+    Before it writes, it refuses a log load_trial would not read back: see
+    `check_legs`, checked for every per-foot channel, and InvalidSpecError
+    unless the raw EMG is `rates.emg_samples(n_ticks)` finite samples."""
+    check_legs(log, {"omega": (), "insole": (8,), "foot_xy": (2,), "hip_deg": (), "knee_deg": ()})
+    raw, need = log.emg.raw, log.rates.emg_samples(log.n_ticks)
+    if len(raw) != need or not np.isfinite(raw.samples).all():
+        raise InvalidSpecError(f"emg channel needs {need} samples, all finite; got {len(raw)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t = log.times()
@@ -602,8 +611,7 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
                 f"{name}.csv: negative force {_INSOLE_COLS[col + 1]} in data row {row + 1}"
             )
         insole[foot] = forces
-    n_emg = int(round(n * rates.emg_rate_hz / control))
-    emg = _read_series(trial_dir / "emg.csv", _EMG_COLS, n_emg, rates.emg_rate_hz)
+    emg = _read_series(trial_dir / "emg.csv", _EMG_COLS, rates.emg_samples(n), rates.emg_rate_hz)
     kin = _read_series(trial_dir / "kinematics.csv", _KINEMATICS_COLS, n, control)
 
     truth = _read_truth(trial_dir, n, control) if has_truth else None

@@ -7,8 +7,10 @@ bit; `fold` steps one of them over a block of ticks and returns what a
 kernel returns. `gait_state_from_phases` names the two-leg state of a tick.
 `set_phases` and `phases_by_event` turn events into per-tick phases one event
 at a time, the specification of `gait.events_and_phases` and
-`metrics.phases_from_events`. The tests run these as the reference; the
-package never calls them.
+`metrics.phases_from_events`. `distribute` and `toward` are the torque law
+one tick at a time, the specification of `controller.command_torque`: the
+split of one tick's total torque and one ramp-limited step. The tests run
+these as the reference; the package never calls them.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import math
 
 import numpy as np
 
+from gaitassist.controller import ControllerConfig
 from gaitassist.gait import PHASE_AFTER_EVENT, EventKind, Foot, GaitEvent, GaitState, Phase
 from gaitassist.gait_fsr import FsrDetectorConfig
 from gaitassist.gait_vel import VelDetectorConfig, _Plain
@@ -176,3 +179,30 @@ def phases_by_event(
         start = PHASE_AFTER_EVENT[evs[0].kind].other() if evs else initial
         out[foot] = set_phases(start, [(int(round(ev.t * rate_hz)), ev.kind) for ev in evs], n)
     return out
+
+
+def distribute(gait: GaitState, tau_exo_nm: float, cfg: ControllerConfig) -> tuple[float, float]:
+    """Split one tick's total torque between the (left, right) legs by gait state.
+
+    Double stance shares equally at the stance gain; in single stance the
+    swing leg gets the swing gain (zero by default); with both feet off the
+    ground each leg's gain is zero. Every leg's torque is its gain times the
+    total, so a zero gain gives -0.0 for a total of -0.0 in every state.
+    """
+    ks, kw = cfg.k_stance, cfg.k_swing
+    if gait is GaitState.DOUBLE_STANCE:
+        return (ks * tau_exo_nm, ks * tau_exo_nm)
+    if gait is GaitState.LEFT_STANCE_RIGHT_SWING:
+        return (ks * tau_exo_nm, kw * tau_exo_nm)
+    if gait is GaitState.RIGHT_STANCE_LEFT_SWING:
+        return (kw * tau_exo_nm, ks * tau_exo_nm)
+    return (0.0 * tau_exo_nm, 0.0 * tau_exo_nm)
+
+
+def toward(previous: float, target: float, max_step: float) -> float:
+    """One ramp-limited tick: `target`, or `previous` moved `max_step` toward it."""
+    if target > previous + max_step:
+        return previous + max_step
+    if target < previous - max_step:
+        return previous - max_step
+    return target

@@ -176,6 +176,49 @@ class TestSimulate:
         )
         assert not out.exists()
 
+    # each refused before generate allocates an array or starts its truth loop
+    @pytest.mark.parametrize("command", [["simulate"], ["run", "--simulate"]])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--duration", "1e9"],
+                "duration_s 1e+09 and control_rate_hz make 1e+11 control ticks, "
+                "more than 1,000,000",
+            ),
+            (
+                ["--duration", "10", "--control-rate", "1e300"],
+                "duration_s 10 and control_rate_hz make 1e+301 control ticks, "
+                "more than 1,000,000",
+            ),
+            (
+                ["--duration", "10", "--emg-rate", "1e306"],
+                "duration_s 10 and emg_rate_hz make 1e+307 EMG samples, more than 10,000,000",
+            ),
+            (
+                ["--duration", "60", "--cadence", "1e6"],
+                "duration_s 60 and cadence_hz make 1.2e+08 truth events, more than 100,000",
+            ),
+        ],
+    )
+    def test_oversized_trial_is_one_line_usage_error(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        out = tmp_path / "x"
+        capsys.readouterr()
+        code = run_cli(*command, "--out", str(out), *flags)
+        assert code == 1
+        assert capsys.readouterr().err == f"gaitassist: error: {message}\n"
+        assert not out.exists()
+
+    def test_off_grid_duration_writes_a_trial_that_run_and_analyze_read(self, tmp_path):
+        trial = tmp_path / "t"
+        assert run_cli("simulate", "--out", str(trial), "--duration", "10.006", "--seed", "1") == 0
+        assert int(read_manifest(trial / "manifest.txt")["n_ticks"]) == 1001
+        assert len((trial / "emg.csv").read_text().splitlines()) == 1 + 10_010
+        assert run_cli("run", "--trial", str(trial), "--out", str(tmp_path / "run")) == 0
+        assert run_cli("analyze", str(trial), "--out", str(tmp_path / "m.csv")) == 0
+
 
 class TestRun:
     @pytest.mark.parametrize("mode", ["foot-sensors", "actuators-velocity"])

@@ -1,6 +1,7 @@
 """Torque controller contract tests."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitassist.controller import UNLIMITED, ControllerConfig, distribute
+from gaitassist.controller import UNLIMITED, ControllerConfig, command_torque
 from gaitassist.errors import InvalidSpecError
 from gaitassist.gait import STATE_BY_CODE, GaitState
-from gaitassist.runner import command_torque
 from gaitassist.simgait import ChannelRates
+
+from gait_reference import distribute, toward
 
 STATES = list(GaitState)
 
@@ -34,6 +36,14 @@ def torque(states, emg, cfg: ControllerConfig):
     return command_torque(codes, np.asarray(emg, dtype=float), cfg, 100.0)
 
 
+def split(gait: GaitState, tau: float, cfg: ControllerConfig) -> tuple[float, float]:
+    """`command_torque`'s (left, right) torque on one tick of `gait` whose
+    total is `tau`: full activation at a myoelectric gain of `tau`."""
+    left, right, total = torque([gait], [1.0], dataclasses.replace(cfg, k_myo_nm=tau))
+    assert total[0] == tau
+    return left[0], right[0]
+
+
 class TestTotalTorque:
     def test_scales_linearly_with_activation(self):
         cfg = ControllerConfig(k_myo_nm=10.0)
@@ -52,23 +62,19 @@ class TestTotalTorque:
 class TestDistribute:
     def test_double_stance_splits_equally(self):
         cfg = ControllerConfig()
-        left, right = distribute(GaitState.DOUBLE_STANCE, 8.0, cfg)
+        left, right = split(GaitState.DOUBLE_STANCE, 8.0, cfg)
         assert left == right == 4.0
 
     def test_single_stance_swing_leg_gets_exact_zero(self):
         cfg = ControllerConfig()
-        left, right = distribute(GaitState.LEFT_STANCE_RIGHT_SWING, 8.0, cfg)
+        left, right = split(GaitState.LEFT_STANCE_RIGHT_SWING, 8.0, cfg)
         assert (left, right) == (4.0, 0.0)
-        left, right = distribute(GaitState.RIGHT_STANCE_LEFT_SWING, 8.0, cfg)
+        left, right = split(GaitState.RIGHT_STANCE_LEFT_SWING, 8.0, cfg)
         assert (left, right) == (0.0, 4.0)
 
     def test_double_swing_commands_nothing(self):
         cfg = ControllerConfig(k_swing=0.5)
-        assert distribute(GaitState.DOUBLE_SWING, 8.0, cfg) == (0.0, 0.0)
-
-    def test_negative_total_rejected(self):
-        with pytest.raises(ValueError):
-            distribute(GaitState.DOUBLE_STANCE, -1.0, ControllerConfig())
+        assert split(GaitState.DOUBLE_SWING, 8.0, cfg) == (0.0, 0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -79,7 +85,7 @@ class TestDistribute:
     )
     def test_sum_bounded_and_matches_gain_table(self, gait, tau, k_stance, k_swing_frac):
         cfg = ControllerConfig(k_stance=k_stance, k_swing=k_swing_frac * k_stance)
-        left, right = distribute(gait, tau, cfg)
+        left, right = split(gait, tau, cfg)
         gl, gr = leg_gains(gait, cfg)
         assert left == gl * tau
         assert right == gr * tau
@@ -102,14 +108,16 @@ class TestSlewLimit:
         left, right, total = torque(states, emg, cfg)
         assert (left[1], right[1]) == (1.0, 1.0)
         # from 1.0 N*m, targets of 1.2 and 0.96 N*m lie within one 0.5 N*m step
-        assert (left[2], right[2]) == distribute(states[2], total[2], cfg)
+        gl, gr = leg_gains(states[2], cfg)
+        assert (left[2], right[2]) == (gl * total[2], gr * total[2])
 
     def test_unlimited_ramp_is_identity(self):
         cfg = ControllerConfig(ramp_rate_nm_s=UNLIMITED)
         rng = np.random.default_rng(3)
         states = [STATES[i] for i in rng.integers(len(STATES), size=200)]
         left, right, total = torque(states, rng.uniform(0.0, 1.0, 200), cfg)
-        targets = [distribute(state, tau, cfg) for state, tau in zip(states, total)]
+        targets = [leg_gains(state, cfg) for state in states]
+        targets = [(gl * tau, gr * tau) for (gl, gr), tau in zip(targets, total)]
         assert left.tolist() == [target[0] for target in targets]
         assert right.tolist() == [target[1] for target in targets]
 
@@ -132,11 +140,92 @@ class TestSlewLimit:
         for leg, out in enumerate((left, right)):
             prev = 0.0
             for state, tau, got in zip(states, total, out):
-                target = distribute(state, tau, cfg)[leg]
+                target = leg_gains(state, cfg)[leg] * tau
                 assert abs(got - prev) <= budget + 1e-12
                 # moves toward the target, never past it
                 assert min(prev, target) - 1e-12 <= got <= max(prev, target) + 1e-12
                 prev = got
+
+
+def ramp_fold(states, emg, cfg: ControllerConfig, rate_hz: float):
+    """(left, right) torque per tick, one tick at a time: the reference's
+    split of each tick's total, then one `toward` step per leg from 0 N*m."""
+    step = cfg.ramp_rate_nm_s / rate_hz
+    previous, out = (0.0, 0.0), []
+    for state, level in zip(states, emg):
+        target = distribute(state, cfg.k_myo_nm * level, cfg)
+        previous = tuple(toward(p, g, step) for p, g in zip(previous, target))
+        out.append(previous)
+    return [leg for leg, _ in out], [leg for _, leg in out]
+
+
+LEFT_STANCE = [GaitState.DOUBLE_STANCE, GaitState.LEFT_STANCE_RIGHT_SWING]
+
+
+@st.composite
+def ramp_cases(draw):
+    """(states, activations, config, rate) for a finite ramp rate. With unit
+    gains at 1 Hz, where the left leg's target is the activation itself and
+    the step the ramp rate, a tick may put the target exactly on the left
+    command so far plus or minus the step, or one ulp either side of it."""
+    exact = draw(st.booleans())
+    if exact:
+        k_swing = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        step = draw(st.sampled_from([0.25, 0.1, 1e-3, 1.0]) | st.floats(1e-6, 1.0))
+        cfg = ControllerConfig(k_myo_nm=1.0, k_stance=1.0, k_swing=k_swing, ramp_rate_nm_s=step)
+        rate_hz = 1.0
+    else:
+        k_stance = draw(st.floats(0.0, 1.0))
+        cfg = ControllerConfig(
+            k_myo_nm=draw(st.floats(0.0, 40.0)),
+            k_stance=k_stance,
+            k_swing=k_stance * draw(st.floats(0.0, 1.0)),
+            ramp_rate_nm_s=draw(st.floats(0.1, 500.0)),
+        )
+        rate_hz = draw(st.sampled_from([100.0, 50.0, 137.0, 1.0]))
+    step = cfg.ramp_rate_nm_s / rate_hz
+    levels = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
+    states, emg, left = [], [], 0.0
+    for _ in range(draw(st.integers(1, 40))):
+        state, level = draw(st.sampled_from(STATES)), draw(levels)
+        if exact and draw(st.booleans()):
+            state = draw(st.sampled_from(LEFT_STANCE))
+            level = left + draw(st.sampled_from([step, -step]))
+            level = np.nextafter(level, draw(st.sampled_from([level, -math.inf, math.inf])))
+            if not 0.0 <= level <= 1.0:
+                level = draw(levels)
+        states.append(state)
+        emg.append(float(level))
+        left = toward(left, leg_gains(state, cfg)[0] * (cfg.k_myo_nm * float(level)), step)
+    return states, emg, cfg, rate_hz
+
+
+class TestRampEqualsFold:
+    """`command_torque` at a finite ramp rate is a fold of `toward`, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=ramp_cases())
+    def test_bits_equal_the_fold(self, case):
+        states, emg, cfg, rate_hz = case
+        codes = np.array([STATE_BY_CODE.index(state) for state in states], dtype=np.int8)
+        left, right, _ = command_torque(codes, np.array(emg), cfg, rate_hz)
+        ref_left, ref_right = ramp_fold(states, emg, cfg, rate_hz)
+        assert left.tobytes() == np.array(ref_left).tobytes()
+        assert right.tobytes() == np.array(ref_right).tobytes()
+
+    def test_ties_and_signed_zeros(self):
+        # the left target is the activation and the step 0.25 N*m: targets
+        # exactly one step away pass, one ulp past a step is clamped, one ulp
+        # short passes, and a -0.0 target within a step stays -0.0
+        cfg = ControllerConfig(k_myo_nm=1.0, k_stance=1.0, ramp_rate_nm_s=0.25)
+        below, above = np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)
+        emg = [0.25, above, -0.0, 0.0, -0.0, 0.25, 0.5, np.nextafter(0.25, 0.0), below]
+        expected = [0.25, 0.5, 0.25, 0.0, -0.0, 0.25, 0.5, 0.25, below]
+        codes = np.zeros(len(emg), dtype=np.int8)
+        left, right, _ = command_torque(codes, np.array(emg), cfg, 1.0)
+        ref_left, _ = ramp_fold([GaitState.DOUBLE_STANCE] * len(emg), emg, cfg, 1.0)
+        assert left.tobytes() == right.tobytes() == np.array(ref_left).tobytes()
+        assert left.tobytes() == np.array(expected).tobytes()
 
 
 class TestControllerTick:

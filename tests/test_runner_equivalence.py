@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaitassist.controller import UNLIMITED, ControllerConfig, _toward, distribute
+from gaitassist.controller import UNLIMITED, ControllerConfig
 from gaitassist.gait import STATE_BY_CODE, Foot, GaitEvent, Phase
 from gaitassist.gait_fsr import FsrDetectorConfig, force_sums
 from gaitassist.gait_vel import VelDetectorConfig
@@ -22,7 +22,9 @@ from gaitassist.runner import DetectionMode, control_envelope, run_trial
 from gaitassist.signals import EmgChannel
 from gaitassist.simgait import GaitParams, TrialLog, generate
 
-from gait_reference import fsr_transition, gait_state_from_phases, vel_transition
+from gait_reference import (
+    distribute, fsr_transition, gait_state_from_phases, toward, vel_transition,
+)
 
 DURATION_S = 8.0
 
@@ -99,7 +101,7 @@ def reference_run(log, mode, controller_cfg, fsr_cfg, vel_cfg):
         total = controller_cfg.k_myo_nm * float(env[k])
         target = distribute(gait, total, controller_cfg)
         if controller_cfg.ramp_rate_nm_s != UNLIMITED:
-            target = tuple(_toward(p, g, max_step) for p, g in zip(previous, target))
+            target = tuple(toward(p, g, max_step) for p, g in zip(previous, target))
         previous = target
         codes.append(STATE_BY_CODE.index(gait))
         tau_left.append(target[0])

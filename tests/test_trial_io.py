@@ -17,10 +17,12 @@ from gaitassist import trial_io
 from gaitassist.cli import _RUN_DEFAULTS, _SIM_DEFAULTS, main
 from gaitassist.controller import UNLIMITED
 from gaitassist.errors import DataFormatError, InvalidSpecError
-from gaitassist.gait import BLOCK_TICKS, EventKind, Foot, GaitEvent
-from gaitassist.signals import EmgChannel
+from gaitassist.gait import EventKind, Foot, GaitEvent
+from gaitassist.runner import DetectionMode, run_trial
+from gaitassist.signals import EmgChannel, TimeSeries
 from gaitassist.simgait import ChannelRates, GaitParams, generate
 from gaitassist.trial_io import (
+    BLOCK_TICKS,
     FORMAT_TAG,
     format_value,
     load_trial,
@@ -106,6 +108,95 @@ class TestRoundTrip:
         assert int(manifest["n_ticks"]) == 1000
         channels = manifest["channels"].split(",")
         assert len(channels) >= 6
+
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        duration=st.floats(8.0, 12.0),
+        rates=st.sampled_from([(100.0, 1000.0), (137.0, 1000.0), (50.0, 1000.0), (100.0, 1100.0)]),
+    )
+    @example(duration=10.006, rates=(100.0, 1000.0))
+    def test_off_grid_durations_round_trip(self, tmp_path_factory, duration, rates):
+        log = generate(GaitParams(seed=4, noise_sigma=0.02), duration, ChannelRates(*rates))
+        assert len(log.emg.raw) == log.rates.emg_samples(log.n_ticks)
+        loaded = load_trial(save_trial(log, tmp_path_factory.mktemp("grid") / "t"))
+        assert loaded.n_ticks == log.n_ticks and loaded.rates == log.rates
+        pairs = [(loaded.emg.raw.samples, log.emg.raw.samples)]
+        for name in ("omega", "insole", "foot_xy", "hip_deg", "knee_deg"):
+            pairs += [(getattr(loaded, name)[foot], getattr(log, name)[foot]) for foot in Foot]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+        for foot in Foot:
+            np.testing.assert_array_equal(loaded.truth.phases[foot], log.truth.phases[foot])
+
+
+def _set(k: int, value: float):
+    """An edit that sets element k of a copy of an array to `value`."""
+
+    def edit(x: np.ndarray) -> np.ndarray:
+        x = x.copy()
+        x[k] = value
+        return x
+
+    return edit
+
+
+class TestSaveRefuses:
+    """save_trial refuses a log that load_trial would refuse, in one
+    InvalidSpecError line and before it writes anything."""
+
+    @pytest.fixture(scope="class")
+    def log(self):
+        return generate(GaitParams(seed=3), 10.0)
+
+    @staticmethod
+    def refusal(log, tmp_path: Path) -> str:
+        out = tmp_path / "t"
+        with pytest.raises(InvalidSpecError) as info:
+            save_trial(log, out)
+        assert not out.exists()
+        return str(info.value)
+
+    @pytest.mark.parametrize(
+        "name, foot, edit, message",
+        [
+            ("omega", Foot.LEFT, _set(5, math.nan), "left omega must be finite"),
+            ("hip_deg", Foot.RIGHT, _set(7, math.inf), "right hip_deg must be finite"),
+            ("knee_deg", Foot.LEFT, lambda x: x[:-3],
+             "left knee_deg needs shape (1000,), got (997,)"),
+        ],
+    )
+    def test_bad_leg_channel(self, log, tmp_path, name, foot, edit, message):
+        channel = dict(getattr(log, name))
+        channel[foot] = edit(channel[foot])
+        assert self.refusal(dataclasses.replace(log, **{name: channel}), tmp_path) == message
+
+    # the control envelope reads the first 9,991 samples, so a run accepts
+    # every one of these logs but the one of 9,990; load_trial refuses all
+    @pytest.mark.parametrize(
+        "edit, got",
+        [
+            (lambda x: x[:-1], 9999),
+            (lambda x: x[:-10], 9990),
+            (lambda x: np.concatenate([x, [0.0]]), 10001),
+            (_set(-1, math.nan), 10000),
+        ],
+    )
+    def test_emg_of_another_length_or_not_finite(self, log, tmp_path, edit, got):
+        emg = EmgChannel(log.emg.raw.with_samples(edit(log.emg.raw.samples)), mvc_mv=1.0)
+        message = f"emg channel needs 10000 samples, all finite; got {got}"
+        assert self.refusal(dataclasses.replace(log, emg=emg), tmp_path) == message
+
+    def test_emg_at_another_rate(self, log, tmp_path):
+        samples = np.repeat(log.emg.raw.samples, 2)
+        emg = EmgChannel(TimeSeries(samples, 2000.0), mvc_mv=log.emg.mvc_mv)
+        bad = dataclasses.replace(log, emg=emg)
+        message = "emg channel is at 2000 Hz, not at emg_rate_hz 1000"
+        assert self.refusal(bad, tmp_path) == message
+        for mode in DetectionMode:
+            with pytest.raises(InvalidSpecError, match=f"^{message}$"):
+                run_trial(bad, mode)
 
 
 _CELLS = st.one_of(
@@ -601,17 +692,20 @@ class TestValueCodec:
 
     def test_int_valued_float_settings_write_the_same_manifest(self, saved_trial, tmp_path):
         log, _ = saved_trial
+        # the 1000 ticks at 200 Hz span 5,000 samples at 1000 Hz: save_trial
+        # refuses an EMG of any other length
+        raw = log.emg.raw.with_samples(log.emg.raw.samples[:5000])
         as_ints = dataclasses.replace(
             log,
             rates=ChannelRates(control_rate_hz=200, emg_rate_hz=1000),
             params=GaitParams(cadence_hz=1, load_peak_n=400, seed=6),
-            emg=EmgChannel(log.emg.raw, mvc_mv=1),
+            emg=EmgChannel(raw, mvc_mv=1),
         )
         as_floats = dataclasses.replace(
             log,
             rates=ChannelRates(control_rate_hz=200.0, emg_rate_hz=1000.0),
             params=GaitParams(cadence_hz=1.0, load_peak_n=400.0, seed=6),
-            emg=EmgChannel(log.emg.raw, mvc_mv=1.0),
+            emg=EmgChannel(raw, mvc_mv=1.0),
         )
         manifests = [
             (save_trial(trial, tmp_path / name) / "manifest.txt").read_bytes()
