@@ -104,17 +104,15 @@ def rom(
     hs = _event_times(events, foot, EventKind.HEEL_STRIKE)
     if len(hs) < 2:
         raise ValueError(f"need at least two heel strikes for {foot.value}")
-    angle_deg = np.asarray(angle_deg, dtype=float)
-    idx = np.clip(np.searchsorted(times, hs), 0, len(angle_deg))
-    spans = []
-    for a, b in zip(idx[:-1], idx[1:]):
-        if b - a < 2:
-            continue
-        seg = angle_deg[a:b]
-        spans.append(float(seg.max() - seg.min()))
-    if not spans:
+    # one sample past the end makes the index len(angle_deg) a valid reduceat start
+    padded = np.append(np.asarray(angle_deg, dtype=float), 0.0)
+    idx = np.clip(np.searchsorted(times, hs), 0, len(padded) - 1)
+    keep = idx[1:] - idx[:-1] >= 2  # a stride of fewer than two samples has no range
+    if not keep.any():
         raise ValueError("no usable strides for range of motion")
-    return float(np.mean(spans))
+    bounds = np.column_stack([idx[:-1][keep], idx[1:][keep]]).ravel()  # every other segment
+    top, bottom = (f.reduceat(padded, bounds)[::2] for f in (np.maximum, np.minimum))
+    return float(np.mean(top - bottom))
 
 
 def cadence(events: list[GaitEvent]) -> float:

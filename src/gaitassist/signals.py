@@ -305,10 +305,11 @@ def filter_zero_phase(coeffs: FilterCoefficients, x: TimeSeries) -> TimeSeries:
             f"(needs more than {edge})"
         )
     s, sos = x.samples, coeffs.sos
-    ext = np.concatenate((2 * s[:1] - s[edge:0:-1], s, 2 * s[-1:] - s[-2 : -(edge + 2) : -1]))
+    y = np.concatenate((2 * s[:1] - s[edge:0:-1], s, 2 * s[-1:] - s[-2 : -(edge + 2) : -1]))
     zi = _step_states(sos)
-    y = _run_sections(sos, ext, zi * ext[:1])
-    y = _run_sections(sos, y[::-1], zi * y[-1:])
+    _filter_rows(sos, y[None], (zi * y[:1])[None])  # forward, in place
+    y = y[::-1].copy()
+    _filter_rows(sos, y[None], (zi * y[:1])[None])  # backward, over one reversed copy
     return x.with_samples(y[::-1][edge:-edge])
 
 
@@ -387,6 +388,7 @@ def emg_envelope(ch: EmgChannel) -> TimeSeries:
     """
     band, ecg, smooth, _ = _envelope_filters(ch.raw.rate_hz)
     y = filter_zero_phase(ecg, filter_zero_phase(band, ch.raw))
-    y = y.with_samples(np.abs(y.samples))  # rebinding frees the unrectified copy
+    np.abs(y.samples, out=y.samples)  # each filter's output is its own array
     y = filter_zero_phase(smooth, y)
-    return y.with_samples(np.clip(y.samples / ch.mvc_mv, 0.0, 1.0))
+    np.clip(np.divide(y.samples, ch.mvc_mv, out=y.samples), 0.0, 1.0, out=y.samples)
+    return y

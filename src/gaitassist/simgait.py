@@ -81,8 +81,11 @@ class ChannelRates:
 
     def emg_samples(self, ticks: int) -> int:
         """The raw EMG samples that span `ticks` control ticks: the count
-        `generate` makes and `load_trial` expects."""
-        return int(round(ticks * self.emg_rate_hz / self.control_rate_hz))
+        `generate` makes and `load_trial` expects. InvalidSpecError if it is infinite."""
+        count = ticks * self.emg_rate_hz / self.control_rate_hz
+        if not count < math.inf:
+            raise InvalidSpecError(f"n_ticks {ticks} and emg_rate_hz make {count:g} EMG samples")
+        return int(round(count))
 
 
 def _pchip_slopes_periodic(x: np.ndarray, y: np.ndarray) -> np.ndarray:

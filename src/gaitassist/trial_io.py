@@ -32,10 +32,10 @@ BLOCK_TICKS = 4096
 
 _PHASE_NAMES = tuple(phase.value for phase in Phase)  # indexed by phase code
 
-# A `%.6f` cell is spelled in little-endian words: its sign and integer part
-# right-aligned in 8 bytes, then `.ddd` and `ddd,`. Spaces pad words and are
-# dropped from joined blocks. Digits and `-` have the space's bit set, so `|`
-# of a padded word and a spelled one keeps what is spelled.
+# A `%.6f` cell is spelled in three little-endian 4-byte words: its sign and
+# integer part, right-aligned, then `.ddd` and `ddd,`; a block that holds a
+# cell of 1000 or more spells the thousands in a fourth, leading word. Spaces
+# pad words and are dropped from joined blocks.
 _LIMIT = 10**12  # rounded |cell| * 1e6 the words spell: integer parts to 999999
 _DIGITS = [f"{k:03d}" for k in range(1000)]
 
@@ -46,10 +46,10 @@ def _words(texts: list[str], width: int = 0) -> np.ndarray:
     return np.array([text.rjust(width) for text in texts], f"S{width}").view(f"<u{min(width, 8)}")
 
 
-# An integer part h * 1000 + k is _HIGH_WORDS[h + s] | _LOW_WORDS[k + s + 2000 * (h > 0)],
+# An integer part h * 1000 + k is _HIGH_WORDS[h + s], then _LOW_WORDS[k + s + 2000 * (h > 0)],
 # s = 1000 if the cell is negative: the sign goes before h, or before k if h = 0
-_HIGH_WORDS = _words([f"{sign}{h}   " if h else "" for sign in ("", "-") for h in range(1000)], 8)
-_LOW_WORDS = _words([f"{sign}{k}" for sign in ("", "-") for k in range(1000)] + 2 * _DIGITS)
+_HIGH_WORDS = _words([f"{sign}{h}" if h else "" for sign in ("", "-") for h in range(1000)], 4)
+_LOW_WORDS = _words([f"{sign}{k}" for sign in ("", "-") for k in range(1000)] + 2 * _DIGITS, 4)
 _FRAC_HIGH = _words(["." + d for d in _DIGITS], 4)
 _FRAC_LOW = _words([d + "," for d in _DIGITS], 4)
 # Reading takes the words back: a cell and its separator end 16 bytes of
@@ -68,13 +68,22 @@ _KEEP = np.array(
 )
 _SCALES = np.tile([1e7, -1e7], 17)
 _CHUNK_BYTES = 1 << 17  # table text parsed at a time
-_PAD = 16  # buffer bytes before each chunk, the last a newline, so windows fit
 # `gait_state,phase_left,phase_right` ending a labels row, indexed by state
 # code (the left leg's phase code is its high bit)
 _LABEL_WORDS = _words([
     f"{state.value},{_PHASE_NAMES[code >> 1]},{_PHASE_NAMES[code & 1]}\n"
     for code, state in enumerate(STATE_BY_CODE)
 ]).reshape(len(STATE_BY_CODE), -1)
+# Buffer bytes before each chunk, the last a newline, so that the windows
+# ending at a separator fit: a cell's 16 bytes, and a labels tail's
+_PAD = 8 * _LABEL_WORDS.shape[1]
+# A labels row's tail, the text after its `t_s` cell's comma, is read back by
+# its length and first byte, which pick the one word of _LABEL_WORDS it can be;
+# the text ending with the tail must equal that word but for its padding spaces.
+_LABEL_CODES = np.full((_PAD + 1, 256), -1, np.int8)
+for _code, _text in enumerate(word.tobytes().lstrip(b" ") for word in _LABEL_WORDS):
+    _LABEL_CODES[len(_text), _text[0]] = _code
+_LABEL_MASKS = np.where(_LABEL_WORDS.view(np.uint8) == 32, 0, 0xFF).astype(np.uint8).view("<u8")
 # `foot,kind` ending an events row, indexed by 2 * foot code + kind code
 _FEET, _KINDS = tuple(Foot), tuple(EventKind)
 _EVENT_WORDS = _words(
@@ -159,9 +168,9 @@ def read_manifest(path: Path) -> dict[str, str]:
 
 
 def _fixed_point_words(block: np.ndarray) -> np.ndarray | None:
-    """Each cell of the 2-D `block` as `%.6f` spells it, then a comma, in two
-    words (shape block.shape + (2,)); None if a cell is not finite or rounds
-    to 1e6 or more in magnitude.
+    """Each cell of the 2-D `block` as `%.6f` spells it, then a comma, in
+    4-byte words: three per cell, four if a cell rounds to 1000 or more in
+    magnitude. None if a cell is not finite or rounds to 1e6 or more.
     """
     with np.errstate(over="ignore"):  # inf is past _LIMIT too
         y = np.multiply(block, 1e6, dtype=float)
@@ -176,17 +185,20 @@ def _fixed_point_words(block: np.ndarray) -> np.ndarray | None:
     m = m.astype(np.int64)
     for i in ties:  # none reaches _LIMIT: fl is monotone and 999999999999.5 a double
         m.flat[i] = int(("%.6f" % abs(block.flat[i])).replace(".", ""))
+    wide = int((m.max() if len(ties) else top) >= 10**9)
     whole = m // 10**6
     frac = m - whole * 10**6
     frac_high = frac // 1000
     sign = np.signbit(block) * 1000  # `%` prints -0.0 and -4e-7 as -0.000000
-    high = whole // 1000
-    low = whole - 1000 * high + sign
-    out = np.empty(block.shape + (2,), "<u8")
-    out[..., 0] = _HIGH_WORDS[high + sign] | _LOW_WORDS[low + 2000 * (high > 0)]
-    half = out.view("<u4")
-    half[..., 2] = _FRAC_HIGH[frac_high]
-    half[..., 3] = _FRAC_LOW[frac - 1000 * frac_high]
+    low = whole + sign
+    out = np.empty(block.shape + (3 + wide,), "<u4")
+    if wide:
+        high = whole // 1000
+        out[..., 0] = _HIGH_WORDS[high + sign]
+        low += 2000 * (high > 0) - 1000 * high
+    out[..., wide] = _LOW_WORDS[low]
+    out[..., wide + 1] = _FRAC_HIGH[frac_high]
+    out[..., wide + 2] = _FRAC_LOW[frac - 1000 * frac_high]
     return out
 
 
@@ -212,11 +224,12 @@ def format_rows(*parts: np.ndarray, tails: np.ndarray | None = None) -> Iterator
         words = _fixed_point_words(block)
         if words is None:
             words = _exact_words(block)
+        text = words.reshape(len(block), -1).view(np.uint8)
         if tails is None:
-            words.view(np.uint8)[:, -1, -1] = ord("\n")  # the last cell's comma
+            text[:, -1] = ord("\n")  # the last cell's comma
         else:
-            words = np.concatenate([words.reshape(len(block), -1), tails[start:stop]], axis=1)
-        yield words.tobytes().translate(None, b" ").decode("ascii")
+            text = np.concatenate([text, tails[start:stop].view(np.uint8)], axis=1)
+        yield text.tobytes().translate(None, b" ").decode("ascii")
 
 
 def write_table(
@@ -257,10 +270,12 @@ def _eight_digits(x: np.ndarray) -> None:
     x >>= 32
 
 
-def _read_fixed_point(fh, ncols: int, rows: int) -> np.ndarray | None:
+def _read_fixed_point(fh, ncols: int, rows: int, tails: bool = False) -> np.ndarray | None:
     """The (`rows`, `ncols`) table left in the binary file `fh` if it is just
     that many lines of comma-separated cells `-?d+.dddddd` with at most 8
     characters before the dot, each line ending in a newline; else None.
+    With `tails`, a line instead ends, as a labels row does, in a comma and
+    the text of a word of _LABEL_WORDS, whose index is one more column.
 
     The text is read in chunks that end at a newline, into one buffer. A
     cell's value is N / 1e7, N ten times its digits as an integer: N < 2**53
@@ -271,15 +286,19 @@ def _read_fixed_point(fh, ncols: int, rows: int) -> np.ndarray | None:
     if not 0 < 9 * rows * ncols <= size:  # the shortest cell is `d.dddddd,`
         return None
     out = np.empty(rows * ncols)
+    codes = np.empty(rows * tails, np.int8)
     buf = bytearray(_PAD + min(size, _CHUNK_BYTES))
     most = len(buf) // (9 * ncols) + 1  # rows a chunk can hold
+    line_seps = ncols + 3 * tails  # a tail holds three: two commas and the newline
     # one row of zero cells, and the limits, for every cell a chunk can hold
-    zero_row = _words([f"00000000.000000{sep}" for sep in "," * (ncols - 1) + "\n"])
+    last = "," if tails else "\n"
+    zero_row = _words([f"00000000.000000{sep}" for sep in "," * (ncols - 1) + last])
     zero_cells = np.tile(zero_row, most)
     limits = np.tile(_LIMITS, ncols * most)
     buf[_PAD - 1] = ord("\n")
     text = np.frombuffer(buf, np.uint8)
     windows = np.ndarray(len(buf) + 1 - _PAD, "V16", buf, _PAD - 16, (1,))
+    tail_windows = np.ndarray(len(buf) + 1 - _PAD, f"V{_PAD}", buf, 0, (1,))
     done = carry = 0
     while got := fh.readinto(memoryview(buf)[_PAD + carry :]):
         end = _PAD + carry + got
@@ -287,9 +306,11 @@ def _read_fixed_point(fh, ncols: int, rows: int) -> np.ndarray | None:
         # separators, counted from the newline before the chunk; windows[i]
         # ends with separator i. Digits, '-' and '.' lie above ','.
         seps = np.flatnonzero(text[_PAD - 1 : stop] <= ord(","))
-        prev, sep = seps[:-1], seps[1:]
+        if not stop or (len(seps) - 1) % line_seps:
+            return None
+        prev, sep = (s.reshape(-1, line_seps)[:, :ncols].ravel() for s in (seps[:-1], seps[1:]))
         cells = len(sep)
-        if not stop or cells % ncols or cells > ncols * most or done + cells > out.size:
+        if cells > ncols * most or done + cells > out.size:
             return None
         kind = sep - prev
         if kind.max() > 16:  # more than 8 characters before the dot
@@ -305,6 +326,15 @@ def _read_fixed_point(fh, ncols: int, rows: int) -> np.ndarray | None:
         bad &= _TOP_BITS
         if bad.max():
             return None
+        if tails:
+            ends, starts = seps[line_seps::line_seps], sep[ncols - 1 :: ncols]
+            code = _LABEL_CODES[np.minimum(ends - starts, _PAD), text[_PAD + starts]]
+            found = tail_windows[ends].view("<u8").reshape(-1, _LABEL_WORDS.shape[1])
+            found ^= _LABEL_WORDS[code]
+            found &= _LABEL_MASKS[code]
+            if code.min() < 0 or found.any():
+                return None
+            codes[done // ncols : (done + cells) // ncols] = code
         _eight_digits(words)
         value = pairs[:, 0] * 10**7
         value += pairs[:, 1]
@@ -312,7 +342,9 @@ def _read_fixed_point(fh, ncols: int, rows: int) -> np.ndarray | None:
         done += cells
         carry = end - stop
         buf[_PAD : _PAD + carry] = buf[stop:end]
-    return out.reshape(rows, ncols) if done == out.size and not carry else None
+    if done != out.size or carry:
+        return None
+    return np.column_stack([out.reshape(rows, ncols), codes]) if tails else out.reshape(rows, ncols)
 
 
 @contextmanager
@@ -372,20 +404,23 @@ def _first_bad_row(fh, columns: list[str], dtype: np.dtype) -> str:
 def _read_table(path: Path, columns: list[str], rows: int, dtype=float) -> np.ndarray:
     """The table at `path`, headed `columns`: a 2-D float array, or for a
     structured `dtype`, whose fields are `columns`, one record per row. A
-    float table is read by :func:`_read_fixed_point` if it can be, with
-    `rows` the row count the caller expects, else, and for every error, by
-    :func:`_loadtxt`. Every row is read, and every float cell must be finite."""
+    float table, and a labels table as its `t_s` and state code columns, is
+    read by :func:`_read_fixed_point` if it can be, with `rows` the row count
+    the caller expects, else, and for every error, by :func:`_loadtxt`.
+    Every row is read, and every float cell must be finite."""
     if not path.is_file():
         raise DataFormatError(f"missing file: {path}")
+    labels = dtype is _LABEL_ROW
     with open(path, "rb") as fh:
-        plain = dtype is float and fh.readline() == f"{','.join(columns)}\n".encode()
-        data = _read_fixed_point(fh, len(columns), rows) if plain else None
-    if data is None:
-        with utf8_errors(path.name), open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header.split(",") != columns:
-                raise DataFormatError(f"{path.name}: header {header!r} does not match {columns}")
-            data = _loadtxt(fh, path.name, columns, dtype)
+        plain = (dtype is float or labels) and fh.readline() == f"{','.join(columns)}\n".encode()
+        data = _read_fixed_point(fh, len(columns) - 3 * labels, rows, labels) if plain else None
+    if data is not None:  # finite and of the right width by construction
+        return data
+    with utf8_errors(path.name), open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header.split(",") != columns:
+            raise DataFormatError(f"{path.name}: header {header!r} does not match {columns}")
+        data = _loadtxt(fh, path.name, columns, dtype)
     if dtype is not float:  # np.loadtxt has checked the cell count of every record
         numbers = [column for column in columns if data.dtype[column].kind == "f"]
         _require_finite(path.name, numbers, np.column_stack([data[c] for c in numbers]))
@@ -437,11 +472,14 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
     """Write `log` into `out_dir`, creating it if needed; return the path.
     Before it writes, it refuses a log load_trial would not read back: see
     `check_legs`, checked for every per-foot channel, and InvalidSpecError
-    unless the raw EMG is `rates.emg_samples(n_ticks)` finite samples."""
+    unless the raw EMG is `rates.emg_samples(n_ticks)` finite samples and
+    the truth, if any, passes the check load_trial makes of it."""
     check_legs(log, {"omega": (), "insole": (8,), "foot_xy": (2,), "hip_deg": (), "knee_deg": ()})
     raw, need = log.emg.raw, log.rates.emg_samples(log.n_ticks)
     if len(raw) != need or not np.isfinite(raw.samples).all():
         raise InvalidSpecError(f"emg channel needs {need} samples, all finite; got {len(raw)}")
+    if log.truth is not None:
+        _check_truth(log.truth, log.n_ticks, log.rates.control_rate_hz, InvalidSpecError)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t = log.times()
@@ -514,7 +552,7 @@ def _read_series(path: Path, columns: list[str], rows: int, rate_hz: float, dtyp
     table = _read_table(path, columns, rows, dtype)
     if len(table) != rows:
         raise DataFormatError(f"{path.name}: expected {rows} rows, got {len(table)}")
-    t = table[:, 0] if dtype is float else table["t_s"]
+    t = table["t_s"] if table.dtype.names else table[:, 0]
     off = np.arange(rows) / rate_hz
     off -= t
     bad = ~(np.abs(off, out=off) <= _GRID_TOLERANCE_S)  # NaN is off the grid too
@@ -527,32 +565,46 @@ def _read_series(path: Path, columns: list[str], rows: int, rate_hz: float, dtyp
     return table
 
 
-def _read_truth(trial_dir: Path, n: int, rate_hz: float) -> TrialTruth:
-    name = "truth_labels.csv"
-    rows = _read_series(trial_dir / name, _LABEL_COLS, n, rate_hz, _LABEL_ROW)
-    phases = {foot: _codes(name, rows, f"phase_{foot.value}", _PHASE_NAMES) for foot in _FEET}
-    wrong = rows["gait_state"] != _STATE_NAMES[gait_state_codes(phases)]
-    if wrong.any():
-        row = int(np.argmax(wrong))
-        state, left, right = (str(rows[column][row]) for column in _LABEL_COLS[1:])
-        raise DataFormatError(
-            f"{name}: gait_state {state!r} in data row {row + 1} does not "
-            f"match phase_left {left!r} and phase_right {right!r}"
-        )
-    events = read_events_csv(trial_dir / "truth_events.csv")
+def _check_truth(truth: TrialTruth, n: int, rate_hz: float, error: type[Exception]) -> None:
+    """`error`, in one line, unless `truth` fits a trial of `n` ticks at
+    `rate_hz`: each foot's phases hold `n` ticks, and its events alternate
+    and lie in [0, duration_s], give or take _GRID_TOLERANCE_S."""
+    for foot in _FEET:
+        if (shape := np.shape(truth.phases[foot])) != (n,):
+            raise error(f"{foot.value} truth phases need shape ({n},), got {shape}")
     try:
-        check_event_stream(events)
+        check_event_stream(truth.events)
     except ValueError as exc:
-        raise DataFormatError(f"truth_events.csv: {exc}") from None
-    t = np.array([ev.t for ev in events], float)
+        raise error(f"truth_events.csv: {exc}") from None
+    t = np.array([ev.t for ev in truth.events], float)
     outside = (t < -_GRID_TOLERANCE_S) | (t > n / rate_hz + _GRID_TOLERANCE_S)
     if outside.any():
         row = int(np.argmax(outside))
-        raise DataFormatError(
+        raise error(
             f"truth_events.csv: t_s {t[row]:.6f} in data row {row + 1} is outside "
             f"the trial, 0 to duration_s {n / rate_hz:.6f}"
         )
-    return TrialTruth(phases=phases, events=events)
+
+
+def _read_truth(trial_dir: Path, n: int, rate_hz: float) -> TrialTruth:
+    name = "truth_labels.csv"
+    rows = _read_series(trial_dir / name, _LABEL_COLS, n, rate_hz, _LABEL_ROW)
+    if rows.dtype.names is None:  # `t_s` and the state code the fixed-point reader matched
+        codes = rows[:, 1].astype(np.int8)
+        phases = {Foot.LEFT: codes >> 1, Foot.RIGHT: codes & 1}
+    else:
+        phases = {foot: _codes(name, rows, f"phase_{foot.value}", _PHASE_NAMES) for foot in _FEET}
+        wrong = rows["gait_state"] != _STATE_NAMES[gait_state_codes(phases)]
+        if wrong.any():
+            row = int(np.argmax(wrong))
+            state, left, right = (str(rows[column][row]) for column in _LABEL_COLS[1:])
+            raise DataFormatError(
+                f"{name}: gait_state {state!r} in data row {row + 1} does not "
+                f"match phase_left {left!r} and phase_right {right!r}"
+            )
+    truth = TrialTruth(phases=phases, events=read_events_csv(trial_dir / "truth_events.csv"))
+    _check_truth(truth, n, rate_hz, DataFormatError)
+    return truth
 
 
 def load_trial(trial_dir: Path | str) -> TrialLog:
@@ -585,6 +637,7 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
                 f"duration_s {manifest['duration_s']} does not match "
                 f"n_ticks / control_rate_hz = {format_value(n / control)}"
             )
+        emg_rows = rates.emg_samples(n)
         mvc = parse_value("mvc_mv", manifest["mvc_mv"], DEFAULT_MVC_MV)
         check_range(_MVC_FIELD, mvc)
         has_truth = parse_value("has_truth", manifest["has_truth"], False)
@@ -598,7 +651,7 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
             params = _settings_from(manifest, GaitParams)
     except KeyError as exc:
         raise DataFormatError(f"manifest is missing key {exc}") from exc
-    except ValueError as exc:  # unparsable, out-of-range or mismatched value
+    except (ValueError, OverflowError) as exc:  # unparsable, out-of-range, mismatched, huge
         raise DataFormatError(f"manifest.txt: {exc}") from exc
 
     omega = _read_series(trial_dir / "omega.csv", _OMEGA_COLS, n, control)
@@ -611,7 +664,7 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
                 f"{name}.csv: negative force {_INSOLE_COLS[col + 1]} in data row {row + 1}"
             )
         insole[foot] = forces
-    emg = _read_series(trial_dir / "emg.csv", _EMG_COLS, rates.emg_samples(n), rates.emg_rate_hz)
+    emg = _read_series(trial_dir / "emg.csv", _EMG_COLS, emg_rows, rates.emg_rate_hz)
     kin = _read_series(trial_dir / "kinematics.csv", _KINEMATICS_COLS, n, control)
 
     truth = _read_truth(trial_dir, n, control) if has_truth else None

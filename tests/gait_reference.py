@@ -9,8 +9,9 @@ kernel returns. `gait_state_from_phases` names the two-leg state of a tick.
 at a time, the specification of `gait.events_and_phases` and
 `metrics.phases_from_events`. `distribute` and `toward` are the torque law
 one tick at a time, the specification of `controller.command_torque`: the
-split of one tick's total torque and one ramp-limited step. The tests run
-these as the reference; the package never calls them.
+split of one tick's total torque and one ramp-limited step. `rom_by_stride`
+is `metrics.rom` one stride at a time. The tests run these as the
+reference; the package never calls them.
 """
 from __future__ import annotations
 
@@ -206,3 +207,23 @@ def toward(previous: float, target: float, max_step: float) -> float:
     if target < previous - max_step:
         return previous - max_step
     return target
+
+
+def rom_by_stride(angle_deg: np.ndarray, times: np.ndarray, events: list[GaitEvent], foot: Foot):
+    """`metrics.rom` one stride at a time: the mean over `foot`'s strides,
+    heel strike to heel strike, of max - min, skipping strides of fewer
+    than two samples."""
+    hs = [ev.t for ev in events if ev.foot is foot and ev.kind is EventKind.HEEL_STRIKE]
+    if len(hs) < 2:
+        raise ValueError(f"need at least two heel strikes for {foot.value}")
+    angle_deg = np.asarray(angle_deg, dtype=float)
+    idx = np.clip(np.searchsorted(times, np.array(hs, float)), 0, len(angle_deg))
+    spans = []
+    for a, b in zip(idx[:-1], idx[1:]):
+        if b - a < 2:
+            continue
+        seg = angle_deg[a:b]
+        spans.append(float(seg.max() - seg.min()))
+    if not spans:
+        raise ValueError("no usable strides for range of motion")
+    return float(np.mean(spans))

@@ -327,6 +327,32 @@ class TestRun:
             assert capsys.readouterr().err == f"{prefix}manifest.txt: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    # refused in the manifest block, before a table is read or an array allocated
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("emg_rate_hz", "1e308", "n_ticks 1000 and emg_rate_hz make inf EMG samples"),
+            ("n_ticks", "1" + "0" * 400, "int too large to convert to float"),
+        ],
+        ids=["emg_rate_hz-1e308", "n_ticks-1e400"],
+    )
+    def test_uncountable_manifest_value_is_one_line_data_error(
+        self, trial_dir, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        from gaitassist import trial_io
+
+        def no_table(path, *args):
+            raise AssertionError(f"{path.name} was read")
+
+        broken = with_manifest_value(trial_dir, tmp_path / "broken", key, value)
+        monkeypatch.setattr(trial_io, "_read_table", no_table)
+        capsys.readouterr()
+        assert run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"gaitassist: data error: manifest.txt: {message}\n"
+        assert run_cli("analyze", str(broken)) == 2
+        assert capsys.readouterr().err == f"analyze: {broken}: manifest.txt: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_duration_within_printing_tolerance_loads(self, trial_dir, tmp_path):
         edited = with_manifest_value(trial_dir, tmp_path / "edited", "duration_s", "10.0000009")
         assert load_trial(edited).duration_s == 10.0

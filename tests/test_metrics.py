@@ -18,6 +18,9 @@ from gaitassist.metrics import (
     score_detection,
     stride_length,
 )
+from gaitassist.simgait import GaitParams, generate
+
+from gait_reference import rom_by_stride
 
 HS = EventKind.HEEL_STRIKE
 TO = EventKind.TOE_OFF
@@ -172,6 +175,38 @@ class TestRom:
         times = np.arange(0.0, 5.0, 0.01)
         with pytest.raises(ValueError):
             rom(np.sin(times), times, [_hs(1.0, Foot.LEFT)], Foot.LEFT)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        angle=st.lists(
+            st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, math.nan, 1e-300])),
+            min_size=0, max_size=60,
+        ),
+        extra=st.integers(-5, 5),
+        strikes=st.lists(st.floats(-1.0, 8.0), min_size=0, max_size=12),
+        other=st.lists(st.floats(0.0, 6.0), max_size=4),
+    )
+    def test_equals_the_stride_loop(self, angle, extra, strikes, other):
+        """Bit for bit the loop in gait_reference, or its ValueError: strides
+        out of order, of fewer than two samples, past either end of `times`
+        or of an angle shorter or longer than `times`."""
+        times = np.arange(max(len(angle) + extra, 0)) * 0.1
+        events = [_hs(t, Foot.LEFT) for t in strikes] + [_hs(t, Foot.RIGHT) for t in other]
+        outcomes = []
+        for f in (rom, rom_by_stride):
+            try:
+                outcomes.append(np.float64(f(np.array(angle), times, events, Foot.LEFT)).tobytes())
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_seed42_channels_equal_the_stride_loop(self):
+        log = generate(GaitParams(noise_sigma=0.05, seed=42), 60.0)
+        times, events = log.times(), log.truth.events
+        for channel in (log.hip_deg, log.knee_deg):
+            for foot in Foot:
+                got = rom(channel[foot], times, events, foot)
+                assert got == rom_by_stride(channel[foot], times, events, foot)
 
 
 def test_cadence_from_heel_strike_spacing():

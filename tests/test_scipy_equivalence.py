@@ -124,6 +124,27 @@ def test_filter_zero_phase_equals_sosfiltfilt(spec):
     assert got.tobytes() == signal.sosfiltfilt(coeffs.sos, x).tobytes()
 
 
+@pytest.mark.parametrize("n", [28, 29, 1000, 30_001])
+@pytest.mark.parametrize("rate", RATES_HZ[1:])
+@pytest.mark.parametrize("mvc", [1e-3, 0.4])
+def test_emg_envelope_equals_its_sosfiltfilt_chain(rate, n, mvc):
+    """The zero-phase envelope is its stages through sosfiltfilt one by one:
+    band-pass, ECG high-pass, rectification, smoothing, division by MVC and
+    clipping; from the shortest EMG the band-pass takes, 28 samples, up."""
+    x = noise(n, seed=n) * 0.3 + 0.1
+    band, ecg, smooth = (
+        scipy_sos(FilterSpec(kind, 4, cutoffs, rate))
+        for kind, cutoffs in (
+            ("band-pass", EMG_BAND_HZ), ("high-pass", (ECG_HIGHPASS_HZ,)),
+            ("low-pass", (ENVELOPE_LOWPASS_HZ,)),
+        )
+    )
+    y = np.abs(signal.sosfiltfilt(ecg, signal.sosfiltfilt(band, x)))
+    expected = np.clip(signal.sosfiltfilt(smooth, y) / mvc, 0.0, 1.0)
+    got = emg_envelope(EmgChannel(TimeSeries(x, rate), mvc_mv=mvc)).samples
+    assert got.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("block", [1, 7, 997, 4000])
 @pytest.mark.parametrize("spec", FILTER_SPECS[-3:], ids=spec_id)
 def test_causal_filter_blocks_equal_one_shot_sosfilt(spec, block):

@@ -20,7 +20,7 @@ from gaitassist.errors import DataFormatError, InvalidSpecError
 from gaitassist.gait import EventKind, Foot, GaitEvent
 from gaitassist.runner import DetectionMode, run_trial
 from gaitassist.signals import EmgChannel, TimeSeries
-from gaitassist.simgait import ChannelRates, GaitParams, generate
+from gaitassist.simgait import ChannelRates, GaitParams, TrialTruth, generate
 from gaitassist.trial_io import (
     BLOCK_TICKS,
     FORMAT_TAG,
@@ -188,6 +188,54 @@ class TestSaveRefuses:
         message = f"emg channel needs 10000 samples, all finite; got {got}"
         assert self.refusal(dataclasses.replace(log, emg=emg), tmp_path) == message
 
+    # seed 3's 27 events begin with the right foot's toe off and heel strike
+    # and end with a left toe off
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda events: events[1::-1] + events[2:],
+             "events for right not strictly increasing: 0.14285714285714282 after "
+             "0.7142857142857143"),
+            (lambda events: [events[0], GaitEvent(events[1].t, Foot.RIGHT, EventKind.TOE_OFF),
+                             *events[2:]],
+             "duplicated toe_off for right at t=0.7142857142857143"),
+            (lambda events: events + [GaitEvent(10.000002, Foot.LEFT, EventKind.HEEL_STRIKE)],
+             "t_s 10.000002 in data row 28 is outside the trial, 0 to duration_s 10.000000"),
+            (lambda events: [GaitEvent(-2e-6, Foot.RIGHT, EventKind.HEEL_STRIKE)] + events,
+             "t_s -0.000002 in data row 1 is outside the trial, 0 to duration_s 10.000000"),
+        ],
+        ids=["swapped", "repeated-kind", "after-the-end", "before-the-start"],
+    )
+    def test_truth_events_that_load_trial_refuses(self, log, tmp_path, edit, message):
+        events = log.truth.events
+        assert [(ev.foot, ev.kind) for ev in (*events[:2], events[-1])] == [
+            (Foot.RIGHT, EventKind.TOE_OFF), (Foot.RIGHT, EventKind.HEEL_STRIKE),
+            (Foot.LEFT, EventKind.TOE_OFF),
+        ]
+        bad = dataclasses.replace(log, truth=TrialTruth(log.truth.phases, edit(log.truth.events)))
+        assert self.refusal(bad, tmp_path) == f"truth_events.csv: {message}"
+
+    def test_truth_events_within_the_grid_tolerance_save(self, log, tmp_path):
+        edge = [GaitEvent(10.000001, Foot.LEFT, EventKind.HEEL_STRIKE)]
+        truth = TrialTruth(log.truth.phases, log.truth.events + edge)
+        out = save_trial(dataclasses.replace(log, truth=truth), tmp_path / "t")
+        assert load_trial(out).truth.events[-1] == edge[0]
+
+    @pytest.mark.parametrize("foot", list(Foot))
+    @pytest.mark.parametrize(
+        "edit, shape",
+        [
+            (lambda x: x[:-1], "(999,)"), (lambda x: x[:0], "(0,)"),
+            (lambda x: x[:, None], "(1000, 1)"),
+        ],
+    )
+    def test_truth_phases_of_another_shape(self, log, tmp_path, foot, edit, shape):
+        phases = dict(log.truth.phases)
+        phases[foot] = edit(phases[foot])
+        bad = dataclasses.replace(log, truth=TrialTruth(phases, log.truth.events))
+        message = f"{foot.value} truth phases need shape (1000,), got {shape}"
+        assert self.refusal(bad, tmp_path) == message
+
     def test_emg_at_another_rate(self, log, tmp_path):
         samples = np.repeat(log.emg.raw.samples, 2)
         emg = EmgChannel(TimeSeries(samples, 2000.0), mvc_mv=log.emg.mvc_mv)
@@ -246,19 +294,50 @@ class TestWriteTable:
         np.savetxt(expected, rows, fmt="%.6f", delimiter=",", newline="\n")
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pool=st.lists(
+            st.one_of(
+                st.floats(-2e3, 2e3),
+                st.sampled_from([999.9999994, 999.9999995, 999.9999996, -999.9999995, -0.0, -4e-7]),
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    @example(pool=[-0.0, -4e-7, 999.9999995, 999.9999996])
+    @example(pool=[-0.0, -4e-7, 999.9999994, -999.9999994])
+    def test_a_fourth_word_only_for_a_cell_of_1000_or_more(self, pool):
+        """Three 4-byte words spell a cell, four only in a block with a cell
+        that `%` spells with four digits before the dot; either way the
+        words, spaces dropped, are the `%` text."""
+        block = np.array([pool])
+        words = trial_io._fixed_point_words(block)
+        thousands = any(len("%.6f" % abs(cell)) > len("999.999999") for cell in pool)
+        assert words.shape == block.shape + (3 + thousands,) and words.dtype == "<u4"
+        assert words.tobytes().translate(None, b" ") == "".join("%.6f," % c for c in pool).encode()
+
     def test_generated_trials_take_the_fast_path(self, tmp_path, monkeypatch):
         """numpy spells every block of a simulated trial and of its run's
-        tables: with the `%` fallback made to fail, they still write their
-        golden bytes."""
+        tables, three words per cell: with the `%` fallback and the four-word
+        layout made to fail, they still write their golden bytes."""
         from test_golden import _COMMON, GOLDEN, SIMULATE_SEED42
 
         def fail(block):
             raise AssertionError(f"a block of shape {block.shape} went through %")
 
+        fixed_point_words = trial_io._fixed_point_words
+
+        def three_words(block):
+            words = fixed_point_words(block)
+            if words is not None and words.shape[-1] != 3:
+                raise AssertionError(f"a block of shape {block.shape} took four words a cell")
+            return words
+
         def digest(path: Path) -> str:
             return hashlib.sha256(path.read_bytes()).hexdigest()
 
         monkeypatch.setattr(trial_io, "_exact_words", fail)
+        monkeypatch.setattr(trial_io, "_fixed_point_words", three_words)
         trial, run = tmp_path / "trial", tmp_path / "run"
         assert main(["simulate", *_COMMON[1:], "--seed", "42", "--out", str(trial)]) == 0
         assert {p.name: digest(p) for p in trial.iterdir()} == SIMULATE_SEED42
@@ -288,7 +367,7 @@ def _read(path: Path, columns: list[str], rows: int, chunk: int, fast: bool = Tr
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trial_io, "_CHUNK_BYTES", chunk)
         if not fast:
-            mp.setattr(trial_io, "_read_fixed_point", lambda fh, ncols, rows: None)
+            mp.setattr(trial_io, "_read_fixed_point", lambda *args: None)
         return trial_io._read_table(path, columns, rows)
 
 
@@ -431,19 +510,19 @@ class TestReadTable:
         assert _read_error(path, self.COLUMNS, self.ROWS, self.CHUNK) == "table.csv: no data rows"
 
     def test_generated_trials_take_the_fast_path(self, tmp_path, monkeypatch):
-        """The fixed-point reader reads every float table of a simulated
-        trial: with np.loadtxt refused them, `analyze` and `run --trial` still
-        write their golden bytes."""
+        """The fixed-point reader reads every float table and the truth
+        labels of a simulated trial: with np.loadtxt refused them, `analyze`
+        and `run --trial` still write their golden bytes."""
         from test_golden import ANALYZE_SEED42_METRICS, GOLDEN
 
         loadtxt = trial_io._loadtxt
 
-        def labels_only(fh, name, *args, **kwargs):
-            if name in _FLOAT_TABLES:
+        def events_only(fh, name, *args, **kwargs):
+            if name in (*_FLOAT_TABLES, "truth_labels.csv"):
                 raise AssertionError(f"{name} went through np.loadtxt")
             return loadtxt(fh, name, *args, **kwargs)
 
-        monkeypatch.setattr(trial_io, "_loadtxt", labels_only)
+        monkeypatch.setattr(trial_io, "_loadtxt", events_only)
         trial, run, metrics = tmp_path / "seed42", tmp_path / "run", tmp_path / "metrics.csv"
         simulate = ["simulate", "--duration", "30", "--noise-sigma", "0.05", "--seed", "42"]
         assert main([*simulate, "--out", str(trial)]) == 0
@@ -482,6 +561,114 @@ class TestReadTable:
         assert lf.keys() == other.keys()
         for name in lf:
             assert _same_bits(other[name], lf[name]), name
+
+
+_TAILS = [
+    # the writer's four
+    *(f",{word.tobytes().decode().lstrip()}" for word in trial_io._LABEL_WORDS),
+    ",walking,stance,stance\n",  # an unknown state
+    ",double_stance,swing,stance\n",  # a state that does not match its phases
+    ",double_stance,stance,hover\n",  # an unknown phase
+    ", double_stance,stance,stance\n",  # spaces
+    ",double_stance,stance, stance\n",
+    ",double_stance,stance,stance \n",
+    ",double_stance,stance,stance # a comment\n",
+    ",double_stance,stance,stance\r\n",
+    ",double_stance,stance,stance\n\n",  # a blank line
+    ",double_stance,stance,stance\n# a comment line\n",
+    ",double_stance,stance,stance,stance\n",  # a cell too many or too few
+    ",double_stance,stance\n",
+    "\n",
+    ",xdouble_stance,stance,stance\n",  # one byte more, fewer or changed
+    ",double_stancex,stance,stance\n",
+    ",ouble_stance,stance,stance\n",
+    ",double_stance,stance,stanc\n",
+    ",double_stancf,stance,stance\n",
+    ",louble_stance,stance,stance\n",
+    ",DOUBLE_STANCE,stance,stance\n",
+    ",left_stance_right_swing,swing,stance\n",
+    ",right_stance_left_swing,stance,swing\n",
+]
+
+
+class TestReadLabels:
+    """`truth_labels.csv` in the writer's spelling is read by the fixed-point
+    reader, and every table gives what the np.loadtxt path gives: the same
+    phases, or the same message."""
+
+    ROWS = 40
+    RATE = 100.0
+
+    def outcome(self, trial: Path, chunk: int, fast: bool) -> tuple[list, bool]:
+        """The truth phases `_read_truth` reads from `trial`, as dtype and
+        bytes per foot, or its message; and whether np.loadtxt read the labels."""
+        loadtxt, names = trial_io._loadtxt, []
+
+        def recording(fh, name, *args, **kwargs):
+            names.append(name)
+            return loadtxt(fh, name, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trial_io, "_CHUNK_BYTES", chunk)
+            mp.setattr(trial_io, "_loadtxt", recording)
+            if not fast:
+                mp.setattr(trial_io, "_read_fixed_point", lambda *args: None)
+            try:
+                phases = trial_io._read_truth(trial, self.ROWS, self.RATE).phases
+                got = [(phases[foot].dtype.str, phases[foot].tobytes()) for foot in Foot]
+            except DataFormatError as exc:
+                got = [str(exc)]
+        return got, "truth_labels.csv" in names
+
+    def trial(self, tmp_path: Path, codes: list[int], edits: list[tuple[int, str, str]]) -> Path:
+        """A truth labels table of state `codes`, each edit `(row, t_s, tail)`
+        respelling a data row, its `t_s` cell kept if `t_s` is empty, and no
+        truth events."""
+        tmp_path.mkdir(exist_ok=True)
+        write_events_csv(tmp_path / "truth_events.csv", [])
+        codes = np.array(codes, np.int8)
+        path = tmp_path / "truth_labels.csv"
+        t = np.arange(self.ROWS) / self.RATE
+        trial_io.write_labels_csv(path, t, {Foot.LEFT: codes >> 1, Foot.RIGHT: codes & 1})
+        lines = path.read_text().splitlines(keepends=True)
+        for row, t_s, tail in edits:
+            lines[row] = (t_s or lines[row].split(",")[0]) + tail
+        path.write_text("".join(lines), newline="")
+        return tmp_path
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        codes=st.lists(st.integers(0, 3), min_size=ROWS, max_size=ROWS),
+        edits=st.lists(
+            st.tuples(
+                st.integers(1, ROWS),
+                st.sampled_from(["", "", "", "0.010000", "1e-2", " 0.01", "abc", "nan", "-0"]),
+                st.sampled_from(_TAILS),
+            ),
+            max_size=3,
+        ),
+        chunk=st.sampled_from([100, 160, 257, 1 << 17]),  # rows straddle the small chunks
+    )
+    @example(codes=[0] * ROWS, edits=[], chunk=100)
+    @example(codes=[3, 1, 2, 0] * (ROWS // 4), edits=[(40, "", _TAILS[4])], chunk=160)
+    def test_matches_the_loadtxt_path(self, tmp_path_factory, codes, edits, chunk):
+        trial = self.trial(tmp_path_factory.mktemp("labels"), codes, edits)
+        (fast, loaded), (slow, _) = (self.outcome(trial, chunk, fast) for fast in (True, False))
+        assert fast == slow
+        # the fixed-point reader takes any `t_s` in the writer's spelling, on the
+        # grid or off it; a row's last edit stands
+        last = {row: (t_s, tail) for row, t_s, tail in edits}
+        writer_spelling = all(
+            t_s in ("", "0.010000") and tail in _TAILS[:4] for t_s, tail in last.values()
+        )
+        assert loaded == (not writer_spelling)
+
+    @pytest.mark.parametrize("tail", _TAILS[4:], ids=[repr(tail) for tail in _TAILS[4:]])
+    @pytest.mark.parametrize("row", [1, 20, ROWS])
+    def test_each_other_spelling_matches_the_loadtxt_path(self, tmp_path, row, tail):
+        trial = self.trial(tmp_path, [0, 1, 3, 2] * (self.ROWS // 4), [(row, "", tail)])
+        (fast, loaded), (slow, _) = (self.outcome(trial, 160, fast) for fast in (True, False))
+        assert fast == slow and loaded
 
 
 class TestEventsCsv:
@@ -692,20 +879,23 @@ class TestValueCodec:
 
     def test_int_valued_float_settings_write_the_same_manifest(self, saved_trial, tmp_path):
         log, _ = saved_trial
-        # the 1000 ticks at 200 Hz span 5,000 samples at 1000 Hz: save_trial
-        # refuses an EMG of any other length
+        # the 1000 ticks at 200 Hz span 5,000 samples at 1000 Hz and 5 s:
+        # save_trial refuses an EMG of any other length, and truth events past 5 s
         raw = log.emg.raw.with_samples(log.emg.raw.samples[:5000])
+        truth = TrialTruth(log.truth.phases, [ev for ev in log.truth.events if ev.t <= 5.0])
         as_ints = dataclasses.replace(
             log,
             rates=ChannelRates(control_rate_hz=200, emg_rate_hz=1000),
             params=GaitParams(cadence_hz=1, load_peak_n=400, seed=6),
             emg=EmgChannel(raw, mvc_mv=1),
+            truth=truth,
         )
         as_floats = dataclasses.replace(
             log,
             rates=ChannelRates(control_rate_hz=200.0, emg_rate_hz=1000.0),
             params=GaitParams(cadence_hz=1.0, load_peak_n=400.0, seed=6),
             emg=EmgChannel(raw, mvc_mv=1.0),
+            truth=truth,
         )
         manifests = [
             (save_trial(trial, tmp_path / name) / "manifest.txt").read_bytes()
