@@ -226,7 +226,11 @@ def _load_sosfilt():
     return _sosfilt_via_scipy
 
 
-_sosfilt = _load_sosfilt()
+def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> None:
+    """Replaced by the kernel on the first filter call, so importing imports no scipy."""
+    global _sosfilt
+    _sosfilt = _load_sosfilt()
+    _sosfilt(sos, x, zi)
 
 
 def _filter_rows(sos: np.ndarray, y: np.ndarray, zi: np.ndarray) -> None:

@@ -9,10 +9,12 @@ Formatting is fixed so identical inputs always produce byte-identical files.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,36 @@ _LABEL_ROW = np.dtype(
 _EVENT_ROW = np.dtype([("t_s", float), ("foot", "U6"), ("kind", "U12")])
 _GRID_TOLERANCE_S = 1e-6  # `t_s` against k / rate; printing rounds by at most 5e-7
 _MVC_FIELD = next(f for f in fields(EmgChannel) if f.name == "mvc_mv")
+# Threads that write or read a trial's tables: this one and a worker, given a second usable CPU
+_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+_LOADTXT_LOCK = threading.Lock()  # catch_warnings swaps the process's filters
+
+
+def _run_jobs(jobs: list[Callable[[], object]]) -> list:
+    """The results of `jobs`, in list order. They run on this thread and up
+    to _THREADS - 1 workers, each taking the next job not yet started; a job
+    after one that failed is skipped, and once all have ended the first
+    failure in list order is raised, as a serial run would raise it."""
+    results, errors = [None] * len(jobs), [None] * len(jobs)
+    order = iter(range(len(jobs)))  # next() is atomic under the GIL
+
+    def work() -> None:
+        for i in order:
+            try:
+                results[i] = None if any(errors[:i]) else jobs[i]()
+            except Exception as exc:
+                errors[i] = exc
+
+    workers = [threading.Thread(target=work) for _ in range(min(_THREADS, len(jobs)) - 1)]
+    for worker in workers:
+        worker.start()
+    work()
+    for worker in workers:
+        worker.join()
+    if error := next(filter(None, errors), None):
+        raise error
+    return results
 
 
 def format_value(value: float | int | str | bool) -> str:
@@ -270,23 +302,22 @@ def _eight_digits(x: np.ndarray) -> None:
     x >>= 32
 
 
-def _read_fixed_point(fh, ncols: int, rows: int, tails: bool = False) -> np.ndarray | None:
-    """The (`rows`, `ncols`) table left in the binary file `fh` if it is just
-    that many lines of comma-separated cells `-?d+.dddddd` with at most 8
-    characters before the dot, each line ending in a newline; else None.
+def _read_fixed_point(fh, out: np.ndarray, tails: bool = False) -> np.ndarray | None:
+    """`out` (rows, ncols), filled with the table left in the binary file `fh`
+    if it is just that many lines of comma-separated cells `-?d+.dddddd` with
+    at most 8 characters before the dot, each ending in a newline; else None.
     With `tails`, a line instead ends, as a labels row does, in a comma and
-    the text of a word of _LABEL_WORDS, whose index is one more column.
+    the text of a word of _LABEL_WORDS, whose index is `out`'s last column.
 
     The text is read in chunks that end at a newline, into one buffer. A
     cell's value is N / 1e7, N ten times its digits as an integer: N < 2**53
     and 1e7 are exact doubles and division rounds correctly, so it is the
     double that np.loadtxt reads from the cell, bit for bit.
     """
+    rows, ncols = out.shape[0], out.shape[1] - tails
     size = os.fstat(fh.fileno()).st_size - fh.tell()
     if not 0 < 9 * rows * ncols <= size:  # the shortest cell is `d.dddddd,`
         return None
-    out = np.empty(rows * ncols)
-    codes = np.empty(rows * tails, np.int8)
     buf = bytearray(_PAD + min(size, _CHUNK_BYTES))
     most = len(buf) // (9 * ncols) + 1  # rows a chunk can hold
     line_seps = ncols + 3 * tails  # a tail holds three: two commas and the newline
@@ -299,7 +330,7 @@ def _read_fixed_point(fh, ncols: int, rows: int, tails: bool = False) -> np.ndar
     text = np.frombuffer(buf, np.uint8)
     windows = np.ndarray(len(buf) + 1 - _PAD, "V16", buf, _PAD - 16, (1,))
     tail_windows = np.ndarray(len(buf) + 1 - _PAD, f"V{_PAD}", buf, 0, (1,))
-    done = carry = 0
+    row = carry = 0
     while got := fh.readinto(memoryview(buf)[_PAD + carry :]):
         end = _PAD + carry + got
         stop = buf.rfind(b"\n", _PAD, end) + 1
@@ -310,7 +341,7 @@ def _read_fixed_point(fh, ncols: int, rows: int, tails: bool = False) -> np.ndar
             return None
         prev, sep = (s.reshape(-1, line_seps)[:, :ncols].ravel() for s in (seps[:-1], seps[1:]))
         cells = len(sep)
-        if cells > ncols * most or done + cells > out.size:
+        if cells > ncols * most or row + cells // ncols > rows:
             return None
         kind = sep - prev
         if kind.max() > 16:  # more than 8 characters before the dot
@@ -334,17 +365,17 @@ def _read_fixed_point(fh, ncols: int, rows: int, tails: bool = False) -> np.ndar
             found &= _LABEL_MASKS[code]
             if code.min() < 0 or found.any():
                 return None
-            codes[done // ncols : (done + cells) // ncols] = code
+            out[row : row + len(code), ncols] = code
         _eight_digits(words)
         value = pairs[:, 0] * 10**7
         value += pairs[:, 1]
-        np.divide(value.view(np.int64), _SCALES[kind], out=out[done : done + cells])
-        done += cells
+        end_row = row + cells // ncols
+        scales = _SCALES[kind].reshape(-1, ncols)
+        np.divide(value.view(np.int64).reshape(-1, ncols), scales, out=out[row:end_row, :ncols])
+        row = end_row
         carry = end - stop
         buf[_PAD : _PAD + carry] = buf[stop:end]
-    if done != out.size or carry:
-        return None
-    return np.column_stack([out.reshape(rows, ncols), codes]) if tails else out.reshape(rows, ncols)
+    return out if row == rows and not carry else None
 
 
 @contextmanager
@@ -368,7 +399,7 @@ def _loadtxt(fh, name: str, columns: list[str], dtype=float) -> np.ndarray:
     """
     dtype = np.dtype(dtype)
     start = fh.tell()
-    with warnings.catch_warnings():
+    with _LOADTXT_LOCK, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             return np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1 if dtype.names else 2)
@@ -401,19 +432,20 @@ def _first_bad_row(fh, columns: list[str], dtype: np.dtype) -> str:
     return "rows do not parse as comma-separated values"
 
 
-def _read_table(path: Path, columns: list[str], rows: int, dtype=float) -> np.ndarray:
+def _read_table(path: Path, columns: list[str], out: np.ndarray | None, dtype=float) -> np.ndarray:
     """The table at `path`, headed `columns`: a 2-D float array, or for a
     structured `dtype`, whose fields are `columns`, one record per row. A
     float table, and a labels table as its `t_s` and state code columns, is
-    read by :func:`_read_fixed_point` if it can be, with `rows` the row count
-    the caller expects, else, and for every error, by :func:`_loadtxt`.
-    Every row is read, and every float cell must be finite."""
+    read into `out`, of the shape the caller expects, by
+    :func:`_read_fixed_point` if it can be, else, without `out`, and for
+    every error, by :func:`_loadtxt`. Every row is read, and every float
+    cell must be finite."""
     if not path.is_file():
         raise DataFormatError(f"missing file: {path}")
     labels = dtype is _LABEL_ROW
     with open(path, "rb") as fh:
-        plain = (dtype is float or labels) and fh.readline() == f"{','.join(columns)}\n".encode()
-        data = _read_fixed_point(fh, len(columns) - 3 * labels, rows, labels) if plain else None
+        plain = out is not None and fh.readline() == f"{','.join(columns)}\n".encode()
+        data = _read_fixed_point(fh, out, labels) if plain else None
     if data is not None:  # finite and of the right width by construction
         return data
     with utf8_errors(path.name), open(path, "r", encoding="utf-8") as fh:
@@ -473,7 +505,8 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
     Before it writes, it refuses a log load_trial would not read back: see
     `check_legs`, checked for every per-foot channel, and InvalidSpecError
     unless the raw EMG is `rates.emg_samples(n_ticks)` finite samples and
-    the truth, if any, passes the check load_trial makes of it."""
+    the truth, if any, passes the check load_trial makes of it. The tables
+    are written by :func:`_run_jobs`, one job a file."""
     check_legs(log, {"omega": (), "insole": (8,), "foot_xy": (2,), "hip_deg": (), "knee_deg": ()})
     raw, need = log.emg.raw, log.rates.emg_samples(log.n_ticks)
     if len(raw) != need or not np.isfinite(raw.samples).all():
@@ -498,17 +531,20 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
         entries += _settings_entries(log.params)
     write_manifest(out / "manifest.txt", entries)
 
-    write_table(out / "omega.csv", _OMEGA_COLS, t, *(log.omega[foot] for foot in _FEET))
-    for foot, name in ((Foot.LEFT, "insole_left"), (Foot.RIGHT, "insole_right")):
-        write_table(out / f"{name}.csv", _INSOLE_COLS, t, log.insole[foot])
-    write_table(out / "emg.csv", _EMG_COLS, log.emg.raw.times(), log.emg.raw.samples)
+    # the arrays are built here, so a worker allocates only its scratch
     angles = [angle[foot] for angle in (log.hip_deg, log.knee_deg) for foot in _FEET]
     feet_xy = [log.foot_xy[foot] for foot in _FEET]
-    write_table(out / "kinematics.csv", _KINEMATICS_COLS, t, *feet_xy, *angles)
-
+    jobs = [
+        partial(write_table, out / "emg.csv", _EMG_COLS, raw.times(), raw.samples),
+        partial(write_table, out / "omega.csv", _OMEGA_COLS, t, *(log.omega[f] for f in _FEET)),
+        partial(write_table, out / "insole_left.csv", _INSOLE_COLS, t, log.insole[Foot.LEFT]),
+        partial(write_table, out / "insole_right.csv", _INSOLE_COLS, t, log.insole[Foot.RIGHT]),
+        partial(write_table, out / "kinematics.csv", _KINEMATICS_COLS, t, *feet_xy, *angles),
+    ]
     if has_truth:
-        write_labels_csv(out / "truth_labels.csv", t, log.truth.phases)
-        write_events_csv(out / "truth_events.csv", log.truth.events)
+        jobs.append(partial(write_labels_csv, out / "truth_labels.csv", t, log.truth.phases))
+        jobs.append(partial(write_events_csv, out / "truth_events.csv", log.truth.events))
+    _run_jobs(jobs)
     return out
 
 
@@ -537,7 +573,7 @@ def _codes(name: str, rows: np.ndarray, column: str, words: tuple[str, ...]) -> 
 
 
 def read_events_csv(path: Path) -> list[GaitEvent]:
-    rows = _read_table(path, _EVENT_COLS, 0, _EVENT_ROW)
+    rows = _read_table(path, _EVENT_COLS, None, _EVENT_ROW)
     feet = _codes(path.name, rows, "foot", tuple(foot.value for foot in _FEET)).tolist()
     kinds = _codes(path.name, rows, "kind", tuple(kind.value for kind in _KINDS)).tolist()
     return [
@@ -546,14 +582,15 @@ def read_events_csv(path: Path) -> list[GaitEvent]:
     ]
 
 
-def _read_series(path: Path, columns: list[str], rows: int, rate_hz: float, dtype=float):
+def _read_series(path: Path, columns: list[str], rows: int, rate_hz: float, out, dtype=float):
     """The table at `path` (see :func:`_read_table`), which must hold `rows`
     rows, the `t_s` of data row k + 1 within _GRID_TOLERANCE_S of k / rate_hz."""
-    table = _read_table(path, columns, rows, dtype)
+    table = _read_table(path, columns, out, dtype)
     if len(table) != rows:
         raise DataFormatError(f"{path.name}: expected {rows} rows, got {len(table)}")
     t = table["t_s"] if table.dtype.names else table[:, 0]
-    off = np.arange(rows) / rate_hz
+    off = np.arange(rows, dtype=float)
+    off /= rate_hz
     off -= t
     bad = ~(np.abs(off, out=off) <= _GRID_TOLERANCE_S)  # NaN is off the grid too
     if bad.any():
@@ -565,13 +602,25 @@ def _read_series(path: Path, columns: list[str], rows: int, rate_hz: float, dtyp
     return table
 
 
+def _read_forces(path: Path, columns: list[str], rows: int, rate_hz: float, out):
+    """The force columns, none negative, of the insole table at `path` (see _read_series)."""
+    forces = _read_series(path, columns, rows, rate_hz, out)[:, 1:]
+    if (forces < 0.0).any():
+        row, col = np.argwhere(forces < 0.0)[0] + 1
+        raise DataFormatError(f"{path.name}: negative force {columns[col]} in data row {row}")
+    return forces
+
+
 def _check_truth(truth: TrialTruth, n: int, rate_hz: float, error: type[Exception]) -> None:
     """`error`, in one line, unless `truth` fits a trial of `n` ticks at
     `rate_hz`: each foot's phases hold `n` ticks, and its events alternate
     and lie in [0, duration_s], give or take _GRID_TOLERANCE_S."""
     for foot in _FEET:
-        if (shape := np.shape(truth.phases[foot])) != (n,):
-            raise error(f"{foot.value} truth phases need shape ({n},), got {shape}")
+        if (phases := np.asarray(truth.phases[foot])).shape != (n,):
+            raise error(f"{foot.value} truth phases need shape ({n},), got {phases.shape}")
+        if (bad := (phases != 0) & (phases != 1)).any():
+            tick = int(np.argmax(bad))
+            raise error(f"{foot.value} truth phase {phases[tick]} at tick {tick} is not 0 or 1")
     try:
         check_event_stream(truth.events)
     except ValueError as exc:
@@ -586,9 +635,10 @@ def _check_truth(truth: TrialTruth, n: int, rate_hz: float, error: type[Exceptio
         )
 
 
-def _read_truth(trial_dir: Path, n: int, rate_hz: float) -> TrialTruth:
-    name = "truth_labels.csv"
-    rows = _read_series(trial_dir / name, _LABEL_COLS, n, rate_hz, _LABEL_ROW)
+def _read_truth(path: Path, columns: list[str], n: int, rate_hz: float, out) -> TrialTruth:
+    """The truth of `n` ticks in the labels table at `path` (see _read_series) and its events."""
+    name = path.name
+    rows = _read_series(path, columns, n, rate_hz, out, _LABEL_ROW)
     if rows.dtype.names is None:  # `t_s` and the state code the fixed-point reader matched
         codes = rows[:, 1].astype(np.int8)
         phases = {Foot.LEFT: codes >> 1, Foot.RIGHT: codes & 1}
@@ -602,7 +652,7 @@ def _read_truth(trial_dir: Path, n: int, rate_hz: float) -> TrialTruth:
                 f"{name}: gait_state {state!r} in data row {row + 1} does not "
                 f"match phase_left {left!r} and phase_right {right!r}"
             )
-    truth = TrialTruth(phases=phases, events=read_events_csv(trial_dir / "truth_events.csv"))
+    truth = TrialTruth(phases=phases, events=read_events_csv(path.with_name("truth_events.csv")))
     _check_truth(truth, n, rate_hz, DataFormatError)
     return truth
 
@@ -654,30 +704,35 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
     except (ValueError, OverflowError) as exc:  # unparsable, out-of-range, mismatched, huge
         raise DataFormatError(f"manifest.txt: {exc}") from exc
 
-    omega = _read_series(trial_dir / "omega.csv", _OMEGA_COLS, n, control)
-    insole = {}
-    for foot, name in ((Foot.LEFT, "insole_left"), (Foot.RIGHT, "insole_right")):
-        forces = _read_series(trial_dir / f"{name}.csv", _INSOLE_COLS, n, control)[:, 1:]
-        if (forces < 0.0).any():
-            row, col = np.argwhere(forces < 0.0)[0]
-            raise DataFormatError(
-                f"{name}.csv: negative force {_INSOLE_COLS[col + 1]} in data row {row + 1}"
-            )
-        insole[foot] = forces
-    emg = _read_series(trial_dir / "emg.csv", _EMG_COLS, emg_rows, rates.emg_rate_hz)
-    kin = _read_series(trial_dir / "kinematics.csv", _KINEMATICS_COLS, n, control)
+    # In a serial read's order. This thread allocates the array the fixed-point
+    # reader fills, if the file can hold its cells, each of 9 bytes or more.
+    def job(read, name: str, columns: list[str], rows: int = n, rate_hz: float = control):
+        path, tails = trial_dir / name, read is _read_truth
+        cells = len(columns) - 3 * tails  # a labels row's tail is read as one state code
+        fits = path.is_file() and 9 * rows * cells <= path.stat().st_size
+        out = np.empty((rows, cells + tails)) if fits else None
+        return partial(read, path, columns, rows, rate_hz, out)
 
-    truth = _read_truth(trial_dir, n, control) if has_truth else None
+    jobs = [
+        job(_read_series, "omega.csv", _OMEGA_COLS),
+        job(_read_forces, "insole_left.csv", _INSOLE_COLS),
+        job(_read_forces, "insole_right.csv", _INSOLE_COLS),
+        job(_read_series, "emg.csv", _EMG_COLS, emg_rows, rates.emg_rate_hz),
+        job(_read_series, "kinematics.csv", _KINEMATICS_COLS),
+    ]
+    if has_truth:
+        jobs.append(job(_read_truth, "truth_labels.csv", _LABEL_COLS))
+    omega, left, right, emg, kin, *truth = _run_jobs(jobs)
 
     return TrialLog(
         rates=rates,
         omega={foot: omega[:, 1 + i] for i, foot in enumerate(_FEET)},
-        insole=insole,
+        insole={Foot.LEFT: left, Foot.RIGHT: right},
         emg=EmgChannel(TimeSeries(emg[:, 1], rates.emg_rate_hz), mvc_mv=mvc),
         foot_xy={Foot.LEFT: kin[:, 1:3], Foot.RIGHT: kin[:, 3:5]},
         hip_deg={foot: kin[:, 5 + i] for i, foot in enumerate(_FEET)},
         knee_deg={foot: kin[:, 7 + i] for i, foot in enumerate(_FEET)},
-        truth=truth,
+        truth=truth[0] if truth else None,
         params=params,
     )
 

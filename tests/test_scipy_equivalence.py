@@ -190,6 +190,9 @@ def test_cycle_integral_equals_cumulative_trapezoid(sf):
 
 
 def test_package_loads_the_compiled_kernel():
+    # the kernel loads on the first filter call
+    smooth = design_filter(FilterSpec("low-pass", 2, (10.0,), 1000.0))
+    filter_causal(smooth, TimeSeries(noise(16), 1000.0))
     assert signals._sosfilt is not signals._sosfilt_via_scipy
 
 
@@ -288,3 +291,23 @@ def test_cli_session_never_imports_slow_scipy_modules(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_importing_the_cli_loads_no_scipy_threads_pool_or_logging():
+    """The kernel loads on the first filter call, and the trial tables'
+    threads come from `threading`, which numpy loads anyway."""
+    script = (
+        "import sys\n"
+        "import gaitassist.cli\n"
+        "print(sorted(name for name in sys.modules\n"
+        "             if name.partition('.')[0] in ('scipy', 'logging')\n"
+        "             or name.startswith('concurrent.futures')))\n"
+    )
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(gaitassist.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -236,6 +236,18 @@ class TestSaveRefuses:
         message = f"{foot.value} truth phases need shape (1000,), got {shape}"
         assert self.refusal(bad, tmp_path) == message
 
+    @pytest.mark.parametrize(
+        "foot, value, message",
+        [(Foot.LEFT, 2, "left truth phase 2 at tick 5 is not 0 or 1"),
+         (Foot.RIGHT, 0.5, "right truth phase 0.5 at tick 5 is not 0 or 1"),
+         (Foot.RIGHT, math.nan, "right truth phase nan at tick 5 is not 0 or 1")],
+    )
+    def test_truth_phase_codes_other_than_0_and_1(self, log, tmp_path, foot, value, message):
+        phases = dict(log.truth.phases)
+        phases[foot] = _set(5, value)(phases[foot].astype(type(value)))
+        bad = dataclasses.replace(log, truth=TrialTruth(phases, log.truth.events))
+        assert self.refusal(bad, tmp_path) == message
+
     def test_emg_at_another_rate(self, log, tmp_path):
         samples = np.repeat(log.emg.raw.samples, 2)
         emg = EmgChannel(TimeSeries(samples, 2000.0), mvc_mv=log.emg.mvc_mv)
@@ -368,7 +380,7 @@ def _read(path: Path, columns: list[str], rows: int, chunk: int, fast: bool = Tr
         mp.setattr(trial_io, "_CHUNK_BYTES", chunk)
         if not fast:
             mp.setattr(trial_io, "_read_fixed_point", lambda *args: None)
-        return trial_io._read_table(path, columns, rows)
+        return trial_io._read_table(path, columns, np.empty((rows, len(columns))))
 
 
 def _read_error(*args, **kwargs) -> str:
@@ -417,7 +429,8 @@ class TestReadTable:
         with pytest.MonkeyPatch.context() as mp, open(path, "rb") as fh:
             mp.setattr(trial_io, "_CHUNK_BYTES", chunk)
             fh.readline()
-            assert (trial_io._read_fixed_point(fh, width, n_rows) is not None) == fits
+            got = trial_io._read_fixed_point(fh, np.empty((n_rows, width)))
+            assert (got is not None) == fits
 
     def table(self, tmp_path: Path, mutate) -> Path:
         """A table of ROWS rows in the writer's spelling, its list of lines,
@@ -467,9 +480,9 @@ class TestReadTable:
         expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert _same_bits(_read(path, self.COLUMNS, self.ROWS, self.CHUNK), expected)
 
-    @pytest.mark.parametrize("rows", [ROWS - 1, ROWS + 1, 0, -1])
+    @pytest.mark.parametrize("rows", [ROWS - 1, ROWS + 1, 0])
     def test_every_row_is_read_whatever_the_expected_count(self, tmp_path, rows):
-        """The caller reports a row count other than the manifest's."""
+        """The caller's array has a row count other than the table's."""
         path = self.table(tmp_path, lambda lines: lines)
         expected = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         assert _same_bits(_read(path, self.COLUMNS, rows, self.CHUNK), expected)
@@ -614,7 +627,9 @@ class TestReadLabels:
             if not fast:
                 mp.setattr(trial_io, "_read_fixed_point", lambda *args: None)
             try:
-                phases = trial_io._read_truth(trial, self.ROWS, self.RATE).phases
+                labels, columns = trial / "truth_labels.csv", trial_io._LABEL_COLS
+                out = np.empty((self.ROWS, 2))
+                phases = trial_io._read_truth(labels, columns, self.ROWS, self.RATE, out).phases
                 got = [(phases[foot].dtype.str, phases[foot].tobytes()) for foot in Foot]
             except DataFormatError as exc:
                 got = [str(exc)]
@@ -651,13 +666,16 @@ class TestReadLabels:
     )
     @example(codes=[0] * ROWS, edits=[], chunk=100)
     @example(codes=[3, 1, 2, 0] * (ROWS // 4), edits=[(40, "", _TAILS[4])], chunk=160)
+    @example(codes=[0] * ROWS, edits=[(1, "1e-2", _TAILS[0]), (1, "", _TAILS[0])], chunk=100)
     def test_matches_the_loadtxt_path(self, tmp_path_factory, codes, edits, chunk):
         trial = self.trial(tmp_path_factory.mktemp("labels"), codes, edits)
         (fast, loaded), (slow, _) = (self.outcome(trial, chunk, fast) for fast in (True, False))
         assert fast == slow
         # the fixed-point reader takes any `t_s` in the writer's spelling, on the
-        # grid or off it; a row's last edit stands
-        last = {row: (t_s, tail) for row, t_s, tail in edits}
+        # grid or off it; a row keeps its last edit's tail and its last `t_s` edit
+        last: dict[int, tuple[str, str]] = {}
+        for row, t_s, tail in edits:
+            last[row] = (t_s or last.get(row, ("", ""))[0], tail)
         writer_spelling = all(
             t_s in ("", "0.010000") and tail in _TAILS[:4] for t_s, tail in last.values()
         )
