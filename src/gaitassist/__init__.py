@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .controller import UNLIMITED, ControllerConfig
 from .errors import DataFormatError, GaitAssistError, InvalidSpecError
-from .gait import EventKind, Foot, GaitEvent, GaitState, Phase
+from .gait import EventKind, Events, Foot, GaitEvent, GaitState, Phase
 from .gait_fsr import FsrDetectorConfig
 from .gait_vel import VelDetectorConfig
 from .metrics import DetectionScore, TrialMetrics, score_detection
@@ -36,6 +36,7 @@ __all__ = [
     "DetectionScore",
     "EmgChannel",
     "EventKind",
+    "Events",
     "FilterSpec",
     "Foot",
     "FsrDetectorConfig",

@@ -190,7 +190,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _write_score(out / "score.txt", result)
 
     if args.print_torque:
-        sys.stdout.writelines(format_rows(*torque))
+        sys.stdout.writelines(block.decode("ascii") for block in format_rows(*torque))
 
     summary = f"ran {mode.value} over {log.n_ticks} ticks -> {out}"
     if result.score is not None:
@@ -209,10 +209,8 @@ def compute_trial_metrics(log: TrialLog) -> TrialMetrics:
         # The insole detector starts in swing, so a foot already loaded on
         # the first tick reads as a heel strike there. That is the trial's
         # start, not a stride boundary: truth events likewise begin after it.
-        events = [
-            ev for ev in gait_fsr.detect(log.insole, times, FsrDetectorConfig())[0]
-            if ev.t > times[0]
-        ]
+        detected = gait_fsr.detect(log.insole, times, FsrDetectorConfig())[0]
+        events = detected[detected.t > times[0]]
     stride = stride_length(log.foot_xy, times, events)
     hip = float(np.mean([rom(log.hip_deg[f], times, events, f) for f in Foot]))
     knee = float(np.mean([rom(log.knee_deg[f], times, events, f) for f in Foot]))

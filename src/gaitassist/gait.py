@@ -1,11 +1,12 @@
 """Shared gait vocabulary: feet, leg phases, gait events, and the combined two-leg state.
 
-Also the step both detectors' `detect` take after their per-leg kernels:
-`events_and_phases` merges both legs' emitted events into one stream and
-gives the per-tick phases, which `phases_from_flips` builds.
+`Events` holds an event stream, from the detectors to `events.csv`, as
+arrays. `events_and_phases`, the step after both detectors' per-leg
+kernels, builds it and the per-tick phases, which `phases_from_flips` gives.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,21 +34,45 @@ class EventKind(Enum):
     TOE_OFF = "toe_off"
 
 
-# Phase entered by each event kind: heel strike starts stance, toe off starts swing.
-PHASE_AFTER_EVENT = {EventKind.HEEL_STRIKE: Phase.STANCE, EventKind.TOE_OFF: Phase.SWING}
+# A foot's and a kind's code in `Events` are its position here; a kind's code
+# is that of the phase it enters (heel strike 0 stance, toe off 1 swing).
+FEET, KINDS = tuple(Foot), tuple(EventKind)
 
 
 @dataclass(frozen=True)
 class GaitEvent:
-    """One detected or ground-truth gait event.
-
-    For a single foot, events alternate between heel strike and toe off and
-    are strictly increasing in time.
-    """
+    """One event of an `Events` stream."""
 
     t: float
     foot: Foot
     kind: EventKind
+
+
+@dataclass(frozen=True, eq=False)
+class Events:
+    """Gait events in stream order: event i is at `t[i]` seconds (float64),
+    of foot `FEET[foot[i]]` and kind `KINDS[kind[i]]` (int8 codes). Per
+    foot, kinds alternate and times strictly increase. Iterating gives each
+    event as a GaitEvent."""
+
+    t: np.ndarray
+    foot: np.ndarray
+    kind: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index: np.ndarray) -> Events:
+        return Events(self.t[index], self.foot[index], self.kind[index])
+
+    def __iter__(self) -> Iterator[GaitEvent]:
+        for t, foot, kind in zip(self.t.tolist(), self.foot.tolist(), self.kind.tolist()):
+            yield GaitEvent(t, FEET[foot], KINDS[kind])
+
+    def times(self, foot: Foot, kind: EventKind | None = None) -> np.ndarray:
+        """Times of `foot`'s events of `kind`, or of every kind, in stream order."""
+        mine = self.foot == FEET.index(foot)
+        return self.t[mine if kind is None else mine & (self.kind == KINDS.index(kind))]
 
 
 class GaitState(Enum):
@@ -78,40 +103,39 @@ def phases_from_flips(start: Phase, ticks: np.ndarray | list[int], n: int) -> np
     return ((tuple(Phase).index(start) + np.cumsum(flips)) & 1).astype(np.int8)
 
 
-def check_event_stream(events: list[GaitEvent]) -> None:
-    """Raise ValueError if per-foot events do not alternate with increasing time."""
-    last: dict[Foot, GaitEvent] = {}
-    for ev in events:
-        prev = last.get(ev.foot)
-        if prev is not None:
-            if ev.t <= prev.t:
-                raise ValueError(
-                    f"events for {ev.foot.value} not strictly increasing: "
-                    f"{ev.t} after {prev.t}"
-                )
-            if ev.kind is prev.kind:
-                raise ValueError(
-                    f"duplicated {ev.kind.value} for {ev.foot.value} at t={ev.t}"
-                )
-        last[ev.foot] = ev
+def check_event_stream(events: Events) -> None:
+    """Raise ValueError, naming the first bad event in stream order, if
+    per-foot events do not alternate with increasing time."""
+    by_foot = np.argsort(events.foot, kind="stable")  # each foot's events in stream order
+    t, foot, kind = events.t[by_foot], events.foot[by_foot], events.kind[by_foot]
+    follows = foot[1:] == foot[:-1]
+    late, repeated = follows & (t[1:] <= t[:-1]), follows & (kind[1:] == kind[:-1])
+    if not (bad := np.flatnonzero(late | repeated)).size:
+        return
+    i = bad[np.argmin(by_foot[bad + 1])]  # the first in stream order: event i + 1 after i
+    prev, t_event, name = float(t[i]), float(t[i + 1]), FEET[foot[i]].value
+    if late[i]:
+        raise ValueError(f"events for {name} not strictly increasing: {t_event} after {prev}")
+    raise ValueError(f"duplicated {KINDS[kind[i]].value} for {name} at t={t_event}")
 
 
 def events_and_phases(
-    legs: dict[Foot, tuple[list[int], list[tuple[EventKind, float]]]], n: int, initial: Phase
-) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
+    legs: dict[Foot, tuple[list[int], list[float]]], n: int, initial: Phase
+) -> tuple[Events, dict[Foot, np.ndarray]]:
     """Both legs' events and causal phases over n ticks, from each leg's
-    emission ticks and (kind, event time) pairs as a `detect_block` returns
-    them; `initial` is each leg's phase before its first tick.
+    emission ticks and event times as a `detect_block` returns them;
+    `initial` is each leg's phase before its first tick.
 
-    The events are ordered by emission tick, left before right within a
-    tick, as a tick-by-tick loop emits them. Each event flips its leg's
-    phase from its emission tick on.
+    A leg's events alternate in kind from the one that ends `initial`, and
+    each flips its phase from its emission tick on. The events are ordered
+    by emission tick, left before right within a tick, as a tick-by-tick
+    loop emits them.
     """
-    tagged: list[tuple[int, GaitEvent]] = []
-    phases: dict[Foot, np.ndarray] = {}
-    for foot in Foot:
-        ticks, fired = legs[foot]
-        tagged += [(k, GaitEvent(t_event, foot, kind)) for k, (kind, t_event) in zip(ticks, fired)]
-        phases[foot] = phases_from_flips(initial, ticks, n)
-    tagged.sort(key=lambda item: item[0])  # stable, so left stays before right
-    return [event for _, event in tagged], phases
+    ticks = [np.asarray(legs[foot][0], np.intp) for foot in FEET]
+    order = np.argsort(np.concatenate(ticks), kind="stable")  # left stays before right
+    first = 1 - tuple(Phase).index(initial)  # the code of the kind that ends `initial`
+    kind = np.concatenate([(first + np.arange(len(k))) & 1 for k in ticks]).astype(np.int8)
+    foot = np.repeat(np.arange(len(FEET), dtype=np.int8), [len(k) for k in ticks])
+    t = np.concatenate([np.asarray(legs[f][1], float) for f in FEET])
+    phases = {f: phases_from_flips(initial, k, n) for f, k in zip(FEET, ticks)}
+    return Events(t[order], foot[order], kind[order]), phases

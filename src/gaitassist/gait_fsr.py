@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gait
 from .errors import InvalidSpecError, check_ranges, ranged
-from .gait import EventKind, Foot, GaitEvent, Phase
+from .gait import Events, Foot, Phase
 
 
 def force_sums(forces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -55,7 +55,7 @@ INITIAL_STATE = (Phase.SWING, -math.inf)
 def detect_block(
     state: tuple[Phase, float], t: np.ndarray, front: np.ndarray, back: np.ndarray,
     cfg: FsrDetectorConfig,
-) -> tuple[tuple[Phase, float], list[int], list[tuple[EventKind, float]]]:
+) -> tuple[tuple[Phase, float], list[int], list[float]]:
     """One leg's phase machine over a block of ticks, jumping from event to event.
 
     A swinging leg strikes at the first tick, past the debounce, whose total
@@ -69,33 +69,31 @@ def detect_block(
         cfg: thresholds and debounce.
 
     Returns:
-        The state after the block, the emission ticks, and the (kind, time)
-        of each event.
+        The state after the block, and each event's emission tick and time;
+        kinds alternate from the one ending the state's phase.
     """
     phase, last_event_t = state
     contact, release = cfg.contact_threshold_n, cfg.release_threshold_n
-    hits = {
-        Phase.SWING: (EventKind.HEEL_STRIKE, np.flatnonzero(front + back > contact)),
-        Phase.STANCE: (EventKind.TOE_OFF, np.flatnonzero((front < release) & (back < release))),
-    }
-    ticks, fired, k = [], [], 0
+    strikes = np.flatnonzero(front + back > contact)
+    lifts = np.flatnonzero((front < release) & (back < release))
+    ticks, times, k = [], [], 0
     while True:
-        kind, candidates = hits[phase]
+        candidates = strikes if phase is Phase.SWING else lifts
         i = candidates.searchsorted(k)  # then skip the candidates inside the debounce
         while i < len(candidates) and t[candidates[i]] - last_event_t < cfg.min_phase_s:
             i += 1
         if i == len(candidates):
-            return (phase, last_event_t), ticks, fired
+            return (phase, last_event_t), ticks, times
         k = int(candidates[i])
         phase, last_event_t = phase.other(), float(t[k])
         ticks.append(k)
-        fired.append((kind, last_event_t))
+        times.append(last_event_t)
         k += 1
 
 
 def detect(
     insole: dict[Foot, np.ndarray], t: np.ndarray, cfg: FsrDetectorConfig
-) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
+) -> tuple[Events, dict[Foot, np.ndarray]]:
     """Both legs' :func:`detect_block` over whole insole channels from
     `INITIAL_STATE`; `insole` holds each foot's (n, 8) forces in newtons, one
     row per tick, as `simgait.check_channels` checks them."""

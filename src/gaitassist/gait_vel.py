@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gait
 from .errors import check_ranges, ranged
-from .gait import EventKind, Foot, GaitEvent, Phase
+from .gait import Events, Foot, Phase
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ INITIAL_STATE: _Plain = (Phase.STANCE, -math.inf, -math.inf, math.nan, 0, 0, mat
 
 def detect_block(
     state: _Plain, t: np.ndarray, own: np.ndarray, contra: np.ndarray, cfg: VelDetectorConfig
-) -> tuple[_Plain, list[int], list[tuple[EventKind, float]]]:
+) -> tuple[_Plain, list[int], list[float]]:
     """One leg's detector over a block of ticks, jumping from event to event.
 
     A swinging leg strikes at the first crossing of the other leg's velocity
@@ -73,8 +73,8 @@ def detect_block(
         cfg: detector thresholds.
 
     Returns:
-        The state after the block, the emission ticks, and the (kind, time)
-        of each event.
+        The state after the block, and each event's emission tick and time
+        (a toe off's peak); kinds alternate from the one ending the phase.
     """
     phase, last_event_t, peak_max, peak_max_t, decline, region, pending = state
     n, c, gap = len(t), cfg.peak_confirm_samples, cfg.min_event_gap_s
@@ -100,7 +100,7 @@ def detect_block(
             start = p
         return None
 
-    ticks, fired, s = [], [], 0
+    ticks, times, s = [], [], 0
     while True:
         if phase is Phase.SWING:
             i = bisect_left(crossings, (s,))  # then skip the crossings that cannot fire
@@ -110,17 +110,17 @@ def detect_block(
                 i += 1
             if i == len(crossings):
                 break
-            (k, t_event), kind = crossings[i], EventKind.HEEL_STRIKE
+            k, t_event = crossings[i]
         else:
             hit = confirmation(s)
             if hit is None:
                 break
-            (k, t_event), kind = hit, EventKind.TOE_OFF
+            k, t_event = hit
         s, peak_max, peak_max_t, decline = k + 1, -math.inf, math.nan, 0  # the tracker starts over
         if not (t[k] - last_event_t >= gap and t_event > last_event_t):
             continue  # a stale or suppressed peak; every crossing found above passes
         ticks.append(k)
-        fired.append((kind, t_event))
+        times.append(t_event)
         phase, last_event_t = phase.other(), float(t[k])
     while (hit := confirmation(s)) is not None:  # a swinging leg's peaks are discarded
         s, peak_max, peak_max_t, decline = hit[0] + 1, -math.inf, math.nan, 0
@@ -130,7 +130,7 @@ def detect_block(
             peak_max, peak_max_t, decline = float(own[k]), float(t[k]), n - 1 - k
         else:
             decline += n - s
-    return (phase, last_event_t, peak_max, peak_max_t, decline, region, pending), ticks, fired
+    return (phase, last_event_t, peak_max, peak_max_t, decline, region, pending), ticks, times
 
 
 def _window_max(x: np.ndarray, w: int) -> np.ndarray:
@@ -171,7 +171,7 @@ def _crossings(
 
 def detect(
     omega: dict[Foot, np.ndarray], t: np.ndarray, cfg: VelDetectorConfig
-) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
+) -> tuple[Events, dict[Foot, np.ndarray]]:
     """Both legs' :func:`detect_block` over whole channels from
     `INITIAL_STATE`; `omega` holds each foot's hip angular velocity in rad/s,
     one finite value per tick. A leg reads its own velocity, then the other

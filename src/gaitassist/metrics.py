@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .gait import PHASE_AFTER_EVENT, EventKind, Foot, GaitEvent, Phase, phases_from_flips
+from .gait import FEET, EventKind, Events, Foot, Phase, phases_from_flips
 
 MATCH_WINDOW_S = 0.1
 
@@ -52,20 +52,10 @@ def percentile(samples: np.ndarray, p: float) -> float:
     return float(np.percentile(samples, p, method="linear"))
 
 
-def _event_times(events: list[GaitEvent], foot: Foot, kind: EventKind | None = None) -> np.ndarray:
-    """Times of `foot`'s events of `kind`, or of every kind, in stream order."""
-    return np.array([ev.t for ev in events if ev.foot is foot and kind in (None, ev.kind)], float)
-
-
-def _ticks(events: list[GaitEvent], foot: Foot, rate_hz: float) -> np.ndarray:
-    """The ticks nearest `foot`'s event times, as whole floats, in stream order."""
-    return np.rint(_event_times(events, foot) * rate_hz)
-
-
 def stride_length(
     foot_xy: dict[Foot, np.ndarray],
     times: np.ndarray,
-    events: list[GaitEvent],
+    events: Events,
 ) -> float:
     """Mean planar distance between consecutive same-foot heel strikes.
 
@@ -79,7 +69,7 @@ def stride_length(
     """
     per_foot = []
     for foot in Foot:
-        hs = _event_times(events, foot, EventKind.HEEL_STRIKE)
+        hs = events.times(foot, EventKind.HEEL_STRIKE)
         if len(hs) < 2:
             raise ValueError(
                 f"need at least two heel strikes for {foot.value}, got {len(hs)}"
@@ -94,14 +84,14 @@ def stride_length(
 def rom(
     angle_deg: np.ndarray,
     times: np.ndarray,
-    events: list[GaitEvent],
+    events: Events,
     foot: Foot,
 ) -> float:
     """Range of motion: per-stride (max - min), averaged across strides.
 
     Strides are delimited by consecutive heel strikes of `foot`.
     """
-    hs = _event_times(events, foot, EventKind.HEEL_STRIKE)
+    hs = events.times(foot, EventKind.HEEL_STRIKE)
     if len(hs) < 2:
         raise ValueError(f"need at least two heel strikes for {foot.value}")
     # one sample past the end makes the index len(angle_deg) a valid reduceat start
@@ -115,11 +105,11 @@ def rom(
     return float(np.mean(top - bottom))
 
 
-def cadence(events: list[GaitEvent]) -> float:
+def cadence(events: Events) -> float:
     """Strides per second from mean same-foot heel-strike spacing."""
     spacings = []
     for foot in Foot:
-        hs = _event_times(events, foot, EventKind.HEEL_STRIKE)
+        hs = events.times(foot, EventKind.HEEL_STRIKE)
         if len(hs) >= 2:
             spacings.extend(np.diff(hs))
     if not spacings:
@@ -171,9 +161,9 @@ def _match_times(
 
 
 def score_detection(
-    predicted_events: list[GaitEvent],
+    predicted_events: Events,
     predicted_phases: dict[Foot, np.ndarray],
-    truth_events: list[GaitEvent],
+    truth_events: Events,
     truth_phases: dict[Foot, np.ndarray],
     rate_hz: float,
 ) -> DetectionScore:
@@ -189,8 +179,8 @@ def score_detection(
         errors, missed, spurious = [], 0, 0
         for foot in Foot:
             foot_errors, foot_missed, foot_spurious = _match_times(
-                _event_times(truth_events, foot, kind),
-                _event_times(predicted_events, foot, kind),
+                truth_events.times(foot, kind),
+                predicted_events.times(foot, kind),
                 MATCH_WINDOW_S,
             )
             errors += foot_errors
@@ -208,7 +198,7 @@ def score_detection(
                 f"label streams for {foot.value} differ in length: "
                 f"{pred.shape} vs {truth.shape}"
             )
-        near = (_ticks(truth_events, foot, rate_hz)[:, None] + (-1, 0, 1)).ravel()
+        near = (np.rint(truth_events.times(foot) * rate_hz)[:, None] + (-1, 0, 1)).ravel()
         keep = np.ones(len(truth), dtype=bool)
         keep[near[(near >= 0) & (near < len(truth))].astype(np.intp)] = False
         if keep.any():
@@ -218,7 +208,7 @@ def score_detection(
 
 
 def phases_from_events(
-    events: list[GaitEvent], n: int, rate_hz: float, initial: Phase = Phase.STANCE
+    events: Events, n: int, rate_hz: float, initial: Phase = Phase.STANCE
 ) -> dict[Foot, np.ndarray]:
     """Per-sample phase codes reconstructed from an event sequence whose
     events alternate in kind per foot.
@@ -229,8 +219,8 @@ def phases_from_events(
     events keeps `initial`.
     """
     out: dict[Foot, np.ndarray] = {}
-    for foot in Foot:
-        first = next((ev.kind for ev in events if ev.foot is foot), None)
-        start = initial if first is None else PHASE_AFTER_EVENT[first].other()
-        out[foot] = phases_from_flips(start, _ticks(events, foot, rate_hz), n)
+    for code, foot in enumerate(FEET):
+        mine = events[events.foot == code]
+        start = tuple(Phase)[1 - mine.kind[0]] if len(mine) else initial
+        out[foot] = phases_from_flips(start, np.rint(mine.t * rate_hz), n)
     return out

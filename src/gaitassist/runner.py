@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gait_fsr, gait_vel
 from .controller import ControllerConfig, command_torque
-from .gait import Foot, GaitEvent, gait_state_codes
+from .gait import Events, Foot, gait_state_codes
 from .gait_fsr import FsrDetectorConfig
 from .gait_vel import VelDetectorConfig
 from .metrics import DetectionScore, phases_from_events, score_detection
@@ -42,7 +42,7 @@ class RunResult:
     tau_right: np.ndarray
     tau_exo: np.ndarray
     emg_norm: TimeSeries
-    events: list[GaitEvent]
+    events: Events
     state_codes: np.ndarray  # causal two-leg state per tick
     causal_phases: dict[Foot, np.ndarray]
     event_phases: dict[Foot, np.ndarray]  # reconstructed from emitted events

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataFormatError, InvalidSpecError, check_ranges, ranged
-from .gait import EventKind, Foot, GaitEvent
+from .gait import FEET, Events, Foot
 from .signals import (
     EmgChannel,
     FilterSpec,
@@ -163,10 +163,10 @@ class HipVelocityWaveform:
 
 @dataclass(eq=False)
 class TrialTruth:
-    """Ground truth at the control rate: per-leg phases, two-leg state, events."""
+    """Ground truth at the control rate: per-leg phases and events."""
 
     phases: dict[Foot, np.ndarray]  # per-tick phase codes, as `gait` defines them
-    events: list[GaitEvent]
+    events: Events
 
 
 @dataclass(eq=False)
@@ -219,22 +219,16 @@ def _swing_progress(phi: np.ndarray, sf: float) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(np.pi * u))
 
 
-def _truth_events(params: GaitParams, t_last: float) -> list[GaitEvent]:
-    events: list[GaitEvent] = []
+def _truth_events(params: GaitParams, t_last: float) -> Events:
+    """Each leg's heel strikes (cycle phase 0) and toe offs (the stance
+    fraction) in (0, t_last], ordered by time, then foot, then kind code."""
     c = params.cadence_hz
-    sf = params.stance_fraction
-    n_cycles = int(math.ceil(t_last * c)) + 2
-    for foot in (Foot.LEFT, Foot.RIGHT):
-        off = _PHASE_OFFSET[foot]
-        for k in range(n_cycles):
-            t_hs = (k - off) / c
-            t_to = (k - off + sf) / c
-            if 0.0 < t_hs <= t_last:
-                events.append(GaitEvent(t_hs, foot, EventKind.HEEL_STRIKE))
-            if 0.0 < t_to <= t_last:
-                events.append(GaitEvent(t_to, foot, EventKind.TOE_OFF))
-    events.sort(key=lambda ev: (ev.t, ev.foot.value, ev.kind.value))
-    return events
+    cycle, foot, kind = np.indices((int(math.ceil(t_last * c)) + 2, len(FEET), 2))
+    offset = np.array([_PHASE_OFFSET[f] for f in FEET])
+    t = (cycle - offset[foot] + np.array([0.0, params.stance_fraction])[kind]) / c
+    keep = (0.0 < t) & (t <= t_last)
+    events = Events(t[keep], foot[keep].astype(np.int8), kind[keep].astype(np.int8))
+    return events[np.lexsort((events.kind, events.foot, events.t))]
 
 
 def _synth_emg(

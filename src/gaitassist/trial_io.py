@@ -22,7 +22,7 @@ import numpy as np
 from .controller import UNLIMITED
 from .errors import DataFormatError, InvalidSpecError, check_range
 from .gait import (
-    STATE_BY_CODE, EventKind, Foot, GaitEvent, Phase, check_event_stream, gait_state_codes,
+    FEET, KINDS, STATE_BY_CODE, Events, Foot, Phase, check_event_stream, gait_state_codes,
 )
 from .signals import EmgChannel, TimeSeries
 from .simgait import DEFAULT_MVC_MV, ChannelRates, GaitParams, TrialLog, TrialTruth, check_legs
@@ -87,10 +87,9 @@ for _code, _text in enumerate(word.tobytes().lstrip(b" ") for word in _LABEL_WOR
     _LABEL_CODES[len(_text), _text[0]] = _code
 _LABEL_MASKS = np.where(_LABEL_WORDS.view(np.uint8) == 32, 0, 0xFF).astype(np.uint8).view("<u8")
 # `foot,kind` ending an events row, indexed by 2 * foot code + kind code
-_FEET, _KINDS = tuple(Foot), tuple(EventKind)
 _EVENT_WORDS = _words(
-    [f"{foot.value},{kind.value}\n" for foot in _FEET for kind in _KINDS]
-).reshape(len(_FEET) * len(_KINDS), -1)
+    [f"{foot.value},{kind.value}\n" for foot in FEET for kind in KINDS]
+).reshape(len(FEET) * len(KINDS), -1)
 # `gait_state` of a labels row, indexed by state code
 _STATE_NAMES = np.array([state.value for state in STATE_BY_CODE])
 # A labels and an events row as _loadtxt reads them, one field per column. A
@@ -239,9 +238,9 @@ def _exact_words(block: np.ndarray) -> np.ndarray:
     return _words(["%.6f," % cell for cell in block.ravel().tolist()]).reshape(block.shape + (-1,))
 
 
-def format_rows(*parts: np.ndarray, tails: np.ndarray | None = None) -> Iterator[str]:
+def format_rows(*parts: np.ndarray, tails: np.ndarray | None = None) -> Iterator[bytes]:
     """Data rows of a table: `parts`, 1-D columns or 2-D groups of columns,
-    side by side, every cell `%.6f` and comma separated; one string per block
+    side by side, every cell `%.6f` and comma separated; ASCII bytes per block
     of BLOCK_TICKS rows, so memory stays flat. A row ends with a newline, or
     with a comma and its row of `tails` words (see _words), whose text ends
     with one.
@@ -261,7 +260,7 @@ def format_rows(*parts: np.ndarray, tails: np.ndarray | None = None) -> Iterator
             text[:, -1] = ord("\n")  # the last cell's comma
         else:
             text = np.concatenate([text, tails[start:stop].view(np.uint8)], axis=1)
-        yield text.tobytes().translate(None, b" ").decode("ascii")
+        yield text.tobytes().translate(None, b" ")
 
 
 def write_table(
@@ -269,8 +268,8 @@ def write_table(
 ) -> None:
     """Write the rows of `parts` and `tails` (see :func:`format_rows`) under
     a header of `columns`."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{','.join(columns)}\n".encode())
         fh.writelines(format_rows(*parts, tails=tails))
 
 
@@ -532,11 +531,11 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
     write_manifest(out / "manifest.txt", entries)
 
     # the arrays are built here, so a worker allocates only its scratch
-    angles = [angle[foot] for angle in (log.hip_deg, log.knee_deg) for foot in _FEET]
-    feet_xy = [log.foot_xy[foot] for foot in _FEET]
+    angles = [angle[foot] for angle in (log.hip_deg, log.knee_deg) for foot in FEET]
+    feet_xy = [log.foot_xy[foot] for foot in FEET]
     jobs = [
         partial(write_table, out / "emg.csv", _EMG_COLS, raw.times(), raw.samples),
-        partial(write_table, out / "omega.csv", _OMEGA_COLS, t, *(log.omega[f] for f in _FEET)),
+        partial(write_table, out / "omega.csv", _OMEGA_COLS, t, *(log.omega[f] for f in FEET)),
         partial(write_table, out / "insole_left.csv", _INSOLE_COLS, t, log.insole[Foot.LEFT]),
         partial(write_table, out / "insole_right.csv", _INSOLE_COLS, t, log.insole[Foot.RIGHT]),
         partial(write_table, out / "kinematics.csv", _KINEMATICS_COLS, t, *feet_xy, *angles),
@@ -553,9 +552,8 @@ def write_labels_csv(path: Path, t: np.ndarray, phases: dict[Foot, np.ndarray]) 
     write_table(path, _LABEL_COLS, t, tails=_LABEL_WORDS[gait_state_codes(phases)])
 
 
-def write_events_csv(path: Path, events: list[GaitEvent]) -> None:
-    codes = [2 * _FEET.index(ev.foot) + _KINDS.index(ev.kind) for ev in events]
-    write_table(path, _EVENT_COLS, np.array([ev.t for ev in events]), tails=_EVENT_WORDS[codes])
+def write_events_csv(path: Path, events: Events) -> None:
+    write_table(path, _EVENT_COLS, events.t, tails=_EVENT_WORDS[2 * events.foot + events.kind])
 
 
 def _codes(name: str, rows: np.ndarray, column: str, words: tuple[str, ...]) -> np.ndarray:
@@ -572,14 +570,11 @@ def _codes(name: str, rows: np.ndarray, column: str, words: tuple[str, ...]) -> 
     return codes
 
 
-def read_events_csv(path: Path) -> list[GaitEvent]:
+def read_events_csv(path: Path) -> Events:
     rows = _read_table(path, _EVENT_COLS, None, _EVENT_ROW)
-    feet = _codes(path.name, rows, "foot", tuple(foot.value for foot in _FEET)).tolist()
-    kinds = _codes(path.name, rows, "kind", tuple(kind.value for kind in _KINDS)).tolist()
-    return [
-        GaitEvent(t, _FEET[foot], _KINDS[kind])
-        for t, foot, kind in zip(rows["t_s"].tolist(), feet, kinds)
-    ]
+    feet = _codes(path.name, rows, "foot", tuple(foot.value for foot in FEET))
+    kinds = _codes(path.name, rows, "kind", tuple(kind.value for kind in KINDS))
+    return Events(rows["t_s"], feet, kinds)
 
 
 def _read_series(path: Path, columns: list[str], rows: int, rate_hz: float, out, dtype=float):
@@ -615,7 +610,7 @@ def _check_truth(truth: TrialTruth, n: int, rate_hz: float, error: type[Exceptio
     """`error`, in one line, unless `truth` fits a trial of `n` ticks at
     `rate_hz`: each foot's phases hold `n` ticks, and its events alternate
     and lie in [0, duration_s], give or take _GRID_TOLERANCE_S."""
-    for foot in _FEET:
+    for foot in FEET:
         if (phases := np.asarray(truth.phases[foot])).shape != (n,):
             raise error(f"{foot.value} truth phases need shape ({n},), got {phases.shape}")
         if (bad := (phases != 0) & (phases != 1)).any():
@@ -625,7 +620,7 @@ def _check_truth(truth: TrialTruth, n: int, rate_hz: float, error: type[Exceptio
         check_event_stream(truth.events)
     except ValueError as exc:
         raise error(f"truth_events.csv: {exc}") from None
-    t = np.array([ev.t for ev in truth.events], float)
+    t = truth.events.t
     outside = (t < -_GRID_TOLERANCE_S) | (t > n / rate_hz + _GRID_TOLERANCE_S)
     if outside.any():
         row = int(np.argmax(outside))
@@ -643,7 +638,7 @@ def _read_truth(path: Path, columns: list[str], n: int, rate_hz: float, out) -> 
         codes = rows[:, 1].astype(np.int8)
         phases = {Foot.LEFT: codes >> 1, Foot.RIGHT: codes & 1}
     else:
-        phases = {foot: _codes(name, rows, f"phase_{foot.value}", _PHASE_NAMES) for foot in _FEET}
+        phases = {foot: _codes(name, rows, f"phase_{foot.value}", _PHASE_NAMES) for foot in FEET}
         wrong = rows["gait_state"] != _STATE_NAMES[gait_state_codes(phases)]
         if wrong.any():
             row = int(np.argmax(wrong))
@@ -726,12 +721,12 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
 
     return TrialLog(
         rates=rates,
-        omega={foot: omega[:, 1 + i] for i, foot in enumerate(_FEET)},
+        omega={foot: omega[:, 1 + i] for i, foot in enumerate(FEET)},
         insole={Foot.LEFT: left, Foot.RIGHT: right},
         emg=EmgChannel(TimeSeries(emg[:, 1], rates.emg_rate_hz), mvc_mv=mvc),
         foot_xy={Foot.LEFT: kin[:, 1:3], Foot.RIGHT: kin[:, 3:5]},
-        hip_deg={foot: kin[:, 5 + i] for i, foot in enumerate(_FEET)},
-        knee_deg={foot: kin[:, 7 + i] for i, foot in enumerate(_FEET)},
+        hip_deg={foot: kin[:, 5 + i] for i, foot in enumerate(FEET)},
+        knee_deg={foot: kin[:, 7 + i] for i, foot in enumerate(FEET)},
         truth=truth[0] if truth else None,
         params=params,
     )

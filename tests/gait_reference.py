@@ -4,10 +4,15 @@
 phase machines that the package's event-skipping kernels
 (`gait_fsr.detect_block`, `gait_vel.detect_block`) must reproduce bit for
 bit; `fold` steps one of them over a block of ticks and returns what a
-kernel returns. `gait_state_from_phases` names the two-leg state of a tick.
+kernel returns, with each event's kind. `gait_state_from_phases` names the two-leg state of a tick.
 `set_phases` and `phases_by_event` turn events into per-tick phases one event
 at a time, the specification of `gait.events_and_phases` and
-`metrics.phases_from_events`. `distribute` and `toward` are the torque law
+`metrics.phases_from_events`. `events_and_phases_by_event`,
+`check_stream_by_event` and `truth_events_by_cycle` build and check event
+streams one `GaitEvent` at a time: the specification of
+`gait.events_and_phases`, `gait.check_event_stream` and
+`simgait._truth_events`, which work on `gait.Events` arrays; `events_of`
+turns such a list into `Events`. `distribute` and `toward` are the torque law
 one tick at a time, the specification of `controller.command_torque`: the
 split of one tick's total torque and one ramp-limited step. `rom_by_stride`
 is `metrics.rom` one stride at a time. The tests run these as the
@@ -20,9 +25,13 @@ import math
 import numpy as np
 
 from gaitassist.controller import ControllerConfig
-from gaitassist.gait import PHASE_AFTER_EVENT, EventKind, Foot, GaitEvent, GaitState, Phase
+from gaitassist.gait import FEET, KINDS, EventKind, Events, Foot, GaitEvent, GaitState, Phase
 from gaitassist.gait_fsr import FsrDetectorConfig
 from gaitassist.gait_vel import VelDetectorConfig, _Plain
+from gaitassist.simgait import _PHASE_OFFSET, GaitParams
+
+# Phase entered by each event kind: heel strike starts stance, toe off starts swing.
+PHASE_AFTER_EVENT = {EventKind.HEEL_STRIKE: Phase.STANCE, EventKind.TOE_OFF: Phase.SWING}
 
 
 def gait_state_from_phases(left: Phase, right: Phase) -> GaitState:
@@ -145,7 +154,8 @@ def vel_transition(
 
 def fold(transition, state, t, a, b, cfg):
     """Step `transition` over ticks t with channels a and b from `state`;
-    returns (state, emission ticks, fired), as a `detect_block` does."""
+    returns (state, emission ticks, (kind, time) of each event): what a
+    `detect_block` returns, with the kinds."""
     ticks, fired = [], []
     for k, (tk, ak, bk) in enumerate(zip(t.tolist(), a.tolist(), b.tolist())):
         state, event = transition(state, tk, ak, bk, cfg)
@@ -182,6 +192,72 @@ def phases_by_event(
     return out
 
 
+def events_of(events: list[GaitEvent]) -> Events:
+    """The `gait.Events` of `events`, in list order."""
+    return Events(
+        np.array([ev.t for ev in events], float),
+        np.array([FEET.index(ev.foot) for ev in events], np.int8),
+        np.array([KINDS.index(ev.kind) for ev in events], np.int8),
+    )
+
+
+def events_and_phases_by_event(
+    legs: dict[Foot, tuple[list[int], list[tuple[EventKind, float]]]], n: int, initial: Phase
+) -> tuple[list[GaitEvent], dict[Foot, np.ndarray]]:
+    """`gait.events_and_phases` one event at a time, from each leg's
+    emission ticks and (kind, time) pairs as `fold` returns them: the events
+    ordered by emission tick, left before right within a tick, and each
+    leg's phases set by `set_phases` from `initial`."""
+    tagged: list[tuple[int, GaitEvent]] = []
+    phases: dict[Foot, np.ndarray] = {}
+    for foot in Foot:
+        ticks, fired = legs[foot]
+        tagged += [(k, GaitEvent(t_event, foot, kind)) for k, (kind, t_event) in zip(ticks, fired)]
+        phases[foot] = set_phases(initial, [(k, kind) for k, (kind, _) in zip(ticks, fired)], n)
+    tagged.sort(key=lambda item: item[0])  # stable, so left stays before right
+    return [event for _, event in tagged], phases
+
+
+def check_stream_by_event(events: list[GaitEvent]) -> None:
+    """`gait.check_event_stream` one event at a time: ValueError at the
+    first event that does not follow its foot's last one in time, or that
+    repeats its kind."""
+    last: dict[Foot, GaitEvent] = {}
+    for ev in events:
+        prev = last.get(ev.foot)
+        if prev is not None:
+            if ev.t <= prev.t:
+                raise ValueError(
+                    f"events for {ev.foot.value} not strictly increasing: "
+                    f"{ev.t} after {prev.t}"
+                )
+            if ev.kind is prev.kind:
+                raise ValueError(
+                    f"duplicated {ev.kind.value} for {ev.foot.value} at t={ev.t}"
+                )
+        last[ev.foot] = ev
+
+
+def truth_events_by_cycle(params: GaitParams, t_last: float) -> list[GaitEvent]:
+    """`simgait._truth_events` one gait cycle at a time: each leg's heel
+    strikes and toe offs in (0, t_last], sorted by time, foot and kind."""
+    events: list[GaitEvent] = []
+    c = params.cadence_hz
+    sf = params.stance_fraction
+    n_cycles = int(math.ceil(t_last * c)) + 2
+    for foot in (Foot.LEFT, Foot.RIGHT):
+        off = _PHASE_OFFSET[foot]
+        for k in range(n_cycles):
+            t_hs = (k - off) / c
+            t_to = (k - off + sf) / c
+            if 0.0 < t_hs <= t_last:
+                events.append(GaitEvent(t_hs, foot, EventKind.HEEL_STRIKE))
+            if 0.0 < t_to <= t_last:
+                events.append(GaitEvent(t_to, foot, EventKind.TOE_OFF))
+    events.sort(key=lambda ev: (ev.t, ev.foot.value, ev.kind.value))
+    return events
+
+
 def distribute(gait: GaitState, tau_exo_nm: float, cfg: ControllerConfig) -> tuple[float, float]:
     """Split one tick's total torque between the (left, right) legs by gait state.
 
@@ -209,7 +285,7 @@ def toward(previous: float, target: float, max_step: float) -> float:
     return target
 
 
-def rom_by_stride(angle_deg: np.ndarray, times: np.ndarray, events: list[GaitEvent], foot: Foot):
+def rom_by_stride(angle_deg: np.ndarray, times: np.ndarray, events: Events, foot: Foot):
     """`metrics.rom` one stride at a time: the mean over `foot`'s strides,
     heel strike to heel strike, of max - min, skipping strides of fewer
     than two samples."""

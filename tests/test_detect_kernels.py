@@ -24,7 +24,7 @@ from gaitassist.gait_fsr import FsrDetectorConfig, force_sums
 from gaitassist.gait_vel import VelDetectorConfig
 from gaitassist.simgait import ChannelRates, GaitParams, generate
 
-from gait_reference import fold, fsr_transition, vel_transition
+from gait_reference import PHASE_AFTER_EVENT, fold, fsr_transition, vel_transition
 
 RATES_HZ = (50.0, 100.0, 137.0, 200.0)
 DETECTORS = {"fsr": (gait_fsr, fsr_transition), "vel": (gait_vel, vel_transition)}
@@ -46,26 +46,31 @@ def reference_states(transition, state, t, a, b, cfg) -> list:
 
 def check_kernel(name, state, t, a, b, cfg, cuts=()):
     """The kernel over the whole block, and over the block cut at `cuts`
-    carrying its state, equals the reference fold from `state`: events,
-    per-tick phase and the state at the end of every piece."""
+    carrying its state, equals the reference fold from `state`: emission
+    ticks and event times, per-tick phase and the state at the end of every
+    piece. The fold's kinds alternate from the one that ends `state`'s
+    phase, which is why a kernel returns none."""
     module, transition = DETECTORS[name]
     initial = state[0]
-    expected = fold(transition, state, t, a, b, cfg)
+    end, fold_ticks, fired = fold(transition, state, t, a, b, cfg)
+    entered = [PHASE_AFTER_EVENT[kind] for kind, _ in fired]
+    assert entered == [(initial.other(), initial)[i % 2] for i in range(len(fired))]
+    expected = (end, fold_ticks, [t_event for _, t_event in fired])
     assert same(module.detect_block(state, t, a, b, cfg), expected)
 
     states = reference_states(transition, state, t, a, b, cfg)
     bounds = sorted({0, len(t), *cuts})
-    ticks, fired = [], []
+    ticks, times = [], []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        state, piece_ticks, piece_fired = module.detect_block(
+        state, piece_ticks, piece_times = module.detect_block(
             state, t[lo:hi], a[lo:hi], b[lo:hi], cfg
         )
         assert same(state, states[hi - 1]), (lo, hi)
         ticks += [lo + k for k in piece_ticks]
-        fired += piece_fired
-    assert same((state, ticks, fired), expected)
+        times += piece_times
+    assert same((state, ticks, times), expected)
 
-    legs = {Foot.LEFT: (ticks, fired), Foot.RIGHT: ([], [])}
+    legs = {Foot.LEFT: (ticks, times), Foot.RIGHT: ([], [])}
     _, phases = events_and_phases(legs, len(t), initial)
     assert phases[Foot.LEFT].tolist() == [int(s[0] is Phase.SWING) for s in states]
 

@@ -15,11 +15,13 @@ from hypothesis.extra import numpy as hnp
 from gaitassist.errors import InvalidSpecError
 from gaitassist.gait import (
     STATE_BY_CODE, EventKind, Foot, GaitEvent, GaitState, Phase, check_event_stream,
-    gait_state_codes,
+    events_and_phases, gait_state_codes,
 )
 from gaitassist.gait_fsr import INITIAL_STATE, FsrDetectorConfig, detect, detect_block, force_sums
 from gaitassist.runner import DetectionMode, run_trial
 from gaitassist.simgait import GaitParams, generate
+
+from gait_reference import PHASE_AFTER_EVENT, events_of
 
 DT = 0.01
 
@@ -32,18 +34,23 @@ def frame(total_n: float, front_share: float = 0.5) -> np.ndarray:
 
 
 def step(state, t: float, forces: np.ndarray, cfg=None):
-    """One frame through the leg's detector; returns (state, kind or None)."""
+    """One frame through the leg's detector; returns (state, kind or None),
+    an event's kind being the one that enters the leg's new phase."""
     front, back = force_sums(forces[None, :])
-    state, _, fired = detect_block(state, np.array([t]), front, back, cfg or FsrDetectorConfig())
-    return state, fired[0][0] if fired else None
+    state, _, times = detect_block(state, np.array([t]), front, back, cfg or FsrDetectorConfig())
+    entering = {phase: kind for kind, phase in PHASE_AFTER_EVENT.items()}
+    return state, entering[state[0]] if times else None
 
 
 def run_schedule(totals, cfg=None, foot: Foot = Foot.LEFT, start=None, front_share=0.5):
+    """The leg's events over `totals`, as `GaitEvent`s of `foot`."""
+    start = start or INITIAL_STATE
     front, back = force_sums(np.array([frame(total, front_share) for total in totals]))
-    state, _, fired = detect_block(
-        start or INITIAL_STATE, np.arange(len(totals)) * DT, front, back, cfg or FsrDetectorConfig()
+    state, ticks, times = detect_block(
+        start, np.arange(len(totals)) * DT, front, back, cfg or FsrDetectorConfig()
     )
-    return state, [GaitEvent(t, foot, kind) for kind, t in fired]
+    legs = {foot: (ticks, times), foot.other(): ([], [])}
+    return state, list(events_and_phases(legs, len(totals), start[0])[0])
 
 
 def stance_state(last_event_t: float = -10.0) -> tuple[Phase, float]:
@@ -150,7 +157,7 @@ class TestStreamContracts:
                 level = 0.0
             totals.append(level)
         _, events = run_schedule(totals)
-        check_event_stream(events)
+        check_event_stream(events_of(events))
         # the whole-channel detector emits the same stream for a lone loaded leg
         loaded = np.array([frame(total) for total in totals])
         both, _ = detect(
@@ -158,7 +165,7 @@ class TestStreamContracts:
             np.arange(len(totals)) * DT,
             FsrDetectorConfig(),
         )
-        assert both == events
+        assert list(both) == events
         assert all(ev.foot is Foot.LEFT for ev in both)
 
 

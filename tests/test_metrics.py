@@ -20,7 +20,7 @@ from gaitassist.metrics import (
 )
 from gaitassist.simgait import GaitParams, generate
 
-from gait_reference import rom_by_stride
+from gait_reference import events_of, rom_by_stride
 
 HS = EventKind.HEEL_STRIKE
 TO = EventKind.TOE_OFF
@@ -139,21 +139,21 @@ class TestStrideLength:
             _hs(3.5, Foot.RIGHT),
         ]
         expected = np.mean([5.0, np.mean([1.0, 1.2])])
-        got = stride_length({Foot.LEFT: left, Foot.RIGHT: right}, times, events)
+        got = stride_length({Foot.LEFT: left, Foot.RIGHT: right}, times, events_of(events))
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_stationary_positions_give_zero(self):
         times = np.arange(0.0, 4.0, 0.1)
         xy = np.tile([2.0, -0.09], (len(times), 1))
         events = [_hs(t, f) for f in Foot for t in (0.5, 1.5, 2.5)]
-        assert stride_length({f: xy for f in Foot}, times, events) == 0.0
+        assert stride_length({f: xy for f in Foot}, times, events_of(events)) == 0.0
 
     def test_too_few_heel_strikes_rejected(self):
         times = np.arange(0.0, 4.0, 0.1)
         xy = np.zeros((len(times), 2))
         events = [_hs(0.5, Foot.LEFT), _hs(1.5, Foot.LEFT), _hs(0.7, Foot.RIGHT)]
         with pytest.raises(ValueError):
-            stride_length({f: xy for f in Foot}, times, events)
+            stride_length({f: xy for f in Foot}, times, events_of(events))
 
 
 class TestRom:
@@ -163,18 +163,18 @@ class TestRom:
         angle = amp * np.sin(2 * np.pi * times / period)
         hs_times = np.arange(0.0, 10.0, period)
         events = [_hs(t, Foot.LEFT) for t in hs_times]
-        assert rom(angle, times, events, Foot.LEFT) == pytest.approx(2 * amp, rel=5e-3)
+        assert rom(angle, times, events_of(events), Foot.LEFT) == pytest.approx(2 * amp, rel=5e-3)
 
     def test_constant_angle_gives_zero(self):
         times = np.arange(0.0, 5.0, 0.01)
         angle = np.full_like(times, 33.0)
         events = [_hs(0.5, Foot.RIGHT), _hs(2.0, Foot.RIGHT), _hs(3.5, Foot.RIGHT)]
-        assert rom(angle, times, events, Foot.RIGHT) == 0.0
+        assert rom(angle, times, events_of(events), Foot.RIGHT) == 0.0
 
     def test_no_complete_stride_rejected(self):
         times = np.arange(0.0, 5.0, 0.01)
         with pytest.raises(ValueError):
-            rom(np.sin(times), times, [_hs(1.0, Foot.LEFT)], Foot.LEFT)
+            rom(np.sin(times), times, events_of([_hs(1.0, Foot.LEFT)]), Foot.LEFT)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -191,7 +191,9 @@ class TestRom:
         out of order, of fewer than two samples, past either end of `times`
         or of an angle shorter or longer than `times`."""
         times = np.arange(max(len(angle) + extra, 0)) * 0.1
-        events = [_hs(t, Foot.LEFT) for t in strikes] + [_hs(t, Foot.RIGHT) for t in other]
+        events = events_of(
+            [_hs(t, Foot.LEFT) for t in strikes] + [_hs(t, Foot.RIGHT) for t in other]
+        )
         outcomes = []
         for f in (rom, rom_by_stride):
             try:
@@ -214,7 +216,7 @@ def test_cadence_from_heel_strike_spacing():
     for k in range(5):
         events.append(_hs(k / 0.7, Foot.LEFT))
         events.append(_hs(k / 0.7 + 0.5 / 0.7, Foot.RIGHT))
-    assert cadence(events) == pytest.approx(0.7, rel=1e-9)
+    assert cadence(events_of(events)) == pytest.approx(0.7, rel=1e-9)
 
 
 def make_truth(n_strides: int = 8, cadence_hz: float = 0.7, sf: float = 0.6):
@@ -226,7 +228,7 @@ def make_truth(n_strides: int = 8, cadence_hz: float = 0.7, sf: float = 0.6):
         events.append(_to(base + sf * period, Foot.LEFT))
         events.append(_hs(base + 0.5 * period, Foot.RIGHT))
         events.append(_to(base + (0.5 + sf) % 1.0 * period, Foot.RIGHT))
-    return sorted(events, key=lambda e: e.t)
+    return events_of(sorted(events, key=lambda e: e.t))
 
 
 class TestScoreDetection:
@@ -249,7 +251,7 @@ class TestScoreDetection:
 
     def test_shift_by_20ms_gives_20ms_mae(self):
         truth = make_truth()
-        shifted = [GaitEvent(ev.t + 0.020, ev.foot, ev.kind) for ev in truth]
+        shifted = events_of([GaitEvent(ev.t + 0.020, ev.foot, ev.kind) for ev in truth])
         n = 1200
         score = score_detection(
             shifted, self._labels(shifted, n), truth, self._labels(truth, n), self.RATE
@@ -264,8 +266,8 @@ class TestScoreDetection:
         n = 1200
         truth_labels = self._labels(truth, n)
         # with no events both legs sit in the reconstruction default: stance
-        pred_labels = phases_from_events([], n, self.RATE)
-        score = score_detection([], pred_labels, truth, truth_labels, self.RATE)
+        pred_labels = phases_from_events(events_of([]), n, self.RATE)
+        score = score_detection(events_of([]), pred_labels, truth, truth_labels, self.RATE)
         total_truth = len(truth)
         assert sum(s.missed for s in score.by_kind.values()) == total_truth
         assert score.total_spurious == 0
@@ -288,7 +290,7 @@ class TestScoreDetection:
                 GaitEvent(ev.t + rng.uniform(-0.2, 0.2), ev.foot, ev.kind)
                 for ev in kept
             ]
-            jittered.sort(key=lambda e: e.t)
+            jittered = events_of(sorted(jittered, key=lambda e: e.t))
             score = score_detection(
                 jittered,
                 self._labels(jittered, n),
@@ -321,7 +323,7 @@ class TestPhasesFromEvents:
             _to(0.30, Foot.LEFT),
             _hs(0.20, Foot.RIGHT),
         ]
-        labels = phases_from_events(events, 50, 100.0)
+        labels = phases_from_events(events_of(events), 50, 100.0)
         left = labels[Foot.LEFT]
         # swing before the first heel strike, stance until toe-off, swing after
         assert np.all(left[:10] == 1)
@@ -332,6 +334,7 @@ class TestPhasesFromEvents:
         assert np.all(right[20:] == 0)
 
     def test_footless_stream_keeps_initial_phase(self):
-        labels = phases_from_events([_hs(0.1, Foot.LEFT)], 10, 100.0, initial=Phase.SWING)
+        labels = phases_from_events(events_of([_hs(0.1, Foot.LEFT)]), 10, 100.0, Phase.SWING)
         assert np.all(labels[Foot.RIGHT] == 1)
-        assert np.all(phases_from_events([], 10, 100.0)[Foot.RIGHT] == 0)  # stance by default
+        # stance by default
+        assert np.all(phases_from_events(events_of([]), 10, 100.0)[Foot.RIGHT] == 0)

@@ -19,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitassist.gait import (
-    PHASE_AFTER_EVENT, EventKind, Foot, GaitEvent, Phase, events_and_phases, phases_from_flips,
-)
+from gaitassist.gait import EventKind, Foot, GaitEvent, Phase, events_and_phases, phases_from_flips
 from gaitassist.metrics import phases_from_events, score_detection
 from gaitassist.simgait import GaitParams, generate
 
-from gait_reference import phases_by_event, set_phases
+from gait_reference import (
+    PHASE_AFTER_EVENT, events_and_phases_by_event, events_of, phases_by_event, set_phases,
+)
 
 RATES_HZ = (50.0, 100.0, 137.0, 200.0)
 # tick offsets in ticks: on the tick, at and near the rounding ties, or anywhere between
@@ -74,7 +74,7 @@ def same_phases(got: dict[Foot, np.ndarray], expected: dict[Foot, np.ndarray]) -
 def test_phases_from_events_equals_the_event_loop(data, rate_hz, n, initial):
     events = data.draw(event_streams(n, rate_hz))
     assert same_phases(
-        phases_from_events(events, n, rate_hz, initial),
+        phases_from_events(events_of(events), n, rate_hz, initial),
         phases_by_event(events, n, rate_hz, initial),
     )
 
@@ -87,25 +87,29 @@ def test_phases_from_events_equals_the_event_loop(data, rate_hz, n, initial):
     initial=st.sampled_from(list(Phase)),
 )
 def test_events_and_phases_equals_the_event_loop(data, rate_hz, n, initial):
-    """Emission ticks as a `detect_block` returns them: increasing, inside
-    the block, each leg's events alternating away from `initial`."""
-    legs, marks = {}, {}
+    """Emission ticks and times as a `detect_block` returns them: ticks
+    increasing inside the block, times equal across feet as often as not,
+    a leg possibly without events; each leg's kinds alternate away from
+    `initial`, as `events_and_phases_by_event` is given them."""
+    legs, fired = {}, {}
     for foot in Foot:
         ticks = sorted(set(data.draw(st.lists(st.integers(0, n - 1), max_size=12))))
         kinds = alternating(leaving(initial), len(ticks))
         times = [(k - data.draw(st.integers(0, 3))) / rate_hz for k in ticks]
-        legs[foot] = (ticks, list(zip(kinds, times)))
-        marks[foot] = list(zip(ticks, kinds))
+        legs[foot] = (ticks, times)
+        fired[foot] = (ticks, list(zip(kinds, times)))
     events, phases = events_and_phases(legs, n, initial)
-    assert same_phases(phases, {f: set_phases(initial, marks[f], n) for f in Foot})
-    expected = [
+    expected_events, expected_phases = events_and_phases_by_event(fired, n, initial)
+    assert same_phases(phases, expected_phases)
+    assert list(events) == expected_events
+    assert events.foot.dtype == events.kind.dtype == np.int8
+    assert list(events) == [
         GaitEvent(t, foot, kind)
         for k in range(n)
         for foot in Foot
-        for tick, (kind, t) in zip(*legs[foot])
+        for tick, (kind, t) in zip(*fired[foot])
         if tick == k
     ]
-    assert events == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,7 +139,7 @@ def test_listed_cases_equal_the_event_loop(rate_hz, initial):
         GaitEvent(n / rate_hz, Foot.LEFT, hs),
         GaitEvent((n + 5) / rate_hz, Foot.LEFT, to),
     ]
-    got = phases_from_events(events, n, rate_hz, initial)
+    got = phases_from_events(events_of(events), n, rate_hz, initial)
     assert same_phases(got, phases_by_event(events, n, rate_hz, initial))
     assert got[Foot.LEFT].tolist() == [0] * 20 + [1] * (n - 20)
     assert got[Foot.RIGHT].tolist() == [list(Phase).index(initial)] * n
@@ -164,6 +168,9 @@ def trial():
     return generate(GaitParams(seed=2), 10.0)
 
 
+NO_EVENTS = events_of([])
+
+
 def all_stance(n: int) -> dict[Foot, np.ndarray]:
     return {foot: np.zeros(n, dtype=np.int8) for foot in Foot}
 
@@ -173,10 +180,10 @@ def test_truth_event_before_the_trial_masks_nothing(trial):
     max(0, k - 1) to k + 2 would end at -48 and mask all but 48."""
     truth = trial.truth
     n = trial.n_ticks
-    before = [GaitEvent(-0.5, Foot.RIGHT, EventKind.HEEL_STRIKE), *truth.events]
+    before = events_of([GaitEvent(-0.5, Foot.RIGHT, EventKind.HEEL_STRIKE), *truth.events])
     rate = trial.rates.control_rate_hz
-    plain = score_detection([], all_stance(n), truth.events, truth.phases, rate)
-    added = score_detection([], all_stance(n), before, truth.phases, rate)
+    plain = score_detection(NO_EVENTS, all_stance(n), truth.events, truth.phases, rate)
+    added = score_detection(NO_EVENTS, all_stance(n), before, truth.phases, rate)
     assert added.phase_accuracy == plain.phase_accuracy
     assert plain.phase_accuracy == brute_phase_accuracy(all_stance(n), truth.phases, before, rate)
 
@@ -187,18 +194,18 @@ def test_guard_band_at_the_edges_equals_brute_force(trial, rate_hz, tick):
     truth = trial.truth
     n = trial.n_ticks
     k = tick if isinstance(tick, int) else n + int(tick[1:] or 0)
-    events = [*truth.events, GaitEvent(k / rate_hz, Foot.RIGHT, EventKind.TOE_OFF)]
-    got = score_detection([], all_stance(n), events, truth.phases, rate_hz).phase_accuracy
+    events = events_of([*truth.events, GaitEvent(k / rate_hz, Foot.RIGHT, EventKind.TOE_OFF)])
+    got = score_detection(NO_EVENTS, all_stance(n), events, truth.phases, rate_hz).phase_accuracy
     assert got == brute_phase_accuracy(all_stance(n), truth.phases, events, rate_hz)
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), rate_hz=st.sampled_from(RATES_HZ), n=st.integers(1, 200))
 def test_phase_accuracy_equals_brute_force(data, rate_hz, n):
-    truth_events = data.draw(event_streams(n, rate_hz))
-    predicted = phases_from_events(data.draw(event_streams(n, rate_hz)), n, rate_hz)
+    truth_events = events_of(data.draw(event_streams(n, rate_hz)))
+    predicted = phases_from_events(events_of(data.draw(event_streams(n, rate_hz))), n, rate_hz)
     truth = phases_from_events(truth_events, n, rate_hz)
-    got = score_detection([], predicted, truth_events, truth, rate_hz).phase_accuracy
+    got = score_detection(NO_EVENTS, predicted, truth_events, truth, rate_hz).phase_accuracy
     expected = brute_phase_accuracy(predicted, truth, truth_events, rate_hz)
     assert got == expected or (math.isnan(got) and math.isnan(expected))
 
@@ -208,11 +215,11 @@ def test_phases_from_events_calls_do_not_grow_with_events():
 
     def calls(count: int) -> int:
         hs, to = EventKind.HEEL_STRIKE, EventKind.TOE_OFF
-        events = [
+        events = events_of([
             GaitEvent(k * 25.0 / rate, foot, hs if k % 2 == 0 else to)
             for k in range(count // 2)
             for foot in Foot
-        ]
+        ])
         total = 0
 
         def count_calls(frame, event, arg):

@@ -136,7 +136,7 @@ def test_run_trial_equals_per_tick_fold(log, mode, controller_cfg, fsr_cfg, vel_
     events, codes, tau_left, tau_right, tau_exo = reference_run(
         log, mode, controller_cfg, fsr_cfg, vel_cfg
     )
-    assert result.events == events
+    assert list(result.events) == events
     assert result.state_codes.dtype == np.int8
     np.testing.assert_array_equal(result.state_codes, codes)
     swing = np.int8(1)
@@ -182,7 +182,7 @@ def test_first_k_ticks_are_a_prefix_of_the_full_run(log, mode, controller_cfg, f
     assert part.emg_norm.samples.tobytes() == full.emg_norm.samples[:k].tobytes()
     for foot in Foot:
         assert part.causal_phases[foot].tobytes() == full.causal_phases[foot][:k].tobytes()
-    assert part.events == full.events[: len(part.events)]
+    assert list(part.events) == list(full.events)[: len(part.events)]
     # every event the prefix emits lies in it; backdated toe offs lie before it
     assert all(event.t < k / log.rates.control_rate_hz for event in part.events)
 

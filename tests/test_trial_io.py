@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -34,6 +35,8 @@ from gaitassist.trial_io import (
     write_events_csv,
     write_table,
 )
+
+from gait_reference import events_of
 
 
 @pytest.fixture(scope="module")
@@ -207,19 +210,19 @@ class TestSaveRefuses:
         ids=["swapped", "repeated-kind", "after-the-end", "before-the-start"],
     )
     def test_truth_events_that_load_trial_refuses(self, log, tmp_path, edit, message):
-        events = log.truth.events
+        events = list(log.truth.events)
         assert [(ev.foot, ev.kind) for ev in (*events[:2], events[-1])] == [
             (Foot.RIGHT, EventKind.TOE_OFF), (Foot.RIGHT, EventKind.HEEL_STRIKE),
             (Foot.LEFT, EventKind.TOE_OFF),
         ]
-        bad = dataclasses.replace(log, truth=TrialTruth(log.truth.phases, edit(log.truth.events)))
+        bad = dataclasses.replace(log, truth=TrialTruth(log.truth.phases, events_of(edit(events))))
         assert self.refusal(bad, tmp_path) == f"truth_events.csv: {message}"
 
     def test_truth_events_within_the_grid_tolerance_save(self, log, tmp_path):
         edge = [GaitEvent(10.000001, Foot.LEFT, EventKind.HEEL_STRIKE)]
-        truth = TrialTruth(log.truth.phases, log.truth.events + edge)
+        truth = TrialTruth(log.truth.phases, events_of([*log.truth.events, *edge]))
         out = save_trial(dataclasses.replace(log, truth=truth), tmp_path / "t")
-        assert load_trial(out).truth.events[-1] == edge[0]
+        assert list(load_trial(out).truth.events)[-1] == edge[0]
 
     @pytest.mark.parametrize("foot", list(Foot))
     @pytest.mark.parametrize(
@@ -640,7 +643,7 @@ class TestReadLabels:
         respelling a data row, its `t_s` cell kept if `t_s` is empty, and no
         truth events."""
         tmp_path.mkdir(exist_ok=True)
-        write_events_csv(tmp_path / "truth_events.csv", [])
+        write_events_csv(tmp_path / "truth_events.csv", events_of([]))
         codes = np.array(codes, np.int8)
         path = tmp_path / "truth_labels.csv"
         t = np.arange(self.ROWS) / self.RATE
@@ -667,17 +670,21 @@ class TestReadLabels:
     @example(codes=[0] * ROWS, edits=[], chunk=100)
     @example(codes=[3, 1, 2, 0] * (ROWS // 4), edits=[(40, "", _TAILS[4])], chunk=160)
     @example(codes=[0] * ROWS, edits=[(1, "1e-2", _TAILS[0]), (1, "", _TAILS[0])], chunk=100)
+    @example(codes=[0] * ROWS, edits=[(1, "", "\n"), (1, "", _TAILS[0])], chunk=100)
     def test_matches_the_loadtxt_path(self, tmp_path_factory, codes, edits, chunk):
         trial = self.trial(tmp_path_factory.mktemp("labels"), codes, edits)
         (fast, loaded), (slow, _) = (self.outcome(trial, chunk, fast) for fast in (True, False))
         assert fast == slow
         # the fixed-point reader takes any `t_s` in the writer's spelling, on the
-        # grid or off it; a row keeps its last edit's tail and its last `t_s` edit
-        last: dict[int, tuple[str, str]] = {}
+        # grid or off it; each edited row's text is rebuilt as `trial` builds it,
+        # so an edit that keeps its `t_s` keeps all text before the first comma
+        last: dict[int, str] = {}
         for row, t_s, tail in edits:
-            last[row] = (t_s or last.get(row, ("", ""))[0], tail)
+            line = last.get(row, f"{(row - 1) / self.RATE:.6f},")
+            last[row] = (t_s or line.split(",")[0]) + tail
         writer_spelling = all(
-            t_s in ("", "0.010000") and tail in _TAILS[:4] for t_s, tail in last.values()
+            re.fullmatch(r"\d\.\d{6}", cell) is not None and f",{rest}" in _TAILS[:4]
+            for cell, _, rest in (line.partition(",") for line in last.values())
         )
         assert loaded == (not writer_spelling)
 
@@ -696,15 +703,15 @@ class TestEventsCsv:
             GaitEvent(1.23, Foot.RIGHT, EventKind.TOE_OFF),
         ]
         path = tmp_path / "events.csv"
-        write_events_csv(path, events)
-        loaded = read_events_csv(path)
+        write_events_csv(path, events_of(events))
+        loaded = list(read_events_csv(path))
         assert [(e.foot, e.kind) for e in loaded] == [(e.foot, e.kind) for e in events]
         assert loaded[0].t == pytest.approx(0.51, abs=1e-9)
 
     def test_empty_event_file_round_trips(self, tmp_path):
         path = tmp_path / "events.csv"
-        write_events_csv(path, [])
-        assert read_events_csv(path) == []
+        write_events_csv(path, events_of([]))
+        assert list(read_events_csv(path)) == []
 
     def test_bad_foot_name_rejected(self, tmp_path):
         path = tmp_path / "events.csv"
@@ -732,7 +739,7 @@ class TestEventsCsv:
         non-finite time."""
         events = [GaitEvent(t, foot, kind) for t, foot, kind in rows]
         path = tmp_path_factory.mktemp("events") / "events.csv"
-        write_events_csv(path, events)
+        write_events_csv(path, events_of(events))
         expected = "".join(f"{ev.t:.6f},{ev.foot.value},{ev.kind.value}\n" for ev in events)
         assert path.read_bytes() == ("t_s,foot,kind\n" + expected).encode()
         bad = [row for row, ev in enumerate(events, start=1) if not math.isfinite(ev.t)]
@@ -741,7 +748,7 @@ class TestEventsCsv:
                 read_events_csv(path)
             assert str(excinfo.value) == f"events.csv: non-finite 't_s' in data row {bad[0]}"
         else:
-            assert read_events_csv(path) == [
+            assert list(read_events_csv(path)) == [
                 GaitEvent(float(f"{ev.t:.6f}"), ev.foot, ev.kind) for ev in events
             ]
 
@@ -766,7 +773,7 @@ class TestEventsCsv:
     def test_comments_and_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "events.csv"
         path.write_text("t_s,foot,kind\n# a comment\n\n0.100000,left,toe_off\n")
-        assert read_events_csv(path) == [GaitEvent(0.1, Foot.LEFT, EventKind.TOE_OFF)]
+        assert list(read_events_csv(path)) == [GaitEvent(0.1, Foot.LEFT, EventKind.TOE_OFF)]
 
     @pytest.mark.parametrize(
         "text, message",
@@ -900,7 +907,7 @@ class TestValueCodec:
         # the 1000 ticks at 200 Hz span 5,000 samples at 1000 Hz and 5 s:
         # save_trial refuses an EMG of any other length, and truth events past 5 s
         raw = log.emg.raw.with_samples(log.emg.raw.samples[:5000])
-        truth = TrialTruth(log.truth.phases, [ev for ev in log.truth.events if ev.t <= 5.0])
+        truth = TrialTruth(log.truth.phases, log.truth.events[log.truth.events.t <= 5.0])
         as_ints = dataclasses.replace(
             log,
             rates=ChannelRates(control_rate_hz=200, emg_rate_hz=1000),
