@@ -32,7 +32,7 @@ from .gait_fsr import FsrDetectorConfig
 from .gait_vel import VelDetectorConfig
 from .metrics import METRIC_COLUMNS, TrialMetrics, cadence, percentile, rms, rom, stride_length
 from .runner import DetectionMode, RunResult, run_trial
-from .signals import emg_envelope
+from .signals import emg_envelope, envelope_samples_needed
 from .simgait import ChannelRates, GaitParams, TrialLog, generate
 from .trial_io import (
     TORQUE_COLS,
@@ -159,6 +159,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         log = load_trial(args.trial)
         input_desc = str(args.trial)
+        try:  # a rate the trial format holds but the control envelope cannot decimate
+            envelope_samples_needed(log.rates.emg_rate_hz, log.rates.control_rate_hz, 1)
+        except InvalidSpecError as exc:
+            raise DataFormatError(f"manifest.txt: {exc}") from None
 
     start = time.monotonic()
     result = run_trial(log, mode, controller_cfg, fsr_cfg, vel_cfg)

@@ -9,6 +9,7 @@ hysteresis band and a minimum-phase debounce rejects chatter.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,22 +74,34 @@ def detect_block(
         kinds alternate from the one ending the state's phase.
     """
     phase, last_event_t = state
-    contact, release = cfg.contact_threshold_n, cfg.release_threshold_n
-    strikes = np.flatnonzero(front + back > contact)
-    lifts = np.flatnonzero((front < release) & (back < release))
+    release, gap = cfg.release_threshold_n, cfg.min_phase_s
+    strikes = _runs(t, front + back > cfg.contact_threshold_n)
+    lifts = _runs(t, (front < release) & (back < release))
     ticks, times, k = [], [], 0
     while True:
-        candidates = strikes if phase is Phase.SWING else lifts
-        i = candidates.searchsorted(k)  # then skip the candidates inside the debounce
-        while i < len(candidates) and t[candidates[i]] - last_event_t < cfg.min_phase_s:
-            i += 1
-        if i == len(candidates):
+        starts, stops, start_t = strikes if phase is Phase.SWING else lifts
+        for i in range(bisect_right(stops, k), len(stops)):  # the runs not over before k
+            j, t_j = starts[i], start_t[i]
+            if j < k or t_j - last_event_t < gap:  # begun before k or inside the debounce
+                j = max(j, k)  # the transition's own test turns true once along a run
+                ok = t[j : stops[i]] - last_event_t >= gap
+                if not ok[-1]:
+                    continue
+                j += int(ok.argmax())
+                t_j = float(t[j])
+            break
+        else:
             return (phase, last_event_t), ticks, times
-        k = int(candidates[i])
-        phase, last_event_t = phase.other(), float(t[k])
-        ticks.append(k)
-        times.append(last_event_t)
-        k += 1
+        phase, last_event_t = phase.other(), t_j
+        ticks.append(j)
+        times.append(t_j)
+        k = j + 1
+
+
+def _runs(t: np.ndarray, mask: np.ndarray) -> tuple[list[int], list[int], list[float]]:
+    """Start ticks, stop ticks (one past the end) and start times of `mask`'s runs."""
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    return edges[::2].tolist(), edges[1::2].tolist(), t[edges[::2]].tolist()
 
 
 def detect(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -82,22 +81,21 @@ def detect_block(
     # ticks whose sample reaches the peak height and is not exceeded by the
     # next c samples: a peak recorded there is confirmed c ticks later
     head = own[: max(n - c, 0)]
-    peaks = (head >= cfg.peak_min_rad_s) & (head >= _window_max(own[1:], c))
-    peaks = np.flatnonzero(peaks).tolist()
+    peaks = np.flatnonzero((head >= cfg.peak_min_rad_s) & (head >= _window_max(own[1:], c)))
+    peak_ticks, peak_values, peak_t = peaks.tolist(), own[peaks].tolist(), t[peaks].tolist()
+    confirm_t = t[peaks + c].tolist()
 
-    def confirmation(s: int) -> tuple[int, float] | None:
-        """(tick, peak time) of the tracker's next confirmed peak from tick s."""
+    def confirmation(s: int) -> tuple[int, float, float] | None:
+        """(tick, peak time, tick time) of the tracker's next confirmed peak from
+        tick s: the carried one, or else the first candidate above it, since no
+        sample after the last earlier candidate as high as a candidate reaches it."""
         if peak_max >= cfg.peak_min_rad_s:
             j = s + max(0, c - decline - 1)
             if j < n and own[s : j + 1].max() <= peak_max:
-                return j, peak_max_t
-        running, start = peak_max, s
-        for p in islice(peaks, bisect_left(peaks, s), None):
-            if p > start:
-                running = max(running, float(own[start:p].max()))
-            if own[p] > running:  # a new maximum: recorded, then confirmed
-                return p + c, float(t[p])
-            start = p
+                return j, peak_max_t, float(t[j])
+        for i in range(bisect_left(peak_ticks, s), len(peak_ticks)):
+            if peak_values[i] > peak_max:
+                return peak_ticks[i] + c, peak_t[i], confirm_t[i]
         return None
 
     ticks, times, s = [], [], 0
@@ -105,23 +103,22 @@ def detect_block(
         if phase is Phase.SWING:
             i = bisect_left(crossings, (s,))  # then skip the crossings that cannot fire
             while i < len(crossings) and not (
-                t[crossings[i][0]] - last_event_t >= gap and crossings[i][1] > last_event_t
+                crossings[i][1] - last_event_t >= gap and crossings[i][2] > last_event_t
             ):
                 i += 1
             if i == len(crossings):
                 break
-            k, t_event = crossings[i]
+            k, t_k, t_event = crossings[i]
         else:
-            hit = confirmation(s)
-            if hit is None:
+            if (hit := confirmation(s)) is None:
                 break
-            k, t_event = hit
+            k, t_event, t_k = hit
         s, peak_max, peak_max_t, decline = k + 1, -math.inf, math.nan, 0  # the tracker starts over
-        if not (t[k] - last_event_t >= gap and t_event > last_event_t):
+        if not (t_k - last_event_t >= gap and t_event > last_event_t):
             continue  # a stale or suppressed peak; every crossing found above passes
         ticks.append(k)
         times.append(t_event)
-        phase, last_event_t = phase.other(), float(t[k])
+        phase, last_event_t = phase.other(), t_k
     while (hit := confirmation(s)) is not None:  # a swinging leg's peaks are discarded
         s, peak_max, peak_max_t, decline = hit[0] + 1, -math.inf, math.nan, 0
     if s < n:
@@ -145,28 +142,30 @@ def _window_max(x: np.ndarray, w: int) -> np.ndarray:
 
 def _crossings(
     t: np.ndarray, contra: np.ndarray, h: float, region: int, pending: float
-) -> tuple[list[tuple[int, float]], int, float]:
+) -> tuple[list[tuple[int, float, float]], int, float]:
     """Each hysteresis crossing of the other leg's velocity in a block, as
-    (tick, time of the first sample past zero), and the (region, pending)
-    after the block. A crossing is a flip of the region, the last side of
-    the band the velocity left; it is used up whether or not it fires."""
+    (tick, its time, time of the first sample past zero), and the (region,
+    pending) after the block. A crossing is a flip of the region, the last
+    side of the band the velocity left; it is used up whether or not it fires."""
     side = (contra > h).astype(np.int8) - (contra < -h)
-    outside = np.flatnonzero(side)
+    # the first sample of each run outside the band: the region flips only there
+    outside = np.flatnonzero((np.diff(side, prepend=0) != 0) & (side != 0))
     signs = side[outside]
     before = np.concatenate(([region], signs[:-1]))  # the region each sample leaves
     flips = np.flatnonzero((signs != before) & (before != 0))
-    # the run that pending dates starts after the last sample on the region's
-    # side of zero (above it in +1, below in -1), or at the carried pending
-    ticks = np.arange(len(t))
-    back = {r: np.maximum.accumulate(np.where(r * contra > 0.0, ticks, -1)) for r in (1, -1)}
-    starts = np.concatenate((t[:1] if math.isnan(pending) else [pending], t[1:], [math.nan]))
     k, r = outside[flips], before[flips]
-    crossings = list(zip(k.tolist(), starts[np.where(r > 0, back[1][k], back[-1][k]) + 1].tolist()))
+    # pending dates the run after the last sample on the region's side of zero
+    # (`up` above it, `down` below, after a -1 for none), or the carried pending
+    first = float(t[0]) if math.isnan(pending) and len(t) else pending
+    up, down = (np.concatenate(([-1], np.flatnonzero(x * contra > 0.0))) for x in (1, -1))
+    last = np.where(r > 0, *(x[x.searchsorted(k, "right") - 1] for x in (up, down)))
+    starts = np.where(last >= 0, t[last + 1], first)  # a flip's sample is past zero
     if len(signs):
         region = int(signs[-1])
     if region and len(t):
-        pending = float(starts[back[region][-1] + 1])
-    return crossings, region, pending
+        last = (up if region > 0 else down)[-1]
+        pending = first if last < 0 else float(t[last + 1]) if last + 1 < len(t) else math.nan
+    return list(zip(k.tolist(), t[k].tolist(), starts.tolist())), region, pending
 
 
 def detect(

@@ -148,16 +148,14 @@ def _match_times(
 ) -> tuple[list[float], int, int]:
     """Greedy in-order matching; returns (abs errors, missed, spurious)."""
     errors: list[float] = []
-    j = 0
-    for t in truth:
+    j, predicted = 0, predicted.tolist()
+    for t in truth.tolist():
         while j < len(predicted) and predicted[j] < t - window_s:
             j += 1
         if j < len(predicted) and abs(predicted[j] - t) <= window_s:
             errors.append(abs(predicted[j] - t))
             j += 1
-    missed = len(truth) - len(errors)
-    spurious = int(len(predicted) - len(errors))
-    return errors, missed, spurious
+    return errors, len(truth) - len(errors), len(predicted) - len(errors)
 
 
 def score_detection(

@@ -15,7 +15,8 @@ streams one `GaitEvent` at a time: the specification of
 turns such a list into `Events`. `distribute` and `toward` are the torque law
 one tick at a time, the specification of `controller.command_torque`: the
 split of one tick's total torque and one ramp-limited step. `rom_by_stride`
-is `metrics.rom` one stride at a time. The tests run these as the
+is `metrics.rom` one stride at a time, and `match_times` is
+`metrics._match_times` on numpy scalars. The tests run these as the
 reference; the package never calls them.
 """
 from __future__ import annotations
@@ -303,3 +304,23 @@ def rom_by_stride(angle_deg: np.ndarray, times: np.ndarray, events: Events, foot
     if not spans:
         raise ValueError("no usable strides for range of motion")
     return float(np.mean(spans))
+
+
+def match_times(
+    truth: np.ndarray, predicted: np.ndarray, window_s: float
+) -> tuple[list[float], int, int]:
+    """`metrics._match_times` indexing the arrays one numpy scalar at a time:
+    each true time, in order, takes the first unused predicted time within
+    `window_s`, skipping the ones too early for it; returns (abs errors,
+    missed, spurious)."""
+    errors: list[float] = []
+    j = 0
+    for t in truth:
+        while j < len(predicted) and predicted[j] < t - window_s:
+            j += 1
+        if j < len(predicted) and abs(predicted[j] - t) <= window_s:
+            errors.append(abs(predicted[j] - t))
+            j += 1
+    missed = len(truth) - len(errors)
+    spurious = int(len(predicted) - len(errors))
+    return errors, missed, spurious

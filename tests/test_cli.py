@@ -353,6 +353,23 @@ class TestRun:
         assert capsys.readouterr().err == f"analyze: {broken}: manifest.txt: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_emg_rate_off_the_control_grid_is_a_data_error_for_run_only(
+        self, trial_dir, tmp_path, capsys
+    ):
+        # load_trial takes the rate, which the zero-phase metrics envelope
+        # reads at any rate; the control envelope keeps every k-th sample
+        broken = with_manifest_value(trial_dir, tmp_path / "broken", "emg_rate_hz", "1000.000100")
+        message = "cannot decimate 1000.0001 Hz to 100.0 Hz by an integer factor"
+        capsys.readouterr()
+        assert run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"gaitassist: data error: manifest.txt: {message}\n"
+        assert not (tmp_path / "o").exists()
+        assert run_cli("analyze", str(broken), "--out", str(tmp_path / "m.csv")) == 0
+        capsys.readouterr()
+        flags = ["--simulate", "--duration", "10", "--emg-rate", "1000.0001"]
+        assert run_cli("run", *flags, "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == f"gaitassist: error: {message}\n"
+
     def test_duration_within_printing_tolerance_loads(self, trial_dir, tmp_path):
         edited = with_manifest_value(trial_dir, tmp_path / "edited", "duration_s", "10.0000009")
         assert load_trial(edited).duration_s == 10.0

@@ -211,6 +211,96 @@ def test_debounce_ends_where_the_fold_ends_it():
     assert gait_fsr.detect_block(gait_fsr.INITIAL_STATE, t, force, force, cfg)[1] == [7, 58]
 
 
+def channel(n, base, *runs):
+    """n samples of `base`, then `value` over each (lo, hi, value) run."""
+    x = np.full(n, base)
+    for lo, hi, value in runs:
+        x[lo:hi] = value
+    return x
+
+
+def check_fast_path(name, state, t, a, b, cfg, emitted, cuts=()):
+    """The kernel emits at `emitted` and equals the fold whole, cut at every
+    tick, at every other tick and at `cuts`."""
+    module = DETECTORS[name][0]
+    assert module.detect_block(state, t, a, b, cfg)[1] == emitted
+    for chosen in (range(len(t)), range(0, len(t), 2), cuts):
+        check_kernel(name, state, t, a, b, cfg, list(chosen))
+
+
+def test_fsr_runs_inside_and_past_the_debounce():
+    # a release run that ends inside the debounce (5-8), one that starts
+    # inside it and ends past it (12-30), one-tick contacts inside (25) and
+    # past it (33), one-tick releases inside (40) and past it (50), and a
+    # one-tick contact inside the last debounce (60)
+    t = np.arange(70) / 100.0
+    front = channel(
+        70, 15.0, (2, 5, 100.0), (5, 9, 0.0), (12, 31, 0.0), (25, 26, 100.0),
+        (33, 34, 100.0), (40, 41, 0.0), (50, 51, 0.0), (60, 61, 100.0),
+    )
+    back = np.zeros(70)
+    cfg = FsrDetectorConfig(min_phase_s=0.15)
+    check_fast_path("fsr", gait_fsr.INITIAL_STATE, t, front, back, cfg, [2, 17, 33, 50], [13, 26])
+
+
+def test_fsr_runs_that_start_before_the_search():
+    # 9 N under each cluster is both a contact (18 > 15) and a release
+    # (9 < 10), so each event's search starts inside a run of the other kind
+    t = np.arange(60) / 100.0
+    forces = channel(60, 0.0, (3, 50, 9.0))
+    cfg = FsrDetectorConfig(contact_threshold_n=15.0, release_threshold_n=10.0, min_phase_s=0.15)
+    check_fast_path("fsr", gait_fsr.INITIAL_STATE, t, forces, forces, cfg, [3, 18, 33, 49])
+
+
+VEL = VelDetectorConfig(
+    zero_hysteresis_rad_s=0.05, peak_min_rad_s=0.5, peak_confirm_samples=3, min_event_gap_s=0.0
+)
+
+
+def test_vel_first_candidate_at_the_block_start():
+    t = np.arange(20) / 100.0
+    own = channel(20, 0.0, (0, 1, 2.0), (1, 2, 1.5), (2, 3, 1.0), (3, 4, 0.5))
+    check_fast_path("vel", gait_vel.INITIAL_STATE, t, own, np.zeros(20), VEL, [3])
+
+
+def test_vel_first_candidate_right_after_a_strike():
+    # the strike at tick 5 restarts the tracker at tick 6, a candidate lower
+    # than the tick before it, so it is a new maximum only because it is first
+    t = np.arange(20) / 100.0
+    own = channel(20, 0.0, (3, 4, 3.0), (4, 5, 2.5), (5, 6, 2.0), (6, 7, 1.8), (7, 8, 1.0))
+    contra = channel(20, -1.0, (0, 4, 1.0), (4, 5, -0.01))
+    state = (Phase.SWING, *gait_vel.INITIAL_STATE[1:])
+    check_fast_path("vel", state, t, own, contra, VEL, [5, 9], [6])
+
+
+def test_vel_peak_within_the_confirmation_of_the_block_end():
+    # the peaks at ticks 10 and 18 are no candidates of a piece that ends
+    # within three ticks after them: the tracker carries them to the next piece
+    # (cut at 11, 12 or 19), or out of the block
+    t = np.arange(20) / 100.0
+    own = channel(
+        20, 0.0, (10, 11, 1.0), (11, 12, 0.6), (17, 18, 0.4), (18, 19, 1.2), (19, 20, 0.8)
+    )
+    end, _, _ = gait_vel.detect_block(gait_vel.INITIAL_STATE, t, own, np.zeros(20), VEL)
+    assert end[2:5] == (1.2, 0.18, 1)
+    check_fast_path("vel", gait_vel.INITIAL_STATE, t, own, np.zeros(20), VEL, [13], [11, 12, 19])
+
+
+@pytest.mark.parametrize(
+    "head, peak_max, emitted",
+    [
+        ([0.5, 0.3, 0.2, 0.1], 1.0, [1]),  # the carried peak is confirmed
+        ([0.5, 1.2, 0.3, 0.2, 0.1], 1.0, [4]),  # a higher sample takes over
+        ([0.1, 0.2, 0.6, 0.3, 0.2, 0.1], 0.3, [5]),  # carried below the peak height
+    ],
+)
+def test_vel_carried_peak(head, peak_max, emitted):
+    own = np.array(head + [0.0] * 6)
+    t = np.arange(len(own)) / 100.0
+    state = (Phase.STANCE, -math.inf, peak_max, -0.05, 1, 0, math.nan)
+    check_fast_path("vel", state, t, own, np.zeros(len(own)), VEL, emitted)
+
+
 def test_detection_calls_grow_with_events_not_ticks():
     log = generate(GaitParams(seed=3, noise_sigma=0.05), 60.0)
     t = log.times()

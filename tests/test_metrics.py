@@ -8,8 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaitassist import gait_fsr, gait_vel, metrics
 from gaitassist.gait import EventKind, Foot, GaitEvent, Phase
+from gaitassist.gait_fsr import FsrDetectorConfig
+from gaitassist.gait_vel import VelDetectorConfig
 from gaitassist.metrics import (
+    MATCH_WINDOW_S,
+    _match_times,
     cadence,
     percentile,
     phases_from_events,
@@ -20,7 +25,7 @@ from gaitassist.metrics import (
 )
 from gaitassist.simgait import GaitParams, generate
 
-from gait_reference import events_of, rom_by_stride
+from gait_reference import events_of, match_times, rom_by_stride
 
 HS = EventKind.HEEL_STRIKE
 TO = EventKind.TOE_OFF
@@ -314,6 +319,42 @@ class TestScoreDetection:
                 phases_from_events(truth, 101, self.RATE),
                 self.RATE,
             )
+
+
+@st.composite
+def matchable_times(draw):
+    """Sorted true and predicted times, either side possibly empty, with
+    repeats and predictions exactly MATCH_WINDOW_S before or after a truth."""
+    grid = st.integers(0, 40).map(lambda k: k * 0.05) | st.floats(0.0, 2.0)
+    truth = sorted(draw(st.lists(grid, max_size=12)))
+    near = [t + MATCH_WINDOW_S for t in truth] + [t - MATCH_WINDOW_S for t in truth] + truth
+    pool = st.sampled_from(near) | grid if near else grid
+    predicted = sorted(draw(st.lists(pool, max_size=12)))
+    return np.array(truth, float), np.array(predicted, float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(times=matchable_times())
+def test_match_times_equals_the_scalar_loop(times):
+    truth, predicted = times
+    errors, missed, spurious = _match_times(truth, predicted, MATCH_WINDOW_S)
+    ref_errors, ref_missed, ref_spurious = match_times(truth, predicted, MATCH_WINDOW_S)
+    assert repr(errors) == repr([float(e) for e in ref_errors])
+    assert (missed, spurious) == (ref_missed, ref_spurious)
+
+
+@pytest.mark.parametrize("seed, noise", [(42, 0.05), (3, 0.0), (9, 1.0)])
+def test_score_is_unchanged_against_the_scalar_loop(monkeypatch, seed, noise):
+    log = generate(GaitParams(seed=seed, noise_sigma=noise), 30.0)
+    t, truth = log.times(), log.truth
+    runs = [gait_fsr.detect(log.insole, t, FsrDetectorConfig())]
+    runs.append(gait_vel.detect(log.omega, t, VelDetectorConfig()))
+    for events, _ in runs:
+        phases = phases_from_events(events, len(t), 100.0)
+        with monkeypatch.context() as patched:
+            patched.setattr(metrics, "_match_times", match_times)
+            expected = repr(score_detection(events, phases, truth.events, truth.phases, 100.0))
+        assert repr(score_detection(events, phases, truth.events, truth.phases, 100.0)) == expected
 
 
 class TestPhasesFromEvents:
