@@ -32,7 +32,7 @@ from .gait_fsr import FsrDetectorConfig
 from .gait_vel import VelDetectorConfig
 from .metrics import METRIC_COLUMNS, TrialMetrics, cadence, percentile, rms, rom, stride_length
 from .runner import DetectionMode, RunResult, run_trial
-from .signals import emg_envelope, envelope_samples_needed
+from .signals import emg_envelope, envelope_decimation
 from .simgait import ChannelRates, GaitParams, TrialLog, generate
 from .trial_io import (
     TORQUE_COLS,
@@ -159,8 +159,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         log = load_trial(args.trial)
         input_desc = str(args.trial)
-        try:  # a rate the trial format holds but the control envelope cannot decimate
-            envelope_samples_needed(log.rates.emg_rate_hz, log.rates.control_rate_hz, 1)
+        try:  # a rate the trial format holds but the control envelope refuses
+            envelope_decimation(log.rates.emg_rate_hz, log.rates.control_rate_hz)
         except InvalidSpecError as exc:
             raise DataFormatError(f"manifest.txt: {exc}") from None
 

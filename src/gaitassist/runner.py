@@ -2,8 +2,9 @@
 
 Each detector runs over whole channels: one event-skipping kernel per leg
 finds the candidate ticks with numpy and jumps from event to event, with no
-Python call per tick. `controller.command_torque` then gives the torque of
-the whole trial from the per-tick gait states. Either detection framework
+Python call per tick; the causal EMG envelope runs beside it, on a second
+thread given a second CPU. `controller.command_torque` then gives the torque
+of the whole trial from the per-tick gait states. Either detection framework
 can drive the controller: insole force sensors or hip angular velocities.
 """
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .gait_vel import VelDetectorConfig
 from .metrics import DetectionScore, phases_from_events, score_detection
 from .signals import TimeSeries, causal_envelope
 from .simgait import TrialLog, check_channels
+from .trial_io import _run_jobs
 
 # perfbench/spans.py looks these four names up on this module and wraps them
 # without calling them; that lookup is the only reason they are still bound.
@@ -82,17 +84,23 @@ def run_trial(
 
     check_channels(log)
     n, rate_hz = log.n_ticks, log.rates.control_rate_hz
-    emg_norm = control_envelope(log).samples[:n]
     t = log.times()
-    events, causal = module.detect(channels, t, cfg)
+
+    def gait_layers():
+        events, causal = module.detect(channels, t, cfg)
+        event_phases = phases_from_events(events, n, rate_hz, module.INITIAL_STATE[0])
+        score = None
+        if (truth := log.truth) is not None:
+            score = score_detection(events, event_phases, truth.events, truth.phases, rate_hz=rate_hz)
+        return events, causal, event_phases, score
+
+    # the envelope's compiled filter passes release the interpreter lock
+    envelope, (events, causal, event_phases, score) = _run_jobs(
+        [lambda: control_envelope(log), gait_layers]
+    )
+    emg_norm = envelope.samples[:n]
     state_codes = gait_state_codes(causal)
     tau_left, tau_right, tau_exo = command_torque(state_codes, emg_norm, controller_cfg, rate_hz)
-    event_phases = phases_from_events(events, n, rate_hz, module.INITIAL_STATE[0])
-
-    score = None
-    if log.truth is not None:
-        truth = log.truth
-        score = score_detection(events, event_phases, truth.events, truth.phases, rate_hz=rate_hz)
 
     return RunResult(
         mode=mode,

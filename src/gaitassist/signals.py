@@ -328,16 +328,20 @@ class EmgChannel:
         check_ranges(self)
 
 
-@lru_cache(maxsize=8)
-def _envelope_filters(rate: float) -> tuple[FilterCoefficients, ...]:
-    """The envelope's band-pass, ECG and smoothing filters at one EMG rate, designed
-    once, then the band-pass and ECG sections stacked for the causal chain's one
-    pass; all sections are read-only, so no caller can change the cached ones."""
+def _check_emg_rate(rate: float) -> None:
     if rate < MIN_EMG_RATE_HZ:
         raise InvalidSpecError(
             f"EMG rate {rate} Hz too low; the {EMG_BAND_HZ[1]} Hz band edge "
             f"needs at least {MIN_EMG_RATE_HZ} Hz"
         )
+
+
+@lru_cache(maxsize=8)
+def _envelope_filters(rate: float) -> tuple[FilterCoefficients, ...]:
+    """The envelope's band-pass, ECG and smoothing filters at one EMG rate, designed
+    once, then the band-pass and ECG sections stacked for the causal chain's one
+    pass; all sections are read-only, so no caller can change the cached ones."""
+    _check_emg_rate(rate)
     band, ecg, smooth = (
         design_filter(FilterSpec("band-pass", DEFAULT_FILTER_ORDER, EMG_BAND_HZ, rate)),
         design_filter(FilterSpec("high-pass", DEFAULT_FILTER_ORDER, (ECG_HIGHPASS_HZ,), rate)),
@@ -349,7 +353,11 @@ def _envelope_filters(rate: float) -> tuple[FilterCoefficients, ...]:
     return filters
 
 
-def _decimation_factor(rate: float, rate_hz: float) -> int:
+def envelope_decimation(rate: float, rate_hz: float) -> int:
+    """The control envelope's step from EMG `rate` down to `rate_hz`:
+    InvalidSpecError, with the envelope's own message, for an EMG rate below
+    MIN_EMG_RATE_HZ or one that is not a whole multiple of `rate_hz`."""
+    _check_emg_rate(rate)
     k = round(rate / rate_hz)
     if k < 1 or abs(rate / rate_hz - k) > 1e-9:
         raise InvalidSpecError(f"cannot decimate {rate} Hz to {rate_hz} Hz by an integer factor")
@@ -358,7 +366,7 @@ def _decimation_factor(rate: float, rate_hz: float) -> int:
 
 def envelope_samples_needed(emg_rate_hz: float, rate_hz: float, ticks: int) -> int:
     """Raw EMG samples that `causal_envelope` at `rate_hz` reads for its first `ticks`."""
-    return max((ticks - 1) * _decimation_factor(emg_rate_hz, rate_hz) + 1, 0)
+    return max((ticks - 1) * envelope_decimation(emg_rate_hz, rate_hz) + 1, 0)
 
 
 def causal_envelope(ch: EmgChannel, rate_hz: float) -> TimeSeries:
@@ -369,7 +377,7 @@ def causal_envelope(ch: EmgChannel, rate_hz: float) -> TimeSeries:
     are those of the stages run one by one over the whole channel."""
     rate = ch.raw.rate_hz
     _, _, smooth, fused = _envelope_filters(rate)
-    k = _decimation_factor(rate, rate_hz)
+    k = envelope_decimation(rate, rate_hz)
     y = _run_sections(fused.sos, ch.raw.samples, np.zeros((len(fused.sos), 2)))
     np.abs(y, out=y)
     _filter_rows(smooth.sos, y[None], np.zeros((1, len(smooth.sos), 2)))

@@ -32,6 +32,7 @@ from .signals import (
     FilterSpec,
     TimeSeries,
     design_filter,
+    envelope_decimation,
     envelope_samples_needed,
     filter_causal,
 )
@@ -237,9 +238,9 @@ def _synth_emg(
     noise = rng.standard_normal(n)
     band = design_filter(FilterSpec("band-pass", 4, EMG_SYNTH_BAND_HZ, rate_hz))
     shaped = filter_causal(band, TimeSeries(noise, rate_hz)).samples
-    shaped = shaped / shaped.std()
-    target_sigma = params.emg_level * DEFAULT_MVC_MV / _GAUSS_RECTIFIED_MEAN
-    return shaped * target_sigma
+    shaped /= shaped.std()
+    shaped *= params.emg_level * DEFAULT_MVC_MV / _GAUSS_RECTIFIED_MEAN
+    return shaped
 
 
 def generate(
@@ -250,7 +251,8 @@ def generate(
     Args:
         params: gait parameters; the random seed fully determines the noise.
         duration_s: trial length in seconds, at least five strides.
-        rates: control and EMG sample rates.
+        rates: control and EMG sample rates; InvalidSpecError for an EMG
+            rate the control envelope refuses (`signals.envelope_decimation`).
 
     Returns:
         A TrialLog whose truth labels, truth events, and analytic channel
@@ -273,6 +275,7 @@ def generate(
             raise InvalidSpecError(
                 f"duration_s {duration_s:g} and {key} make {count:.3g} {what}, more than {limit:,}"
             )
+    envelope_decimation(rates.emg_rate_hz, rates.control_rate_hz)  # else no run could use the trial
     n = int(round(ticks))
     if n < 1:
         raise InvalidSpecError(
@@ -304,23 +307,32 @@ def generate(
     emg_raw = _synth_emg(params, n_emg, rates.emg_rate_hz, rng)
 
     if params.noise_sigma > 0:
+        # each noise array is scaled and combined in its own buffer, so no
+        # channel needs a second full-length temporary
         sig = params.noise_sigma
+
+        def noise(shape, scale: float) -> np.ndarray:
+            g = rng.standard_normal(shape)
+            g *= scale
+            return g
+
         for foot in Foot:
-            omega[foot] = omega[foot] + sig * params.omega_amp_rad_s * rng.standard_normal(n)
+            omega[foot] += noise(n, sig * params.omega_amp_rad_s)
         for foot in Foot:
             # force noise scales with instantaneous load, so an unloaded
             # insole stays quiet instead of chattering across the contact
             # threshold
-            insole[foot] = np.clip(
-                insole[foot] * (1.0 + sig * rng.standard_normal((n, 8))), 0.0, None
-            )
-        emg_raw = emg_raw + sig * np.abs(emg_raw).mean() * rng.standard_normal(n_emg)
+            gain = noise((n, 8), sig)
+            gain += 1.0
+            gain *= insole[foot]
+            insole[foot] = np.clip(gain, 0.0, None, out=gain)
+        emg_raw += noise(n_emg, sig * np.abs(emg_raw).mean())
         hip_amp = 0.5 * (unit_angle.max() - unit_angle.min()) * hip_scale
         for channel, scale in ((foot_xy, stride), (hip, hip_amp)):
             for foot in Foot:
-                channel[foot] += sig * scale * rng.standard_normal(channel[foot].shape)
+                channel[foot] += noise(channel[foot].shape, sig * scale)
         for foot in Foot:
-            knee[foot] = knee[foot] + sig * 0.5 * KNEE_ROM_DEG * rng.standard_normal(n)
+            knee[foot] += noise(n, sig * 0.5 * KNEE_ROM_DEG)
 
     truth = TrialTruth(
         phases=truth_phases, events=_truth_events(params, t_last=(n - 1) / rates.control_rate_hz)

@@ -101,7 +101,8 @@ _LABEL_ROW = np.dtype(
 _EVENT_ROW = np.dtype([("t_s", float), ("foot", "U6"), ("kind", "U12")])
 _GRID_TOLERANCE_S = 1e-6  # `t_s` against k / rate; printing rounds by at most 5e-7
 _MVC_FIELD = next(f for f in fields(EmgChannel) if f.name == "mvc_mv")
-# Threads that write or read a trial's tables: this one and a worker, given a second usable CPU
+# Threads that write or read a trial's tables, or run a trial's envelope beside
+# its detector: this one and a worker, given a second usable CPU
 _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 _LOADTXT_LOCK = threading.Lock()  # catch_warnings swaps the process's filters

@@ -211,6 +211,30 @@ class TestSimulate:
         assert capsys.readouterr().err == f"gaitassist: error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["simulate"], ["run", "--simulate"]])
+    @pytest.mark.parametrize(
+        "rate, message",
+        [
+            ("1000.0001", "cannot decimate 1000.0001 Hz to 100.0 Hz by an integer factor"),
+            ("500", "EMG rate 500.0 Hz too low; the 400.0 Hz band edge needs at least 800.0 Hz"),
+        ],
+    )
+    def test_emg_rate_the_control_envelope_refuses_is_one_line_usage_error(
+        self, tmp_path, capsys, monkeypatch, command, rate, message
+    ):
+        from gaitassist import simgait
+
+        def no_synthesis(*args):
+            raise AssertionError("the EMG was synthesized")
+
+        monkeypatch.setattr(simgait, "_synth_emg", no_synthesis)
+        out = tmp_path / "x"
+        capsys.readouterr()
+        code = run_cli(*command, "--out", str(out), "--duration", "10", "--emg-rate", rate)
+        assert code == 1
+        assert capsys.readouterr().err == f"gaitassist: error: {message}\n"
+        assert not out.exists()
+
     def test_off_grid_duration_writes_a_trial_that_run_and_analyze_read(self, tmp_path):
         trial = tmp_path / "t"
         assert run_cli("simulate", "--out", str(trial), "--duration", "10.006", "--seed", "1") == 0

@@ -219,10 +219,12 @@ class TestGenerateContract:
             GaitParams(cadence_hz=0.0)
         assert GaitParams().stride_length_m == pytest.approx(0.74 / 0.7)
 
-    def test_non_integer_rate_ratio_is_fine_for_generate(self):
-        # generate itself has no ratio constraint; only the control path does
+    def test_emg_rate_must_be_one_the_control_envelope_takes(self):
         log = generate(GaitParams(), 10.0, ChannelRates(control_rate_hz=100.0, emg_rate_hz=1100.0))
         assert len(log.emg.raw) == 11_000
+        for emg_rate_hz, message in ((1000.0001, "integer factor"), (500.0, "too low")):
+            with pytest.raises(InvalidSpecError, match=message):
+                generate(GaitParams(), 10.0, ChannelRates(emg_rate_hz=emg_rate_hz))
 
 
 class TestReplay:

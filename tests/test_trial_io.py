@@ -116,7 +116,7 @@ class TestRoundTrip:
     @settings(max_examples=12, deadline=None)
     @given(
         duration=st.floats(8.0, 12.0),
-        rates=st.sampled_from([(100.0, 1000.0), (137.0, 1000.0), (50.0, 1000.0), (100.0, 1100.0)]),
+        rates=st.sampled_from([(100.0, 1000.0), (137.0, 1096.0), (50.0, 1000.0), (100.0, 1100.0)]),
     )
     @example(duration=10.006, rates=(100.0, 1000.0))
     def test_off_grid_durations_round_trip(self, tmp_path_factory, duration, rates):
