@@ -73,32 +73,12 @@ def command_torque(
     if cfg.ramp_rate_nm_s != UNLIMITED:
         step = cfg.ramp_rate_nm_s / rate_hz
         for tau in (tau_left, tau_right):
-            ramp_limit(tau, step, 0.0)
+            ramped, previous = tau.tolist(), 0.0
+            for i, target in enumerate(ramped):
+                if target > previous + step:
+                    target = previous + step
+                elif target < previous - step:
+                    target = previous - step
+                ramped[i] = previous = target
+            tau[:] = ramped
     return tau_left, tau_right, tau_exo
-
-
-def ramp_limit(tau: np.ndarray, step: float, last: float) -> float:
-    """Limit one leg's targets `tau` in place to move at most `step` per tick
-    from the command `last`, and return the new last command. Outside a
-    binding run each command is its target, so a run can start only where a
-    target lies beyond the one before (or `last`) by the step's own test;
-    numpy finds those ticks, and each run is stepped until it meets its target."""
-    if not len(tau):
-        return last
-    before = np.concatenate(([last], tau[:-1]))
-    targets, end = tau.tolist(), 0
-    for start in np.flatnonzero((tau > before + step) | (tau < before - step)).tolist():
-        if start < end:
-            continue  # inside a run already stepped
-        command = targets[start - 1] if start else last
-        for end in range(start, len(targets)):
-            target = targets[end]
-            if target > command + step:
-                command += step
-            elif target < command - step:
-                command -= step
-            else:
-                break
-            tau[end] = command
-        end += 1  # past the tick whose command met its target
-    return float(tau[-1])

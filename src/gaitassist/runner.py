@@ -22,7 +22,7 @@ from .gait_vel import VelDetectorConfig
 from .metrics import DetectionScore, phases_from_events, score_detection
 from .signals import TimeSeries, causal_envelope
 from .simgait import TrialLog, check_channels
-from .trial_io import _run_jobs
+from .trial_io import _run_jobs  # one job runner and worker count (_THREADS) for trial I/O and runs
 
 # perfbench/spans.py looks these four names up on this module and wraps them
 # without calling them; that lookup is the only reason they are still bound.
@@ -94,7 +94,9 @@ def run_trial(
             score = score_detection(events, event_phases, truth.events, truth.phases, rate_hz=rate_hz)
         return events, causal, event_phases, score
 
-    # the envelope's compiled filter passes release the interpreter lock
+    # The envelope goes first: its thread holds the interpreter lock until its
+    # first compiled filter pass releases it, so the detector, on the other
+    # thread, runs its Python while that pass runs.
     envelope, (events, causal, event_phases, score) = _run_jobs(
         [lambda: control_envelope(log), gait_layers]
     )

@@ -240,10 +240,15 @@ def _filter_rows(sos: np.ndarray, y: np.ndarray, zi: np.ndarray) -> None:
 
 def _run_sections(sos: np.ndarray, samples: np.ndarray, zi: np.ndarray) -> np.ndarray:
     """Filter a copy of `samples` from the section states `zi` (sections, 2),
-    which end updated in place."""
-    y = np.array(samples, dtype=float, order="C", ndmin=2)
-    _filter_rows(sos, y, zi.reshape(1, -1, 2))
-    return y[0]
+    which end updated in place. The copy holds the interpreter lock, which
+    numpy's copy of a long array would release, so a thread that waits for
+    the lock (`runner.run_trial`'s detector) starts only once the filter pass,
+    which releases it, runs."""
+    x = np.ascontiguousarray(samples, dtype=float)
+    y = np.empty_like(x)
+    memoryview(y)[:] = memoryview(x)
+    _filter_rows(sos, y[None], zi.reshape(1, -1, 2))
+    return y
 
 
 class CausalFilter:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitassist.controller import UNLIMITED, ControllerConfig, command_torque, ramp_limit
+from gaitassist.controller import UNLIMITED, ControllerConfig, command_torque
 from gaitassist.errors import InvalidSpecError
 from gaitassist.gait import STATE_BY_CODE, GaitState
 from gaitassist.simgait import ChannelRates
@@ -147,12 +147,11 @@ class TestSlewLimit:
                 prev = got
 
 
-def ramp_fold(states, emg, cfg: ControllerConfig, rate_hz: float, previous=(0.0, 0.0)):
+def ramp_fold(states, emg, cfg: ControllerConfig, rate_hz: float):
     """(left, right) torque per tick, one tick at a time: the reference's
-    split of each tick's total, then one `toward` step per leg from the
-    commands `previous`, 0 N*m unless given."""
+    split of each tick's total, then one `toward` step per leg from 0 N*m."""
     step = cfg.ramp_rate_nm_s / rate_hz
-    out = []
+    previous, out = (0.0, 0.0), []
     for state, level in zip(states, emg):
         target = distribute(state, cfg.k_myo_nm * level, cfg)
         previous = tuple(toward(p, g, step) for p, g in zip(previous, target))
@@ -164,12 +163,11 @@ LEFT_STANCE = [GaitState.DOUBLE_STANCE, GaitState.LEFT_STANCE_RIGHT_SWING]
 
 
 @st.composite
-def ramp_cases(draw, any_start: bool = False):
-    """(states, activations, config, rate, initial commands) for a finite
-    ramp rate. With unit gains at 1 Hz, where the left leg's target is the
-    activation itself and the step the ramp rate, a tick may put the target
-    exactly on the left command so far plus or minus the step, or one ulp
-    either side of it. The initial commands are 0 N*m unless `any_start`."""
+def ramp_cases(draw):
+    """(states, activations, config, rate) for a finite ramp rate. With unit
+    gains at 1 Hz, where the left leg's target is the activation itself and
+    the step the ramp rate, a tick may put the target exactly on the left
+    command so far plus or minus the step, or one ulp either side of it."""
     exact = draw(st.booleans())
     if exact:
         k_swing = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
@@ -187,11 +185,7 @@ def ramp_cases(draw, any_start: bool = False):
         rate_hz = draw(st.sampled_from([100.0, 50.0, 137.0, 1.0]))
     step = cfg.ramp_rate_nm_s / rate_hz
     levels = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0)
-    initial = (0.0, 0.0)
-    if any_start:
-        commands = st.sampled_from([0.0, -0.0, step, -step]) | st.floats(-2.0, 2.0)
-        initial = (draw(commands), draw(commands))
-    states, emg, left = [], [], initial[0]
+    states, emg, left = [], [], 0.0
     for _ in range(draw(st.integers(1, 40))):
         state, level = draw(st.sampled_from(STATES)), draw(levels)
         if exact and draw(st.booleans()):
@@ -203,7 +197,7 @@ def ramp_cases(draw, any_start: bool = False):
         states.append(state)
         emg.append(float(level))
         left = toward(left, leg_gains(state, cfg)[0] * (cfg.k_myo_nm * float(level)), step)
-    return states, emg, cfg, rate_hz, initial
+    return states, emg, cfg, rate_hz
 
 
 class TestRampEqualsFold:
@@ -212,31 +206,12 @@ class TestRampEqualsFold:
     @settings(max_examples=300, deadline=None)
     @given(case=ramp_cases())
     def test_bits_equal_the_fold(self, case):
-        states, emg, cfg, rate_hz, _ = case
+        states, emg, cfg, rate_hz = case
         codes = np.array([STATE_BY_CODE.index(state) for state in states], dtype=np.int8)
         left, right, _ = command_torque(codes, np.array(emg), cfg, rate_hz)
         ref_left, ref_right = ramp_fold(states, emg, cfg, rate_hz)
         assert left.tobytes() == np.array(ref_left).tobytes()
         assert right.tobytes() == np.array(ref_right).tobytes()
-
-    @settings(max_examples=300, deadline=None)
-    @given(case=ramp_cases(any_start=True), data=st.data())
-    def test_blocks_from_any_command_equal_the_fold(self, case, data):
-        # each leg's targets cut into blocks, ramp_limit carrying the last
-        # command from block to block, as a stream would call it
-        states, emg, cfg, rate_hz, initial = case
-        codes = np.array([STATE_BY_CODE.index(state) for state in states], dtype=np.int8)
-        unlimited = dataclasses.replace(cfg, ramp_rate_nm_s=UNLIMITED)
-        targets = command_torque(codes, np.array(emg), unlimited, rate_hz)[:2]
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(states)), max_size=5)))
-        step = cfg.ramp_rate_nm_s / rate_hz
-        for tau, last, ref in zip(targets, initial, ramp_fold(states, emg, cfg, rate_hz, initial)):
-            for a, b in zip([0, *cuts], [*cuts, len(states)]):
-                returned = ramp_limit(tau[a:b], step, last)
-                expected = ref[b - 1] if b > a else last
-                assert np.float64(returned).tobytes() == np.float64(expected).tobytes()
-                last = returned
-            assert tau.tobytes() == np.array(ref).tobytes()
 
     def test_ties_and_signed_zeros(self):
         # the left target is the activation and the step 0.25 N*m: targets

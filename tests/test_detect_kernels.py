@@ -136,8 +136,8 @@ def test_kernels_equal_the_fold_on_simulated_trials(data, name, rate_hz):
             noise_sigma=data.draw(st.sampled_from([0.0, 0.05, 0.4, 3.0])),
         ),
         8.0,
-        # generate takes only an EMG rate that the control envelope can decimate
-        ChannelRates(control_rate_hz=rate_hz, emg_rate_hz=20 * rate_hz),
+        # generate refuses the default 1000 Hz EMG at 137 Hz, off the control grid
+        ChannelRates(control_rate_hz=rate_hz, emg_rate_hz=1096.0 if rate_hz == 137.0 else 1000.0),
     )
     t = log.times()
     foot = data.draw(st.sampled_from(list(Foot)))

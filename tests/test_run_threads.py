@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from gaitassist import gait_fsr, runner, trial_io
+from gaitassist import gait_fsr, gait_vel, runner, signals, trial_io
 from gaitassist.controller import ControllerConfig
 from gaitassist.gait import Foot
 from gaitassist.runner import DetectionMode, RunResult, run_trial
@@ -85,6 +85,40 @@ def test_the_envelope_runs_beside_detection(monkeypatch):
     assert threads["envelope"] is not threads["detect"]
     monkeypatch.undo()
     assert digest(result) == digest(run_trial(log, DetectionMode.FOOT_SENSORS))
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_the_detector_starts_once_the_envelope_filters(monkeypatch, mode):
+    """Whichever thread takes the envelope holds the interpreter lock until
+    its first compiled filter pass releases it, so the detector never starts
+    first. A switch interval longer than the run leaves only those releases
+    to decide the order."""
+    log = generate(GaitParams(seed=3), 10.0)
+    run_trial(log, mode)  # the filters designed and the kernel imported
+    module = gait_fsr if mode is DetectionMode.FOOT_SENSORS else gait_vel
+    filter_rows, detect = signals._filter_rows, module.detect
+    filtering, seen = threading.Event(), []
+
+    def entering(*args):
+        filtering.set()
+        return filter_rows(*args)
+
+    def detecting(*args):
+        seen.append(filtering.is_set())
+        return detect(*args)
+
+    monkeypatch.setattr(trial_io, "_THREADS", 2)
+    monkeypatch.setattr(signals, "_filter_rows", entering)
+    monkeypatch.setattr(module, "detect", detecting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(30.0)
+    try:
+        for _ in range(5):
+            filtering.clear()
+            run_trial(log, mode)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [True] * 5
 
 
 class Failed(Exception):

@@ -116,11 +116,25 @@ class TestRoundTrip:
     @settings(max_examples=12, deadline=None)
     @given(
         duration=st.floats(8.0, 12.0),
-        rates=st.sampled_from([(100.0, 1000.0), (137.0, 1096.0), (50.0, 1000.0), (100.0, 1100.0)]),
+        rates=st.sampled_from([(100.0, 1000.0), (137.0, 1000.0), (50.0, 1000.0), (100.0, 1100.0)]),
     )
     @example(duration=10.006, rates=(100.0, 1000.0))
     def test_off_grid_durations_round_trip(self, tmp_path_factory, duration, rates):
-        log = generate(GaitParams(seed=4, noise_sigma=0.02), duration, ChannelRates(*rates))
+        rates = ChannelRates(*rates)
+        if rates.emg_rate_hz % rates.control_rate_hz:
+            # generate refuses an EMG rate off the control grid, which the
+            # trial format holds: swap such a channel, rounded length and all,
+            # into a log generated at a rate on the grid
+            log = generate(
+                GaitParams(seed=4, noise_sigma=0.02),
+                duration,
+                dataclasses.replace(rates, emg_rate_hz=8 * rates.control_rate_hz),
+            )
+            raw = log.emg.raw.samples[: rates.emg_samples(log.n_ticks)]
+            emg = dataclasses.replace(log.emg, raw=TimeSeries(raw, rates.emg_rate_hz))
+            log = dataclasses.replace(log, rates=rates, emg=emg)
+        else:
+            log = generate(GaitParams(seed=4, noise_sigma=0.02), duration, rates)
         assert len(log.emg.raw) == log.rates.emg_samples(log.n_ticks)
         loaded = load_trial(save_trial(log, tmp_path_factory.mktemp("grid") / "t"))
         assert loaded.n_ticks == log.n_ticks and loaded.rates == log.rates
