@@ -94,9 +94,10 @@ def run_trial(
             score = score_detection(events, event_phases, truth.events, truth.phases, rate_hz=rate_hz)
         return events, causal, event_phases, score
 
-    # The envelope goes first: its thread holds the interpreter lock until its
-    # first compiled filter pass releases it, so the detector, on the other
-    # thread, runs its Python while that pass runs.
+    # The envelope goes first: its thread keeps the interpreter lock (the EMG
+    # copy in signals._run_sections does not release it) until its first
+    # compiled filter pass, so the detector's Python, on the other thread,
+    # runs while that pass runs.
     envelope, (events, causal, event_phases, score) = _run_jobs(
         [lambda: control_envelope(log), gait_layers]
     )
