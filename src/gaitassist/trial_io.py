@@ -8,6 +8,7 @@ Formatting is fixed so identical inputs always produce byte-identical files.
 """
 from __future__ import annotations
 
+import math
 import os
 import threading
 import warnings
@@ -32,7 +33,15 @@ FORMAT_TAG = "gaitassist-trial/1"
 # call, few enough that no table's text is ever held whole in memory.
 BLOCK_TICKS = 4096
 
-_PHASE_NAMES = tuple(phase.value for phase in Phase)  # indexed by phase code
+# The words each name column may hold, in code order (see gait): the reader
+# reads a name cell as its word's code, which indexes the writer's word tables
+_NAMES = {
+    column: tuple(word.value for word in words)
+    for column, words in [
+        ("gait_state", STATE_BY_CODE), ("phase_left", Phase), ("phase_right", Phase),
+        ("foot", FEET), ("kind", KINDS),
+    ]
+}
 
 # A `%.6f` cell is spelled in three little-endian 4-byte words: its sign and
 # integer part, right-aligned, then `.ddd` and `ddd,`; a block that holds a
@@ -73,8 +82,8 @@ _CHUNK_BYTES = 1 << 17  # table text parsed at a time
 # `gait_state,phase_left,phase_right` ending a labels row, indexed by state
 # code (the left leg's phase code is its high bit)
 _LABEL_WORDS = _words([
-    f"{state.value},{_PHASE_NAMES[code >> 1]},{_PHASE_NAMES[code & 1]}\n"
-    for code, state in enumerate(STATE_BY_CODE)
+    f"{state},{_NAMES['phase_left'][code >> 1]},{_NAMES['phase_right'][code & 1]}\n"
+    for code, state in enumerate(_NAMES["gait_state"])
 ]).reshape(len(STATE_BY_CODE), -1)
 # Buffer bytes before each chunk, the last a newline, so that the windows
 # ending at a separator fit: a cell's 16 bytes, and a labels tail's
@@ -90,15 +99,6 @@ _LABEL_MASKS = np.where(_LABEL_WORDS.view(np.uint8) == 32, 0, 0xFF).astype(np.ui
 _EVENT_WORDS = _words(
     [f"{foot.value},{kind.value}\n" for foot in FEET for kind in KINDS]
 ).reshape(len(FEET) * len(KINDS), -1)
-# `gait_state` of a labels row, indexed by state code
-_STATE_NAMES = np.array([state.value for state in STATE_BY_CODE])
-# A labels and an events row as _loadtxt reads them, one field per column. A
-# cell longer than its field is cut to the field's width, still longer than
-# any name it may hold, so it cannot pass as one.
-_LABEL_ROW = np.dtype(
-    [("t_s", float), ("gait_state", "U24"), ("phase_left", "U7"), ("phase_right", "U7")]
-)
-_EVENT_ROW = np.dtype([("t_s", float), ("foot", "U6"), ("kind", "U12")])
 _GRID_TOLERANCE_S = 1e-6  # `t_s` against k / rate; printing rounds by at most 5e-7
 _MVC_FIELD = next(f for f in fields(EmgChannel) if f.name == "mvc_mv")
 # Threads that write or read a trial's tables, or run a trial's envelope beside
@@ -388,76 +388,74 @@ def utf8_errors(name: str) -> Iterator[None]:
         raise DataFormatError(f"{name}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})") from exc
 
 
-def _loadtxt(fh, name: str, columns: list[str], dtype=float) -> np.ndarray:
-    """np.loadtxt of the comma-separated rows left in `fh`, headed `columns`:
-    a 2-D float array, or one record per row for a structured `dtype`. `#`
-    starts a comment.
+def _loadtxt(fh, name: str, columns: list[str]) -> np.ndarray:
+    """np.loadtxt of the comma-separated rows left in `fh`, headed `columns`,
+    as a 2-D float array, a name cell (see _NAMES) as its code. `#` starts a
+    comment.
 
     A row that does not parse is a DataFormatError naming the file and the
     row's 1-based data row number. A file without rows is left to the
-    caller, without numpy's warning.
+    caller, as (0, len(columns)) and without numpy's warning.
     """
-    dtype = np.dtype(dtype)
     start = fh.tell()
+    to_code = {i: _NAMES[column].index for i, column in enumerate(columns) if column in _NAMES}
     with _LOADTXT_LOCK, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            return np.loadtxt(fh, delimiter=",", dtype=dtype, ndmin=1 if dtype.names else 2)
+        try:  # any encoding but numpy 1.x's default "bytes" gives a converter text cells
+            data = np.loadtxt(fh, delimiter=",", ndmin=2, converters=to_code, encoding="utf-8")
         except ValueError as exc:
             fh.seek(start)
-            raise DataFormatError(f"{name}: {_first_bad_row(fh, columns, dtype)}") from exc
+            raise DataFormatError(f"{name}: {_first_bad_row(fh, columns)}") from exc
+    return data if data.size else data.reshape(0, len(columns))
 
 
-def _first_bad_row(fh, columns: list[str], dtype: np.dtype) -> str:
-    """What is wrong with the first row left in `fh` that np.loadtxt, called
-    with `dtype`, cannot parse; data rows are counted as it counts them,
-    skipping blank and comment lines."""
-    numeric = [not dtype.names or dtype[i].kind == "f" for i in range(len(columns))]
+def _first_bad_row(fh, columns: list[str]) -> str:
+    """What is wrong with the first bad row left in `fh`, in file order: a
+    wrong cell count, a float cell that is not a finite number, or a name
+    cell, quoted whole, that is none of its column's _NAMES. Data rows are
+    counted as np.loadtxt counts them, skipping blank and comment lines."""
     row = 0
     for line in fh:
         line = line.split("#", 1)[0]
         if not line.strip():
             continue
         row += 1
-        cells = line.strip().split(",")
+        cells = line.rstrip("\n").split(",")
         if len(cells) != len(columns):
             return f"data row {row} has {len(cells)} cells, expected {len(columns)}"
-        for column, cell, is_number in zip(columns, cells, numeric):
-            if not is_number:
+        for column, cell in zip(columns, cells):
+            if column in _NAMES:
+                if cell not in _NAMES[column]:
+                    return f"unknown {column} {cell!r} in data row {row}"
                 continue
             try:
-                float(cell)
+                if not math.isfinite(float(cell)):
+                    return _non_finite(column, row)
             except ValueError:
                 return f"{column} {cell.strip()!r} in data row {row} is not a number"
     return "rows do not parse as comma-separated values"
 
 
-def _read_table(path: Path, columns: list[str], out: np.ndarray | None, dtype=float) -> np.ndarray:
-    """The table at `path`, headed `columns`: a 2-D float array, or for a
-    structured `dtype`, whose fields are `columns`, one record per row. A
-    float table, and a labels table as its `t_s` and state code columns, is
-    read into `out`, of the shape the caller expects, by
-    :func:`_read_fixed_point` if it can be, else, without `out`, and for
-    every error, by :func:`_loadtxt`. Every row is read, and every float
-    cell must be finite."""
+def _read_table(path: Path, columns: list[str], out: np.ndarray | None) -> np.ndarray:
+    """The table at `path`, headed `columns`, as a 2-D float array, a name
+    cell as its code. A float table, and a labels table as its `t_s` and
+    state code columns, is read into `out`, of the shape the caller expects,
+    by :func:`_read_fixed_point` if it can be, else, without `out`, and for
+    every error, by :func:`_loadtxt`. Every row is read, every cell must be
+    finite, and only an events table may have no rows."""
     if not path.is_file():
         raise DataFormatError(f"missing file: {path}")
-    labels = dtype is _LABEL_ROW
     with open(path, "rb") as fh:
         plain = out is not None and fh.readline() == f"{','.join(columns)}\n".encode()
-        data = _read_fixed_point(fh, out, labels) if plain else None
+        data = _read_fixed_point(fh, out, columns == _LABEL_COLS) if plain else None
     if data is not None:  # finite and of the right width by construction
         return data
     with utf8_errors(path.name), open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header.split(",") != columns:
             raise DataFormatError(f"{path.name}: header {header!r} does not match {columns}")
-        data = _loadtxt(fh, path.name, columns, dtype)
-    if dtype is not float:  # np.loadtxt has checked the cell count of every record
-        numbers = [column for column in columns if data.dtype[column].kind == "f"]
-        _require_finite(path.name, numbers, np.column_stack([data[c] for c in numbers]))
-        return data
-    if data.size == 0:
+        data = _loadtxt(fh, path.name, columns)
+    if data.size == 0 and columns != _EVENT_COLS:
         raise DataFormatError(f"{path.name}: no data rows")
     if data.shape[1] != len(columns):
         raise DataFormatError(
@@ -472,7 +470,12 @@ def _require_finite(name: str, columns: list[str], data: np.ndarray) -> None:
     bad = ~np.isfinite(data)
     if bad.any():
         row, col = np.argwhere(bad)[0]
-        raise DataFormatError(f"{name}: non-finite {columns[col]!r} in data row {row + 1}")
+        raise DataFormatError(f"{name}: {_non_finite(columns[col], row + 1)}")
+
+
+def _non_finite(column: str, row: int) -> str:
+    """How a non-finite cell is reported, `row` counted from 1."""
+    return f"non-finite {column!r} in data row {row}"
 
 
 _OMEGA_COLS = ["t_s", "omega_left_rad_s", "omega_right_rad_s"]
@@ -489,8 +492,8 @@ _KINEMATICS_COLS = [
     "knee_left_deg",
     "knee_right_deg",
 ]
-_LABEL_COLS = list(_LABEL_ROW.names)
-_EVENT_COLS = list(_EVENT_ROW.names)
+_LABEL_COLS = ["t_s", "gait_state", "phase_left", "phase_right"]
+_EVENT_COLS = ["t_s", "foot", "kind"]
 TORQUE_COLS = ["t_s", "tau_left_nm", "tau_right_nm"]
 
 
@@ -557,34 +560,18 @@ def write_events_csv(path: Path, events: Events) -> None:
     write_table(path, _EVENT_COLS, events.t, tails=_EVENT_WORDS[2 * events.foot + events.kind])
 
 
-def _codes(name: str, rows: np.ndarray, column: str, words: tuple[str, ...]) -> np.ndarray:
-    """The index in `words` of each cell of `column` of the records `rows`
-    read from the file `name`; a DataFormatError names the first cell that
-    is none of them."""
-    cells = rows[column]
-    codes = np.full(len(cells), -1, dtype=np.int8)
-    for code, word in enumerate(words):
-        codes[cells == word] = code
-    if (codes < 0).any():
-        row = int(np.argmax(codes < 0))
-        raise DataFormatError(f"{name}: unknown {column} {str(cells[row])!r} in data row {row + 1}")
-    return codes
-
-
 def read_events_csv(path: Path) -> Events:
-    rows = _read_table(path, _EVENT_COLS, None, _EVENT_ROW)
-    feet = _codes(path.name, rows, "foot", tuple(foot.value for foot in FEET))
-    kinds = _codes(path.name, rows, "kind", tuple(kind.value for kind in KINDS))
-    return Events(rows["t_s"], feet, kinds)
+    rows = _read_table(path, _EVENT_COLS, None)
+    return Events(rows[:, 0], rows[:, 1].astype(np.int8), rows[:, 2].astype(np.int8))
 
 
-def _read_series(path: Path, columns: list[str], rows: int, rate_hz: float, out, dtype=float):
+def _read_series(path: Path, columns: list[str], rows: int, rate_hz: float, out) -> np.ndarray:
     """The table at `path` (see :func:`_read_table`), which must hold `rows`
     rows, the `t_s` of data row k + 1 within _GRID_TOLERANCE_S of k / rate_hz."""
-    table = _read_table(path, columns, out, dtype)
+    table = _read_table(path, columns, out)
     if len(table) != rows:
         raise DataFormatError(f"{path.name}: expected {rows} rows, got {len(table)}")
-    t = table["t_s"] if table.dtype.names else table[:, 0]
+    t = table[:, 0]
     off = np.arange(rows, dtype=float)
     off /= rate_hz
     off -= t
@@ -633,21 +620,18 @@ def _check_truth(truth: TrialTruth, n: int, rate_hz: float, error: type[Exceptio
 
 def _read_truth(path: Path, columns: list[str], n: int, rate_hz: float, out) -> TrialTruth:
     """The truth of `n` ticks in the labels table at `path` (see _read_series) and its events."""
-    name = path.name
-    rows = _read_series(path, columns, n, rate_hz, out, _LABEL_ROW)
-    if rows.dtype.names is None:  # `t_s` and the state code the fixed-point reader matched
-        codes = rows[:, 1].astype(np.int8)
-        phases = {Foot.LEFT: codes >> 1, Foot.RIGHT: codes & 1}
-    else:
-        phases = {foot: _codes(name, rows, f"phase_{foot.value}", _PHASE_NAMES) for foot in FEET}
-        wrong = rows["gait_state"] != _STATE_NAMES[gait_state_codes(phases)]
+    rows = _read_series(path, columns, n, rate_hz, out)
+    codes = rows[:, 1].astype(np.int8)
+    if rows.shape[1] > 2:  # np.loadtxt read the phases too: the state must be theirs
+        wrong = rows[:, 1] != 2 * rows[:, 2] + rows[:, 3]
         if wrong.any():
             row = int(np.argmax(wrong))
-            state, left, right = (str(rows[column][row]) for column in _LABEL_COLS[1:])
+            state, left, right = (_NAMES[c][int(k)] for c, k in zip(columns[1:], rows[row, 1:]))
             raise DataFormatError(
-                f"{name}: gait_state {state!r} in data row {row + 1} does not "
+                f"{path.name}: gait_state {state!r} in data row {row + 1} does not "
                 f"match phase_left {left!r} and phase_right {right!r}"
             )
+    phases = {Foot.LEFT: codes >> 1, Foot.RIGHT: codes & 1}
     truth = TrialTruth(phases=phases, events=read_events_csv(path.with_name("truth_events.csv")))
     _check_truth(truth, n, rate_hz, DataFormatError)
     return truth
@@ -660,10 +644,10 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
     missing file or key, a manifest value that does not parse or is out of
     range, a `duration_s` or `channels` that does not match the rest of the
     manifest, a bad header or row count, a cell that is not a finite number,
-    a `t_s` off the k / rate grid, an unknown phase, foot or event name, a
-    gait state that does not match the phases, truth events that do not
-    alternate per foot or lie outside [0, duration_s], or a negative insole
-    force.
+    a `t_s` off the k / rate grid, an unknown gait state, phase, foot or
+    event name, a gait state that does not match the phases, truth events
+    that do not alternate per foot or lie outside [0, duration_s], or a
+    negative insole force.
     """
     trial_dir = Path(trial_dir)
     manifest = read_manifest(trial_dir / "manifest.txt")

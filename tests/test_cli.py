@@ -544,6 +544,22 @@ class TestRun:
         assert len(err) == 1
         assert "truth_labels.csv" in err[0] and "data row 5" in err[0] and "double_swing" in err[0]
 
+    @pytest.mark.parametrize("state", ["double_stance_extra_long_name", "walking"])
+    def test_unknown_gait_state_is_quoted_whole(self, trial_dir, tmp_path, capsys, state):
+        broken = tmp_path / "broken"
+        shutil.copytree(trial_dir, broken)
+        labels = broken / "truth_labels.csv"
+        lines = labels.read_text().splitlines()
+        t_s, _, left, right = lines[5].split(",")
+        lines[5] = ",".join([t_s, state, left, right])
+        labels.write_text("\n".join(lines) + "\n")
+        message = f"truth_labels.csv: unknown gait_state {state!r} in data row 5"
+        capsys.readouterr()
+        assert run_cli("run", "--trial", str(broken), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"gaitassist: data error: {message}\n"
+        assert run_cli("analyze", str(broken)) == 2
+        assert capsys.readouterr().err == f"analyze: {broken}: {message}\n"
+
     @pytest.mark.parametrize(
         "mutation, problem",
         [("bad-cell", "'abc'"), ("too-wide", "4 cells, expected 3")],

@@ -727,7 +727,18 @@ class TestEventsCsv:
         write_events_csv(path, events_of([]))
         assert list(read_events_csv(path)) == []
 
-    def test_bad_foot_name_rejected(self, tmp_path):
+    def test_name_cells_read_under_numpy_1_default_encoding(self, tmp_path, monkeypatch):
+        # numpy 1.x's np.loadtxt defaults to encoding="bytes", which hands a
+        # converter bytes cells unless the caller names an encoding
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(
+            np, "loadtxt", lambda *a, **kw: loadtxt(*a, **{"encoding": "bytes", **kw})
+        )
+        path = tmp_path / "events.csv"
+        path.write_text("t_s,foot,kind\n0.500000,right,toe_off\n")
+        events = list(read_events_csv(path))
+        assert [(e.foot, e.kind) for e in events] == [(Foot.RIGHT, EventKind.TOE_OFF)]
+
         path = tmp_path / "events.csv"
         path.write_text("t_s,foot,kind\n0.100000,middle,heel_strike\n")
         with pytest.raises(DataFormatError):
@@ -771,6 +782,13 @@ class TestEventsCsv:
         [
             ("0.100000,left", "events.csv: data row 2 has 2 cells, expected 3"),
             ("0.100000,middle,heel_strike", "events.csv: unknown foot 'middle' in data row 2"),
+            ("0.100000,leftfoot,toe_off", "events.csv: unknown foot 'leftfoot' in data row 2"),
+            # the first bad row in file order
+            ("0.100000,middle,toe_off\nabc,left,toe_off",
+             "events.csv: unknown foot 'middle' in data row 2"),
+            ("nan,left,toe_off\n0.200000,middle,toe_off",
+             "events.csv: non-finite 't_s' in data row 2"),
+            ("nan,left,toe_off\nabc,left,toe_off", "events.csv: non-finite 't_s' in data row 2"),
             ("0.100000,left,toe_offs", "events.csv: unknown kind 'toe_offs' in data row 2"),
             ("0.100000,left,toe_off ", "events.csv: unknown kind 'toe_off ' in data row 2"),
             ("abc,left,toe_off", "events.csv: t_s 'abc' in data row 2 is not a number"),
