@@ -1,8 +1,8 @@
 """Command-line entry points: simulate, run, analyze, compare.
 
-Offline by default: a simulated clock advances one control period per tick,
-so runs complete as fast as the host allows; `--realtime` paces the same
-loop against the wall clock without changing a single computed value.
+A run is computed whole, as fast as the host allows. `--realtime` does not
+stream: it then sleeps until the trial's duration has passed on the wall
+clock, and the outputs are the same bytes as without it.
 
 Exit codes: 0 on success, 1 for usage errors (bad flags or parameters),
 2 for data errors (missing or malformed inputs).

@@ -2,8 +2,7 @@
 
 Two filtering paths exist on purpose. The real-time control path uses causal
 filtering and accepts group delay; offline metrics use zero-phase
-forward-backward filtering. Filters are realized as cascades of second-order
-sections and carry their own state, so two streams never share a filter.
+forward-backward filtering, all through cascades of second-order sections.
 """
 from __future__ import annotations
 
@@ -238,29 +237,16 @@ def _filter_rows(sos: np.ndarray, y: np.ndarray, zi: np.ndarray) -> None:
     _sosfilt(sos if sos.flags.writeable else sos.copy(), y, zi)
 
 
-def _run_sections(sos: np.ndarray, samples: np.ndarray, zi: np.ndarray) -> np.ndarray:
-    """Filter a copy of `samples` from the section states `zi` (sections, 2),
-    which end updated in place. The copy holds the interpreter lock, which
-    numpy's copy of a long array would release, so a thread that waits for
-    the lock (`runner.run_trial`'s detector) starts only once the filter pass,
-    which releases it, runs."""
+def _run_sections(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Filter a copy of `samples` from zero section states. The copy holds
+    the interpreter lock, which numpy's copy of a long array would release,
+    so a thread that waits for the lock (`runner.run_trial`'s detector)
+    starts only once the filter pass, which releases it, runs."""
     x = np.ascontiguousarray(samples, dtype=float)
     y = np.empty_like(x)
     memoryview(y)[:] = memoryview(x)
-    _filter_rows(sos, y[None], zi.reshape(1, -1, 2))
+    _filter_rows(sos, y[None], np.zeros((1, len(sos), 2)))
     return y
-
-
-class CausalFilter:
-    """Stateful causal IIR filter; one instance per stream."""
-
-    def __init__(self, coeffs: FilterCoefficients):
-        self.coeffs = coeffs
-        self._zi = np.zeros((len(coeffs.sos), 2))
-
-    def process(self, block: np.ndarray) -> np.ndarray:
-        """Filter a block of samples, carrying state across calls."""
-        return _run_sections(self.coeffs.sos, block, self._zi)
 
 
 def _check_rate(coeffs: FilterCoefficients, x: TimeSeries) -> None:
@@ -277,7 +263,7 @@ def filter_causal(coeffs: FilterCoefficients, x: TimeSeries) -> TimeSeries:
     truncated series reproduces a prefix of the full output exactly.
     """
     _check_rate(coeffs, x)
-    return x.with_samples(CausalFilter(coeffs).process(x.samples))
+    return x.with_samples(_run_sections(coeffs.sos, x.samples))
 
 
 def _min_zero_phase_len(coeffs: FilterCoefficients) -> int:
@@ -383,7 +369,7 @@ def causal_envelope(ch: EmgChannel, rate_hz: float) -> TimeSeries:
     rate = ch.raw.rate_hz
     _, _, smooth, fused = _envelope_filters(rate)
     k = envelope_decimation(rate, rate_hz)
-    y = _run_sections(fused.sos, ch.raw.samples, np.zeros((len(fused.sos), 2)))
+    y = _run_sections(fused.sos, ch.raw.samples)
     np.abs(y, out=y)
     _filter_rows(smooth.sos, y[None], np.zeros((1, len(smooth.sos), 2)))
     kept = y[::k] / ch.mvc_mv

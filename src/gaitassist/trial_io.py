@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import warnings
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import fields
@@ -105,7 +104,6 @@ _MVC_FIELD = next(f for f in fields(EmgChannel) if f.name == "mvc_mv")
 # its detector: this one and a worker, given a second usable CPU
 _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-_LOADTXT_LOCK = threading.Lock()  # catch_warnings swaps the process's filters
 
 
 def _run_jobs(jobs: list[Callable[[], object]]) -> list:
@@ -394,33 +392,35 @@ def _loadtxt(fh, name: str, columns: list[str]) -> np.ndarray:
     comment.
 
     A row that does not parse is a DataFormatError naming the file and the
-    row's 1-based data row number. A file without rows is left to the
-    caller, as (0, len(columns)) and without numpy's warning.
+    row's 1-based data row number. A file without data rows is left to the
+    caller, as (0, len(columns)), without np.loadtxt, which would warn.
     """
     start = fh.tell()
+    if next(_data_rows(fh), None) is None:
+        return np.empty((0, len(columns)))
+    fh.seek(start)
     to_code = {i: _NAMES[column].index for i, column in enumerate(columns) if column in _NAMES}
-    with _LOADTXT_LOCK, warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:  # any encoding but numpy 1.x's default "bytes" gives a converter text cells
-            data = np.loadtxt(fh, delimiter=",", ndmin=2, converters=to_code, encoding="utf-8")
-        except ValueError as exc:
-            fh.seek(start)
-            raise DataFormatError(f"{name}: {_first_bad_row(fh, columns)}") from exc
-    return data if data.size else data.reshape(0, len(columns))
+    try:  # any encoding but numpy 1.x's default "bytes" gives a converter text cells
+        return np.loadtxt(fh, delimiter=",", ndmin=2, converters=to_code, encoding="utf-8")
+    except ValueError as exc:
+        fh.seek(start)
+        raise DataFormatError(f"{name}: {_first_bad_row(fh, columns)}") from exc
+
+
+def _data_rows(fh) -> Iterator[list[str]]:
+    """The cells of each line left in `fh` that np.loadtxt reads as a data row:
+    a line that is not empty once cut at `#`, so a line of spaces is a row."""
+    for line in fh:
+        if line := line.split("#", 1)[0].rstrip("\n"):
+            yield line.split(",")
 
 
 def _first_bad_row(fh, columns: list[str]) -> str:
     """What is wrong with the first bad row left in `fh`, in file order: a
     wrong cell count, a float cell that is not a finite number, or a name
     cell, quoted whole, that is none of its column's _NAMES. Data rows are
-    counted as np.loadtxt counts them, skipping blank and comment lines."""
-    row = 0
-    for line in fh:
-        line = line.split("#", 1)[0]
-        if not line.strip():
-            continue
-        row += 1
-        cells = line.rstrip("\n").split(",")
+    counted as np.loadtxt counts them (see _data_rows)."""
+    for row, cells in enumerate(_data_rows(fh), start=1):
         if len(cells) != len(columns):
             return f"data row {row} has {len(cells)} cells, expected {len(columns)}"
         for column, cell in zip(columns, cells):
@@ -428,11 +428,14 @@ def _first_bad_row(fh, columns: list[str]) -> str:
                 if cell not in _NAMES[column]:
                     return f"unknown {column} {cell!r} in data row {row}"
                 continue
-            try:
-                if not math.isfinite(float(cell)):
+            number = cell.strip()
+            try:  # float() also takes `_` and non-ASCII digits, np.loadtxt neither
+                if "_" in number or not number.isascii():
+                    raise ValueError(number)
+                if not math.isfinite(float(number)):
                     return _non_finite(column, row)
             except ValueError:
-                return f"{column} {cell.strip()!r} in data row {row} is not a number"
+                return f"{column} {number!r} in data row {row} is not a number"
     return "rows do not parse as comma-separated values"
 
 

@@ -27,7 +27,6 @@ from gaitassist.signals import (
     ECG_HIGHPASS_HZ,
     EMG_BAND_HZ,
     ENVELOPE_LOWPASS_HZ,
-    CausalFilter,
     EmgChannel,
     FilterSpec,
     TimeSeries,
@@ -145,14 +144,23 @@ def test_emg_envelope_equals_its_sosfiltfilt_chain(rate, n, mvc):
     assert got.tobytes() == expected.tobytes()
 
 
+def carry_blocks(sos: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """`blocks` filtered one after another by `signals._filter_rows`, each
+    from the section states the block before it left."""
+    zi = np.zeros((1, len(sos), 2))
+    rows = [block.copy()[None] for block in blocks]
+    for row in rows:
+        signals._filter_rows(sos, row, zi)
+    return np.concatenate(rows, axis=1)[0]
+
+
 @pytest.mark.parametrize("block", [1, 7, 997, 4000])
 @pytest.mark.parametrize("spec", FILTER_SPECS[-3:], ids=spec_id)
 def test_causal_filter_blocks_equal_one_shot_sosfilt(spec, block):
     coeffs = design_filter(spec)
     x = noise(4000, seed=block)
-    stream = CausalFilter(coeffs)
-    chunks = [stream.process(x[i : i + block]) for i in range(0, len(x), block)]
-    assert np.concatenate(chunks).tobytes() == signal.sosfilt(coeffs.sos, x).tobytes()
+    chunks = [x[i : i + block] for i in range(0, len(x), block)]
+    assert carry_blocks(coeffs.sos, chunks).tobytes() == signal.sosfilt(coeffs.sos, x).tobytes()
 
 
 def test_causal_filter_random_splits_equal_one_shot_sosfilt():
@@ -162,9 +170,7 @@ def test_causal_filter_random_splits_equal_one_shot_sosfilt():
     expected = signal.sosfilt(coeffs.sos, x).tobytes()
     for _ in range(20):
         cuts = np.sort(rng.integers(0, len(x), size=int(rng.integers(1, 40))))
-        stream = CausalFilter(coeffs)
-        chunks = [stream.process(part) for part in np.split(x, cuts)]
-        assert np.concatenate(chunks).tobytes() == expected
+        assert carry_blocks(coeffs.sos, np.split(x, cuts)).tobytes() == expected
 
 
 HERMITE_TARGETS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -230,13 +236,11 @@ def test_fallback_to_scipy_signal_gives_identical_outputs(monkeypatch, capfd, br
     emg = EmgChannel(x, mvc_mv=2.0)
 
     def outputs():
-        stream = CausalFilter(band)
-        blocks = [stream.process(part) for part in np.split(x.samples, [1, 8, 1500])]
         return [
             filter_causal(band, x).samples,
             filter_zero_phase(band, x).samples,
             filter_zero_phase(smooth, x).samples,
-            np.concatenate(blocks),
+            carry_blocks(band.sos, np.split(x.samples, [1, 8, 1500])),
             causal_envelope(emg, 100.0).samples,
             causal_envelope(emg, 1000.0).samples,
             emg_envelope(emg).samples,

@@ -7,6 +7,7 @@ import io
 import math
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -793,11 +794,17 @@ class TestEventsCsv:
             ("0.100000,left,toe_off ", "events.csv: unknown kind 'toe_off ' in data row 2"),
             ("abc,left,toe_off", "events.csv: t_s 'abc' in data row 2 is not a number"),
             ("1e400,left,toe_off", "events.csv: non-finite 't_s' in data row 2"),
+            # float() takes these, np.loadtxt does not
+            ("1_000,right,toe_off", "events.csv: t_s '1_000' in data row 2 is not a number"),
+            ("\u0661.5,right,toe_off", "events.csv: t_s '\u0661.5' in data row 2 is not a number"),
+            # np.loadtxt skips a line only if it is empty once its comment is cut
+            ("  # spaces", "events.csv: data row 2 has 1 cells, expected 3"),
         ],
     )
     def test_bad_row_is_named_by_its_data_row(self, tmp_path, row, message):
         path = tmp_path / "events.csv"
-        path.write_text(f"t_s,foot,kind\n0.050000,right,toe_off\n# a comment\n\n{row}\n")
+        text = f"t_s,foot,kind\n0.050000,right,toe_off\n# a comment\n\n{row}\n"
+        path.write_text(text, encoding="utf-8")
         with pytest.raises(DataFormatError) as excinfo:
             read_events_csv(path)
         assert str(excinfo.value) == message
@@ -806,6 +813,17 @@ class TestEventsCsv:
         path = tmp_path / "events.csv"
         path.write_text("t_s,foot,kind\n# a comment\n\n0.100000,left,toe_off\n")
         assert list(read_events_csv(path)) == [GaitEvent(0.1, Foot.LEFT, EventKind.TOE_OFF)]
+
+    @pytest.mark.parametrize(
+        "text", ["t_s,foot,kind\n", "t_s,foot,kind\n# no events\n\n#\n"], ids=["header", "comments"]
+    )
+    def test_a_table_without_data_rows_reads_as_no_events_and_warns_not(self, tmp_path, text):
+        path = tmp_path / "events.csv"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            events = read_events_csv(path)
+        assert events.t.shape == events.foot.shape == events.kind.shape == (0,)
 
     @pytest.mark.parametrize(
         "text, message",

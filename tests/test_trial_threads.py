@@ -7,7 +7,6 @@ import dataclasses
 import shutil
 import sys
 import threading
-import time
 import warnings
 from pathlib import Path
 
@@ -216,32 +215,25 @@ def test_crlf_trial_reads_the_same_on_two_threads(serial_trial, tmp_path, monkey
 
 
 def test_two_fallback_reads_at_once_leave_the_warning_filters(tmp_path, monkeypatch):
-    """np.loadtxt runs inside warnings.catch_warnings, which swaps the
-    process's filters and puts its own back on exit. Two reads of an empty
-    table: the first waits up to 0.5 s for the second to start and then
-    leaves first; the filters must end as they began."""
-    path = tmp_path / "empty.csv"
-    path.write_text("t_s,a\n")
-    loadtxt, entered, second_in = np.loadtxt, [], threading.Event()
+    """Two reads at once of tables without data rows, one header-only, one
+    of comments and blank lines: no warning, the process's filters as they
+    began, and np.loadtxt, which would warn that a table holds no data, is
+    never entered."""
+    tables = [tmp_path / "header.csv", tmp_path / "comments.csv"]
+    tables[0].write_text("t_s,a\n")
+    tables[1].write_text("t_s,a\n# no rows\n\n#\n")
+    entered = []
 
-    def staggered_loadtxt(*args, **kwargs):
-        entered.append(threading.current_thread())
-        if len(entered) == 1:
-            second_in.wait(timeout=0.5)
-        else:
-            second_in.set()
-            time.sleep(0.1)
-        return loadtxt(*args, **kwargs)
-
-    def read() -> np.ndarray:
+    def read(path: Path) -> np.ndarray:
         with open(path, encoding="utf-8") as fh:
             fh.readline()
             return trial_io._loadtxt(fh, path.name, ["t_s", "a"])
 
-    monkeypatch.setattr(np, "loadtxt", staggered_loadtxt)
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: entered.append(args))
     threads(monkeypatch, 2)
     with warnings.catch_warnings(record=True) as caught:
         filters = list(warnings.filters)
-        assert [table.size for table in trial_io._run_jobs([read, read])] == [0, 0]
+        jobs = [lambda path=path: read(path) for path in tables]
+        assert [table.shape for table in trial_io._run_jobs(jobs)] == [(0, 2), (0, 2)]
         assert warnings.filters == filters
-    assert caught == [] and len(set(entered)) == 2
+    assert caught == [] and entered == []
