@@ -12,20 +12,16 @@ channels, so that every run is reproducible sample for sample:
 - :mod:`gaitassist.runner` for closed-loop trials and
   :mod:`gaitassist.metrics` for scoring and outcome metrics
 - :mod:`gaitassist.trial_io` for the on-disk trial format
+- :mod:`gaitassist.settings` for every setting, its range and its spelling
+
+Importing the package imports none of them, only an export's first lookup does.
 """
 from __future__ import annotations
 
-from .controller import UNLIMITED, ControllerConfig
-from .errors import DataFormatError, GaitAssistError, InvalidSpecError
-from .gait import EventKind, Events, Foot, GaitEvent, GaitState, Phase
-from .gait_fsr import FsrDetectorConfig
-from .gait_vel import VelDetectorConfig
-from .metrics import DetectionScore, TrialMetrics, score_detection
-from .runner import DetectionMode, RunResult, run_trial
-from .signals import EmgChannel, FilterSpec, TimeSeries, design_filter, emg_envelope
-from .simgait import ChannelRates, GaitParams, TrialLog, generate
-from .trial_io import load_trial, save_trial
+from importlib import import_module
 
+# The modules that define the exports, each after the ones it imports
+_LAYERS = ("errors", "settings", "gait", "signals", "simgait", "trial_io", "metrics", "runner")
 __version__ = "1.0.0"
 
 __all__ = [
@@ -61,3 +57,16 @@ __all__ = [
     "score_detection",
     "__version__",
 ]
+
+
+def _export(name: str):
+    """The export `name` of `__all__` from the first layer, in dependency
+    order, that holds it: the object its own module defines."""
+    for home in _LAYERS if name in __all__ else ():
+        module = import_module(f"{__name__}.{home}")
+        if hasattr(module, name):
+            return globals().setdefault(name, getattr(module, name))
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__getattr__ = _export  # PEP 562: an export's first lookup imports its layers

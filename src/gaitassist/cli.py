@@ -9,8 +9,11 @@ Exit codes: 0 on success, 1 for usage errors (bad flags or parameters),
 
 Configuration comes from defaults, then an optional `key = value` config
 file, then explicit flags, in that order of precedence. Flags and config
-values parse alike, by `trial_io.parse_value`. Every effective value is
+values parse alike, by `settings.parse_value`. Every effective value is
 echoed into the output manifest.
+
+Each command imports the layers it uses when it runs, so `compare`, `--help`
+and a usage error start without numpy.
 """
 from __future__ import annotations
 
@@ -20,38 +23,38 @@ import re
 import sys
 import time
 from dataclasses import astuple, fields
+from functools import reduce
+from importlib import import_module
+from operator import add
 from pathlib import Path
 
-import numpy as np
-
-from . import gait_fsr
-from .controller import ControllerConfig
 from .errors import DataFormatError, GaitAssistError, InvalidSpecError
-from .gait import Foot
-from .gait_fsr import FsrDetectorConfig
-from .gait_vel import VelDetectorConfig
-from .metrics import METRIC_COLUMNS, TrialMetrics, cadence, percentile, rms, rom, stride_length
-from .runner import DetectionMode, RunResult, run_trial
-from .signals import emg_envelope, envelope_decimation
-from .simgait import ChannelRates, GaitParams, TrialLog, generate
-from .trial_io import (
-    TORQUE_COLS,
-    format_named_rows,
-    format_rows,
-    format_value,
-    load_trial,
-    parse_value,
-    read_manifest,
-    read_metrics_csv,
-    save_trial,
-    write_events_csv,
-    write_labels_csv,
-    write_manifest,
-    write_table,
+from .settings import (
+    ChannelRates, ControllerConfig, DetectionMode, FsrDetectorConfig, GaitParams,
+    VelDetectorConfig, format_named_rows, format_value, parse_value, read_manifest,
+    read_metrics_csv, write_manifest,
 )
 
 _USAGE_EXIT = 1
 _DATA_EXIT = 2
+# The layer functions that perfbench/spans.py reads and replaces on this
+# module, and their modules. The commands call them through `_layer`, so they
+# call whatever this module holds under the name.
+_LAYER_OF = {"run_trial": "runner", "generate": "simgait", "load_trial": "trial_io",
+             "save_trial": "trial_io", "emg_envelope": "signals"}
+
+
+def _layer(name: str):
+    """This module's `name`, one of _LAYER_OF: bound to the layer's function,
+    imported now, unless the module already holds a value under it."""
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in globals():
+        globals()[name] = getattr(import_module(f"{__package__}.{_LAYER_OF[name]}"), name)
+    return globals()[name]
+
+
+__getattr__ = _layer  # a lookup from outside binds the name too (PEP 562)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,15 +117,16 @@ _MODES = ", ".join(m.value for m in DetectionMode)
 _FIELDS = {f.name: f for cls in (ChannelRates, GaitParams, *_RUN_CONFIGS) for f in fields(cls)}
 
 
-def _build_trial(settings: dict) -> TrialLog:
-    params = _build_config(GaitParams, settings)
-    return generate(params, settings["duration_s"], _build_config(ChannelRates, settings))
+def _build_trial(settings: dict):
+    """The `TrialLog` that `generate` makes from the simulation settings."""
+    params, rates = _build_config(GaitParams, settings), _build_config(ChannelRates, settings)
+    return _layer("generate")(params, settings["duration_s"], rates)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     (settings,) = _settings(args, _SIM_DEFAULTS)
     log = _build_trial(settings)
-    out = save_trial(log, args.out)
+    out = _layer("save_trial")(log, args.out)
     print(
         f"wrote trial to {out}: {log.n_ticks} ticks at "
         f"{log.rates.control_rate_hz:g} Hz, seed {log.params.seed}"
@@ -130,9 +134,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_score(path: Path, result: RunResult) -> None:
-    score = result.score
-    assert score is not None
+def _write_score(path: Path, score) -> None:
+    """Write a run's `DetectionScore` to `path` as a manifest."""
     entries = [
         ("phase_accuracy", score.phase_accuracy),
         ("recall", score.recall),
@@ -153,11 +156,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     if (args.trial is None) == (not args.simulate):
         raise InvalidSpecError("choose exactly one input: --trial DIR or --simulate")
 
+    from .signals import envelope_decimation
+    from .trial_io import TORQUE_COLS, format_rows, write_events_csv, write_labels_csv, write_table
+
     if args.simulate:
         log = _build_trial(sim_settings)
         input_desc = "simulate"
     else:
-        log = load_trial(args.trial)
+        log = _layer("load_trial")(args.trial)
         input_desc = str(args.trial)
         try:  # a rate the trial format holds but the control envelope refuses
             envelope_decimation(log.rates.emg_rate_hz, log.rates.control_rate_hz)
@@ -165,7 +171,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise DataFormatError(f"manifest.txt: {exc}") from None
 
     start = time.monotonic()
-    result = run_trial(log, mode, controller_cfg, fsr_cfg, vel_cfg)
+    result = _layer("run_trial")(log, mode, controller_cfg, fsr_cfg, vel_cfg)
     if args.realtime:
         # pace output against the wall clock; values are already fixed
         remaining = log.duration_s - (time.monotonic() - start)
@@ -191,7 +197,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     write_events_csv(out / "events.csv", result.events)
     write_labels_csv(out / "labels.csv", result.t, result.causal_phases)
     if result.score is not None:
-        _write_score(out / "score.txt", result)
+        _write_score(out / "score.txt", result.score)
 
     if args.print_torque:
         sys.stdout.writelines(block.decode("ascii") for block in format_rows(*torque))
@@ -203,9 +209,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def compute_trial_metrics(log: TrialLog) -> TrialMetrics:
-    """Trial-level outcome metrics from one log; uses truth events when present."""
-    env = emg_envelope(log.emg)
+def compute_trial_metrics(log):
+    """The `TrialMetrics` of one `TrialLog`; uses truth events when present."""
+    import numpy as np
+
+    from . import gait_fsr
+    from .gait import Foot
+    from .metrics import TrialMetrics, cadence, percentile, rms, rom, stride_length
+
+    env = _layer("emg_envelope")(log.emg)
     times = log.times()
     if log.truth is not None:
         events = log.truth.events
@@ -238,11 +250,14 @@ def _emit(table: str, out: str | None, what: str) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .metrics import METRIC_COLUMNS
+
     failures: list[str] = []
     rows: list[tuple[str, tuple[float, ...]]] = []
     for path in args.trials:
         try:
-            rows.append((Path(path).name, astuple(compute_trial_metrics(load_trial(path)))))
+            metrics = compute_trial_metrics(_layer("load_trial")(path))  # one trial alive at a time
+            rows.append((Path(path).name, astuple(metrics)))
         except (GaitAssistError, OSError, ValueError) as exc:
             failures.append(f"{path}: {exc}")
 
@@ -256,34 +271,59 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _pairwise_sum(values: tuple[float, ...]) -> float:
+    """numpy's pairwise sum of `values`, rounding for rounding: below 8
+    values in order; up to 128, eight running sums, added as a tree, then
+    the rest in order; past 128, the two halves, cut at a multiple of 8."""
+    n = len(values)
+    rest = n - n % 8
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    if n < 8:
+        return reduce(add, values, 0.0)
+    r = [reduce(add, values[j:rest:8]) for j in range(8)]
+    tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, values[rest:], tree)
+
+
+def _column_means(rows: list[list[float]]) -> list[float]:
+    """Each column's mean as numpy's `mean(axis=0)` of `rows` gives it, bit
+    for bit: numpy adds each row to sums that start at 0.0, but sums a lone
+    column pairwise; each sum is then divided by the row count."""
+    columns = list(zip(*rows))
+    if len(columns) == 1:
+        return [(0.0 + _pairwise_sum(columns[0])) / len(rows)]
+    return [reduce(add, column, 0.0) / len(rows) for column in columns]
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
-    base_cols, base = read_metrics_csv(args.baseline)
-    with np.errstate(over="ignore"):  # finite cells can overflow the sum: checked below
-        base_mean = base.mean(axis=0)
-    for col, mean in zip(base_cols, base_mean):
+    base_cols, base_rows = read_metrics_csv(args.baseline)
+    base_means = _column_means(base_rows)
+    for col, mean in zip(base_cols, base_means):
         if mean == 0.0 or not math.isfinite(mean):
             raise DataFormatError(
                 f"{args.baseline}: baseline mean of {col!r} is {mean:g}, "
                 "so its percent change is undefined"
             )
     names: list[str] = []
-    changes: list[np.ndarray] = []
+    changes: list[list[float]] = []
     for path in args.others:
-        cols, vals = read_metrics_csv(path)
+        cols, rows = read_metrics_csv(path)
         if cols != base_cols:
             raise DataFormatError(
                 f"{path}: metric columns {cols} do not match baseline {base_cols}"
             )
-        with np.errstate(over="ignore"):
-            means = vals.mean(axis=0)
-            change = 100.0 * (means - base_mean) / base_mean
-        for col, mean, percent in zip(cols, means, change):
+        change = []
+        for col, mean, base in zip(cols, _column_means(rows), base_means):
             if not math.isfinite(mean):
                 raise DataFormatError(
                     f"{path}: mean of {col!r} is {mean:g}, so its percent change is undefined"
                 )
+            percent = 100.0 * (mean - base) / base  # overflows to inf, as numpy did quietly
             if not math.isfinite(percent):
                 raise DataFormatError(f"{path}: percent change of {col!r} overflows")
+            change.append(percent)
         names.append(Path(path).stem)
         changes.append(change)
 

@@ -9,37 +9,10 @@ assistance turns on and off gradually.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidSpecError, check_ranges, ranged
 from .gait import STATE_BY_CODE, GaitState
-
-UNLIMITED = math.inf
-
-
-@dataclass(frozen=True)
-class ControllerConfig:
-    """Gains for the torque controller; it runs at the trial's control rate.
-
-    k_myo_nm: torque produced at full muscle activation, N*m.
-    k_stance / k_swing: per-leg share of total torque; the swing share may
-        never exceed the stance share.
-    ramp_rate_nm_s: largest allowed change per second of each leg's command;
-        UNLIMITED (the default) disables ramp limiting.
-    """
-
-    k_myo_nm: float = ranged(10.0, "[0, inf)")
-    k_stance: float = ranged(0.5, "[0, inf)")
-    k_swing: float = ranged(0.0, "[0, inf)")
-    ramp_rate_nm_s: float = ranged(UNLIMITED, "(0, inf]")
-
-    def __post_init__(self) -> None:
-        check_ranges(self)
-        if not self.k_swing <= self.k_stance:
-            raise InvalidSpecError("k_swing must not exceed k_stance")
+from .settings import UNLIMITED, ControllerConfig
 
 
 def command_torque(

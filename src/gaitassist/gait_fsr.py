@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import gait
-from .errors import InvalidSpecError, check_ranges, ranged
 from .gait import Events, Foot, Phase
+from .settings import FsrDetectorConfig
 
 
 def force_sums(forces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -27,26 +26,6 @@ def force_sums(forces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         front += forces[..., j]
         back += forces[..., 4 + j]
     return front, back
-
-
-@dataclass(frozen=True)
-class FsrDetectorConfig:
-    """Thresholds and debounce for the insole detector.
-
-    contact_threshold_n: total force above which a swinging foot is in contact.
-    release_threshold_n: per-cluster force below which a stance foot has left
-        the ground; must sit below the contact threshold (hysteresis).
-    min_phase_s: shortest accepted phase duration (debounce), in (0, inf) s.
-    """
-
-    contact_threshold_n: float = ranged(20.0, "(0, inf)")
-    release_threshold_n: float = ranged(10.0, "(0, inf)")
-    min_phase_s: float = ranged(0.15, "(0, inf)")
-
-    def __post_init__(self) -> None:
-        check_ranges(self)
-        if not self.release_threshold_n < self.contact_threshold_n:
-            raise InvalidSpecError("release_threshold_n must be below contact_threshold_n")
 
 
 # A leg's state before its first frame: swinging, with no event yet.

@@ -12,33 +12,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gait
-from .errors import check_ranges, ranged
 from .gait import Events, Foot, Phase
-
-
-@dataclass(frozen=True)
-class VelDetectorConfig:
-    """Thresholds for the hip-velocity detector.
-
-    zero_hysteresis_rad_s: half-width of the band around zero that the
-        contralateral velocity must leave to confirm a crossing.
-    peak_min_rad_s: smallest peak of the leg's own velocity taken as toe off.
-    peak_confirm_samples: declining samples that confirm a peak (the lag).
-    min_event_gap_s: shortest time between two events of one leg.
-    """
-
-    zero_hysteresis_rad_s: float = ranged(0.05, "(0, inf)")
-    peak_min_rad_s: float = ranged(0.5, "(0, inf)")
-    peak_confirm_samples: int = field(default=3, metadata={"range": "[2, inf)", "integer": True})
-    min_event_gap_s: float = ranged(0.3, "[0, inf)")
-
-    def __post_init__(self) -> None:
-        check_ranges(self)
+from .settings import VelDetectorConfig
 
 
 # A leg's state as plain values: (phase, last_event_t, peak_max, peak_max_t,

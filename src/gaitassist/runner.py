@@ -10,16 +10,14 @@ can drive the controller: insole force sensors or hip angular velocities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import gait_fsr, gait_vel
-from .controller import ControllerConfig, command_torque
+from .controller import command_torque
 from .gait import Events, Foot, gait_state_codes
-from .gait_fsr import FsrDetectorConfig
-from .gait_vel import VelDetectorConfig
 from .metrics import DetectionScore, phases_from_events, score_detection
+from .settings import ControllerConfig, DetectionMode, FsrDetectorConfig, VelDetectorConfig
 from .signals import TimeSeries, causal_envelope
 from .simgait import TrialLog, check_channels
 from .trial_io import _run_jobs  # one job runner and worker count (_THREADS) for trial I/O and runs
@@ -27,11 +25,6 @@ from .trial_io import _run_jobs  # one job runner and worker count (_THREADS) fo
 # perfbench/spans.py looks these four names up on this module and wraps them
 # without calling them; that lookup is the only reason they are still bound.
 replay = fsr_step = vel_step = controller_tick = None
-
-
-class DetectionMode(Enum):
-    FOOT_SENSORS = "foot-sensors"
-    ACTUATORS_VELOCITY = "actuators-velocity"
 
 
 @dataclass(eq=False)

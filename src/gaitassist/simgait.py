@@ -21,12 +21,13 @@ for equal (params, duration, rates).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataFormatError, InvalidSpecError, check_ranges, ranged
+from .errors import DataFormatError, InvalidSpecError
 from .gait import FEET, Events, Foot
+from .settings import ChannelRates, GaitParams
 from .signals import (
     EmgChannel,
     FilterSpec,
@@ -50,43 +51,6 @@ MAX_EMG_SAMPLES = 10**7
 MAX_TRUTH_EVENTS = 10**5
 # Each leg's cycle phase at t = 0: the legs run half a cycle apart.
 _PHASE_OFFSET = {Foot.LEFT: 0.0, Foot.RIGHT: 0.5}
-
-@dataclass(frozen=True)
-class GaitParams:
-    """Trial parameters; defaults follow typical loaded treadmill walking."""
-
-    cadence_hz: float = ranged(0.7, "(0, inf)")
-    stance_fraction: float = ranged(0.6, "(0.5, 0.8)")
-    speed_m_s: float = ranged(0.74, "[0, inf)")
-    omega_amp_rad_s: float = ranged(2.0, "(0, inf)")
-    load_peak_n: float = ranged(400.0, "(0, inf)")
-    emg_level: float = ranged(0.5, "(0, 1]")
-    noise_sigma: float = ranged(0.0, "[0, inf)")
-    seed: int = field(default=0, metadata={"range": "[0, inf)", "integer": True})
-
-    def __post_init__(self) -> None:
-        check_ranges(self)
-
-    @property
-    def stride_length_m(self) -> float:
-        return self.speed_m_s / self.cadence_hz
-
-
-@dataclass(frozen=True)
-class ChannelRates:
-    control_rate_hz: float = ranged(100.0, "(0, inf)")
-    emg_rate_hz: float = ranged(1000.0, "(0, inf)")
-
-    def __post_init__(self) -> None:
-        check_ranges(self)
-
-    def emg_samples(self, ticks: int) -> int:
-        """The raw EMG samples that span `ticks` control ticks: the count
-        `generate` makes and `load_trial` expects. InvalidSpecError if it is infinite."""
-        count = ticks * self.emg_rate_hz / self.control_rate_hz
-        if not count < math.inf:
-            raise InvalidSpecError(f"n_ticks {ticks} and emg_rate_hz make {count:g} EMG samples")
-        return int(round(count))
 
 
 def _pchip_slopes_periodic(x: np.ndarray, y: np.ndarray) -> np.ndarray:

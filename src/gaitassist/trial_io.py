@@ -1,32 +1,42 @@
-"""On-disk formats: trial directories, run tables and metrics tables.
+"""On-disk formats: trial directories and run tables.
 
 Every table is comma separated with a mandatory header row and decimal
 points; time-indexed tables start with a column `t_s` in seconds printed with
 six decimals, sample k at k / rate. Manifests are UTF-8 `key = value` lines,
-values spelled by :func:`format_value` and read, like CLI settings, by :func:`parse_value`.
-Formatting is fixed so identical inputs always produce byte-identical files.
+values spelled by :func:`format_value` and read, like CLI settings, by
+:func:`parse_value`; both live in `settings`, with the `analyze` and
+`compare` tables. Formatting is fixed so identical inputs always produce
+byte-identical files.
 """
 from __future__ import annotations
 
 import math
 import os
 import threading
-from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable, Iterator
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .controller import UNLIMITED
 from .errors import DataFormatError, InvalidSpecError, check_range
 from .gait import (
     FEET, KINDS, STATE_BY_CODE, Events, Foot, Phase, check_event_stream, gait_state_codes,
 )
+from .settings import (
+    ChannelRates, GaitParams, _non_finite, _settings_entries, _settings_from, format_value,
+    parse_manifest, parse_value, read_manifest, utf8_errors, write_manifest,
+)
 from .signals import EmgChannel, TimeSeries
-from .simgait import DEFAULT_MVC_MV, ChannelRates, GaitParams, TrialLog, TrialTruth, check_legs
+from .simgait import DEFAULT_MVC_MV, TrialLog, TrialTruth, check_legs
 
+# The trial format, the manifest spelling from `settings` included
+__all__ = [
+    "BLOCK_TICKS", "FORMAT_TAG", "TORQUE_COLS", "format_rows", "format_value", "load_trial",
+    "parse_manifest", "parse_value", "read_events_csv", "read_manifest", "save_trial",
+    "write_events_csv", "write_labels_csv", "write_manifest", "write_table",
+]
 FORMAT_TAG = "gaitassist-trial/1"
 # Rows that format_rows spells at a time: enough to amortise numpy's work per
 # call, few enough that no table's text is ever held whole in memory.
@@ -132,71 +142,6 @@ def _run_jobs(jobs: list[Callable[[], object]]) -> list:
     return results
 
 
-def format_value(value: float | int | str | bool) -> str:
-    """A `key = value` value: a float with six decimals, UNLIMITED as
-    `unlimited`, a bool as `true` or `false`, anything else as str spells it."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "unlimited" if value == UNLIMITED else f"{value:.6f}"
-    return str(value)
-
-
-def parse_value(key: str, raw: str, like: float | int | str | bool) -> float | int | str | bool:
-    """The setting `key` spelled `raw`, as the type of `like`; a float may be
-    `unlimited` in any case, a bool is `true` or `false`. InvalidSpecError, in
-    one line, if it does not parse."""
-    if isinstance(like, str):
-        return raw
-    try:
-        if isinstance(like, bool):
-            return {"true": True, "false": False}[raw]
-        if isinstance(like, float):
-            return UNLIMITED if raw.lower() == "unlimited" else float(raw)
-        return int(raw)
-    except (KeyError, ValueError):
-        kind = type(like).__name__
-        raise InvalidSpecError(f"setting {key!r}: {raw!r} is not a valid {kind}") from None
-
-
-def _settings_entries(obj) -> list[tuple[str, float | int]]:
-    """Each field of the settings dataclass `obj` as the type of its default,
-    so an int given for a float setting is still spelled as a float."""
-    return [(f.name, type(f.default)(getattr(obj, f.name))) for f in fields(obj)]
-
-
-def _settings_from(manifest: dict[str, str], cls):
-    """An instance of the settings dataclass `cls` from its keys in `manifest`."""
-    return cls(**{f.name: parse_value(f.name, manifest[f.name], f.default) for f in fields(cls)})
-
-
-def parse_manifest(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"manifest line {lineno} is not 'key = value': {line!r}")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def write_manifest(path: Path, entries: list[tuple[str, float | int | str | bool]]) -> None:
-    text = "".join(f"{key} = {format_value(value)}\n" for key, value in entries)
-    path.write_text(text, encoding="utf-8")
-
-
-def read_manifest(path: Path) -> dict[str, str]:
-    """The `key = value` entries of the UTF-8 file at `path`: a trial
-    manifest or a `--config` file."""
-    if not path.is_file():
-        raise DataFormatError(f"missing file: {path}")
-    with utf8_errors(path.name):
-        return parse_manifest(path.read_text(encoding="utf-8"))
-
-
 def _fixed_point_words(block: np.ndarray) -> np.ndarray | None:
     """Each cell of the 2-D `block` as `%.6f` spells it, then a comma, in
     4-byte words: three per cell, four if a cell rounds to 1000 or more in
@@ -270,21 +215,6 @@ def write_table(
     with open(path, "wb") as fh:
         fh.write(f"{','.join(columns)}\n".encode())
         fh.writelines(format_rows(*parts, tails=tails))
-
-
-def format_named_rows(header: list[str], rows: Iterable[tuple[str, Iterable[float]]]) -> str:
-    """The `analyze` and `compare` tables: `header`, then each row's name and
-    its values as `%.6f`, comma separated. DataFormatError if a header cell
-    or row name holds a comma or a line break, which would break the table."""
-    rows = list(rows)
-    for name in [*header, *(name for name, _ in rows)]:
-        if any(c in name for c in ",\r\n"):
-            raise DataFormatError(
-                f"{name!r} cannot name a table cell: it holds ',' or a line break"
-            )
-    lines = [",".join(header)]
-    lines += [",".join([name, *(f"{value:.6f}" for value in values)]) for name, values in rows]
-    return "\n".join(lines) + "\n"
 
 
 def _eight_digits(x: np.ndarray) -> None:
@@ -376,16 +306,6 @@ def _read_fixed_point(fh, out: np.ndarray, tails: bool = False) -> np.ndarray | 
     return out if row == rows and not carry else None
 
 
-@contextmanager
-def utf8_errors(name: str) -> Iterator[None]:
-    """A UnicodeDecodeError inside, as a DataFormatError naming the file `name`."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise DataFormatError(f"{name}: byte 0x{byte:02x} is not UTF-8 ({exc.reason})") from exc
-
-
 def _loadtxt(fh, name: str, columns: list[str]) -> np.ndarray:
     """np.loadtxt of the comma-separated rows left in `fh`, headed `columns`,
     as a 2-D float array, a name cell (see _NAMES) as its code. `#` starts a
@@ -474,11 +394,6 @@ def _require_finite(name: str, columns: list[str], data: np.ndarray) -> None:
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise DataFormatError(f"{name}: {_non_finite(columns[col], row + 1)}")
-
-
-def _non_finite(column: str, row: int) -> str:
-    """How a non-finite cell is reported, `row` counted from 1."""
-    return f"non-finite {column!r} in data row {row}"
 
 
 _OMEGA_COLS = ["t_s", "omega_left_rad_s", "omega_right_rad_s"]
@@ -718,32 +633,3 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
         truth=truth[0] if truth else None,
         params=params,
     )
-
-
-def read_metrics_csv(path: Path | str) -> tuple[list[str], np.ndarray]:
-    """Metric names and a (trials, metrics) array from an `analyze` table."""
-    p = Path(path)
-    if not p.is_file():
-        raise DataFormatError(f"missing file: {p}")
-    with utf8_errors(p.name):
-        text = p.read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DataFormatError(f"{p}: empty metrics file")
-    header = lines[0].split(",")
-    if header[0] != "trial" or len(header) < 2:
-        raise DataFormatError(f"{p}: unexpected metrics header {lines[0]!r}")
-    values = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise DataFormatError(f"{p}: row width mismatch in {ln!r}")
-        try:
-            values.append([float(v) for v in parts[1:]])
-        except ValueError as exc:
-            raise DataFormatError(f"{p}: {exc}") from exc
-    if not values:
-        raise DataFormatError(f"{p}: no metric rows")
-    data = np.asarray(values)
-    _require_finite(str(p), header[1:], data)
-    return header[1:], data

@@ -299,7 +299,8 @@ def test_cli_session_never_imports_slow_scipy_modules(tmp_path):
 
 def test_importing_the_cli_loads_no_scipy_threads_pool_or_logging():
     """The kernel loads on the first filter call, and the trial tables'
-    threads come from `threading`, which numpy loads anyway."""
+    threads come from `threading`, in `trial_io`, which the CLI imports only
+    inside the commands that read or write trials."""
     script = (
         "import sys\n"
         "import gaitassist.cli\n"
