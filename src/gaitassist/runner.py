@@ -2,10 +2,12 @@
 
 Each detector runs over whole channels: one event-skipping kernel per leg
 finds the candidate ticks with numpy and jumps from event to event, with no
-Python call per tick; the causal EMG envelope runs beside it, on a second
-thread given a second CPU. `controller.command_torque` then gives the torque
-of the whole trial from the per-tick gait states. Either detection framework
-can drive the controller: insole force sensors or hip angular velocities.
+Python call per tick. The calling thread checks what the causal EMG envelope
+reads, then the envelope, the longest job, runs beside the gait job (leg
+values checked, time grid, detection, scoring), on a second thread given a
+second CPU. `controller.command_torque` then gives the torque of the whole
+trial from the per-tick gait states. Either detection framework can drive
+the controller: insole force sensors or hip angular velocities.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .gait import Events, Foot, gait_state_codes
 from .metrics import DetectionScore, phases_from_events, score_detection
 from .settings import ControllerConfig, DetectionMode, FsrDetectorConfig, VelDetectorConfig
 from .signals import TimeSeries, causal_envelope
-from .simgait import TrialLog, check_channels
+from .simgait import RUN_LEGS, TrialLog, check_channels, check_leg_values
 from .trial_io import _run_jobs  # one job runner and worker count (_THREADS) for trial I/O and runs
 
 # perfbench/spans.py looks these four names up on this module and wraps them
@@ -60,7 +62,7 @@ def run_trial(
 
     Args:
         log: input trial; needs both feet's omega and insole channels in
-            either mode, as `simgait.check_channels` checks them.
+            either mode, as `simgait.check_channels` describes.
         mode: which detection framework drives the gait state.
         controller_cfg, fsr_cfg, vel_cfg: overrides; defaults otherwise.
 
@@ -77,21 +79,22 @@ def run_trial(
 
     check_channels(log)
     n, rate_hz = log.n_ticks, log.rates.control_rate_hz
-    t = log.times()
 
     def gait_layers():
+        check_leg_values(log, RUN_LEGS)
+        t = log.times()
         events, causal = module.detect(channels, t, cfg)
         event_phases = phases_from_events(events, n, rate_hz, module.INITIAL_STATE[0])
         score = None
         if (truth := log.truth) is not None:
             score = score_detection(events, event_phases, truth.events, truth.phases, rate_hz=rate_hz)
-        return events, causal, event_phases, score
+        return t, events, causal, event_phases, score
 
     # The envelope goes first: its thread keeps the interpreter lock (the EMG
     # copy in signals._run_sections does not release it) until its first
     # compiled filter pass, so the detector's Python, on the other thread,
     # runs while that pass runs.
-    envelope, (events, causal, event_phases, score) = _run_jobs(
+    envelope, (t, events, causal, event_phases, score) = _run_jobs(
         [lambda: control_envelope(log), gait_layers]
     )
     emg_norm = envelope.samples[:n]

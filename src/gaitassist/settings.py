@@ -16,6 +16,11 @@ from pathlib import Path
 from .errors import DataFormatError, InvalidSpecError, check_ranges, ranged
 
 UNLIMITED = math.inf
+# `generate` refuses a cadence whose swing, the shorter phase, spans fewer
+# control ticks: score_detection leaves out the tick nearest each true event
+# and both its neighbours, so a phase of L ticks from tick offset x keeps
+# rint(x + L) - rint(x) - 3 scored ticks, at least one at every x only for L >= 4.
+MIN_SWING_TICKS = 4
 
 
 @dataclass(frozen=True)

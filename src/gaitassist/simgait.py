@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DataFormatError, InvalidSpecError
 from .gait import FEET, Events, Foot
-from .settings import ChannelRates, GaitParams
+from .settings import MIN_SWING_TICKS, ChannelRates, GaitParams
 from .signals import (
     EmgChannel,
     FilterSpec,
@@ -216,7 +216,8 @@ def generate(
         params: gait parameters; the random seed fully determines the noise.
         duration_s: trial length in seconds, at least five strides.
         rates: control and EMG sample rates; InvalidSpecError for an EMG
-            rate the control envelope refuses (`signals.envelope_decimation`).
+            rate the control envelope refuses (`signals.envelope_decimation`)
+            or a cadence whose swing spans under MIN_SWING_TICKS ticks.
 
     Returns:
         A TrialLog whose truth labels, truth events, and analytic channel
@@ -244,6 +245,12 @@ def generate(
     if n < 1:
         raise InvalidSpecError(
             f"duration {duration_s} s holds no control tick at {rates.control_rate_hz} Hz"
+        )
+    most = (1.0 - params.stance_fraction) * rates.control_rate_hz / MIN_SWING_TICKS
+    if params.cadence_hz > most:
+        raise InvalidSpecError(
+            f"cadence_hz {params.cadence_hz:g} leaves a swing under {MIN_SWING_TICKS} control"
+            f" ticks; at most (1 - stance_fraction) * control_rate_hz / {MIN_SWING_TICKS} = {most:g}"
         )
     n_emg = rates.emg_samples(n)
     t = np.arange(n) / rates.control_rate_hz
@@ -328,12 +335,12 @@ def _knee_angle(phi: np.ndarray, sf: float) -> np.ndarray:
     )
 
 
-def check_legs(log: TrialLog, tails: dict[str, tuple[int, ...]]) -> None:
+def check_legs(log: TrialLog, tails: dict[str, tuple[int, ...]], values: bool = True) -> None:
     """The channel checks that a run and a save share, before either reads a
     sample: DataFormatError if a foot lacks a channel named in `tails`;
     InvalidSpecError unless each holds n_ticks rows of shape `tails[name]`,
-    all finite and, in an insole, non-negative, and the raw EMG is sampled
-    at `rates.emg_rate_hz`."""
+    with `values` each foot's `check_leg_values` after its shapes, and unless
+    the raw EMG is sampled at `rates.emg_rate_hz`."""
     for name in tails:
         for foot in Foot:
             if foot not in (getattr(log, name) or {}):
@@ -344,6 +351,17 @@ def check_legs(log: TrialLog, tails: dict[str, tuple[int, ...]]) -> None:
             got = np.shape(getattr(log, name)[foot])
             if got != (n, *tail):
                 raise InvalidSpecError(f"{foot.value} {name} needs shape {(n, *tail)}, got {got}")
+        if values:
+            check_leg_values(log, tails, (foot,))
+    if log.emg.raw.rate_hz != log.rates.emg_rate_hz:
+        rates = f"{log.emg.raw.rate_hz:g} Hz, not at emg_rate_hz {log.rates.emg_rate_hz:g}"
+        raise InvalidSpecError(f"emg channel is at {rates}")
+
+
+def check_leg_values(log: TrialLog, tails: dict[str, tuple[int, ...]], feet=FEET) -> None:
+    """InvalidSpecError unless each of `feet`'s channels named in `tails` is
+    finite and, in an insole, non-negative."""
+    for foot in feet:
         for name in tails:
             values = getattr(log, name)[foot]
             if name == "insole" and not ((values >= 0.0) & (values < math.inf)).all():
@@ -352,16 +370,19 @@ def check_legs(log: TrialLog, tails: dict[str, tuple[int, ...]]) -> None:
                 )
             if name != "insole" and not np.isfinite(values).all():  # one pass per insole
                 raise InvalidSpecError(f"{foot.value} {name} must be finite")
-    if log.emg.raw.rate_hz != log.rates.emg_rate_hz:
-        rates = f"{log.emg.raw.rate_hz:g} Hz, not at emg_rate_hz {log.rates.emg_rate_hz:g}"
-        raise InvalidSpecError(f"emg channel is at {rates}")
+
+
+# The leg channels `run_trial` reads in either mode, and their row shapes.
+RUN_LEGS = {"omega": (), "insole": (8,)}
 
 
 def check_channels(log: TrialLog) -> None:
-    """The one check of the channels `run_trial` reads, in either mode:
-    `check_legs` of omega and insole, then InvalidSpecError unless the raw EMG
-    holds the finite samples the control envelope reads through the last tick."""
-    check_legs(log, {"omega": (), "insole": (8,)})
+    """`run_trial`'s checks before its envelope and gait jobs start, in either
+    mode: `check_legs` of `RUN_LEGS` without the leg values, which the gait job
+    checks before it detects, then InvalidSpecError unless the raw EMG holds the
+    finite samples the envelope reads through the last tick. So bad leg values
+    and a bad EMG report the EMG, and a bad leg shape comes before bad values."""
+    check_legs(log, RUN_LEGS, values=False)
     raw, n = log.emg.raw, log.n_ticks
     need = envelope_samples_needed(raw.rate_hz, log.rates.control_rate_hz, n)
     if len(raw) < need:

@@ -235,6 +235,33 @@ class TestSimulate:
         assert capsys.readouterr().err == f"gaitassist: error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["simulate"], ["run", "--simulate"]])
+    @pytest.mark.parametrize("cadence", ["10.000001", "20", "30", "100"])
+    def test_cadence_past_the_swing_limit_is_one_line_usage_error(
+        self, tmp_path, capsys, command, cadence
+    ):
+        # at the default stance fraction 0.6 and 100 Hz the limit is 0.4 * 100 / 4 = 10 Hz
+        out = tmp_path / "x"
+        capsys.readouterr()
+        assert run_cli(*command, "--out", str(out), "--duration", "10", "--cadence", cadence) == 1
+        assert capsys.readouterr().err == (
+            f"gaitassist: error: cadence_hz {float(cadence):g} leaves a swing under 4 control"
+            " ticks; at most (1 - stance_fraction) * control_rate_hz / 4 = 10\n"
+        )
+        assert not out.exists()
+
+    def test_cadence_at_the_swing_limit_runs_and_scores(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli("run", "--simulate", "--duration", "10", "--cadence", "10", "--out", str(out)) == 0
+        accuracy = float(read_manifest(out / "score.txt")["phase_accuracy"])
+        assert 0.0 < accuracy <= 1.0
+
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    def test_help_shows_the_cadence_limit(self, capsys, command):
+        assert run_cli(command, "--help") == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--cadence is at most (1 - stance-fraction) * control-rate / 4" in text
+
     def test_off_grid_duration_writes_a_trial_that_run_and_analyze_read(self, tmp_path):
         trial = tmp_path / "t"
         assert run_cli("simulate", "--out", str(trial), "--duration", "10.006", "--seed", "1") == 0

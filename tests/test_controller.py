@@ -299,3 +299,35 @@ class TestConfigValidation:
         for rate in (0.0, -100.0):
             with pytest.raises(InvalidSpecError):
                 ChannelRates(control_rate_hz=rate)
+
+
+class TestGainTake:
+    """Each leg's gains are gathered with a 1-D `take` from its gain column:
+    the bytes of the 2-D gather `gains[codes, leg]`, whatever the codes and
+    the ramp rate, and the same IndexError for a code past the table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        codes=st.lists(st.integers(-len(STATES), len(STATES) - 1), min_size=1, max_size=300),
+        seed=st.integers(0, 2**32 - 1),
+        ramp=st.sampled_from([UNLIMITED, 50.0, 0.5]),
+    )
+    def test_bytes_equal_the_two_d_gather(self, codes, seed, ramp):
+        codes = np.array(codes, dtype=np.int8)
+        emg = np.random.default_rng(seed).uniform(0.0, 1.0, len(codes))
+        cfg = ControllerConfig(k_myo_nm=12.0, k_stance=0.7, k_swing=0.2, ramp_rate_nm_s=ramp)
+        left, right, total = command_torque(codes, emg, cfg, 100.0)
+        gains = np.array([leg_gains(state, cfg) for state in STATE_BY_CODE])
+        want = [gains[codes, 0] * total, gains[codes, 1] * total]
+        if ramp != UNLIMITED:  # the fold of the gathered targets, a list index per tick
+            want = ramp_fold([STATE_BY_CODE[c] for c in codes.tolist()], emg, cfg, 100.0)
+        assert left.tobytes() == np.array(want[0]).tobytes()
+        assert right.tobytes() == np.array(want[1]).tobytes()
+
+    @pytest.mark.parametrize("code", [len(STATES), -len(STATES) - 1, 127, -128])
+    def test_a_code_past_the_table_raises_index_error(self, code):
+        codes = np.array([0, code], dtype=np.int8)
+        with pytest.raises(IndexError):
+            np.zeros((len(STATES), 2))[codes, 0]
+        with pytest.raises(IndexError):
+            command_torque(codes, np.array([0.5, 0.5]), ControllerConfig(), 100.0)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gaitassist import gait_fsr
 from gaitassist.errors import InvalidSpecError
 from gaitassist.gait import (
     STATE_BY_CODE, EventKind, Foot, GaitEvent, GaitState, Phase, check_event_stream,
@@ -237,6 +238,36 @@ def test_force_sums_equal_numpy_sums_bit_for_bit(forces):
         assert type(g) is type(w)
         assert np.shape(g) == np.shape(w)
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def column_fold(forces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each cluster's four columns added in order from +0.0, whole columns at a time."""
+    front = back = 0.0
+    for j in range(4):
+        front += forces[..., j]
+        back += forces[..., 4 + j]
+    return front, back
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    block=st.sampled_from([1, 3, gait_fsr._SUM_ROWS]),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_force_sums_equal_the_column_fold(block, data, seed):
+    """One row up to several blocks and a remainder; forces of both signs
+    from subnormals to 1e300, signed zeros among them."""
+    rows = data.draw(st.integers(1, 4 * block - 1 if block > 1 else 5))
+    rng = np.random.default_rng(seed)
+    forces = rng.choice([-1.0, 1.0], (rows, 8)) * 10.0 ** rng.uniform(-323.5, 300.0, (rows, 8))
+    forces[rng.random((rows, 8)) < 0.1] = 0.0
+    forces[rng.random((rows, 8)) < 0.1] = -0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gait_fsr, "_SUM_ROWS", block)
+        got, want = force_sums(forces), column_fold(forces)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == (rows,) and g.tobytes() == w.tobytes()
 
 
 def test_force_sums_overflow_to_inf_like_numpy():

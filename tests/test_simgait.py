@@ -8,6 +8,7 @@ from gaitassist.errors import DataFormatError, InvalidSpecError
 from gaitassist.gait import EventKind, Foot, check_event_stream, gait_state_codes
 from gaitassist.metrics import stride_length
 from gaitassist.runner import DetectionMode, run_trial
+from gaitassist.settings import MIN_SWING_TICKS
 from gaitassist.simgait import (
     KNEE_ROM_DEG,
     GaitParams,
@@ -218,6 +219,26 @@ class TestGenerateContract:
         with pytest.raises(InvalidSpecError):
             GaitParams(cadence_hz=0.0)
         assert GaitParams().stride_length_m == pytest.approx(0.74 / 0.7)
+
+    @pytest.mark.parametrize("stance_fraction", STANCE_FRACTIONS)
+    @pytest.mark.parametrize("control_rate_hz", [40.0, 100.0, 250.0])
+    def test_cadence_must_leave_a_swing_of_four_ticks(self, stance_fraction, control_rate_hz):
+        """At the limit every swing inside the trial keeps a tick that
+        `score_detection` scores, past it `generate` refuses the cadence."""
+        rates = ChannelRates(control_rate_hz, emg_rate_hz=max(1000.0, 10 * control_rate_hz))
+        most = (1.0 - stance_fraction) * control_rate_hz / MIN_SWING_TICKS
+        log = generate(GaitParams(cadence_hz=most, stance_fraction=stance_fraction), 10.0, rates)
+        for foot in Foot:
+            near = np.rint(log.truth.events.times(foot) * control_rate_hz)[:, None] + (-1, 0, 1)
+            scored = np.ones(log.n_ticks, dtype=bool)
+            scored[near[(near >= 0) & (near < log.n_ticks)].astype(int)] = False
+            swing = np.diff(log.truth.phases[foot], prepend=0, append=0)
+            for start, stop in zip(np.flatnonzero(swing == 1), np.flatnonzero(swing == -1)):
+                if 0 < start and stop < log.n_ticks:
+                    assert scored[start:stop].any()
+        above = GaitParams(cadence_hz=np.nextafter(most, 1e9), stance_fraction=stance_fraction)
+        with pytest.raises(InvalidSpecError, match="leaves a swing under 4 control ticks"):
+            generate(above, 10.0, rates)
 
     def test_emg_rate_must_be_one_the_control_envelope_takes(self):
         log = generate(GaitParams(), 10.0, ChannelRates(control_rate_hz=100.0, emg_rate_hz=1100.0))
