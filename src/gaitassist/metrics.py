@@ -43,13 +43,25 @@ def rms(samples: np.ndarray) -> float:
 def percentile(samples: np.ndarray, p: float) -> float:
     """Percentile with linear interpolation between closest ranks.
 
-    p = 100 returns the maximum; p = 50 the median.
+    p = 100 returns the maximum; p = 50 the median; a NaN sample gives NaN.
+    Bit for bit `np.percentile(samples, p, method="linear")` on float
+    samples: the same partition, rank and interpolation, without the
+    `numpy.ma` import that `np.percentile` makes.
     """
     if samples.size == 0:
         raise ValueError("percentile of an empty series")
     if not 0.0 < p <= 100.0:
         raise ValueError(f"percentile p must lie in (0, 100], got {p}")
-    return float(np.percentile(samples, p, method="linear"))
+    ordered = np.asarray(samples, dtype=float).flatten()
+    rank = (ordered.size - 1) * (p / 100)
+    lo = -1 if rank >= ordered.size - 1 else math.floor(rank)  # -1: the maximum
+    hi = -1 if lo == -1 else lo + 1
+    ordered.partition(sorted({0, -1, lo, hi}))  # numpy's kth; NaN sorts to the end
+    if math.isnan(ordered[-1]):
+        return float(ordered[-1])
+    a, b, t = float(ordered[lo]), float(ordered[hi]), rank - lo
+    step = b - a
+    return b - step * (1 - t) if t >= 0.5 else a + step * t
 
 
 def stride_length(

@@ -138,7 +138,13 @@ def _run_jobs(jobs: list[Callable[[], object]]) -> list:
     for worker in workers:
         worker.join()
     if error := next(filter(None, errors), None):
-        raise error
+        # the traceback holds this frame and `work`'s: leave them no path back
+        # to the exceptions, so that no cycle waits for the cyclic collector
+        errors.clear()
+        try:
+            raise error
+        finally:
+            del error
     return results
 
 

@@ -2,7 +2,10 @@
 
 `import gaitassist`, `import gaitassist.cli`, `compare`, `--help` and a usage
 error load no numpy and no scipy, in fresh processes; `simulate` loads no
-detector, runner or metrics; `analyze` holds one trial at a time. An `ast`
+detector, runner or metrics; `analyze` loads no `numpy.ma` and holds one
+trial at a time. A command process runs with the cyclic collector off and
+freezes its heap before exit, `cli.main` leaves the collector alone, and a
+command leaves no more cyclic garbage for more trials, good or bad. An `ast`
 rule keeps the modules those paths import at module level free of numpy.
 `compare`'s numpy-free means and percent changes are held, bit for bit, to
 the numpy expressions they replaced, and the lazy package still hands out
@@ -12,10 +15,12 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import gc
 import io
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -155,6 +160,91 @@ def test_analyze_frees_each_trial_before_it_loads_the_next(tmp_path, monkeypatch
     monkeypatch.setattr(cli, "load_trial", load_trial)
     assert cli.main(["analyze", *trials, "--out", str(tmp_path / "metrics.csv")]) == 0
     assert len(loaded) == 3
+
+
+def test_analyze_loads_no_numpy_ma(tmp_path):
+    trial = str(tmp_path / "trial")
+    assert cli.main(["simulate", "--out", trial, "--duration", "10"]) == 0
+    loaded = loaded_after(
+        f"""
+        from gaitassist import cli
+        assert cli.main(["analyze", {trial!r}, "--out", {str(tmp_path / "m.csv")!r}]) == 0
+        """
+    )
+    assert "gaitassist.metrics" in loaded
+    assert [name for name in loaded if name.split(".")[:2] == ["numpy", "ma"]] == []
+
+
+# --- the cyclic collector -------------------------------------------------------
+
+
+def test_the_module_entry_runs_a_command_with_the_collector_off(tmp_path):
+    loaded_after(
+        f"""
+        import gc
+        from gaitassist import __main__ as entry, cli
+
+        states, run_command = [], cli.main
+
+        def main(argv):
+            states.append(gc.isenabled())
+            return run_command(argv)
+
+        cli.main = main
+        assert gc.isenabled() and gc.get_freeze_count() == 0
+        assert entry.main(["simulate", "--out", {str(tmp_path / "trial")!r}, "--duration", "10"]) == 0
+        after = gc.isenabled(), gc.get_freeze_count()
+        assert states == [False] and not after[0] and after[1] > 0, (states, after)
+        """
+    )
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_main_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        before = gc.isenabled(), gc.get_freeze_count()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["simulate", "--out", str(tmp_path / "trial"), "--duration", "10"]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_analyze_leaves_as_much_cyclic_garbage_for_five_trials_as_for_one(
+    tmp_path, monkeypatch, threads
+):
+    """With the collector off, as in a command process, garbage in cycles
+    stays until exit: a failing trial's traceback must not hold a cycle."""
+    from gaitassist import trial_io
+
+    monkeypatch.setattr(trial_io, "_THREADS", threads)
+    good, bad = str(tmp_path / "good"), str(tmp_path / "bad")
+    assert cli.main(["simulate", "--out", good, "--duration", "10"]) == 0
+    shutil.copytree(good, bad)
+    emg = Path(bad, "emg.csv")
+    lines = emg.read_text(encoding="utf-8").splitlines(keepends=True)
+    emg.write_text("".join([*lines[:2], "0.001000,oops\n", *lines[3:]]), encoding="utf-8")
+
+    def garbage(*trials):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["analyze", *trials, "--out", str(tmp_path / "m.csv")])
+        return code, gc.collect()
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for trial, code in ((good, 0), (bad, 2)):
+            garbage(trial)  # one-time set-up
+            one = garbage(trial)
+            assert one[0] == code
+            assert garbage(*[trial] * 5) == one
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # --- the numpy-free import rule ----------------------------------------------

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -98,6 +99,26 @@ class TestPercentile:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             percentile(np.array([]), 50.0)
+
+
+_TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    samples=st.lists(st.one_of(_TIES, st.floats()), min_size=1, max_size=500),
+    p=st.one_of(
+        st.sampled_from([100.0, 5e-324, 1e-300, 50.0, 90.0]),
+        st.floats(min_value=0.0, max_value=100.0, exclude_min=True),
+    ),
+)
+def test_percentile_is_numpys_linear_percentile_bit_for_bit(samples, p):
+    x = np.array(samples)
+    original = x.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):  # Python floats do not warn
+        expected = float(np.percentile(x, p, method="linear"))
+    assert struct.pack("<d", percentile(x, p)) == struct.pack("<d", expected)
+    assert x.tobytes() == original  # the samples are left in place
 
 
 @settings(max_examples=50, deadline=None)
