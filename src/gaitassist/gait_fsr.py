@@ -97,7 +97,7 @@ def detect(
 ) -> tuple[Events, dict[Foot, np.ndarray]]:
     """Both legs' :func:`detect_block` over whole insole channels from
     `INITIAL_STATE`; `insole` holds each foot's (n, 8) forces in newtons, one
-    row per tick, as `simgait.check_channels` checks them."""
+    row per tick, finite and non-negative, as a `simgait.TrialLog` is checked."""
     legs = {
         foot: detect_block(INITIAL_STATE, t, *force_sums(insole[foot]), cfg)[1:] for foot in Foot
     }

@@ -62,7 +62,7 @@ def detect_block(
     head = own[: max(n - c, 0)]
     peaks = np.flatnonzero((head >= cfg.peak_min_rad_s) & (head >= _window_max(own[1:], c)))
     peak_ticks, peak_values, peak_t = peaks.tolist(), own[peaks].tolist(), t[peaks].tolist()
-    confirm_t = t[peaks + c].tolist()
+    confirm_t = t[c:][peaks].tolist()  # not t[peaks + c]: c may pass numpy's int64
 
     def confirmation(s: int) -> tuple[int, float, float] | None:
         """(tick, peak time, tick time) of the tracker's next confirmed peak from

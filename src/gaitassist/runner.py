@@ -2,12 +2,12 @@
 
 Each detector runs over whole channels: one event-skipping kernel per leg
 finds the candidate ticks with numpy and jumps from event to event, with no
-Python call per tick. The calling thread checks what the causal EMG envelope
-reads, then the envelope, the longest job, runs beside the gait job (leg
-values checked, time grid, detection, scoring), on a second thread given a
-second CPU. `controller.command_torque` then gives the torque of the whole
-trial from the per-tick gait states. Either detection framework can drive
-the controller: insole force sensors or hip angular velocities.
+Python call per tick. A TrialLog is checked when built, so a run checks
+nothing first: the causal EMG envelope, the longest job, runs beside the gait
+job (time grid, detection, scoring), on a second thread given a second CPU.
+`controller.command_torque` then gives the torque of the whole trial from
+the per-tick gait states. Either detection framework can drive the
+controller: insole force sensors or hip angular velocities.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .gait import Events, Foot, gait_state_codes
 from .metrics import DetectionScore, phases_from_events, score_detection
 from .settings import ControllerConfig, DetectionMode, FsrDetectorConfig, VelDetectorConfig
 from .signals import TimeSeries, causal_envelope
-from .simgait import RUN_LEGS, TrialLog, check_channels, check_leg_values
+from .simgait import TrialLog
 from .trial_io import _run_jobs  # one job runner and worker count (_THREADS) for trial I/O and runs
 
 # perfbench/spans.py looks these four names up on this module and wraps them
@@ -61,8 +61,9 @@ def run_trial(
     """Run detection plus torque control over a whole trial.
 
     Args:
-        log: input trial; needs both feet's omega and insole channels in
-            either mode, as `simgait.check_channels` describes.
+        log: input trial, checked when built (`simgait.TrialLog`); the
+            envelope job raises InvalidSpecError for an EMG rate that the
+            control envelope refuses (`signals.envelope_decimation`).
         mode: which detection framework drives the gait state.
         controller_cfg, fsr_cfg, vel_cfg: overrides; defaults otherwise.
 
@@ -77,11 +78,9 @@ def run_trial(
     else:
         module, channels, cfg = gait_vel, log.omega, vel_cfg or VelDetectorConfig()
 
-    check_channels(log)
     n, rate_hz = log.n_ticks, log.rates.control_rate_hz
 
     def gait_layers():
-        check_leg_values(log, RUN_LEGS)
         t = log.times()
         events, causal = module.detect(channels, t, cfg)
         event_phases = phases_from_events(events, n, rate_hz, module.INITIAL_STATE[0])

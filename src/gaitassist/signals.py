@@ -355,11 +355,6 @@ def envelope_decimation(rate: float, rate_hz: float) -> int:
     return k
 
 
-def envelope_samples_needed(emg_rate_hz: float, rate_hz: float, ticks: int) -> int:
-    """Raw EMG samples that `causal_envelope` at `rate_hz` reads for its first `ticks`."""
-    return max((ticks - 1) * envelope_decimation(emg_rate_hz, rate_hz) + 1, 0)
-
-
 def causal_envelope(ch: EmgChannel, rate_hz: float) -> TimeSeries:
     """The control path's normalized envelope in [0, 1] at `rate_hz`, every k-th
     EMG sample of `emg_envelope`'s stages run causally: the band-pass and ECG

@@ -26,15 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, InvalidSpecError
-from .gait import FEET, Events, Foot
-from .settings import MIN_SWING_TICKS, ChannelRates, GaitParams
+from .gait import FEET, Events, Foot, check_event_stream
+from .settings import MIN_SWING_TICKS, ChannelRates, GaitParams, format_value
 from .signals import (
     EmgChannel,
     FilterSpec,
     TimeSeries,
     design_filter,
     envelope_decimation,
-    envelope_samples_needed,
     filter_causal,
 )
 
@@ -51,6 +50,9 @@ MAX_EMG_SAMPLES = 10**7
 MAX_TRUTH_EVENTS = 10**5
 # Each leg's cycle phase at t = 0: the legs run half a cycle apart.
 _PHASE_OFFSET = {Foot.LEFT: 0.0, Foot.RIGHT: 0.5}
+# Each per-foot channel of a TrialLog and the shape of its rows
+_LEG_TAILS = {"omega": (), "insole": (8,), "foot_xy": (2,), "hip_deg": (), "knee_deg": ()}
+_GRID_TOLERANCE_S = 1e-6  # a time against k / rate; six decimals round by at most 5e-7
 
 
 def _pchip_slopes_periodic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -134,9 +136,37 @@ class TrialTruth:
     events: Events
 
 
+def _check_truth(truth: TrialTruth, n: int, rate_hz: float) -> None:
+    """InvalidSpecError, in one line, unless `truth` fits a trial of `n` ticks
+    at `rate_hz`: each foot's phases hold `n` ticks of 0 or 1, and its events
+    alternate and lie in [0, n / rate_hz], give or take _GRID_TOLERANCE_S."""
+    for foot in FEET:
+        if foot not in truth.phases:
+            raise InvalidSpecError(f"truth is missing the {foot.value} phases")
+        if (phases := np.asarray(truth.phases[foot])).shape != (n,):
+            raise InvalidSpecError(f"{foot.value} truth phases need shape ({n},), got {phases.shape}")
+        if (bad := (phases != 0) & (phases != 1)).any():
+            tick = int(np.argmax(bad))
+            raise InvalidSpecError(
+                f"{foot.value} truth phase {phases[tick]} at tick {tick} is not 0 or 1"
+            )
+    try:
+        check_event_stream(truth.events)
+    except ValueError as exc:
+        raise InvalidSpecError(f"truth_events.csv: {exc}") from None
+    t = truth.events.t
+    outside = ~((t >= -_GRID_TOLERANCE_S) & (t <= n / rate_hz + _GRID_TOLERANCE_S))  # NaN too
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise InvalidSpecError(
+            f"truth_events.csv: t_s {format_value(float(t[row]))} in data row {row + 1} is "
+            f"outside the trial, 0 to duration_s {format_value(n / rate_hz)}"
+        )
+
+
 @dataclass(eq=False)
 class TrialLog:
-    """One trial's channels at the control rate plus raw EMG and truth."""
+    """One trial's channels at the control rate plus raw EMG and truth, checked when built."""
 
     rates: ChannelRates
     omega: dict[Foot, np.ndarray]  # (n,) hip angular velocity, rad/s
@@ -147,6 +177,44 @@ class TrialLog:
     knee_deg: dict[Foot, np.ndarray]  # (n,)
     truth: TrialTruth | None = None
     params: GaitParams | None = None
+
+    def __post_init__(self) -> None:
+        """Check the log once, when built or `dataclasses.replace`d; arrays or
+        dicts changed in place later are not checked again. DataFormatError if
+        a foot lacks a channel of `_LEG_TAILS`; InvalidSpecError, foot by foot,
+        unless each holds one row of its shape per tick, finite, forces
+        non-negative, then unless the raw EMG is `rates.emg_samples(n_ticks)`
+        finite samples at `rates.emg_rate_hz`, the truth, if any, passes
+        `_check_truth`, and there is a tick."""
+        for name in _LEG_TAILS:
+            for foot in Foot:
+                if foot not in (getattr(self, name) or {}):
+                    raise DataFormatError(f"trial log is missing the {foot.value} {name} channel")
+        n = self.n_ticks
+        for foot in Foot:
+            for name, tail in _LEG_TAILS.items():
+                got = np.shape(getattr(self, name)[foot])
+                if got != (n, *tail):
+                    raise InvalidSpecError(f"{foot.value} {name} needs shape {(n, *tail)}, got {got}")
+            for name in _LEG_TAILS:
+                values = getattr(self, name)[foot]
+                if name == "insole" and not ((values >= 0.0) & (values < math.inf)).all():
+                    raise InvalidSpecError(
+                        f"{foot.value} insole forces must be finite and non-negative"
+                    )
+                if name != "insole" and not np.isfinite(values).all():  # one pass per insole
+                    raise InvalidSpecError(f"{foot.value} {name} must be finite")
+        raw = self.emg.raw
+        if raw.rate_hz != self.rates.emg_rate_hz:
+            rates = f"{raw.rate_hz:g} Hz, not at emg_rate_hz {self.rates.emg_rate_hz:g}"
+            raise InvalidSpecError(f"emg channel is at {rates}")
+        need = self.rates.emg_samples(n)
+        if len(raw) != need or not np.isfinite(raw.samples).all():
+            raise InvalidSpecError(f"emg channel needs {need} samples, all finite; got {len(raw)}")
+        if self.truth is not None:
+            _check_truth(self.truth, n, self.rates.control_rate_hz)
+        if n < 1:
+            raise InvalidSpecError(f"n_ticks must be positive, got {n}")
 
     @property
     def n_ticks(self) -> int:
@@ -207,6 +275,7 @@ def _synth_emg(
     return shaped
 
 
+@np.errstate(over="ignore", invalid="ignore")  # TrialLog refuses what overflows, in one line
 def generate(
     params: GaitParams, duration_s: float, rates: ChannelRates = ChannelRates()
 ) -> TrialLog:
@@ -333,59 +402,3 @@ def _knee_angle(phi: np.ndarray, sf: float) -> np.ndarray:
     return KNEE_ROM_DEG * (
         bump(0.25 * sf, 0.25 * sf, 0.25) + bump(swing_center, 0.5 * (1.0 - sf), 1.0)
     )
-
-
-def check_legs(log: TrialLog, tails: dict[str, tuple[int, ...]], values: bool = True) -> None:
-    """The channel checks that a run and a save share, before either reads a
-    sample: DataFormatError if a foot lacks a channel named in `tails`;
-    InvalidSpecError unless each holds n_ticks rows of shape `tails[name]`,
-    with `values` each foot's `check_leg_values` after its shapes, and unless
-    the raw EMG is sampled at `rates.emg_rate_hz`."""
-    for name in tails:
-        for foot in Foot:
-            if foot not in (getattr(log, name) or {}):
-                raise DataFormatError(f"trial log is missing the {foot.value} {name} channel")
-    n = log.n_ticks
-    for foot in Foot:
-        for name, tail in tails.items():
-            got = np.shape(getattr(log, name)[foot])
-            if got != (n, *tail):
-                raise InvalidSpecError(f"{foot.value} {name} needs shape {(n, *tail)}, got {got}")
-        if values:
-            check_leg_values(log, tails, (foot,))
-    if log.emg.raw.rate_hz != log.rates.emg_rate_hz:
-        rates = f"{log.emg.raw.rate_hz:g} Hz, not at emg_rate_hz {log.rates.emg_rate_hz:g}"
-        raise InvalidSpecError(f"emg channel is at {rates}")
-
-
-def check_leg_values(log: TrialLog, tails: dict[str, tuple[int, ...]], feet=FEET) -> None:
-    """InvalidSpecError unless each of `feet`'s channels named in `tails` is
-    finite and, in an insole, non-negative."""
-    for foot in feet:
-        for name in tails:
-            values = getattr(log, name)[foot]
-            if name == "insole" and not ((values >= 0.0) & (values < math.inf)).all():
-                raise InvalidSpecError(
-                    f"{foot.value} insole forces must be finite and non-negative"
-                )
-            if name != "insole" and not np.isfinite(values).all():  # one pass per insole
-                raise InvalidSpecError(f"{foot.value} {name} must be finite")
-
-
-# The leg channels `run_trial` reads in either mode, and their row shapes.
-RUN_LEGS = {"omega": (), "insole": (8,)}
-
-
-def check_channels(log: TrialLog) -> None:
-    """`run_trial`'s checks before its envelope and gait jobs start, in either
-    mode: `check_legs` of `RUN_LEGS` without the leg values, which the gait job
-    checks before it detects, then InvalidSpecError unless the raw EMG holds the
-    finite samples the envelope reads through the last tick. So bad leg values
-    and a bad EMG report the EMG, and a bad leg shape comes before bad values."""
-    check_legs(log, RUN_LEGS, values=False)
-    raw, n = log.emg.raw, log.n_ticks
-    need = envelope_samples_needed(raw.rate_hz, log.rates.control_rate_hz, n)
-    if len(raw) < need:
-        raise InvalidSpecError(f"emg channel needs {need} or more samples for {n} ticks")
-    if not np.isfinite(raw.samples[:need]).all():
-        raise InvalidSpecError("emg channel must be finite through the last tick")

@@ -22,14 +22,14 @@ import numpy as np
 
 from .errors import DataFormatError, InvalidSpecError, check_range
 from .gait import (
-    FEET, KINDS, STATE_BY_CODE, Events, Foot, Phase, check_event_stream, gait_state_codes,
+    FEET, KINDS, STATE_BY_CODE, Events, Foot, Phase, gait_state_codes,
 )
 from .settings import (
     ChannelRates, GaitParams, _non_finite, _settings_entries, _settings_from, format_value,
     parse_manifest, parse_value, read_manifest, utf8_errors, write_manifest,
 )
 from .signals import EmgChannel, TimeSeries
-from .simgait import DEFAULT_MVC_MV, TrialLog, TrialTruth, check_legs
+from .simgait import _GRID_TOLERANCE_S, DEFAULT_MVC_MV, TrialLog, TrialTruth
 
 # The trial format, the manifest spelling from `settings` included
 __all__ = [
@@ -108,7 +108,6 @@ _LABEL_MASKS = np.where(_LABEL_WORDS.view(np.uint8) == 32, 0, 0xFF).astype(np.ui
 _EVENT_WORDS = _words(
     [f"{foot.value},{kind.value}\n" for foot in FEET for kind in KINDS]
 ).reshape(len(FEET) * len(KINDS), -1)
-_GRID_TOLERANCE_S = 1e-6  # `t_s` against k / rate; printing rounds by at most 5e-7
 _MVC_FIELD = next(f for f in fields(EmgChannel) if f.name == "mvc_mv")
 # Threads that write or read a trial's tables, or run a trial's envelope beside
 # its detector: this one and a worker, given a second usable CPU
@@ -429,17 +428,9 @@ def _channels(has_truth: bool) -> str:
 
 def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
     """Write `log` into `out_dir`, creating it if needed; return the path.
-    Before it writes, it refuses a log load_trial would not read back: see
-    `check_legs`, checked for every per-foot channel, and InvalidSpecError
-    unless the raw EMG is `rates.emg_samples(n_ticks)` finite samples and
-    the truth, if any, passes the check load_trial makes of it. The tables
-    are written by :func:`_run_jobs`, one job a file."""
-    check_legs(log, {"omega": (), "insole": (8,), "foot_xy": (2,), "hip_deg": (), "knee_deg": ()})
-    raw, need = log.emg.raw, log.rates.emg_samples(log.n_ticks)
-    if len(raw) != need or not np.isfinite(raw.samples).all():
-        raise InvalidSpecError(f"emg channel needs {need} samples, all finite; got {len(raw)}")
-    if log.truth is not None:
-        _check_truth(log.truth, log.n_ticks, log.rates.control_rate_hz, InvalidSpecError)
+    A TrialLog is checked when built, so load_trial reads back what this
+    writes, unless the log's arrays or dicts were changed in place since.
+    The tables are written by :func:`_run_jobs`, one job a file."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     t = log.times()
@@ -459,6 +450,7 @@ def save_trial(log: TrialLog, out_dir: Path | str) -> Path:
     write_manifest(out / "manifest.txt", entries)
 
     # the arrays are built here, so a worker allocates only its scratch
+    raw = log.emg.raw
     angles = [angle[foot] for angle in (log.hip_deg, log.knee_deg) for foot in FEET]
     feet_xy = [log.foot_xy[foot] for foot in FEET]
     jobs = [
@@ -518,30 +510,6 @@ def _read_forces(path: Path, columns: list[str], rows: int, rate_hz: float, out)
     return forces
 
 
-def _check_truth(truth: TrialTruth, n: int, rate_hz: float, error: type[Exception]) -> None:
-    """`error`, in one line, unless `truth` fits a trial of `n` ticks at
-    `rate_hz`: each foot's phases hold `n` ticks, and its events alternate
-    and lie in [0, duration_s], give or take _GRID_TOLERANCE_S."""
-    for foot in FEET:
-        if (phases := np.asarray(truth.phases[foot])).shape != (n,):
-            raise error(f"{foot.value} truth phases need shape ({n},), got {phases.shape}")
-        if (bad := (phases != 0) & (phases != 1)).any():
-            tick = int(np.argmax(bad))
-            raise error(f"{foot.value} truth phase {phases[tick]} at tick {tick} is not 0 or 1")
-    try:
-        check_event_stream(truth.events)
-    except ValueError as exc:
-        raise error(f"truth_events.csv: {exc}") from None
-    t = truth.events.t
-    outside = (t < -_GRID_TOLERANCE_S) | (t > n / rate_hz + _GRID_TOLERANCE_S)
-    if outside.any():
-        row = int(np.argmax(outside))
-        raise error(
-            f"truth_events.csv: t_s {t[row]:.6f} in data row {row + 1} is outside "
-            f"the trial, 0 to duration_s {n / rate_hz:.6f}"
-        )
-
-
 def _read_truth(path: Path, columns: list[str], n: int, rate_hz: float, out) -> TrialTruth:
     """The truth of `n` ticks in the labels table at `path` (see _read_series) and its events."""
     rows = _read_series(path, columns, n, rate_hz, out)
@@ -556,9 +524,7 @@ def _read_truth(path: Path, columns: list[str], n: int, rate_hz: float, out) -> 
                 f"match phase_left {left!r} and phase_right {right!r}"
             )
     phases = {Foot.LEFT: codes >> 1, Foot.RIGHT: codes & 1}
-    truth = TrialTruth(phases=phases, events=read_events_csv(path.with_name("truth_events.csv")))
-    _check_truth(truth, n, rate_hz, DataFormatError)
-    return truth
+    return TrialTruth(phases=phases, events=read_events_csv(path.with_name("truth_events.csv")))
 
 
 def load_trial(trial_dir: Path | str) -> TrialLog:
@@ -628,14 +594,17 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
         jobs.append(job(_read_truth, "truth_labels.csv", _LABEL_COLS))
     omega, left, right, emg, kin, *truth = _run_jobs(jobs)
 
-    return TrialLog(
-        rates=rates,
-        omega={foot: omega[:, 1 + i] for i, foot in enumerate(FEET)},
-        insole={Foot.LEFT: left, Foot.RIGHT: right},
-        emg=EmgChannel(TimeSeries(emg[:, 1], rates.emg_rate_hz), mvc_mv=mvc),
-        foot_xy={Foot.LEFT: kin[:, 1:3], Foot.RIGHT: kin[:, 3:5]},
-        hip_deg={foot: kin[:, 5 + i] for i, foot in enumerate(FEET)},
-        knee_deg={foot: kin[:, 7 + i] for i, foot in enumerate(FEET)},
-        truth=truth[0] if truth else None,
-        params=params,
-    )
+    try:  # the tables passed the reader, so only the truth's events can fail here
+        return TrialLog(
+            rates=rates,
+            omega={foot: omega[:, 1 + i] for i, foot in enumerate(FEET)},
+            insole={Foot.LEFT: left, Foot.RIGHT: right},
+            emg=EmgChannel(TimeSeries(emg[:, 1], rates.emg_rate_hz), mvc_mv=mvc),
+            foot_xy={Foot.LEFT: kin[:, 1:3], Foot.RIGHT: kin[:, 3:5]},
+            hip_deg={foot: kin[:, 5 + i] for i, foot in enumerate(FEET)},
+            knee_deg={foot: kin[:, 7 + i] for i, foot in enumerate(FEET)},
+            truth=truth[0] if truth else None,
+            params=params,
+        )
+    except InvalidSpecError as exc:
+        raise DataFormatError(str(exc)) from None

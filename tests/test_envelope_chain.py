@@ -28,7 +28,6 @@ from gaitassist.signals import (
     causal_envelope,
     design_filter,
     emg_envelope,
-    envelope_samples_needed,
     filter_causal,
 )
 
@@ -109,17 +108,26 @@ class TestFusedChain:
         assert_same_bytes(causal_envelope(ch, 1000.0), three_pass_envelope(ch, 1000.0), 1000.0)
 
     @pytest.mark.parametrize("k", [1, 2, 10, 20])
-    @pytest.mark.parametrize("ticks", [0, 1, 7])
-    def test_samples_needed_are_the_fewest_that_give_the_ticks(self, k, ticks):
-        need = envelope_samples_needed(1000.0, 1000.0 / k, ticks)
-        raw = TimeSeries(np.random.default_rng(9).standard_normal(need), 1000.0)
-        assert len(causal_envelope(EmgChannel(raw, 1.0), 1000.0 / k)) == ticks
-        fewer = raw.with_samples(raw.samples[: max(need - 1, 0)])
-        assert len(causal_envelope(EmgChannel(fewer, 1.0), 1000.0 / k)) == max(ticks - 1, 0)
+    @pytest.mark.parametrize("ticks", [1, 7, 100])
+    def test_samples_past_the_last_kept_one_are_not_read(self, k, ticks):
+        """A channel cut at the last tick's kept sample, (ticks - 1) * k + 1
+        samples, keeps the whole channel's samples; one sample fewer loses
+        the last tick."""
+        raw = TimeSeries(np.random.default_rng(9).standard_normal(ticks * k), 1000.0)
+        whole = causal_envelope(EmgChannel(raw, 1.0), 1000.0 / k).samples
+        assert len(whole) == ticks
+        cut = raw.with_samples(raw.samples[: (ticks - 1) * k + 1])
+        kept = causal_envelope(EmgChannel(cut, 1.0), 1000.0 / k).samples
+        assert kept.tobytes() == whole.tobytes()
+        fewer = raw.with_samples(raw.samples[: (ticks - 1) * k])
+        kept = causal_envelope(EmgChannel(fewer, 1.0), 1000.0 / k).samples
+        assert kept.tobytes() == whole[: ticks - 1].tobytes()
 
-    def test_samples_needed_refuse_a_non_integer_factor(self):
-        with pytest.raises(InvalidSpecError, match="integer factor"):
-            envelope_samples_needed(1000.0, 300.0, 10)
+    def test_a_non_integer_factor_is_refused(self):
+        ch = EmgChannel(TimeSeries(np.zeros(100), 1000.0), 1.0)
+        message = "^cannot decimate 1000.0 Hz to 300.0 Hz by an integer factor$"
+        with pytest.raises(InvalidSpecError, match=message):
+            causal_envelope(ch, 300.0)
 
     def test_raw_samples_are_not_changed(self):
         raw = np.random.default_rng(7).standard_normal(2000)

@@ -4,6 +4,7 @@ Oracle cases are hand-built force schedules with known crossing times.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from gaitassist.gait import (
     events_and_phases, gait_state_codes,
 )
 from gaitassist.gait_fsr import INITIAL_STATE, FsrDetectorConfig, detect, detect_block, force_sums
-from gaitassist.runner import DetectionMode, run_trial
 from gaitassist.simgait import GaitParams, generate
 
 from gait_reference import PHASE_AFTER_EVENT, events_of
@@ -171,20 +171,21 @@ class TestStreamContracts:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("mode", list(DetectionMode))
-    def test_frame_needs_eight_forces(self, mode):
+    def test_frame_needs_eight_forces(self):
         log = generate(GaitParams(), 10.0)
-        log.insole = {foot: np.ones((log.n_ticks, 7)) for foot in Foot}
-        with pytest.raises(InvalidSpecError):
-            run_trial(log, mode)
+        message = r"^left insole needs shape \(1000, 8\), got \(1000, 7\)$"
+        with pytest.raises(InvalidSpecError, match=message):
+            dataclasses.replace(log, insole={foot: np.ones((log.n_ticks, 7)) for foot in Foot})
 
-    @pytest.mark.parametrize("mode", list(DetectionMode))
-    def test_negative_or_non_finite_force_rejected(self, mode):
+    def test_negative_or_non_finite_force_rejected(self):
+        log = generate(GaitParams(), 10.0)
         for bad in (-1.0, math.nan, math.inf):
-            log = generate(GaitParams(), 10.0)
-            log.insole[Foot.RIGHT][2, 0] = bad
-            with pytest.raises(InvalidSpecError):
-                run_trial(log, mode)
+            insole = dict(log.insole)
+            insole[Foot.RIGHT] = insole[Foot.RIGHT].copy()
+            insole[Foot.RIGHT][2, 0] = bad
+            message = "^right insole forces must be finite and non-negative$"
+            with pytest.raises(InvalidSpecError, match=message):
+                dataclasses.replace(log, insole=insole)
 
     def test_release_must_sit_below_contact(self):
         with pytest.raises(InvalidSpecError):

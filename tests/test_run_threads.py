@@ -13,10 +13,8 @@ import pytest
 
 from gaitassist import gait_fsr, gait_vel, runner, signals, trial_io
 from gaitassist.controller import ControllerConfig
-from gaitassist.errors import DataFormatError, InvalidSpecError
 from gaitassist.gait import Foot
 from gaitassist.runner import DetectionMode, RunResult, run_trial
-from gaitassist.signals import EmgChannel
 from gaitassist.simgait import GaitParams, TrialLog, generate
 
 MODES = list(DetectionMode)
@@ -124,10 +122,9 @@ def test_the_detector_starts_once_the_envelope_filters(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-def test_the_leg_values_are_checked_once_the_envelope_filters(monkeypatch, mode):
-    """Before the jobs start, the calling thread reads no leg channel's
-    values, only their shapes: the first numpy pass over a leg's samples, the
-    gait job's value check, comes after the envelope's first filter pass has
+def test_no_leg_value_is_read_before_the_envelope_filters(monkeypatch, mode):
+    """run_trial checks no channel: the first numpy pass over a leg's
+    samples, on any thread, comes after the envelope's first filter pass has
     begun. The switch interval leaves only the lock's own releases to decide."""
     log = generate(GaitParams(seed=3), 10.0)
     run_trial(log, mode)  # the filters designed and the kernel imported
@@ -146,7 +143,7 @@ def test_the_leg_values_are_checked_once_the_envelope_filters(monkeypatch, mode)
         filtering.set()
         return filter_rows(*args)
 
-    for legs in (log.omega, log.insole):
+    for legs in (log.omega, log.insole):  # changed in place, so not checked again
         for foot in Foot:
             legs[foot] = legs[foot].view(Watched)
     monkeypatch.setattr(trial_io, "_THREADS", 2)
@@ -161,63 +158,6 @@ def test_the_leg_values_are_checked_once_the_envelope_filters(monkeypatch, mode)
     finally:
         sys.setswitchinterval(interval)
     assert seen == [True] * 5
-
-
-def with_bad_samples(log: TrialLog, omega: bool = False, emg: bool = False) -> TrialLog:
-    """A copy of `log` with a NaN at tick 2 of its left omega and at sample 5
-    of its raw EMG, as asked."""
-    log = dataclasses.replace(log, omega=dict(log.omega))
-    if omega:
-        log.omega[Foot.LEFT] = np.where(np.arange(log.n_ticks) == 2, np.nan, log.omega[Foot.LEFT])
-    if emg:
-        raw = log.emg.raw.samples
-        samples = np.where(np.arange(len(raw)) == 5, np.nan, raw)
-        log.emg = EmgChannel(log.emg.raw.with_samples(samples), log.emg.mvc_mv)
-    return log
-
-
-@pytest.mark.parametrize("count", [1, 2])
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-def test_bad_legs_and_bad_emg_report_the_emg(monkeypatch, count, mode):
-    monkeypatch.setattr(trial_io, "_THREADS", count)
-    log = generate(GaitParams(seed=3), 10.0)
-    with pytest.raises(InvalidSpecError, match="^left omega must be finite$"):
-        run_trial(with_bad_samples(log, omega=True), mode)
-    with pytest.raises(InvalidSpecError, match="^emg channel must be finite through the last tick$"):
-        run_trial(with_bad_samples(log, omega=True, emg=True), mode)
-
-
-@pytest.mark.parametrize("count", [1, 2])
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-def test_a_missing_left_omega_is_a_format_error_before_the_jobs(monkeypatch, count, mode):
-    monkeypatch.setattr(trial_io, "_THREADS", count)
-    monkeypatch.setattr(runner, "control_envelope", None)  # no job starts
-    log = generate(GaitParams(seed=3), 10.0)
-    del log.omega[Foot.LEFT]
-    with pytest.raises(DataFormatError, match="^trial log is missing the left omega channel$"):
-        run_trial(log, mode)
-
-
-@pytest.mark.parametrize("count", [1, 2])
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-def test_the_leg_values_are_checked_on_the_detector_thread(monkeypatch, count, mode):
-    monkeypatch.setattr(trial_io, "_THREADS", count)
-    module = gait_fsr if mode is DetectionMode.FOOT_SENSORS else gait_vel
-    check, detect, threads = runner.check_leg_values, module.detect, []
-
-    def checking(*args):
-        threads.append(("check", threading.current_thread()))
-        return check(*args)
-
-    def detecting(*args):
-        threads.append(("detect", threading.current_thread()))
-        return detect(*args)
-
-    monkeypatch.setattr(runner, "check_leg_values", checking)
-    monkeypatch.setattr(module, "detect", detecting)
-    run_trial(generate(GaitParams(seed=3), 10.0), mode)
-    (first, checker), (second, detector) = threads
-    assert (first, second) == ("check", "detect") and checker is detector
 
 
 class Failed(Exception):

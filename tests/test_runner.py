@@ -1,17 +1,17 @@
 """Closed-loop runner tests on synthetic trials."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from gaitassist import runner
 from gaitassist.controller import ControllerConfig
 from gaitassist.errors import DataFormatError, InvalidSpecError
 from gaitassist.gait import STATE_BY_CODE, EventKind, Foot, check_event_stream
 from gaitassist.runner import DetectionMode, control_envelope, run_trial
-from gaitassist.signals import EmgChannel
+from gaitassist.signals import EmgChannel, TimeSeries, causal_envelope
 from gaitassist.simgait import ChannelRates, GaitParams, generate
 
 
@@ -140,66 +140,103 @@ def _with(bad: float):
     return change
 
 
-# (channel, foot, change of that foot's channel or None to drop it, error)
+# (channel, foot, change of that foot's channel or None to drop it, error, message)
+_FORCES = "right insole forces must be finite and non-negative"
 _BAD_CHANNELS = {
-    "missing left omega": ("omega", Foot.LEFT, None, DataFormatError),
-    "missing right insole": ("insole", Foot.RIGHT, None, DataFormatError),
-    "insole of 7 forces": ("insole", Foot.LEFT, lambda x: x[:, :7], InvalidSpecError),
+    "missing left omega": (
+        "omega", Foot.LEFT, None, DataFormatError, "trial log is missing the left omega channel"
+    ),
+    "missing right insole": (
+        "insole", Foot.RIGHT, None, DataFormatError, "trial log is missing the right insole channel"
+    ),
+    "insole of 7 forces": (
+        "insole", Foot.LEFT, lambda x: x[:, :7], InvalidSpecError,
+        "left insole needs shape (1000, 8), got (1000, 7)",
+    ),
     **{
-        f"force of {bad}": ("insole", Foot.RIGHT, _with(bad), InvalidSpecError)
+        f"force of {bad}": ("insole", Foot.RIGHT, _with(bad), InvalidSpecError, _FORCES)
         for bad in (-1.0, math.nan, math.inf)
     },
     **{
-        f"omega of {bad}": ("omega", Foot.LEFT, _with(bad), InvalidSpecError)
+        f"omega of {bad}": ("omega", Foot.LEFT, _with(bad), InvalidSpecError,
+                            "left omega must be finite")
         for bad in (math.nan, math.inf)
     },
-    "short omega": ("omega", Foot.RIGHT, lambda x: x[:-1], InvalidSpecError),
+    "short omega": (
+        "omega", Foot.RIGHT, lambda x: x[:-1], InvalidSpecError,
+        "right omega needs shape (1000,), got (999,)",
+    ),
 }
 
 
-@pytest.mark.parametrize("mode", list(DetectionMode), ids=lambda m: m.value)
+@pytest.fixture(scope="module")
+def seed3_log():
+    return generate(GaitParams(seed=3), 10.0)
+
+
 @pytest.mark.parametrize("case", list(_BAD_CHANNELS))
-def test_every_channel_is_checked_in_both_modes(case, mode):
-    # run_trial checks both feet's omega and insole channels whichever
-    # framework drives the gait state
-    channel, foot, change, error = _BAD_CHANNELS[case]
-    log = generate(GaitParams(), 10.0)
-    channels = getattr(log, channel)
+def test_every_run_channel_is_checked_when_the_log_is_built(case, seed3_log):
+    # a TrialLog checks both feet's omega and insole channels, which either
+    # framework's run reads, before any run can start
+    channel, foot, change, error, message = _BAD_CHANNELS[case]
+    channels = dict(getattr(seed3_log, channel))
     if change is None:
         del channels[foot]
     else:
         channels[foot] = change(channels[foot])
-    with pytest.raises(error):
-        run_trial(log, mode)
+    with pytest.raises(error) as info:
+        dataclasses.replace(seed3_log, **{channel: channels})
+    assert str(info.value) == message
 
 
-# (change of the raw EMG samples, message); a 10 s trial has 1000 ticks at 10 EMG
-# samples per tick, so the control envelope reads samples 0 to 9990
-_UNFINISHED = "^emg channel must be finite through the last tick$"
+# (change of the raw EMG samples, samples left); a 10 s trial has 1000 ticks at
+# 10 EMG samples per tick
 _BAD_EMG = {
-    "nan": (lambda x: np.where(np.arange(len(x)) == 9990, math.nan, x), _UNFINISHED),
-    "inf": (lambda x: np.where(np.arange(len(x)) == 5, math.inf, x), _UNFINISHED),
-    "short": (lambda x: x[:9990], "^emg channel needs 9991 or more samples for 1000 ticks$"),
+    "nan": (lambda x: np.where(np.arange(len(x)) == 9990, math.nan, x), 10000),
+    "inf": (lambda x: np.where(np.arange(len(x)) == 5, math.inf, x), 10000),
+    "short": (lambda x: x[:9990], 9990),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_EMG))
+def test_raw_emg_is_checked_when_the_log_is_built(case, seed3_log):
+    change, got = _BAD_EMG[case]
+    raw = seed3_log.emg.raw
+    emg = EmgChannel(raw.with_samples(change(raw.samples)), seed3_log.emg.mvc_mv)
+    message = f"^emg channel needs 10000 samples, all finite; got {got}$"
+    with pytest.raises(InvalidSpecError, match=message):
+        dataclasses.replace(seed3_log, emg=emg)
+
+
+# an EMG rate that a TrialLog takes and the control envelope refuses
+_ENVELOPE_REFUSES = {
+    "off-multiple": (1000.0001, "cannot decimate 1000.0001 Hz to 100.0 Hz by an integer factor"),
+    "too-low": (500.0, "EMG rate 500.0 Hz too low; the 400.0 Hz band edge needs at least 800.0 Hz"),
 }
 
 
 @pytest.mark.parametrize("mode", list(DetectionMode), ids=lambda m: m.value)
-@pytest.mark.parametrize("case", list(_BAD_EMG))
-def test_raw_emg_is_checked_before_filtering_in_both_modes(case, mode, monkeypatch):
-    log = generate(GaitParams(seed=3), 10.0)
-    change, message = _BAD_EMG[case]
-    log.emg = EmgChannel(log.emg.raw.with_samples(change(log.emg.raw.samples)), log.emg.mvc_mv)
-    monkeypatch.setattr(runner, "control_envelope", None)  # the check comes first
-    with pytest.raises(InvalidSpecError, match=message):
+@pytest.mark.parametrize("case", list(_ENVELOPE_REFUSES))
+def test_an_emg_rate_the_envelope_refuses_is_raised_by_run_trial(case, mode, seed3_log):
+    rate, message = _ENVELOPE_REFUSES[case]
+    rates = ChannelRates(emg_rate_hz=rate)
+    samples = np.resize(seed3_log.emg.raw.samples, rates.emg_samples(seed3_log.n_ticks))
+    emg = EmgChannel(TimeSeries(samples, rate), seed3_log.emg.mvc_mv)
+    log = dataclasses.replace(seed3_log, rates=rates, emg=emg)
+    with pytest.raises(InvalidSpecError) as info:
         run_trial(log, mode)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("tail", ["cut", "nan"])
-def test_emg_past_the_last_tick_is_not_read(tail):
-    log = generate(GaitParams(seed=3), 10.0)
-    full = run_trial(log, DetectionMode.FOOT_SENSORS)
-    raw = log.emg.raw.samples
-    samples = raw[:9991] if tail == "cut" else np.where(np.arange(len(raw)) > 9990, math.nan, raw)
-    log.emg = EmgChannel(log.emg.raw.with_samples(samples), log.emg.mvc_mv)
-    short = run_trial(log, DetectionMode.FOOT_SENSORS)
-    assert short.emg_norm.samples.tobytes() == full.emg_norm.samples.tobytes()
+def test_emg_past_the_last_tick_is_not_read(tail, seed3_log):
+    # the envelope keeps samples 0, 10, ..., 9990 for the 1000 ticks, so a
+    # channel cut after sample 9990, or NaN past it, keeps the same ones
+    raw, rate = seed3_log.emg.raw, seed3_log.rates.control_rate_hz
+    full = causal_envelope(seed3_log.emg, rate).samples
+    samples = raw.samples[:9991] if tail == "cut" else np.where(
+        np.arange(len(raw)) > 9990, math.nan, raw.samples
+    )
+    short = causal_envelope(EmgChannel(raw.with_samples(samples), seed3_log.emg.mvc_mv), rate)
+    assert len(full) == 1000
+    assert short.samples.tobytes() == full.tobytes()

@@ -1,19 +1,21 @@
 """Synthetic gait generator tests: landmark exactness, truth consistency, determinism."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gaitassist.errors import DataFormatError, InvalidSpecError
 from gaitassist.gait import EventKind, Foot, check_event_stream, gait_state_codes
 from gaitassist.metrics import stride_length
-from gaitassist.runner import DetectionMode, run_trial
 from gaitassist.settings import MIN_SWING_TICKS
 from gaitassist.simgait import (
     KNEE_ROM_DEG,
     GaitParams,
     ChannelRates,
     HipVelocityWaveform,
+    TrialLog,
     generate,
 )
 
@@ -248,20 +250,20 @@ class TestGenerateContract:
                 generate(GaitParams(), 10.0, ChannelRates(emg_rate_hz=emg_rate_hz))
 
 
-class TestReplay:
-    """run_trial refuses a trial without every channel, in either mode."""
+class TestMissingChannels:
+    """A TrialLog refuses, when built, a log without every channel."""
 
-    def test_missing_channel_rejected(self):
-        for mode in DetectionMode:
-            log = generate(GaitParams(), 10.0)
-            log.insole.pop(Foot.LEFT)
-            with pytest.raises(DataFormatError):
-                run_trial(log, mode)
+    @pytest.mark.parametrize("foot", list(Foot))
+    @pytest.mark.parametrize("name", ["omega", "insole", "foot_xy", "hip_deg", "knee_deg"])
+    def test_missing_channel_rejected(self, clean_trial, name, foot):
+        channel = {other: getattr(clean_trial, name)[other] for other in Foot if other is not foot}
+        message = f"^trial log is missing the {foot.value} {name} channel$"
+        with pytest.raises(DataFormatError, match=message):
+            dataclasses.replace(clean_trial, **{name: channel})
 
-    def test_missing_omega_rejected(self):
-        for mode in DetectionMode:
-            for foot in Foot:
-                log = generate(GaitParams(), 10.0)
-                log.omega.pop(foot)
-                with pytest.raises(DataFormatError):
-                    run_trial(log, mode)
+    def test_a_log_built_field_by_field_is_checked(self, clean_trial):
+        fields = {f.name: getattr(clean_trial, f.name) for f in dataclasses.fields(TrialLog)}
+        assert TrialLog(**fields).n_ticks == clean_trial.n_ticks
+        insole = {Foot.LEFT: clean_trial.insole[Foot.LEFT]}
+        with pytest.raises(DataFormatError, match="^trial log is missing the right insole channel$"):
+            TrialLog(**{**fields, "insole": insole})

@@ -20,7 +20,6 @@ from gaitassist.cli import _RUN_DEFAULTS, _SIM_DEFAULTS, main
 from gaitassist.controller import UNLIMITED
 from gaitassist.errors import DataFormatError, InvalidSpecError
 from gaitassist.gait import EventKind, Foot, GaitEvent
-from gaitassist.runner import DetectionMode, run_trial
 from gaitassist.signals import EmgChannel, TimeSeries
 from gaitassist.simgait import ChannelRates, GaitParams, TrialTruth, generate
 from gaitassist.trial_io import (
@@ -160,20 +159,18 @@ def _set(k: int, value: float):
     return edit
 
 
-class TestSaveRefuses:
-    """save_trial refuses a log that load_trial would refuse, in one
-    InvalidSpecError line and before it writes anything."""
+class TestBuildRefuses:
+    """A TrialLog refuses, when built, what load_trial would refuse, in one
+    InvalidSpecError line, so save_trial gets no log it cannot write."""
 
     @pytest.fixture(scope="class")
     def log(self):
         return generate(GaitParams(seed=3), 10.0)
 
     @staticmethod
-    def refusal(log, tmp_path: Path) -> str:
-        out = tmp_path / "t"
+    def refusal(log, **changes) -> str:
         with pytest.raises(InvalidSpecError) as info:
-            save_trial(log, out)
-        assert not out.exists()
+            dataclasses.replace(log, **changes)
         return str(info.value)
 
     @pytest.mark.parametrize(
@@ -183,15 +180,21 @@ class TestSaveRefuses:
             ("hip_deg", Foot.RIGHT, _set(7, math.inf), "right hip_deg must be finite"),
             ("knee_deg", Foot.LEFT, lambda x: x[:-3],
              "left knee_deg needs shape (1000,), got (997,)"),
+            ("knee_deg", Foot.RIGHT, _set(0, -math.inf), "right knee_deg must be finite"),
+            ("hip_deg", Foot.LEFT, lambda x: x[:, None],
+             "left hip_deg needs shape (1000,), got (1000, 1)"),
+            ("foot_xy", Foot.RIGHT, _set(3, math.nan), "right foot_xy must be finite"),
+            ("foot_xy", Foot.LEFT, lambda x: x[:, :1],
+             "left foot_xy needs shape (1000, 2), got (1000, 1)"),
         ],
     )
-    def test_bad_leg_channel(self, log, tmp_path, name, foot, edit, message):
+    def test_bad_leg_channel(self, log, name, foot, edit, message):
         channel = dict(getattr(log, name))
         channel[foot] = edit(channel[foot])
-        assert self.refusal(dataclasses.replace(log, **{name: channel}), tmp_path) == message
+        assert self.refusal(log, **{name: channel}) == message
 
-    # the control envelope reads the first 9,991 samples, so a run accepts
-    # every one of these logs but the one of 9,990; load_trial refuses all
+    # the control envelope reads only the first 9,991 samples, but load_trial
+    # refuses each of these
     @pytest.mark.parametrize(
         "edit, got",
         [
@@ -201,10 +204,20 @@ class TestSaveRefuses:
             (_set(-1, math.nan), 10000),
         ],
     )
-    def test_emg_of_another_length_or_not_finite(self, log, tmp_path, edit, got):
+    def test_emg_of_another_length_or_not_finite(self, log, edit, got):
         emg = EmgChannel(log.emg.raw.with_samples(edit(log.emg.raw.samples)), mvc_mv=1.0)
         message = f"emg channel needs 10000 samples, all finite; got {got}"
-        assert self.refusal(dataclasses.replace(log, emg=emg), tmp_path) == message
+        assert self.refusal(log, emg=emg) == message
+
+    def test_a_log_without_ticks(self, log, tmp_path):
+        # save_trial would write it, and load_trial refuse its manifest
+        channels = {
+            name: {foot: getattr(log, name)[foot][:0] for foot in Foot}
+            for name in ("omega", "insole", "foot_xy", "hip_deg", "knee_deg")
+        }
+        emg = EmgChannel(log.emg.raw.with_samples(log.emg.raw.samples[:0]), mvc_mv=1.0)
+        message = "n_ticks must be positive, got 0"
+        assert self.refusal(log, emg=emg, truth=None, **channels) == message
 
     # seed 3's 27 events begin with the right foot's toe off and heel strike
     # and end with a left toe off
@@ -221,17 +234,19 @@ class TestSaveRefuses:
              "t_s 10.000002 in data row 28 is outside the trial, 0 to duration_s 10.000000"),
             (lambda events: [GaitEvent(-2e-6, Foot.RIGHT, EventKind.HEEL_STRIKE)] + events,
              "t_s -0.000002 in data row 1 is outside the trial, 0 to duration_s 10.000000"),
+            (lambda events: events[:-1] + [GaitEvent(math.nan, Foot.LEFT, EventKind.TOE_OFF)],
+             "t_s nan in data row 27 is outside the trial, 0 to duration_s 10.000000"),
         ],
-        ids=["swapped", "repeated-kind", "after-the-end", "before-the-start"],
+        ids=["swapped", "repeated-kind", "after-the-end", "before-the-start", "nan"],
     )
-    def test_truth_events_that_load_trial_refuses(self, log, tmp_path, edit, message):
+    def test_truth_events_that_load_trial_refuses(self, log, edit, message):
         events = list(log.truth.events)
         assert [(ev.foot, ev.kind) for ev in (*events[:2], events[-1])] == [
             (Foot.RIGHT, EventKind.TOE_OFF), (Foot.RIGHT, EventKind.HEEL_STRIKE),
             (Foot.LEFT, EventKind.TOE_OFF),
         ]
-        bad = dataclasses.replace(log, truth=TrialTruth(log.truth.phases, events_of(edit(events))))
-        assert self.refusal(bad, tmp_path) == f"truth_events.csv: {message}"
+        truth = TrialTruth(log.truth.phases, events_of(edit(events)))
+        assert self.refusal(log, truth=truth) == f"truth_events.csv: {message}"
 
     def test_truth_events_within_the_grid_tolerance_save(self, log, tmp_path):
         edge = [GaitEvent(10.000001, Foot.LEFT, EventKind.HEEL_STRIKE)]
@@ -247,12 +262,17 @@ class TestSaveRefuses:
             (lambda x: x[:, None], "(1000, 1)"),
         ],
     )
-    def test_truth_phases_of_another_shape(self, log, tmp_path, foot, edit, shape):
+    def test_truth_phases_of_another_shape(self, log, foot, edit, shape):
         phases = dict(log.truth.phases)
         phases[foot] = edit(phases[foot])
-        bad = dataclasses.replace(log, truth=TrialTruth(phases, log.truth.events))
         message = f"{foot.value} truth phases need shape (1000,), got {shape}"
-        assert self.refusal(bad, tmp_path) == message
+        assert self.refusal(log, truth=TrialTruth(phases, log.truth.events)) == message
+
+    @pytest.mark.parametrize("foot", list(Foot))
+    def test_truth_phases_without_a_foot(self, log, foot):
+        phases = {other: log.truth.phases[other] for other in Foot if other is not foot}
+        message = f"truth is missing the {foot.value} phases"
+        assert self.refusal(log, truth=TrialTruth(phases, log.truth.events)) == message
 
     @pytest.mark.parametrize(
         "foot, value, message",
@@ -260,21 +280,16 @@ class TestSaveRefuses:
          (Foot.RIGHT, 0.5, "right truth phase 0.5 at tick 5 is not 0 or 1"),
          (Foot.RIGHT, math.nan, "right truth phase nan at tick 5 is not 0 or 1")],
     )
-    def test_truth_phase_codes_other_than_0_and_1(self, log, tmp_path, foot, value, message):
+    def test_truth_phase_codes_other_than_0_and_1(self, log, foot, value, message):
         phases = dict(log.truth.phases)
         phases[foot] = _set(5, value)(phases[foot].astype(type(value)))
-        bad = dataclasses.replace(log, truth=TrialTruth(phases, log.truth.events))
-        assert self.refusal(bad, tmp_path) == message
+        assert self.refusal(log, truth=TrialTruth(phases, log.truth.events)) == message
 
-    def test_emg_at_another_rate(self, log, tmp_path):
+    def test_emg_at_another_rate(self, log):
         samples = np.repeat(log.emg.raw.samples, 2)
         emg = EmgChannel(TimeSeries(samples, 2000.0), mvc_mv=log.emg.mvc_mv)
-        bad = dataclasses.replace(log, emg=emg)
         message = "emg channel is at 2000 Hz, not at emg_rate_hz 1000"
-        assert self.refusal(bad, tmp_path) == message
-        for mode in DetectionMode:
-            with pytest.raises(InvalidSpecError, match=f"^{message}$"):
-                run_trial(bad, mode)
+        assert self.refusal(log, emg=emg) == message
 
 
 _CELLS = st.one_of(
