@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import gc
+import os
 import sys
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command as the whole process; the console script calls this too.
+    """Run one command and return its exit code; `run_process` calls this.
 
     A command's garbage is freed by reference counts, so the cyclic collector
     is off from before `cli` is imported, and the heap is frozen before the
@@ -22,5 +23,18 @@ def main(argv: list[str] | None = None) -> int:
         gc.freeze()
 
 
+def run_process() -> None:
+    """`main` as the whole process (`-m` and the console script), ended without
+    interpreter teardown, as a command has closed its files; if a flush fails,
+    as into a closed pipe, the interpreter's exit reports it as before."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_process()

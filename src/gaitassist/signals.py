@@ -10,6 +10,9 @@ import importlib.machinery
 import importlib.util
 import math
 import numbers
+import sys
+import threading
+import types
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -27,6 +30,7 @@ DEFAULT_FILTER_ORDER = 4
 MIN_EMG_RATE_HZ = 800.0
 
 _FILTER_KINDS = ("low-pass", "high-pass", "band-pass")
+_KERNEL_LOAD = threading.Lock()  # held while the filter kernel loads
 
 
 @dataclass(eq=False)
@@ -203,13 +207,21 @@ def _load_sosfilt():
 
     It filters each row of `x` (signals, samples) in place from the states
     `zi` (signals, sections, 2), which it leaves updated. Importing
-    `scipy.signal` for it would cost about a second, most of it
-    `scipy.stats`. The kernel is private, so it is checked once on a tiny
-    input; if it cannot be loaded or gets that wrong, `scipy.signal.sosfilt`
-    stands in with the same numbers and the slow import.
+    `scipy.signal` for it would cost about a second, and its helper
+    `scipy._cyutility` imports the `scipy` package (24 modules), so if scipy
+    is not imported yet a placeholder `scipy` stands in, and it and every
+    `scipy.*` entry the load adds then leave `sys.modules`. Callers hold
+    `_KERNEL_LOAD`; a host that imports scipy on another thread should do so
+    first. The kernel is private, so it is checked once on a tiny input; if
+    it cannot be loaded or gets that wrong, `scipy.signal.sosfilt` stands in
+    with the same numbers.
     """
+    placeholder = "scipy" not in sys.modules
     try:
         folder = Path(importlib.util.find_spec("scipy").origin).parent / "signal"
+        if placeholder:
+            sys.modules["scipy"] = types.ModuleType("scipy")
+            sys.modules["scipy"].__path__ = [str(folder.parent)]
         suffixes = importlib.machinery.EXTENSION_SUFFIXES
         path = next(str(f) for f in (folder / f"_sosfilt{s}" for s in suffixes) if f.is_file())
         name = "_sosfilt"  # must end in _sosfilt: the init function is PyInit__sosfilt
@@ -222,14 +234,23 @@ def _load_sosfilt():
             return module._sosfilt
     except (ImportError, OSError, AttributeError, StopIteration, TypeError, ValueError):
         pass  # no usable kernel: the public function below gives the same numbers
+    finally:
+        if placeholder:
+            for key in [key for key in list(sys.modules) if key.partition(".")[0] == "scipy"]:
+                sys.modules.pop(key, None)
     return _sosfilt_via_scipy
 
 
-def _sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> None:
-    """Replaced by the kernel on the first filter call, so importing imports no scipy."""
+def _first_sosfilt(sos: np.ndarray, x: np.ndarray, zi: np.ndarray) -> None:
+    """`_sosfilt` until the first filter call loads the kernel once, so importing imports no scipy."""
     global _sosfilt
-    _sosfilt = _load_sosfilt()
+    with _KERNEL_LOAD:
+        if _sosfilt is _first_sosfilt:
+            _sosfilt = _load_sosfilt()
     _sosfilt(sos, x, zi)
+
+
+_sosfilt = _first_sosfilt
 
 
 def _filter_rows(sos: np.ndarray, y: np.ndarray, zi: np.ndarray) -> None:
@@ -349,8 +370,9 @@ def envelope_decimation(rate: float, rate_hz: float) -> int:
     InvalidSpecError, with the envelope's own message, for an EMG rate below
     MIN_EMG_RATE_HZ or one that is not a whole multiple of `rate_hz`."""
     _check_emg_rate(rate)
-    k = round(rate / rate_hz)
-    if k < 1 or abs(rate / rate_hz - k) > 1e-9:
+    ratio = rate / rate_hz
+    k = round(ratio) if ratio < math.inf else 0  # a tiny rate_hz makes it infinite
+    if k < 1 or abs(ratio - k) > 1e-9:
         raise InvalidSpecError(f"cannot decimate {rate} Hz to {rate_hz} Hz by an integer factor")
     return k
 

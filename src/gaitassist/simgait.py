@@ -182,10 +182,10 @@ class TrialLog:
         """Check the log once, when built or `dataclasses.replace`d; arrays or
         dicts changed in place later are not checked again. DataFormatError if
         a foot lacks a channel of `_LEG_TAILS`; InvalidSpecError, foot by foot,
-        unless each holds one row of its shape per tick, finite, forces
-        non-negative, then unless the raw EMG is `rates.emg_samples(n_ticks)`
-        finite samples at `rates.emg_rate_hz`, the truth, if any, passes
-        `_check_truth`, and there is a tick."""
+        unless each is a numpy array of one row of its shape per tick, finite,
+        forces non-negative, then unless the raw EMG is
+        `rates.emg_samples(n_ticks)` finite samples at `rates.emg_rate_hz`, the
+        truth, if any, passes `_check_truth`, and there is a tick."""
         for name in _LEG_TAILS:
             for foot in Foot:
                 if foot not in (getattr(self, name) or {}):
@@ -193,7 +193,11 @@ class TrialLog:
         n = self.n_ticks
         for foot in Foot:
             for name, tail in _LEG_TAILS.items():
-                got = np.shape(getattr(self, name)[foot])
+                values = getattr(self, name)[foot]
+                if not isinstance(values, np.ndarray):
+                    kind = type(values).__name__
+                    raise InvalidSpecError(f"{foot.value} {name} must be a numpy array, not {kind}")
+                got = values.shape
                 if got != (n, *tail):
                     raise InvalidSpecError(f"{foot.value} {name} needs shape {(n, *tail)}, got {got}")
             for name in _LEG_TAILS:

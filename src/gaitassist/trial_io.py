@@ -580,7 +580,7 @@ def load_trial(trial_dir: Path | str) -> TrialLog:
         path, tails = trial_dir / name, read is _read_truth
         cells = len(columns) - 3 * tails  # a labels row's tail is read as one state code
         fits = path.is_file() and 9 * rows * cells <= path.stat().st_size
-        out = np.empty((rows, cells + tails)) if fits else None
+        out = np.empty((rows, cells + tails), order="F") if fits else None
         return partial(read, path, columns, rows, rate_hz, out)
 
     jobs = [

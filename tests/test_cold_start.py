@@ -9,7 +9,9 @@ command leaves no more cyclic garbage for more trials, good or bad. An `ast`
 rule keeps the modules those paths import at module level free of numpy.
 `compare`'s numpy-free means and percent changes are held, bit for bit, to
 the numpy expressions they replaced, and the lazy package still hands out
-the same objects and submodules.
+the same objects and submodules. The filter kernel loads once, however many
+threads filter first, and leaves no `scipy` module behind; a command process
+skips interpreter teardown with the same exit codes and output bytes.
 """
 from __future__ import annotations
 
@@ -175,6 +177,123 @@ def test_analyze_loads_no_numpy_ma(tmp_path):
     assert [name for name in loaded if name.split(".")[:2] == ["numpy", "ma"]] == []
 
 
+# --- the filter kernel's load ----------------------------------------------------
+
+
+@pytest.mark.parametrize("scipy_first", [False, True], ids=["scipy-not-imported", "scipy-imported"])
+def test_the_kernel_loads_without_leaving_scipy_behind(tmp_path, scipy_first):
+    """A session that filters leaves no `scipy` module, placeholder or real,
+    unless scipy was imported before; only the kernel's Cython helpers stay.
+    A later `import scipy.signal` then gets the real package, whose `sosfilt`
+    gives the kernel's bytes."""
+    out = str(tmp_path)
+    loaded = loaded_after(
+        f"""
+        import contextlib, io, sys
+        {"import scipy" if scipy_first else "scipy = None"}
+        import numpy
+        from gaitassist import cli, signals, runner, metrics, trial_io
+
+        before = set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in (
+                ["simulate", "--out", {out!r} + "/trial", "--duration", "5", "--cadence", "2"],
+                ["run", "--trial", {out!r} + "/trial", "--out", {out!r} + "/fsr"],
+                ["run", "--trial", {out!r} + "/trial", "--out", {out!r} + "/vel",
+                 "--mode", "actuators-velocity"],
+                ["analyze", {out!r} + "/trial"],
+            ):
+                assert cli.main(argv) == 0, argv
+        added = {{name.partition(".")[0] for name in set(sys.modules) - before}}
+        others = added - set(sys.stdlib_module_names) - {{"numpy", "scipy"}}
+        helpers = {{"_cyutility", "cython_runtime"}}
+        assert {{n for n in others if not n.startswith("_cython_")}} <= helpers, others
+        left = sorted(n for n in sys.modules if n.partition(".")[0] == "scipy")
+        assert (sys.modules.get("scipy") is scipy) if scipy else left == [], left
+        assert "scipy.signal" not in sys.modules
+        kernel = signals._sosfilt
+        assert kernel is not signals._sosfilt_via_scipy
+
+        import numpy as np
+        import scipy.signal
+
+        assert scipy.__version__ and (scipy is sys.modules["scipy"])
+        coeffs = signals.design_filter(signals.FilterSpec("band-pass", 4, (10.0, 400.0), 1000.0))
+        x = np.random.default_rng(5).normal(size=3000)
+        ours = signals.filter_causal(coeffs, signals.TimeSeries(x, 1000.0)).samples
+        assert scipy.signal.sosfilt(coeffs.sos, x).tobytes() == ours.tobytes()
+        assert signals._sosfilt is kernel
+        """
+    )
+    assert "scipy.signal" in loaded
+
+
+def test_threads_that_filter_first_together_load_the_kernel_once():
+    """Two threads' first filter calls meet at a barrier; the load is slowed
+    so both are inside it together unless the second waits for the first."""
+    loaded_after(
+        """
+        import sys, threading, time
+        import numpy as np
+        from gaitassist import signals
+
+        load, calls = signals._load_sosfilt, []
+
+        def slow_load():
+            calls.append(threading.get_ident())
+            time.sleep(0.05)
+            return load()
+
+        signals._load_sosfilt = slow_load
+        coeffs = signals.design_filter(signals.FilterSpec("low-pass", 4, (50.0,), 1000.0))
+        x = signals.TimeSeries(np.random.default_rng(3).normal(size=2000), 1000.0)
+        barrier, results, errors = threading.Barrier(2), [], []
+
+        def first_call():
+            barrier.wait()
+            try:
+                results.append(signals.filter_causal(coeffs, x).samples.tobytes())
+            except BaseException as error:
+                errors.append(error)
+
+        threads = [threading.Thread(target=first_call) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == [] and len(calls) == 1, (errors, calls)
+        assert signals._sosfilt is not signals._sosfilt_via_scipy
+        assert [n for n in sys.modules if n.partition(".")[0] == "scipy"] == []
+        import scipy.signal
+        assert results == 2 * [scipy.signal.sosfilt(coeffs.sos, x.samples).tobytes()]
+        """
+    )
+
+
+def test_a_kernel_that_fails_to_load_leaves_no_placeholder():
+    """The fallback then imports the real scipy.signal."""
+    loaded_after(
+        """
+        import importlib.machinery, sys
+        import numpy as np
+        from gaitassist import signals
+
+        suffixes = importlib.machinery.EXTENSION_SUFFIXES
+        importlib.machinery.EXTENSION_SUFFIXES = [".missing"]
+        try:
+            assert signals._load_sosfilt() is signals._sosfilt_via_scipy
+        finally:
+            importlib.machinery.EXTENSION_SUFFIXES = suffixes
+        assert [n for n in sys.modules if n.partition(".")[0] == "scipy"] == []
+        x, zi = np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 1, 2))
+        signals._sosfilt_via_scipy(np.array([[0.5, 0.5, 0.0, 1.0, -0.5, 0.0]]), x, zi)
+        assert x.tolist() == [[0.5, 0.75, 0.375]]
+        import scipy
+        assert scipy.__version__
+        """
+    )
+
+
 # --- the cyclic collector -------------------------------------------------------
 
 
@@ -245,6 +364,74 @@ def test_analyze_leaves_as_much_cyclic_garbage_for_five_trials_as_for_one(
     finally:
         if was_enabled:
             gc.enable()
+
+
+# --- the process exit ------------------------------------------------------------
+
+# The entry before `run_process`: main's code through sys.exit, then teardown
+TORN_DOWN = "import sys; from gaitassist.__main__ import main; sys.exit(main())"
+# `python -m gaitassist`, with an exit handler that writes a line if teardown runs
+MODULE = (
+    "import atexit, runpy, sys; atexit.register(sys.stderr.write, 'teardown\\n'); "
+    "runpy.run_module('gaitassist', run_name='__main__', alter_sys=True)"
+)
+
+
+def process(code: str, args: list[str], cwd: Path, closed: bool) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of `python -c code args...` in `cwd`, its
+    stdout block-buffered, into a pipe, or, if `closed`, into one whose
+    reading end is closed."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    try:
+        if closed:
+            os.close(read)
+        result = subprocess.run(
+            [sys.executable, "-c", code, *args], cwd=cwd, env=env, timeout=120,
+            stdout=write if closed else subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write)
+        if not closed:
+            os.close(read)
+    return result.returncode, result.stdout or b"", result.stderr
+
+
+@pytest.fixture(scope="module")
+def exit_inputs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("exit")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["simulate", "--out", str(folder / "trial"), "--duration", "5",
+                         "--cadence", "2"]) == 0
+        assert cli.main(["analyze", str(folder / "trial"), "--out", str(folder / "m.csv")]) == 0
+    return folder
+
+
+@pytest.mark.parametrize(
+    "args, closed, code, torn_down",
+    [
+        (["simulate", "--out", "t", "--duration", "5", "--cadence", "2"], False, 0, False),
+        (["run", "--trial", "trial", "--out", "r", "--print-torque"], False, 0, False),
+        (["compare", "--baseline", "m.csv", "m.csv"], False, 0, False),
+        (["analyze", "missing"], False, 2, False),
+        (["run", "--no-such-flag"], False, 1, True),  # argparse's SystemExit
+        # the command meets the closed pipe and reports it; the flush then succeeds
+        (["run", "--trial", "trial", "--out", "r", "--print-torque"], True, 2, False),
+        # the table waits in stdout's buffer: the flush fails, and so does teardown's
+        (["analyze", "trial"], True, 120, True),
+    ],
+    ids=["simulate", "run", "compare", "data-error", "usage-error", "run-closed-pipe",
+         "analyze-closed-pipe"],
+)
+def test_the_process_exit_keeps_the_codes_and_bytes(exit_inputs, args, closed, code, torn_down):
+    """`python -m gaitassist` exits with the code and output of the exit
+    through interpreter teardown, and skips teardown unless a flush fails or
+    the command raised SystemExit."""
+    before = process(TORN_DOWN, args, exit_inputs, closed)
+    got, out, err = process(MODULE, args, exit_inputs, closed)
+    assert (got, out, err.replace(b"teardown\n", b"")) == before
+    assert (got, b"teardown\n" in err) == (code, torn_down), err
 
 
 # --- the numpy-free import rule ----------------------------------------------

@@ -1,16 +1,19 @@
 """The CLI's other inputs, fuzzed in process.
 
 Each example mutates one input: a metrics CSV that `compare` reads as its
-baseline or as another file, or the `--config` file of `simulate` or of
-`run --simulate`. The mutation is to the file's bytes (truncation, a
-byte-order mark, a non-UTF-8 byte, any other byte), a cell or value, a key
-or header cell, or a line, or it deletes the file. Then the command exits
+baseline or as another file, the `--config` file of `simulate` or of
+`run --simulate`, or the value of one flag of any command. The mutation is
+to the file's bytes (truncation, a byte-order mark, a non-UTF-8 byte, any
+other byte), a cell or value, a key or header cell, or a line, or it deletes
+the file; a flag's value becomes huge, negative, not a number, infinite,
+Unicode digits or empty. Then the command exits
 0, 1 or 2; a non-zero exit writes exactly one stderr line, no traceback and
 no warning, which a command process would print to stderr too. The trials
 stay at 2 s, so every example is small.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import tempfile
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gaitassist.cli import main
+from gaitassist.cli import build_parser, main
 from gaitassist.settings import format_named_rows
 
 METRICS = ("emg_rms", "emg_p90", "stride_length_m", "speed_m_s")
@@ -183,3 +186,71 @@ def test_settings_past_float64_or_int64(tmp_path, argv, code, message):
     peak."""
     got = run([*argv, "--out", str(tmp_path / "out")])
     assert got == (code, "" if message is None else f"gaitassist: error: {message}\n")
+
+
+# Flag values: huge, negative, not a number, infinite, Unicode digits, empty,
+# and a few that are valid for some flags and not others
+FLAG_VALUES = [
+    "1e308", "1" + "0" * 400, "99999999999", "2.5e9", "-1", "-0", "-1e308", "nan", "inf",
+    "-inf", "unlimited", "٣", "١٢", "𝟏", "", "0", "1e-320", "1e-5", "0.5",
+]
+# each command's valid call, `run` from either input, that one flag's value overrides
+COMMANDS = {
+    "simulate": ["simulate", *SMALL, "--out", "trial"],
+    "run --simulate": ["run", "--simulate", *SMALL, "--out", "result"],
+    "run --trial": ["run", "--trial", "{trial}", "--out", "result"],
+    "analyze": ["analyze", "{trial}", "--out", "metrics.csv"],
+    "compare": ["compare", "--baseline", "{metrics}", "{metrics}", "--out", "change.csv"],
+}
+
+
+def value_flags(command: str) -> list[str]:
+    """The flags of the subcommand `command` that take a value."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command.split()[0]]._actions
+    return [a.option_strings[-1] for a in actions if a.option_strings and a.nargs != 0]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A 2 s trial and its metrics table, for `run --trial`, `analyze` and `compare`."""
+    folder = tmp_path_factory.mktemp("inputs")
+    paths = {"trial": str(folder / "trial"), "metrics": str(folder / "metrics.csv")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", *SMALL, "--out", paths["trial"]]) == 0
+        assert main(["analyze", paths["trial"], "--out", paths["metrics"]]) == 0
+    return paths
+
+
+def run_with_flag(folder: Path, inputs: dict[str, str], command: str, flag: str, value: str):
+    """`run` of `command`'s valid call with `--flag=value` last, so that it
+    overrides a valid value and a value starting with `-` is a value, in
+    `folder`, where relative paths land."""
+    argv = [word.format(**inputs) for word in COMMANDS[command]]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(folder)
+        return run([*argv, f"{flag}={value}"])
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(command, flag) for command in COMMANDS for flag in value_flags(command)]
+)
+def test_each_listed_value_of_each_flag_exits_0_1_or_2(tmp_path, inputs, command, flag):
+    for value in FLAG_VALUES:
+        run_with_flag(Path(tempfile.mkdtemp(dir=tmp_path)), inputs, command, flag, value)
+
+
+# drawn numbers stay under 1000 (a 2 s trial is at most 500 times as long)
+# or are far past every limit, and drawn digits are at most 3
+NUMBERS = st.one_of(
+    st.floats(-500.0, 500.0).map(repr), st.integers(-500, 500).map(str),
+    st.floats(min_value=1e12).map(repr), st.floats(max_value=-1e12).map(repr),
+    st.text(alphabet="0123456789٠١٢٣४५६０１２𝟏.-+eE_ ", max_size=3),
+)
+
+
+@_SETTINGS
+@given(data=st.data(), command=st.sampled_from(list(COMMANDS)), value=NUMBERS)
+def test_a_drawn_flag_value_exits_0_1_or_2(tmp_path, inputs, data, command, value):
+    flag = data.draw(st.sampled_from(value_flags(command)))
+    run_with_flag(Path(tempfile.mkdtemp(dir=tmp_path)), inputs, command, flag, value)

@@ -82,6 +82,28 @@ class TestRoundTrip:
         assert loaded.params.noise_sigma == pytest.approx(log.params.noise_sigma)
         assert loaded.params.cadence_hz == pytest.approx(log.params.cadence_hz)
 
+    def test_loaded_channels_are_contiguous_and_np_loadtxt_values(self, saved_trial):
+        _, out = saved_trial
+        loaded = load_trial(out)
+
+        def table(name: str) -> np.ndarray:
+            return np.loadtxt(out / name, delimiter=",", skiprows=1)
+
+        omega, kin = table("omega.csv"), table("kinematics.csv")
+        expected = {"emg": [(loaded.emg.raw.samples, table("emg.csv")[:, 1])]}
+        for i, foot in enumerate(Foot):
+            expected[foot.value] = [
+                (loaded.omega[foot], omega[:, 1 + i]),
+                (loaded.insole[foot], table(f"insole_{foot.value}.csv")[:, 1:]),
+                (loaded.foot_xy[foot], kin[:, 1 + 2 * i : 3 + 2 * i]),
+                (loaded.hip_deg[foot], kin[:, 5 + i]),
+                (loaded.knee_deg[foot], kin[:, 7 + i]),
+            ]
+        for where, pairs in expected.items():
+            for got, want in pairs:
+                assert got.flags.f_contiguous, where
+                assert got.tobytes(order="F") == want.tobytes(order="F"), where
+
     def test_rewrite_is_byte_identical(self, saved_trial, tmp_path):
         _, out = saved_trial
         loaded = load_trial(out)
@@ -192,6 +214,13 @@ class TestBuildRefuses:
         channel = dict(getattr(log, name))
         channel[foot] = edit(channel[foot])
         assert self.refusal(log, **{name: channel}) == message
+
+    # each mode's detector channel: a list of rows is refused, not left for a
+    # `run_trial` in that mode to fail on with a TypeError
+    @pytest.mark.parametrize("name", ["omega", "insole"], ids=["velocity", "foot-sensors"])
+    def test_a_channel_that_is_not_an_array(self, log, name):
+        channel = {f: list(getattr(log, name)[f]) for f in Foot}
+        assert self.refusal(log, **{name: channel}) == f"left {name} must be a numpy array, not list"
 
     # the control envelope reads only the first 9,991 samples, but load_trial
     # refuses each of these
