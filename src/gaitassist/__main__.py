@@ -15,18 +15,25 @@ def main(argv: list[str] | None = None) -> int:
     for the rest of the process: a process that goes on calls `cli.main`.
     """
     gc.disable()
+    code = 0
     try:
         from .cli import main as run_command
 
-        return run_command(argv)
+        code = run_command(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader has gone, as in `| head`: what is left of the output,
+        # now or at exit, goes nowhere, and the command ends with no message
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
         gc.freeze()
+    return code
 
 
 def run_process() -> None:
     """`main` as the whole process (`-m` and the console script), ended without
-    interpreter teardown, as a command has closed its files; if a flush fails,
-    as into a closed pipe, the interpreter's exit reports it as before."""
+    interpreter teardown, as a command has closed its files; if a flush fails
+    even so, the interpreter's exit reports it as before."""
     code = main()
     try:
         sys.stdout.flush()

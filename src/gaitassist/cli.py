@@ -381,10 +381,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidSpecError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
+    except BrokenPipeError:
+        raise  # stdout's reader has gone: no data error; `__main__.main` ends quietly
     except (DataFormatError, OSError) as exc:
         print(f"{parser.prog}: data error: {exc}", file=sys.stderr)
         return _DATA_EXIT
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -89,10 +89,6 @@ def run_trial(
             score = score_detection(events, event_phases, truth.events, truth.phases, rate_hz=rate_hz)
         return t, events, causal, event_phases, score
 
-    # The envelope goes first: its thread keeps the interpreter lock (the EMG
-    # copy in signals._run_sections does not release it) until its first
-    # compiled filter pass, so the detector's Python, on the other thread,
-    # runs while that pass runs.
     envelope, (t, events, causal, event_phases, score) = _run_jobs(
         [lambda: control_envelope(log), gait_layers]
     )
@@ -106,7 +102,7 @@ def run_trial(
         tau_left=tau_left,
         tau_right=tau_right,
         tau_exo=tau_exo,
-        emg_norm=TimeSeries(emg_norm.copy(), rate_hz),
+        emg_norm=TimeSeries(emg_norm, rate_hz),
         events=events,
         state_codes=state_codes,
         causal_phases=causal,

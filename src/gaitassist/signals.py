@@ -259,13 +259,8 @@ def _filter_rows(sos: np.ndarray, y: np.ndarray, zi: np.ndarray) -> None:
 
 
 def _run_sections(sos: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Filter a copy of `samples` from zero section states. The copy holds
-    the interpreter lock, which numpy's copy of a long array would release,
-    so a thread that waits for the lock (`runner.run_trial`'s detector)
-    starts only once the filter pass, which releases it, runs."""
-    x = np.ascontiguousarray(samples, dtype=float)
-    y = np.empty_like(x)
-    memoryview(y)[:] = memoryview(x)
+    """Filter a copy of `samples` from zero section states."""
+    y = np.array(samples, dtype=float)
     _filter_rows(sos, y[None], np.zeros((1, len(sos), 2)))
     return y
 

@@ -416,10 +416,10 @@ def exit_inputs(tmp_path_factory):
         (["compare", "--baseline", "m.csv", "m.csv"], False, 0, False),
         (["analyze", "missing"], False, 2, False),
         (["run", "--no-such-flag"], False, 1, True),  # argparse's SystemExit
-        # the command meets the closed pipe and reports it; the flush then succeeds
-        (["run", "--trial", "trial", "--out", "r", "--print-torque"], True, 2, False),
-        # the table waits in stdout's buffer: the flush fails, and so does teardown's
-        (["analyze", "trial"], True, 120, True),
+        # the command meets the closed pipe and ends quietly, its files written
+        (["run", "--trial", "trial", "--out", "r", "--print-torque"], True, 0, False),
+        # the table waits in stdout's buffer: `main`'s flush meets the closed pipe
+        (["analyze", "trial"], True, 0, False),
     ],
     ids=["simulate", "run", "compare", "data-error", "usage-error", "run-closed-pipe",
          "analyze-closed-pipe"],
@@ -432,6 +432,19 @@ def test_the_process_exit_keeps_the_codes_and_bytes(exit_inputs, args, closed, c
     got, out, err = process(MODULE, args, exit_inputs, closed)
     assert (got, out, err.replace(b"teardown\n", b"")) == before
     assert (got, b"teardown\n" in err) == (code, torn_down), err
+
+
+@pytest.mark.parametrize(
+    "args", [["run", "--trial", "trial", "--out", "quiet", "--print-torque"], ["analyze", "trial"]],
+    ids=["run", "analyze"],
+)
+def test_a_closed_stdout_ends_the_command_quietly(exit_inputs, args):
+    """Into a pipe whose reader has gone, a command exits 0 with nothing on
+    stderr, and `run` has written every file."""
+    assert process(MODULE, args, exit_inputs, closed=True) == (0, b"", b"")
+    if args[0] == "run":
+        written = {path.name for path in (exit_inputs / "quiet").iterdir()}
+        assert {"torque.csv", "events.csv", "labels.csv", "score.txt"} <= written
 
 
 # --- the numpy-free import rule ----------------------------------------------

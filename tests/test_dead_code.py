@@ -1,7 +1,7 @@
 """Every module-level function and class of the package is referenced
 somewhere in the package, outside its own body, or exported by an
 `__all__`, and every module-level constant is read somewhere in it: no code
-or table lives only for tests."""
+or table lives only for tests. Only `__main__` runs as a script."""
 from __future__ import annotations
 
 import ast
@@ -108,3 +108,35 @@ def test_the_check_finds_unread_constants():
 def test_every_constant_is_read():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     assert unread_constants(sources) == PERFBENCH_HOOKS
+
+
+def script_blocks(sources: dict[str, str]) -> list[str]:
+    """The modules of `sources` (module name to source text) that hold an
+    `if __name__ == "__main__":` test anywhere, in module order."""
+    return [
+        module
+        for module, source in sources.items()
+        if any(
+            isinstance(node, ast.Compare)
+            and isinstance(node.left, ast.Name)
+            and node.left.id == "__name__"
+            and any(isinstance(c, ast.Constant) and c.value == "__main__" for c in node.comparators)
+            for node in ast.walk(ast.parse(source))
+        )
+    ]
+
+
+def test_the_check_finds_script_blocks():
+    sources = {
+        "a": "import sys\nif __name__ == '__main__':\n    sys.exit(0)\n",
+        "b": "def f():\n    return __name__\nNAME = '__main__'\n",
+        "c": "def g():\n    if __name__ == \"__main__\": pass\n",
+    }
+    assert script_blocks(sources) == ["a", "c"]
+
+
+def test_only_the_package_entry_runs_as_a_script():
+    """`python -m gaitassist` (`__main__.run_process`) is the one process
+    entry: it runs with the collector off and exits without teardown."""
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    assert script_blocks(sources) == ["__main__"]

@@ -11,7 +11,7 @@ import threading
 import numpy as np
 import pytest
 
-from gaitassist import gait_fsr, gait_vel, runner, signals, trial_io
+from gaitassist import gait_fsr, gait_vel, runner, trial_io
 from gaitassist.controller import ControllerConfig
 from gaitassist.gait import Foot
 from gaitassist.runner import DetectionMode, RunResult, run_trial
@@ -87,77 +87,43 @@ def test_the_envelope_runs_beside_detection(monkeypatch):
     assert digest(result) == digest(run_trial(log, DetectionMode.FOOT_SENSORS))
 
 
+@pytest.mark.parametrize("count", [1, 2])
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-def test_the_detector_starts_once_the_envelope_filters(monkeypatch, mode):
-    """Whichever thread takes the envelope holds the interpreter lock until
-    its first compiled filter pass releases it, so the detector never starts
-    first. A switch interval longer than the run leaves only those releases
-    to decide the order."""
+def test_no_leg_value_is_read_outside_the_detector(monkeypatch, mode, count):
+    """run_trial checks no channel: the first numpy pass over each leg array
+    that a run reads at all runs inside the detector, on the detector's own
+    thread, and the other framework's channels are not read."""
     log = generate(GaitParams(seed=3), 10.0)
-    run_trial(log, mode)  # the filters designed and the kernel imported
-    module = gait_fsr if mode is DetectionMode.FOOT_SENSORS else gait_vel
-    filter_rows, detect = signals._filter_rows, module.detect
-    filtering, seen = threading.Event(), []
-
-    def entering(*args):
-        filtering.set()
-        return filter_rows(*args)
-
-    def detecting(*args):
-        seen.append(filtering.is_set())
-        return detect(*args)
-
-    monkeypatch.setattr(trial_io, "_THREADS", 2)
-    monkeypatch.setattr(signals, "_filter_rows", entering)
-    monkeypatch.setattr(module, "detect", detecting)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(30.0)
-    try:
-        for _ in range(5):
-            filtering.clear()
-            run_trial(log, mode)
-    finally:
-        sys.setswitchinterval(interval)
-    assert seen == [True] * 5
-
-
-@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
-def test_no_leg_value_is_read_before_the_envelope_filters(monkeypatch, mode):
-    """run_trial checks no channel: the first numpy pass over a leg's
-    samples, on any thread, comes after the envelope's first filter pass has
-    begun. The switch interval leaves only the lock's own releases to decide."""
-    log = generate(GaitParams(seed=3), 10.0)
-    run_trial(log, mode)  # the filters designed and the kernel imported
-    filter_rows = signals._filter_rows
-    filtering, touched, seen = threading.Event(), threading.Event(), []
+    module, name = (gait_fsr, "insole") if mode is DetectionMode.FOOT_SENSORS else (gait_vel, "omega")
+    detect, detecting, first = module.detect, threading.local(), {}
 
     class Watched(np.ndarray):
+        def __array_finalize__(self, obj):
+            self.leg = getattr(obj, "leg", None)
+
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-            if not touched.is_set():
-                touched.set()
-                seen.append(filtering.is_set())
+            for x in inputs:
+                if isinstance(x, Watched):
+                    first.setdefault(x.leg, getattr(detecting, "inside", False))
             inputs = [x.view(np.ndarray) if isinstance(x, Watched) else x for x in inputs]
             return getattr(ufunc, method)(*inputs, **kwargs)
 
-    def entering(*args):
-        filtering.set()
-        return filter_rows(*args)
+    def inside(*args):
+        detecting.inside = True
+        try:
+            return detect(*args)
+        finally:
+            detecting.inside = False
 
-    for legs in (log.omega, log.insole):  # changed in place, so not checked again
+    for channel in ("omega", "insole"):  # changed in place, so not checked again
+        legs = getattr(log, channel)
         for foot in Foot:
             legs[foot] = legs[foot].view(Watched)
-    monkeypatch.setattr(trial_io, "_THREADS", 2)
-    monkeypatch.setattr(signals, "_filter_rows", entering)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(30.0)
-    try:
-        for _ in range(5):
-            filtering.clear()
-            touched.clear()
-            run_trial(log, mode)
-    finally:
-        sys.setswitchinterval(interval)
-    assert seen == [True] * 5
+            legs[foot].leg = (channel, foot)
+    monkeypatch.setattr(trial_io, "_THREADS", count)
+    monkeypatch.setattr(module, "detect", inside)
+    run_trial(log, mode)
+    assert first == {(name, foot): True for foot in Foot}
 
 
 class Failed(Exception):
